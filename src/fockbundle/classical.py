@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -36,6 +36,18 @@ class SpherePoint:
     def w(self) -> complex:
         """x + iy."""
         return complex(self.x, self.y)
+
+    def r_plus_minus_z(self) -> Tuple[float, float]:
+        """(r + z, r - z).  The smaller one is computed as (x^2 + y^2)
+        divided by the larger, which avoids the cancellation of r - z
+        near the +z axis (and of r + z near the -z axis)."""
+        r, z = self.r, self.z
+        rho2 = self.x**2 + self.y**2
+        if z >= 0:
+            plus = r + z
+            return plus, rho2 / plus
+        minus = r - z
+        return rho2 / minus, minus
 
 
 def sample_points(count: int, seed: int) -> List[SpherePoint]:
@@ -62,19 +74,20 @@ def berry_h(p: SpherePoint) -> np.ndarray:
 def chart_unitary(p: SpherePoint, label: str) -> np.ndarray:
     """Diagonalizing unitary on chart I (bad on the -z axis) or II (bad
     on the +z axis)."""
-    r, z, w = p.r, p.z, p.w
+    r, w = p.r, p.w
+    plus, minus = p.r_plus_minus_z()
     if label == "I":
-        denom = 2.0 * r * (r + z)
+        denom = 2.0 * r * plus
     elif label == "II":
-        denom = 2.0 * r * (r - z)
+        denom = 2.0 * r * minus
     else:
         raise ValueError(f"unknown chart {label!r}")
     if denom < sigma_tol(r) * r:
         raise AxisSingular(f"chart {label} undefined at {p}")
     s = 1.0 / math.sqrt(denom)
     if label == "I":
-        return s * np.array([[r + z, -np.conj(w)], [w, r + z]], dtype=complex)
-    return s * np.array([[np.conj(w), -(r - z)], [r - z, w]], dtype=complex)
+        return s * np.array([[plus, -np.conj(w)], [w, plus]], dtype=complex)
+    return s * np.array([[np.conj(w), -minus], [minus, w]], dtype=complex)
 
 
 def transition_fn(p: SpherePoint) -> np.ndarray:
@@ -87,15 +100,13 @@ def transition_fn(p: SpherePoint) -> np.ndarray:
 
 def hopf_projector(p: SpherePoint) -> np.ndarray:
     """(1/2r) [[r+z, x-iy], [x+iy, r-z]] -- defined everywhere off the origin."""
-    r = p.r
-    return np.array(
-        [[r + p.z, np.conj(p.w)], [p.w, r - p.z]], dtype=complex
-    ) / (2.0 * r)
+    plus, minus = p.r_plus_minus_z()
+    return np.array([[plus, np.conj(p.w)], [p.w, minus]], dtype=complex) / (2.0 * p.r)
 
 
 def classical_local_z(p: SpherePoint) -> complex:
     """(x+iy)/(r+z), the stereographic chart coordinate."""
-    denom = p.r + p.z
+    denom = p.r_plus_minus_z()[0]
     if abs(denom) < sigma_tol(p.r) * p.r:
         raise AxisSingular(f"stereographic coordinate undefined at {p}")
     return p.w / denom

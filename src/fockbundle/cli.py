@@ -6,7 +6,8 @@ detuning values and writes a deterministic report (json/text);
 writes one CSV row per axis value.
 
 Exit codes: 0 all checks pass, 1 some check failed (report still
-written), 2 invalid configuration.
+written; for ``sweep``, some row failed), 2 invalid configuration,
+including a NaN or infinite theta, t, g, tol or sweep value.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Tuple
 
 from . import classical, jc, spinrep, veronese
 from .operators import FockOperator, op_equal
@@ -49,10 +51,13 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.n_max < 4:
             raise ConfigError("n_max must be at least 4")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
         if not self.theta_list:
             raise ConfigError("at least one theta is required")
+        for label, value in [("theta", v) for v in self.theta_list] + [("t", self.t), ("g", self.g), ("tol", self.tol)]:
+            if not math.isfinite(value):
+                raise ConfigError(f"{label} must be finite, got {value!r}")
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
 
@@ -139,7 +144,7 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
 
 def run_propagator(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
-    nm = min(cfg.n_max, 32)
+    nm = cfg.n_max
     for theta in cfg.theta_list:
         out.append(
             _renamed(
@@ -317,13 +322,20 @@ def emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> str:
+def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
+    """One CSV row of maximum deviations per axis value, and whether every row passed.
+
+    The header holds every check name met along the sweep, in first-seen
+    order; a row leaves the cell empty for a check it did not run.
+    """
     if axis not in ("theta", "t", "nmax"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    rows = []
-    names: List[str] = []
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("sweep values must be finite")
+    rows: List[Tuple[float, VerificationReport]] = []
+    columns: Dict[str, None] = {}
     for v in values:
         sub = SuiteConfig(
             suite=cfg.suite,
@@ -336,17 +348,15 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> str:
             format=cfg.format,
         )
         report = run_suite(sub)
-        if not names:
-            names = [c.name for c in report.checks]
+        columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)
         rows.append((v, report))
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-    writer.writerow([axis] + [_axis_free_name(n, axis) for n in names] + ["pass"])
+    writer.writerow([axis] + list(columns) + ["pass"])
     for v, report in rows:
-        writer.writerow(
-            [repr(v)] + [repr(c.max_deviation) for c in report.checks] + [int(report.passed)]
-        )
-    return buf.getvalue()
+        devs = {_axis_free_name(c.name, axis): repr(c.max_deviation) for c in report.checks}
+        writer.writerow([repr(v)] + [devs.get(name, "") for name in columns] + [int(report.passed)])
+    return buf.getvalue(), all(report.passed for _, report in rows)
 
 
 def _axis_free_name(name: str, axis: str) -> str:
@@ -402,9 +412,9 @@ def main(argv: List[str] | None = None) -> int:
             report = run_suite(cfg)
             emit(render(report, cfg.format), cfg.out)
             return 0 if report.passed else 1
-        text = sweep(cfg, args.axis, list(args.values))
+        text, passed = sweep(cfg, args.axis, list(args.values))
         emit(text, cfg.out)
-        return 0
+        return 0 if passed else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -9,16 +9,17 @@ its classical limit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .opmatrix import OpMatrix, check_idempotent_hermitian, matrix_equal, matrix_grid_deviation
-from .operators import DomainError, FockOperator
-from .report import CheckResult, merge_excluded
-from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, number, sigma_tol, sinc
+from .opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal
+from .operators import DomainError, FockOperator, grid_terms, op_equal
+from .report import CheckResult, merge_excluded, upper_bound_check
+from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,7 @@ class JCParams:
 
 def r_symbol(theta: float, offset: int = 0) -> DiagonalSymbol:
     """sqrt(N + offset + theta^2) as a diagonal symbol."""
-    return guarded_sqrt(
-        DiagonalSymbol(lambda n, k=offset, t2=theta * theta: complex(n + k + t2)), sigma_tol(theta)
-    )
+    return guarded_sqrt(number(offset, theta * theta), sigma_tol(theta))
 
 
 def r_operator(theta: float, offset: int = 0) -> FockOperator:
@@ -97,16 +96,7 @@ def qdm_reconstruction_check(theta: float, n_max: int, tol: float) -> CheckResul
     excluded and reported.
     """
     left, middle, right = qdm_factorization(theta)
-    diff = (left @ middle @ right) - build_h_jc(theta)
-    dev, where, excluded = matrix_grid_deviation(diff, n_max, skip={2: {0}})
-    return CheckResult(
-        name="qdm_factorization",
-        max_deviation=dev,
-        tol=tol,
-        passed=dev <= tol,
-        excluded=merge_excluded(excluded),
-        detail=f"max at {where}" if where else "",
-    )
+    return matrix_equal(left @ middle @ right, build_h_jc(theta), n_max, tol, "qdm_factorization", skip={2: {0}})
 
 
 def chart_core(theta: float, label: str) -> OpMatrix:
@@ -293,79 +283,83 @@ def propagator_closed_form(theta: float, g: float, t: float) -> OpMatrix:
     a = FockOperator.annihilation()
     adag = FockOperator.creation()
     gt = g * t
+    phase = theta * gt
 
-    def rho(m: int) -> float:
-        return math.sqrt(m + theta * theta)
+    def diagonal(offset: int, parts) -> FockOperator:
+        # coefficient (real part, imaginary part) = parts(x) at x = gt R(N + offset)
+        return FockOperator.diagonal(grid_leaf(lambda idx: parts(gt * np.sqrt(idx + offset + theta * theta))))
 
-    e11 = FockOperator.diagonal(
-        DiagonalSymbol(lambda n: math.cos(gt * rho(n + 1)) - 1j * theta * gt * sinc(gt * rho(n + 1)))
-    )
-    e22 = FockOperator.diagonal(
-        DiagonalSymbol(lambda n: math.cos(gt * rho(n)) + 1j * theta * gt * sinc(gt * rho(n)))
-    )
-    f_upper = FockOperator.diagonal(DiagonalSymbol(lambda n: -1j * gt * sinc(gt * rho(n + 1))))
-    f_lower = FockOperator.diagonal(DiagonalSymbol(lambda n: -1j * gt * sinc(gt * rho(n))))
+    e11 = diagonal(1, lambda x: (np.cos(x), -(phase * sinc(x))))  # cos - i theta gt sinc
+    e22 = diagonal(0, lambda x: (np.cos(x), phase * sinc(x)))  # cos + i theta gt sinc
+    f_upper = diagonal(1, lambda x: (np.zeros_like(x), -gt * sinc(x)))  # -i gt sinc
+    f_lower = diagonal(0, lambda x: (np.zeros_like(x), -gt * sinc(x)))
     return OpMatrix.build([[e11, f_upper * a], [f_lower * adag, e22]])
 
 
-def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> Dict[Tuple[int, int, int, int], complex]:
+def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> Dict[Tuple[int, int, int], np.ndarray]:
     """Exact propagator elements from the invariant two-dimensional subspaces.
 
     The Hamiltonian couples only (slot1,|n>) with (slot2,|n+1>), plus the
     uncoupled (slot2,|0>).  Each 2x2 block is exponentiated through its
     numpy eigendecomposition, which is independent of the closed form.
+    Returns <slot si, n + d| U |slot sj, n> over n = 0..n_max for each
+    (si, sj, d) that the blocks reach; every other element is 0.
     """
-    out: Dict[Tuple[int, int, int, int], complex] = {}
-    out[(2, 0, 2, 0)] = complex(np.exp(1j * g * t * theta))
-    for n in range(n_max + 1):
-        h = np.array([[theta, math.sqrt(n + 1)], [math.sqrt(n + 1), -theta]], dtype=complex)
-        w, v = np.linalg.eigh(h)
-        u = v @ np.diag(np.exp(-1j * g * t * w)) @ v.conj().T
-        out[(1, n, 1, n)] = complex(u[0, 0])
-        out[(1, n, 2, n + 1)] = complex(u[0, 1])
-        out[(2, n + 1, 1, n)] = complex(u[1, 0])
-        out[(2, n + 1, 2, n + 1)] = complex(u[1, 1])
-    return out
+    coupling = np.sqrt(np.arange(1, n_max + 2, dtype=float))
+    h = np.zeros((n_max + 1, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = theta, -theta
+    h[:, 0, 1] = h[:, 1, 0] = coupling
+    w, v = np.linalg.eigh(h)
+    phases = np.zeros_like(h)
+    phases[:, 0, 0], phases[:, 1, 1] = np.exp(-1j * g * t * w).T
+    u = v @ phases @ np.conj(np.swapaxes(v, 1, 2))  # u[n] is the block of (slot1,|n>), (slot2,|n+1>)
+    return {
+        (1, 1, 0): u[:, 0, 0],
+        (2, 1, 1): u[:, 1, 0],
+        (1, 2, -1): np.concatenate(([0.0], u[:-1, 0, 1])),
+        (2, 2, 0): np.concatenate(([np.exp(1j * g * t * theta)], u[:-1, 1, 1])),
+    }
 
 
 def propagator_oracle_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
+    """Closed form against the block oracle on every element <slot si, m|U|slot sj, n>
+    with m in {n-1, n, n+1}, both indices within the grid."""
     closed = propagator_closed_form(theta, g, t)
     oracle = propagator_block_oracle(theta, g, t, n_max)
+    slots = [(si, sj) for si in (1, 2) for sj in (1, 2)]
+    terms = grid_terms([closed.entry(si - 1, sj - 1) for si, sj in slots], n_max)
+    n = np.arange(n_max + 1)
     max_dev, where = 0.0, ""
-    for si in (1, 2):
-        for sj in (1, 2):
-            for n in range(n_max + 1):
-                for m in (n - 1, n, n + 1):
-                    if not (0 <= m <= n_max):
-                        continue
-                    lhs = closed.matrix_element(si, m, sj, n)
-                    rhs = oracle.get((si, m, sj, n), 0.0)
-                    v = abs(lhs - rhs)
-                    if v > max_dev:
-                        max_dev = v
-                        where = f"(slot{si},{m} | slot{sj},{n})"
-    return CheckResult(
-        name="propagator_vs_block_oracle",
-        max_deviation=max_dev,
-        tol=tol,
-        passed=max_dev <= tol,
-        detail=f"theta={theta}, gt={g * t}; max at {where}",
+    for (si, sj), entry in zip(slots, terms):
+        lhs = dict(entry)
+        devs = []
+        for d in (-1, 0, 1):
+            v = lhs.get(d)
+            rhs = oracle.get((si, sj, d))
+            re = np.zeros(n_max + 1) if v is None else v.re
+            im = np.zeros(n_max + 1) if v is None or v.im is None else v.im
+            if rhs is not None:
+                re, im = re - rhs.real, im - rhs.imag
+            dev = np.hypot(re, im)
+            if v is not None and v.singular is not None:
+                dev[v.singular] = np.nan
+            dev[np.isnan(dev)] = np.inf
+            dev[(n + d < 0) | (n + d > n_max)] = -1.0
+            devs.append(dev)
+        table = np.stack(devs, axis=1)  # scan order: n, then m = n - 1, n, n + 1
+        at = int(np.argmax(table))
+        if table.flat[at] > max_dev:
+            max_dev = float(table.flat[at])
+            col, k = divmod(at, 3)
+            where = f"(slot{si},{col + k - 1} | slot{sj},{col})"
+    return upper_bound_check(
+        "propagator_vs_block_oracle", max_dev, tol, {}, 2 * (n_max + 1), f"theta={theta}, gt={g * t}; max at {where}"
     )
 
 
 def propagator_unitarity_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
-    from .opmatrix import check_unitary
-
-    u = propagator_closed_form(theta, g, t)
-    res = check_unitary(u, n_max, tol, name="propagator_unitary")
-    return CheckResult(
-        name=res.name,
-        max_deviation=res.max_deviation,
-        tol=res.tol,
-        passed=res.passed,
-        excluded=res.excluded,
-        detail=f"theta={theta}, gt={g * t}",
-    )
+    res = check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name="propagator_unitary")
+    return dataclasses.replace(res, detail=f"theta={theta}, gt={g * t}")
 
 
 def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_max: int, tol: float) -> CheckResult:
@@ -373,14 +367,7 @@ def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_m
     prod = propagator_closed_form(theta, g, t1) @ propagator_closed_form(theta, g, t2)
     whole = propagator_closed_form(theta, g, t1 + t2)
     res = matrix_equal(prod, whole, n_max, tol, name="propagator_semigroup")
-    return CheckResult(
-        name=res.name,
-        max_deviation=res.max_deviation,
-        tol=res.tol,
-        passed=res.passed,
-        excluded=res.excluded,
-        detail=f"theta={theta}, g={g}, t1={t1}, t2={t2}",
-    )
+    return dataclasses.replace(res, detail=f"theta={theta}, g={g}, t1={t1}, t2={t2}")
 
 
 def full_evolution(p: JCParams, order: str = "free_first") -> OpMatrix:
@@ -392,8 +379,14 @@ def full_evolution(p: JCParams, order: str = "free_first") -> OpMatrix:
     if p.omega is None or p.delta is None:
         raise ValueError("full evolution needs omega and delta")
     omega, t = p.omega, p.t
-    up = FockOperator.diagonal(DiagonalSymbol(lambda n: np.exp(-1j * t * (omega * n + omega / 2.0))))
-    down = FockOperator.diagonal(DiagonalSymbol(lambda n: np.exp(-1j * t * (omega * n - omega / 2.0))))
+    def phase(sign: float) -> FockOperator:
+        def fn(idx: np.ndarray):
+            z = np.exp(-1j * t * (omega * idx + sign * omega / 2.0))
+            return z.real, z.imag
+
+        return FockOperator.diagonal(grid_leaf(fn))
+
+    up, down = phase(1.0), phase(-1.0)
     free = OpMatrix.diag(up, down)
     coupling = propagator_closed_form(p.theta, p.g, p.t)
     if order == "free_first":
@@ -426,8 +419,6 @@ def z_identity_check(theta: float, n_max: int, tol: float) -> CheckResult:
     rhs = FockOperator.diagonal(
         guarded_div(2.0 * r_symbol(theta, 1), r_symbol(theta, 1) + theta, sigma_tol(theta))
     )
-    from .operators import op_equal
-
     return op_equal(lhs, rhs, n_max, tol, name="z_coordinate_identity")
 
 

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .report import CheckResult
+import numpy as np
+
+from .report import CheckResult, merge_excluded, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
+    GridValues,
     SingularPoint,
+    adjoint,
+    composed,
     const,
     guarded_div,
     guarded_pow,
@@ -82,20 +87,6 @@ class FockVector:
         return body or "0"
 
 
-def _composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
-    # B acts first: guard the intermediate index n+db, and evaluate cb
-    # before ca so singularities of the first-applied factor win.
-    def fn(n, ca=ca.fn, db=db, cb=cb.fn):
-        right = cb(n)
-        if n + db < 0:
-            return 0.0
-        # ca is evaluated even when right == 0: a vanishing numerator does
-        # not repair a vanishing divisor, the state is still on the string
-        return ca(n + db) * right
-
-    return DiagonalSymbol(fn)
-
-
 @dataclass(frozen=True)
 class FockOperator:
     """Normal-form finite sum of shift terms, at most one per shift degree."""
@@ -124,11 +115,11 @@ class FockOperator:
 
     @staticmethod
     def annihilation() -> "FockOperator":
-        return FockOperator.from_terms({-1: DiagonalSymbol(lambda n: math.sqrt(n))})
+        return FockOperator.from_terms({-1: guarded_sqrt(number())})
 
     @staticmethod
     def creation() -> "FockOperator":
-        return FockOperator.from_terms({1: DiagonalSymbol(lambda n: math.sqrt(n + 1))})
+        return FockOperator.from_terms({1: guarded_sqrt(number(1))})
 
     @staticmethod
     def number_op() -> "FockOperator":
@@ -159,7 +150,7 @@ class FockOperator:
         out: Dict[int, DiagonalSymbol] = {}
         for da, ca in self.terms:
             for db, cb in other.terms:
-                sym = _composed(ca, db, cb)
+                sym = composed(ca, db, cb)
                 d = da + db
                 out[d] = out[d] + sym if d in out else sym
         return FockOperator.from_terms(out)
@@ -172,11 +163,7 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         out: Dict[int, DiagonalSymbol] = {}
         for d, c in self.terms:
-            # the adjoint coefficient at n pairs with <n-d|, which does not
-            # exist below the vacuum: return 0 there instead of evaluating
-            out[-d] = DiagonalSymbol(
-                lambda n, d=d, c=c.fn: complex(c(n - d)).conjugate() if n - d >= 0 else 0.0
-            )
+            out[-d] = adjoint(c, d)
         return FockOperator.from_terms(out)
 
     def inverse(self, tol: float = DEFAULT_SIGMA_TOL) -> "FockOperator":
@@ -226,45 +213,100 @@ class FockOperator:
 
     def singular_support(self, n_max: int) -> Set[int]:
         """Basis indices n <= n_max at which any coefficient evaluation is singular."""
-        out: Set[int] = set()
-        for d, c in self.terms:
-            for n in range(n_max + 1):
-                try:
-                    c(n)
-                except SingularPoint:
-                    out.add(n)
-        return out
+        return singular_states(grid_terms([self], n_max)[0])
+
+
+# -- the grid scan -----------------------------------------------------------
+
+Terms = List[Tuple[int, GridValues]]
+
+
+def grid_terms(ops: Sequence[FockOperator], n_max: int) -> List[Terms]:
+    """Every term (d, values) of every operator in ``ops`` on n = 0..n_max.
+
+    This is the one grid scan.  Each top-level coefficient is evaluated
+    on the whole index array through its call, under one memo shared by
+    all of them, so a subexpression common to several coefficients is
+    computed once per index offset.  The memo is dropped on return.
+    """
+    grid = np.arange(n_max + 1, dtype=np.int64)
+    memo: Dict = {}
+    return [[(d, c(grid, memo)) for d, c in op.terms] for op in ops]
+
+
+def singular_states(terms: Terms) -> Set[int]:
+    """Indices at which some term of one operator is singular."""
+    out: Set[int] = set()
+    for _, v in terms:
+        if v.singular is not None:
+            out.update(np.flatnonzero(v.singular).tolist())
+    return out
+
+
+Location = Tuple[int, int, int, int]  # (row, column, n, d)
+
+
+def grid_deviation(
+    columns: Sequence[Sequence[FockOperator]], n_max: int, skip: Mapping[int, Iterable[int]] | None = None
+) -> Tuple[float, Optional[Location], Dict[int, Set[int]]]:
+    """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
+
+    ``columns[j]`` holds the operators (one per row) acting on slot j + 1.
+    A state is excluded when ``skip`` lists it or when a term evaluated
+    on it is singular.  A term that maps it above n_max is not evaluated;
+    one that maps it below the vacuum is evaluated, so its singularities
+    count, but adds no deviation.  Excluded states add nothing, and a NaN
+    or infinite coefficient counts as an infinite deviation.
+
+    Returns the maximum, the location of its first occurrence in slot,
+    n, row, term order (None when the maximum is 0), and the exclusions
+    per 1-based slot, ``skip`` included.
+    """
+    skip = skip or {}
+    excluded = {s: set(v) for s, v in skip.items()}
+    terms = grid_terms([op for col in columns for op in col], n_max)
+    n = np.arange(n_max + 1)
+    best, where, first = 0.0, None, 0
+    for j, col in enumerate(columns):
+        skipped = np.zeros(n_max + 1, dtype=bool)
+        skipped[[m for m in skip.get(j + 1, ()) if 0 <= m <= n_max]] = True
+        singular = np.zeros(n_max + 1, dtype=bool)
+        devs, labels = [], []
+        for i in range(len(col)):
+            for d, v in terms[first + i]:
+                evaluated = n + d <= n_max
+                if v.singular is not None:
+                    singular |= v.singular & evaluated
+                dev = v.magnitude()
+                dev[np.isnan(dev)] = np.inf
+                dev[~evaluated | (n + d < 0)] = -1.0
+                devs.append(dev)
+                labels.append((i, d))
+        first += len(col)
+        found = singular & ~skipped
+        if found.any():
+            excluded.setdefault(j + 1, set()).update(np.flatnonzero(found).tolist())
+        if not devs:
+            continue
+        table = np.stack(devs, axis=1)
+        table[skipped | found] = -1.0
+        at = int(np.argmax(table))
+        if table.flat[at] > best:
+            best = float(table.flat[at])
+            row, t = divmod(at, len(devs))
+            where = (labels[t][0], j, row, labels[t][1])
+    return best, where, {s: v for s, v in excluded.items() if v}
 
 
 def op_equal(a: FockOperator, b: FockOperator, n_max: int, tol: float, name: str = "op_equal") -> CheckResult:
     """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max.
 
     Singular points of either side are excluded from the scan and listed
-    in the result (slot 1 by convention for scalar operators).
+    in the result (slot 1 by convention for scalar operators).  The check
+    fails when every grid state is excluded.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diff = a - b
-    max_dev = 0.0
-    where = ""
-    excluded: Set[int] = set()
-    for n in range(n_max + 1):
-        try:
-            for d, c in diff.terms:
-                if n + d > n_max:
-                    continue
-                v = abs(c(n))  # evaluated below the vacuum too: singularities count
-                if n + d >= 0 and v > max_dev:
-                    max_dev = v
-                    where = f"(m={n + d}, n={n})"
-        except SingularPoint:
-            excluded.add(n)
-    passed = max_dev <= tol
-    return CheckResult(
-        name=name,
-        max_deviation=max_dev,
-        tol=tol,
-        passed=passed,
-        excluded={1: sorted(excluded)} if excluded else {},
-        detail=f"max at {where}" if where else "",
-    )
+    dev, where, excluded = grid_deviation([[a - b]], n_max)
+    detail = "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})"
+    return upper_bound_check(name, dev, tol, merge_excluded(excluded), n_max + 1, detail)

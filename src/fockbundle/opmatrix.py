@@ -14,9 +14,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .operators import DomainError, FockOperator, FockVector
-from .report import CheckResult, merge_excluded
-from .symbols import SingularPoint
+from .operators import DomainError, FockOperator, FockVector, grid_deviation, grid_terms, singular_states
+from .report import CheckResult, merge_excluded, upper_bound_check
 
 
 class SlotDomainError(Exception):
@@ -96,6 +95,9 @@ class OpMatrix:
     def entry(self, i: int, j: int) -> FockOperator:
         return self.entries[i][j]
 
+    def columns(self) -> List[List[FockOperator]]:
+        return [[row[j] for row in self.entries] for j in range(self.cols)]
+
     # -- algebra ----------------------------------------------------------
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
@@ -164,11 +166,12 @@ class OpMatrix:
 
     def column_singular_map(self, n_max: int) -> Dict[int, Set[int]]:
         """Per input slot, the basis states on which some column entry is singular."""
+        terms = grid_terms([op for col in self.columns() for op in col], n_max)
         out: Dict[int, Set[int]] = {}
         for j in range(self.cols):
             states: Set[int] = set()
-            for i in range(self.rows):
-                states |= self.entries[i][j].singular_support(n_max)
+            for t in terms[j * self.rows : (j + 1) * self.rows]:
+                states |= singular_states(t)
             if states:
                 out[j + 1] = states
         return out
@@ -180,41 +183,47 @@ def matrix_grid_deviation(
     """Max |coefficient| of ``diff`` over non-excluded grid states.
 
     Returns (max deviation, location string, exclusion map); states in
-    ``skip`` and states found singular during the scan are excluded.
+    ``skip`` and states found singular during the scan are excluded (see
+    ``operators.grid_deviation`` for the rules).
     """
-    skip = {k: set(v) for k, v in (skip or {}).items()}
-    max_dev, where = 0.0, ""
-    excluded: Dict[int, Set[int]] = {k: set(v) for k, v in skip.items()}
-    for j in range(diff.cols):
-        for n in range(n_max + 1):
-            if n in skip.get(j + 1, ()):
-                continue
-            try:
-                for i in range(diff.rows):
-                    for d, c in diff.entries[i][j].terms:
-                        if n + d > n_max:
-                            continue
-                        v = abs(c(n))  # below-vacuum evaluations still flag singularities
-                        if n + d >= 0 and v > max_dev:
-                            max_dev = v
-                            where = f"(slot{i + 1},{n + d} | slot{j + 1},{n})"
-            except SingularPoint:
-                excluded.setdefault(j + 1, set()).add(n)
-    return max_dev, where, {k: v for k, v in excluded.items() if v}
+    dev, at, excluded = grid_deviation(diff.columns(), n_max, skip)
+    where = "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})"
+    return dev, where, excluded
 
 
-def matrix_equal(a: OpMatrix, b: OpMatrix, n_max: int, tol: float, name: str = "matrix_equal") -> CheckResult:
+def matrix_equal(
+    a: OpMatrix,
+    b: OpMatrix,
+    n_max: int,
+    tol: float,
+    name: str = "matrix_equal",
+    skip: Dict[int, Set[int]] | None = None,
+) -> CheckResult:
+    """Max deviation of A - B on the grid; fails when every state is excluded."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    max_dev, where, excl = matrix_grid_deviation(a - b, n_max)
-    return CheckResult(
-        name=name,
-        max_deviation=max_dev,
-        tol=tol,
-        passed=max_dev <= tol,
-        excluded=merge_excluded(excl),
-        detail=f"max at {where}" if where else "",
+    max_dev, where, excl = matrix_grid_deviation(a - b, n_max, skip)
+    detail = f"max at {where}" if where else ""
+    return upper_bound_check(name, max_dev, tol, merge_excluded(excl), a.cols * (n_max + 1), detail)
+
+
+def pair_check(
+    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Dict[int, Set[int]]
+) -> CheckResult:
+    """The larger of two grid deviations (each against zero) with the
+    union of their exclusions; the location is the first one's on a tie."""
+    dev1, w1, e1 = matrix_grid_deviation(first, n_max, skip)
+    dev2, w2, e2 = matrix_grid_deviation(second, n_max, skip)
+    max_dev = max(dev1, dev2)
+    excluded = merge_excluded(e1, e2)
+    return upper_bound_check(
+        name, max_dev, tol, excluded, first.cols * (n_max + 1), f"max at {w1 if dev1 >= dev2 else w2}"
     )
+
+
+def _own_strings(m: OpMatrix, n_max: int) -> Dict[int, Set[int]]:
+    base = merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
+    return {k: set(v) for k, v in base.items()}
 
 
 def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary") -> CheckResult:
@@ -226,36 +235,12 @@ def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary") ->
     """
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
-    base = merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
-    skip = {k: set(v) for k, v in base.items()}
     ident = OpMatrix.identity(m.rows)
-    dev1, w1, e1 = matrix_grid_deviation(m.dagger() @ m - ident, n_max, skip)
-    dev2, w2, e2 = matrix_grid_deviation(m @ m.dagger() - ident, n_max, skip)
-    max_dev = max(dev1, dev2)
-    return CheckResult(
-        name=name,
-        max_deviation=max_dev,
-        tol=tol,
-        passed=max_dev <= tol,
-        excluded=merge_excluded(e1, e2),
-        detail=f"max at {w1 if dev1 >= dev2 else w2}",
-    )
+    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, _own_strings(m, n_max))
 
 
 def check_idempotent_hermitian(m: OpMatrix, n_max: int, tol: float, name: str = "projector") -> CheckResult:
     """Deviations of M@M - M and M† - M on the non-singular grid."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
-    base = merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
-    skip = {k: set(v) for k, v in base.items()}
-    dev1, w1, e1 = matrix_grid_deviation(m @ m - m, n_max, skip)
-    dev2, w2, e2 = matrix_grid_deviation(m.dagger() - m, n_max, skip)
-    max_dev = max(dev1, dev2)
-    return CheckResult(
-        name=name,
-        max_deviation=max_dev,
-        tol=tol,
-        passed=max_dev <= tol,
-        excluded=merge_excluded(e1, e2),
-        detail=f"max at {w1 if dev1 >= dev2 else w2}",
-    )
+    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, _own_strings(m, n_max))

@@ -44,6 +44,25 @@ class CheckResult:
         return f"{status} {self.name} max_dev={self.max_deviation:.3e} tol={self.tol:.1e}{excl}"
 
 
+def upper_bound_check(
+    name: str, max_deviation: float, tol: float, excluded: Dict[int, List[int]], grid_states: int, detail: str = ""
+) -> CheckResult:
+    """A grid check that passes when the deviation is at most ``tol`` and
+    ``excluded`` leaves at least one of the ``grid_states`` states scanned.
+
+    A NaN deviation never passes.
+    """
+    scanned = grid_states - sum(len(v) for v in excluded.values())
+    return CheckResult(
+        name=name,
+        max_deviation=max_deviation,
+        tol=tol,
+        passed=scanned > 0 and max_deviation <= tol,
+        excluded=excluded,
+        detail=detail,
+    )
+
+
 def merge_excluded(*maps: Dict[int, set]) -> Dict[int, List[int]]:
     out: Dict[int, set] = {}
     for m in maps:

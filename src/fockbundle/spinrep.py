@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
-from .operators import FockOperator
-from .report import CheckResult, merge_excluded
+from .opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation, pair_check
+from .operators import FockOperator, grid_deviation
+from .report import CheckResult
 from .veronese import x_operator, y_operator
 
 _S2 = np.sqrt(2.0)
@@ -205,20 +205,9 @@ def family_string_map(theta: float, n: int, n_max: int):
 
 def nc_unitarity_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
     m = nc_spin_rep(theta, j)
-    levels = int(round(2 * j))
-    skip = family_string_map(theta, levels, n_max)
+    skip = family_string_map(theta, int(round(2 * j)), n_max)
     ident = OpMatrix.identity(m.rows)
-    dev1, w1, e1 = matrix_grid_deviation(m.dagger() @ m - ident, n_max, skip)
-    dev2, w2, e2 = matrix_grid_deviation(m @ m.dagger() - ident, n_max, skip)
-    dev = max(dev1, dev2)
-    return CheckResult(
-        name=f"nc_spin_unitary_j{j}",
-        max_deviation=dev,
-        tol=tol,
-        passed=dev <= tol,
-        excluded=merge_excluded(e1, e2),
-        detail=f"max at {w1 if dev1 >= dev2 else w2}",
-    )
+    return pair_check(f"nc_spin_unitary_j{j}", m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip)
 
 
 def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
@@ -278,11 +267,7 @@ def tensor_square_entry_check(theta: float, n_max: int, tol: float) -> CheckResu
     v = chart_matrix(theta)
     y0 = y_operator(theta, 0)
     diff = v.kron(v).entry(1, 2) - (-(y0.dagger() * y0))
-    worst = 0.0
-    for n in range(n_max + 1):
-        for d, c in diff.terms:
-            if 0 <= n + d <= n_max:
-                worst = max(worst, abs(c(n)))
+    worst, _, _ = grid_deviation([[diff]], n_max)
     return CheckResult(
         name="tensor_square_entry",
         max_deviation=worst,

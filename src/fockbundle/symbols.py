@@ -1,17 +1,26 @@
-"""Pointwise coefficient functions of the photon-number index.
+"""Coefficient functions of the photon-number index, evaluated over the grid.
 
-A DiagonalSymbol is a scalar function n -> complex backed by a closure.
-Divisions and square roots are built through the guarded constructors
-below so that a vanishing divisor (or a square root of a negative real)
-raises SingularPoint instead of silently producing NaN/Inf.
+A DiagonalSymbol is a node of a guarded expression: a constant, the
+index itself, a vectorised leaf, arithmetic, an index shift, a guarded
+division / square root / power, or one of the two node kinds the shift
+algebra needs (a composed product and an adjoint coefficient).  A node
+evaluates on a whole int64 index array at once and returns the values
+plus a singular mask: a vanishing divisor, or a square root of a
+negative real, marks the index singular instead of producing NaN/Inf.
+
+Values keep CPython's scalar arithmetic bit for bit.  A real symbol is
+held as one float64 array; a complex one as real and imaginary float64
+arrays, combined with CPython's formulas for complex ``*``, ``/`` and
+``abs``.  Calling a symbol on an int keeps the scalar contract: it
+returns a complex, or raises SingularPoint.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 DEFAULT_SIGMA_TOL = 1e-12
 
@@ -37,48 +46,78 @@ class SingularPoint(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class DiagonalSymbol:
-    """An exactly evaluable scalar function of the number operator.
+class GridValues(NamedTuple):
+    """A symbol on an index array: real part, imaginary part (None while
+    the symbol is real) and singular mask (None where nothing is singular)."""
 
-    Evaluation is deterministic (same n, same parameters -> identical
-    result) and side-effect free.
+    re: np.ndarray
+    im: Optional[np.ndarray]
+    singular: Optional[np.ndarray]
+
+    def magnitude(self) -> np.ndarray:
+        """|value| as CPython's abs computes it (hypot for complex values)."""
+        return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
+
+    def scalar(self, i: int, n: int) -> complex:
+        """The value at position ``i`` (basis index ``n``), or SingularPoint."""
+        if self.singular is not None and self.singular[i]:
+            raise SingularPoint(n, "vanishing divisor or root of a negative value")
+        return complex(float(self.re[i]), 0.0 if self.im is None else float(self.im[i]))
+
+
+class DiagonalSymbol:
+    """An exactly evaluable function of the number operator.
+
+    Nodes are never modified and are compared by identity, so a subexpression
+    shared by many coefficients is one node; a scan evaluates each
+    (node, index offset) pair once through its memo.
     """
 
-    fn: Callable[[int], complex]
+    __slots__ = ("op", "args", "real")
 
-    def __call__(self, n: int) -> complex:
-        return complex(self.fn(n))
+    def __init__(self, op: str, args: tuple, real: bool):
+        self.op = op
+        self.args = args
+        self.real = real
+
+    def __call__(self, n, memo: Optional[Dict] = None):
+        """At an int: the complex value, or SingularPoint.  At an int64
+        index array: GridValues.  ``memo`` is shared by calls on the same
+        array, so subexpressions common to them are evaluated once."""
+        with np.errstate(all="ignore"):
+            if isinstance(n, np.ndarray):
+                return _Grid(n, {} if memo is None else memo).values(self, 0)
+            v = _Grid(np.array([n], dtype=np.int64), {}).values(self, 0)
+        return v.scalar(0, n)
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
-        return DiagonalSymbol(lambda n, a=self.fn, b=other.fn: a(n) + b(n))
+        return DiagonalSymbol("add", (self, other), self.real and other.real)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
-        return DiagonalSymbol(lambda n, a=self.fn, b=other.fn: a(n) - b(n))
+        return DiagonalSymbol("sub", (self, other), self.real and other.real)
 
     def __rsub__(self, other) -> "DiagonalSymbol":
-        other = _coerce(other)
-        return DiagonalSymbol(lambda n, a=other.fn, b=self.fn: a(n) - b(n))
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
-        return DiagonalSymbol(lambda n, a=self.fn, b=other.fn: a(n) * b(n))
+        return DiagonalSymbol("mul", (self, other), self.real and other.real)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "DiagonalSymbol":
-        return DiagonalSymbol(lambda n, a=self.fn: -a(n))
+        return DiagonalSymbol("neg", (self,), self.real)
 
     def shifted(self, d: int) -> "DiagonalSymbol":
         """The symbol n -> self(n + d)."""
-        return DiagonalSymbol(lambda n, a=self.fn, d=d: a(n + d))
+        return DiagonalSymbol("shift", (self, d), self.real)
 
     def conjugate(self) -> "DiagonalSymbol":
-        return DiagonalSymbol(lambda n, a=self.fn: complex(a(n)).conjugate())
+        return DiagonalSymbol("conj", (self,), self.real)
 
 
 def _coerce(value) -> DiagonalSymbol:
@@ -90,25 +129,29 @@ def _coerce(value) -> DiagonalSymbol:
 
 
 def const(value: Scalar) -> DiagonalSymbol:
-    return DiagonalSymbol(lambda n, v=complex(value): v)
+    v = complex(value)
+    return DiagonalSymbol("const", (v,), v.imag == 0)
 
 
-def number() -> DiagonalSymbol:
-    """The number operator itself, n -> n."""
-    return DiagonalSymbol(lambda n: complex(n))
+def number(shift: int = 0, add: float = 0.0) -> DiagonalSymbol:
+    """The number operator itself, n -> (n + shift) + add."""
+    return DiagonalSymbol("index", (shift, float(add)), True)
+
+
+def grid_leaf(fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]) -> DiagonalSymbol:
+    """A complex leaf: ``fn`` maps an int64 index array to the real and
+    imaginary parts of the values there, as float64 arrays.
+
+    The array may hold indices below the vacuum; what ``fn`` returns there
+    is never used.
+    """
+    return DiagonalSymbol("leaf", (fn,), False)
 
 
 def guarded_div(num, den, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     """num / den, singular where |den| < tol."""
     num, den = _coerce(num), _coerce(den)
-
-    def fn(n, a=num.fn, b=den.fn, tol=tol):
-        d = complex(b(n))
-        if abs(d) < tol:
-            raise SingularPoint(n, f"division by {d!r}")
-        return complex(a(n)) / d
-
-    return DiagonalSymbol(fn)
+    return DiagonalSymbol("div", (num, den, tol), num.real and den.real)
 
 
 def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
@@ -118,17 +161,7 @@ def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     clamped to 0.
     """
     arg = _coerce(arg)
-
-    def fn(n, a=arg.fn, tol=tol):
-        v = complex(a(n))
-        if abs(v.imag) < tol:
-            x = v.real
-            if x < -tol:
-                raise SingularPoint(n, f"sqrt of negative value {x!r}")
-            return math.sqrt(max(x, 0.0))
-        return cmath.sqrt(v)
-
-    return DiagonalSymbol(fn)
+    return DiagonalSymbol("sqrt", (arg, tol), arg.real)
 
 
 def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
@@ -138,32 +171,245 @@ def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> Diagona
     with magnitude below tol are singular for negative exponents.
     """
     arg = _coerce(arg)
-    integral = float(exponent).is_integer()
+    return DiagonalSymbol("pow", (arg, float(exponent), tol), arg.real)
 
-    def fn(n, a=arg.fn, p=float(exponent), tol=tol, integral=integral):
-        v = complex(a(n))
+
+def composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
+    """Coefficient of the product of shift terms (da, ca) after (db, cb).
+
+    cb acts first and is always evaluated, so its singularities count
+    everywhere.  ca is evaluated at the intermediate index n + db only
+    where that index is a basis state; below the vacuum the product is 0.
+    A vanishing right factor does not repair a singular ca.
+    """
+    return DiagonalSymbol("composed", (ca, db, cb), ca.real and cb.real)
+
+
+def adjoint(c: DiagonalSymbol, d: int) -> DiagonalSymbol:
+    """Coefficient of the adjoint of the shift term (d, c): conj(c(n - d)),
+    and 0 below the vacuum (n - d < 0), where c is not evaluated."""
+    return DiagonalSymbol("adjoint", (c, d), c.real)
+
+
+def sinc(x):
+    """sin(x)/x, finite at x = 0 via a 7-term Taylor series for |x| < 1e-2.
+
+    Takes a float or a float array.
+    """
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 7):
+        term = term * (-x2 / ((2 * k) * (2 * k + 1)))
+        total = total + term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(np.abs(x) >= 1e-2, np.sin(x) / x, total)
+    return float(out) if out.ndim == 0 else out
+
+
+# -- grid evaluation ----------------------------------------------------------
+
+
+def _either(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a | b
+
+
+def _flag(mask: np.ndarray) -> Optional[np.ndarray]:
+    return mask if mask.any() else None
+
+
+class _Grid:
+    """One evaluation of symbols on ``base + offset`` index arrays.
+
+    ``memo`` maps (node, offset) to GridValues.  Positions whose index is
+    below the vacuum may hold anything: every node that reads a child
+    there (composed, adjoint) masks them out.
+    """
+
+    __slots__ = ("base", "lo", "memo")
+
+    def __init__(self, base: np.ndarray, memo: Dict):
+        self.base = base
+        self.lo = int(base.min()) if base.size else 0
+        self.memo = memo
+
+    def index(self, k: int) -> np.ndarray:
+        return self.base + k if k else self.base
+
+    def values(self, node: DiagonalSymbol, k: int) -> GridValues:
+        key = (node, k)
+        out = self.memo.get(key)
+        if out is None:
+            out = _EVAL[node.op](self, node, k)
+            self.memo[key] = out
+        return out
+
+
+def _eval_const(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    (v,) = node.args
+    re = np.full(grid.base.shape, v.real)
+    return GridValues(re, None if node.real else np.full(grid.base.shape, v.imag), None)
+
+
+def _eval_index(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    shift, add = node.args
+    return GridValues(grid.index(k + shift) + add, None, None)
+
+
+def _eval_leaf(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    re, im = node.args[0](grid.index(k))
+    return GridValues(np.asarray(re, dtype=float), np.asarray(im, dtype=float), None)
+
+
+def _eval_sum(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a, b = (grid.values(x, k) for x in node.args)
+    combine = np.add if node.op == "add" else np.subtract
+    im = None
+    if not node.real:  # a missing imaginary part is an exact 0
+        im = combine(np.zeros_like(a.re) if a.im is None else a.im, np.zeros_like(b.re) if b.im is None else b.im)
+    return GridValues(combine(a.re, b.re), im, _either(a.singular, b.singular))
+
+
+def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    # CPython's complex product; with one side real it reduces exactly to
+    # scaling the other side's parts
+    if a.im is None and b.im is None:
+        return a.re * b.re, None
+    if a.im is None:
+        return a.re * b.re, a.re * b.im
+    if b.im is None:
+        return a.re * b.re, a.im * b.re
+    return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+
+
+def _eval_mul(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a, b = (grid.values(x, k) for x in node.args)
+    re, im = _product(a, b)
+    return GridValues(re, im, _either(a.singular, b.singular))
+
+
+def _eval_neg(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a = grid.values(node.args[0], k)
+    return GridValues(-a.re, None if a.im is None else -a.im, a.singular)
+
+
+def _eval_shift(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a, d = node.args
+    return grid.values(a, k + d)
+
+
+def _eval_conj(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a = grid.values(node.args[0], k)
+    return a if a.im is None else GridValues(a.re, -a.im, a.singular)
+
+
+def _eval_div(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    num, den, tol = node.args
+    a, b = grid.values(num, k), grid.values(den, k)
+    singular = _either(_either(b.singular, _flag(b.magnitude() < tol)), a.singular)
+    if b.im is None:
+        return GridValues(a.re / b.re, None if a.im is None else a.im / b.re, singular)
+    # CPython's complex quotient (Smith's method), branch by branch
+    are, aim = a.re, np.zeros_like(a.re) if a.im is None else a.im
+    by_real = np.abs(b.re) >= np.abs(b.im)
+    ratio = np.where(by_real, b.im / b.re, b.re / b.im)
+    denom = np.where(by_real, b.re + b.im * ratio, b.re * ratio + b.im)
+    re = np.where(by_real, (are + aim * ratio) / denom, (are * ratio + aim) / denom)
+    im = np.where(by_real, (aim - are * ratio) / denom, (aim * ratio - are) / denom)
+    return GridValues(re, im, singular)
+
+
+def _eval_sqrt(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    arg, tol = node.args
+    a = grid.values(arg, k)
+    on_real_axis = None if a.im is None else np.abs(a.im) < tol
+    x = a.re if on_real_axis is None else np.where(on_real_axis, a.re, 0.0)
+    singular = _either(a.singular, _flag(x < -tol))
+    re = np.sqrt(np.maximum(x, 0.0))
+    if on_real_axis is None:
+        return GridValues(re, None, singular)
+    im = np.zeros_like(re)
+    for i in np.flatnonzero(~on_real_axis):
+        z = cmath.sqrt(complex(a.re[i], a.im[i]))
+        re[i], im[i] = z.real, z.imag
+    return GridValues(re, im, singular)
+
+
+def _eval_pow(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    arg, p, tol = node.args
+    a = grid.values(arg, k)
+    integral = p.is_integer()
+    n = a.re.size
+    re, im = np.zeros(n), np.zeros(n)
+    singular = np.zeros(n, dtype=bool) if a.singular is None else a.singular.copy()
+    live = grid.index(k) >= 0
+    for i in range(n):
+        if singular[i] or not live[i]:
+            continue
+        v = complex(a.re[i], 0.0 if a.im is None else a.im[i])
         if abs(v) < tol and p < 0:
-            raise SingularPoint(n, f"negative power of {v!r}")
+            singular[i] = True
+            continue
         if abs(v.imag) < tol:
             x = v.real
             if x < -tol and not integral:
-                raise SingularPoint(n, f"fractional power of negative value {x!r}")
+                singular[i] = True
+                continue
             if not integral:
                 x = max(x, 0.0)
-            return complex(x**p)
-        return v**p
+            z = complex(x**p)
+        else:
+            z = v**p
+        re[i], im[i] = z.real, z.imag
+    return GridValues(re, None if node.real else im, _flag(singular))
 
-    return DiagonalSymbol(fn)
+
+def _eval_composed(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    ca, db, cb = node.args
+    right = grid.values(cb, k)
+    left = grid.values(ca, k + db)
+    re, im = _product(left, right)
+    if grid.lo + k + db >= 0:
+        return GridValues(re, im, _either(right.singular, left.singular))
+    inside = grid.index(k + db) >= 0
+    re = np.where(inside, re, 0.0)
+    im = None if im is None else np.where(inside, im, 0.0)
+    left_singular = None if left.singular is None else _flag(left.singular & inside)
+    return GridValues(re, im, _either(right.singular, left_singular))
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x, finite at x = 0 via a 7-term Taylor series for |x| < 1e-2."""
-    if abs(x) >= 1e-2:
-        return math.sin(x) / x
-    x2 = x * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, 7):
-        term *= -x2 / ((2 * k) * (2 * k + 1))
-        total += term
-    return total
+def _eval_adjoint(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    c, d = node.args
+    a = grid.values(c, k - d)
+    im = None if a.im is None else -a.im
+    if grid.lo + k - d >= 0:
+        return GridValues(a.re, im, a.singular)
+    inside = grid.index(k - d) >= 0
+    return GridValues(
+        np.where(inside, a.re, 0.0),
+        None if im is None else np.where(inside, im, 0.0),
+        None if a.singular is None else _flag(a.singular & inside),
+    )
+
+
+_EVAL = {
+    "const": _eval_const,
+    "index": _eval_index,
+    "leaf": _eval_leaf,
+    "add": _eval_sum,
+    "sub": _eval_sum,
+    "mul": _eval_mul,
+    "neg": _eval_neg,
+    "shift": _eval_shift,
+    "conj": _eval_conj,
+    "div": _eval_div,
+    "sqrt": _eval_sqrt,
+    "pow": _eval_pow,
+    "composed": _eval_composed,
+    "adjoint": _eval_adjoint,
+}

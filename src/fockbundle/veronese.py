@@ -16,9 +16,9 @@ import numpy as np
 
 from .jc import classical_z, coherent_support, r_symbol
 from .opmatrix import OpMatrix, matrix_equal
-from .operators import FockOperator, op_equal
+from .operators import FockOperator, grid_terms, op_equal
 from .report import CheckResult
-from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, sigma_tol
+from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, number, sigma_tol
 
 
 def x_symbol(theta: float, j: int) -> DiagonalSymbol:
@@ -41,7 +41,7 @@ def y_operator(theta: float, j: int) -> FockOperator:
     """
     tol = sigma_tol(theta)
     r = r_symbol(theta, -j)
-    nn = DiagonalSymbol(lambda n: complex(n))
+    nn = number()
     ratio = guarded_sqrt(guarded_div(nn - j, nn, tol), tol)
     pre = FockOperator.diagonal(ratio * guarded_div(1.0, guarded_sqrt(const(2.0) * r * (r + theta), tol), tol))
     return pre * FockOperator.creation()
@@ -51,7 +51,7 @@ def z_operator(theta: float, j: int) -> FockOperator:
     """sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
     tol = sigma_tol(theta)
     r = r_symbol(theta, -j)
-    nn = DiagonalSymbol(lambda n: complex(n))
+    nn = number()
     ratio = guarded_sqrt(guarded_div(nn - j, nn, tol), tol)
     pre = FockOperator.diagonal(ratio * guarded_div(1.0, r + theta, tol))
     return pre * FockOperator.creation()
@@ -223,11 +223,11 @@ def coherent_expectation(op: FockOperator, alpha: complex, cutoff: float = 1e-16
         phase *= unit
         log_mag += math.log(abs(alpha)) - 0.5 * math.log(n + 1)
     total = 0.0 + 0.0j
-    for d, c in op.terms:
+    for d, values in grid_terms([op], n_top)[0]:
         for n in range(n_top + 1):
             m = n + d
             if 0 <= m <= n_top:
-                total += np.conj(amps[m]) * c(n) * amps[n]
+                total += np.conj(amps[m]) * values.scalar(n, n) * amps[n]
     return complex(total)
 
 

@@ -102,3 +102,21 @@ def test_lifted_projector_matches_projective_class(n):
 
 def test_verify_sample_is_tight():
     assert classical.verify_sample(200, seed=1) < TOL
+
+
+# seeds whose samples put a point so near the +z axis that r - z lost
+# most of its digits when computed by subtraction
+NEAR_AXIS_SEEDS = [35, 47, 117, 121, 147, 150, 227, 244, 278, 288, 290, 405, 505, 506, 508, 603]
+
+
+@pytest.mark.parametrize("seed", NEAR_AXIS_SEEDS)
+def test_sample_near_the_pole_stays_within_tolerance(seed):
+    assert classical.verify_sample(200, seed) <= TOL
+
+
+def test_r_plus_minus_z_near_the_pole():
+    p = classical.SpherePoint(1e-6, 0.0, 1.0)
+    plus, minus = p.r_plus_minus_z()
+    assert plus * minus == pytest.approx(1e-12, rel=1e-15)
+    q = classical.SpherePoint(1e-6, 0.0, -1.0)
+    assert q.r_plus_minus_z() == pytest.approx((minus, plus), rel=1e-15)

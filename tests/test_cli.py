@@ -124,3 +124,54 @@ def test_sweep_bad_axis_exits_two(capsys):
         ["sweep", "--suite", "fock", "--axis", "bogus", "--values", "1"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "charts", "--theta", "nan"],
+        ["--suite", "charts", "--theta=-inf"],
+        ["--suite", "propagator", "--t", "nan"],
+        ["--suite", "propagator", "--g", "inf"],
+        ["--suite", "fock", "--tol", "inf"],
+        ["--suite", "fock", "--tol", "nan"],
+    ],
+)
+def test_non_finite_configuration_exits_two(argv, capsys):
+    code, out, err = run_main(["verify", *argv, "--nmax", "6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_sweep_header_is_the_union_of_check_names(capsys):
+    code, out, _ = run_main(
+        ["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "4"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()]
+    header = rows[0]
+    assert len(set(header)) == len(header)
+    assert all(len(row) == len(header) for row in rows)
+    col = header.index("z_classical_limit_decay")
+    by_theta = {row[0]: row for row in rows[1:]}
+    assert by_theta["-1.0"][col] == ""  # the classical limit is only taken for theta >= 0
+    assert float(by_theta["1.0"][col]) > 0
+    assert by_theta["0.0"][header.index("tensor_breakdown")] == ""
+
+
+def test_sweep_with_a_failed_row_exits_one(capsys):
+    code, out, _ = run_main(
+        ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "8", "16", "--tol", "1e-30"], capsys
+    )
+    assert code == 1
+    assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["0", "0"]
+
+
+def test_propagator_suite_scans_the_requested_grid(capsys):
+    code, out, _ = run_main(["verify", "--suite", "propagator", "--theta", "0.5", "--nmax", "96", "--format", "json"], capsys)
+    assert code == 0
+    oracle = json.loads(out)["checks"][0]
+    assert oracle["name"] == "propagator_oracle_theta0.5"
+    # the largest deviation sits beyond n = 32, where the suite used to stop
+    assert oracle["detail"].endswith("max at (slot1,57 | slot1,57)")

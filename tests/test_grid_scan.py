@@ -1,0 +1,205 @@
+"""The grid evaluation of coefficient symbols and the scan rules built on it.
+
+``scalar_reference`` evaluates a symbol at one index with Python
+complex arithmetic, as the closure-based symbols did; the grid
+evaluation must agree with it bit for bit, singular indices included.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from fockbundle import jc
+from fockbundle.operators import FockOperator, grid_deviation, op_equal
+from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
+from fockbundle.symbols import (
+    SingularPoint,
+    adjoint,
+    composed,
+    const,
+    guarded_div,
+    guarded_pow,
+    guarded_sqrt,
+    number,
+)
+
+
+def scalar_reference(node, n):
+    """One value of ``node`` at ``n`` in CPython complex arithmetic, or SingularPoint."""
+    op, args = node.op, node.args
+    if op == "const":
+        return args[0]
+    if op == "index":
+        return complex(n + args[0] + args[1])
+    if op == "leaf":
+        raise NotImplementedError
+    if op in ("add", "sub", "mul"):
+        a, b = scalar_reference(args[0], n), scalar_reference(args[1], n)
+        return a + b if op == "add" else a - b if op == "sub" else a * b
+    if op == "neg":
+        return -scalar_reference(args[0], n)
+    if op == "shift":
+        return scalar_reference(args[0], n + args[1])
+    if op == "conj":
+        return scalar_reference(args[0], n).conjugate()
+    if op == "div":
+        num, den, tol = args
+        d = scalar_reference(den, n)
+        if abs(d) < tol:
+            raise SingularPoint(n, "division")
+        return scalar_reference(num, n) / d
+    if op == "sqrt":
+        arg, tol = args
+        v = scalar_reference(arg, n)
+        if abs(v.imag) < tol:
+            if v.real < -tol:
+                raise SingularPoint(n, "sqrt")
+            return complex(math.sqrt(max(v.real, 0.0)))
+        return cmath.sqrt(v)
+    if op == "pow":
+        arg, p, tol = args
+        v = scalar_reference(arg, n)
+        if abs(v) < tol and p < 0:
+            raise SingularPoint(n, "pow")
+        if abs(v.imag) < tol:
+            x = v.real
+            if x < -tol and not p.is_integer():
+                raise SingularPoint(n, "pow")
+            return complex((x if p.is_integer() else max(x, 0.0)) ** p)
+        return v**p
+    if op == "composed":
+        ca, db, cb = args
+        right = scalar_reference(cb, n)
+        return 0j if n + db < 0 else scalar_reference(ca, n + db) * right
+    if op == "adjoint":
+        c, d = args
+        return scalar_reference(c, n - d).conjugate() if n - d >= 0 else 0j
+    raise AssertionError(op)
+
+
+def random_symbol(rng, depth):
+    """A random expression over every node kind except leaves."""
+    if depth == 0:
+        pick = rng.integers(3)
+        if pick == 0:
+            return const(complex(*rng.normal(size=2)) if rng.random() < 0.5 else float(rng.normal()))
+        return number(int(rng.integers(-1, 3)), float(rng.normal()))
+    kind = rng.integers(11)
+    a = random_symbol(rng, depth - 1)
+    if kind == 0:
+        return a + random_symbol(rng, depth - 1)
+    if kind == 1:
+        return a - random_symbol(rng, depth - 1)
+    if kind == 2:
+        return a * random_symbol(rng, depth - 1)
+    if kind == 3:
+        return -a
+    if kind == 4:
+        return a.conjugate()
+    if kind == 5:
+        return guarded_div(a, random_symbol(rng, depth - 1), 0.3)
+    if kind == 6:
+        return guarded_sqrt(a, 0.3)
+    if kind == 7:
+        return guarded_pow(a, float(rng.choice([-2.0, -0.5, 1.5, 3.0])), 0.3)
+    if kind == 8:
+        return composed(a, int(rng.integers(-2, 3)), random_symbol(rng, depth - 1))
+    if kind == 9:
+        return adjoint(a, int(rng.integers(-2, 3)))
+    return a.shifted(int(rng.integers(0, 3)))
+
+
+def same(x: complex, y: complex) -> bool:
+    return all(u == v or (math.isnan(u) and math.isnan(v)) for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+def test_grid_values_match_the_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    grid = np.arange(12, dtype=np.int64)
+    compared = singular = 0
+    for _ in range(300):
+        sym = random_symbol(rng, 4)
+        values = sym(grid)
+        for n in range(12):
+            try:
+                expected = scalar_reference(sym, n)
+            except (SingularPoint, ValueError, OverflowError, ZeroDivisionError):
+                expected = None
+            if expected is None:
+                assert values.singular is not None and values.singular[n], (n, sym.op)
+                singular += 1
+                continue
+            assert values.singular is None or not values.singular[n]
+            assert same(values.scalar(n, n), expected), (n, sym.op)
+            compared += 1
+    assert compared > 1000 and singular > 100
+
+
+def test_scalar_call_keeps_the_int_contract():
+    sym = guarded_div(1.0, number() - 3.0)
+    assert sym(5) == 0.5
+    with pytest.raises(SingularPoint):
+        sym(3)
+    values = sym(np.arange(6, dtype=np.int64))
+    assert values.singular.tolist() == [False, False, False, True, False, False]
+    assert values.scalar(5, 5) == 0.5
+
+
+def test_nan_coefficient_counts_as_infinite_deviation():
+    nan_op = FockOperator.scalar(float("nan"))
+    res = op_equal(nan_op, FockOperator.identity(), 8, 1e-10)
+    assert res.max_deviation == math.inf
+    assert not res.passed
+    assert res.detail == "max at (m=0, n=0)"
+    res = matrix_equal(OpMatrix.diag(FockOperator.identity(), nan_op), OpMatrix.identity(2), 8, 1e-10)
+    assert res.max_deviation == math.inf and not res.passed
+    assert "slot2,0 | slot2,0" in res.detail
+
+
+def test_propagator_with_nan_time_fails():
+    assert not jc.propagator_oracle_check(0.5, 1.0, float("nan"), 8, 1e-9).passed
+    assert not jc.propagator_semigroup_check(0.5, 1.0, float("nan"), 0.5, 8, 1e-9).passed
+
+
+def test_check_that_scans_no_state_fails():
+    # singular at every grid state: nothing is compared, so nothing is verified
+    everywhere = FockOperator.diagonal(guarded_div(1.0, const(0.0)))
+    res = op_equal(everywhere, everywhere, 6, 1e-10)
+    assert res.excluded == {1: list(range(7))}
+    assert res.max_deviation == 0.0
+    assert not res.passed
+    res = matrix_equal(OpMatrix.diag(everywhere), OpMatrix.diag(everywhere), 6, 1e-10)
+    assert not res.passed
+
+
+def test_excluded_state_adds_no_deviation():
+    # row 1 deviates by 5 at every state; row 2 is singular at n = 0, so
+    # state (slot 1, 0) is excluded and the maximum is found at n = 1
+    bump = FockOperator.diagonal(guarded_div(5.0, number()))
+    col = [FockOperator.scalar(5.0), bump - bump]
+    dev, where, excluded = grid_deviation([col], 4)
+    assert dev == 5.0
+    assert where == (0, 0, 1, 0)
+    assert excluded == {1: {0}}
+
+
+def test_location_is_the_first_maximum_in_scan_order():
+    # equal deviations everywhere: slot 1 before slot 2, lower n first
+    two = FockOperator.scalar(2.0)
+    dev, where, _ = matrix_grid_deviation(OpMatrix.diag(two, two), 5)
+    assert (dev, where) == (2.0, "(slot1,0 | slot1,0)")
+    res = op_equal(FockOperator.creation(), FockOperator.zero(), 5, 1e-10)
+    # sqrt(n + 1) grows, but the largest one maps n = 5 above the grid
+    assert res.detail == "max at (m=5, n=4)"
+
+
+def test_propagator_is_checked_on_the_full_grid():
+    for check in (
+        jc.propagator_oracle_check(0.5, 1.0, 1.0, 768, 1e-9),
+        jc.propagator_unitarity_check(0.5, 1.0, 1.0, 768, 1e-9),
+        jc.propagator_semigroup_check(0.5, 1.0, 1.0, 0.5, 768, 1e-9),
+    ):
+        assert check.passed, check.text_line()
+        assert check.max_deviation < 1e-13

@@ -6,8 +6,8 @@ error; states on which a coefficient is singular (Dirac strings) are
 excluded from the scan and reported.
 """
 
-from .operators import DomainError, FockOperator, FockVector, op_equal
-from .opmatrix import OpMatrix, StackedState, check_unitary, matrix_equal
+from .operators import DomainError, FockOperator, op_equal
+from .opmatrix import OpMatrix, check_unitary, matrix_equal
 from .report import CheckResult, VerificationReport
 from .symbols import DiagonalSymbol, SingularPoint, sigma_tol
 
@@ -18,10 +18,8 @@ __all__ = [
     "DiagonalSymbol",
     "DomainError",
     "FockOperator",
-    "FockVector",
     "OpMatrix",
     "SingularPoint",
-    "StackedState",
     "VerificationReport",
     "check_unitary",
     "matrix_equal",

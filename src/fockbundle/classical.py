@@ -156,13 +156,7 @@ def lifted_projector(p: SpherePoint, n: int) -> np.ndarray:
     return cp_projector(veronese_column(classical_local_z(p), n))
 
 
-@dataclass(frozen=True)
-class PointChecks:
-    point: SpherePoint
-    max_deviation: float
-
-
-def verify_point(p: SpherePoint, n_lift: int = 3) -> PointChecks:
+def verify_point(p: SpherePoint, n_lift: int = 3) -> float:
     """All classical identities at one point; returns the worst deviation.
 
     Covers: both chart unitaries diagonalize H to diag(r, -r), the
@@ -216,9 +210,9 @@ def verify_point(p: SpherePoint, n_lift: int = 3) -> PointChecks:
             )
         except AxisSingular:
             pass
-    return PointChecks(point=p, max_deviation=worst)
+    return worst
 
 
 def verify_sample(count: int, seed: int, n_lift: int = 3) -> float:
     """Worst deviation of verify_point over a seeded sample."""
-    return max(verify_point(p, n_lift).max_deviation for p in sample_points(count, seed))
+    return max(verify_point(p, n_lift) for p in sample_points(count, seed))

@@ -7,7 +7,8 @@ writes one CSV row per axis value.
 
 Exit codes: 0 all checks pass, 1 some check failed (report still
 written; for ``sweep``, some row failed), 2 invalid configuration,
-including a NaN or infinite theta, t, g, tol or sweep value.
+including a NaN or infinite theta, t, g, tol or sweep value, a negative
+seed and a non-integral nmax sweep value.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import argparse
 import csv
 import io
 import math
-import os
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from . import classical, jc, spinrep, veronese
 from .operators import FockOperator, op_equal
-from .report import CheckResult, VerificationReport
+from .opmatrix import check_idempotent_hermitian, matrix_equal
+from .report import CheckResult, VerificationReport, upper_bound_check
 
 SUITES = ("fock", "charts", "propagator", "veronese", "spinrep", "classical", "all")
 
@@ -40,8 +42,6 @@ class SuiteConfig:
     tol: float = 1e-10
     g: float = 1.0
     t: float = 1.0
-    omega: float | None = None
-    delta: float | None = None
     seed: int = 0
     out: str | None = None
     format: str = "json"
@@ -58,6 +58,8 @@ class SuiteConfig:
                 raise ConfigError(f"{label} must be finite, got {value!r}")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
 
@@ -71,18 +73,6 @@ class SuiteConfig:
             "t": self.t,
             "seed": self.seed,
         }
-
-
-def thread_cap() -> int:
-    """FOCKBUNDLE_THREADS caps worker parallelism (1 = sequential)."""
-    raw = os.environ.get("FOCKBUNDLE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"FOCKBUNDLE_THREADS={raw!r} is not an integer")
-    if value < 1:
-        raise ConfigError("FOCKBUNDLE_THREADS must be >= 1")
-    return value
 
 
 # -- suites ----------------------------------------------------------------
@@ -108,62 +98,35 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
     nm, tol = cfg.n_max, cfg.tol
     for theta in cfg.theta_list:
         h = jc.build_h_jc(theta)
-        out.append(_retag(jc.qdm_reconstruction_check(theta, nm, tol), theta))
+        out.append(jc.qdm_reconstruction_check(theta, nm, tol))
         for label in ("I", "II"):
             chart = jc.build_chart(theta, label)
             rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
-            out.append(
-                _renamed(jc.matrix_equal(rebuilt, h, nm, tol), f"chart_{label}_rebuilds_h_theta{theta}")
-            )
+            out.append(matrix_equal(rebuilt, h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
             rep = jc.dirac_string_map(theta, label, nm)
-            out.append(
-                jc.string_report_check(f"strings_chart_{label}_theta{theta}", rep.computed, rep.claimed)
-            )
+            out.append(jc.string_report_check(f"strings_chart_{label}_theta{theta}", rep.computed, rep.claimed))
         glue = jc.transition_operator("ground")
         vi = jc.chart_unitary(theta, "I")
         vii = jc.chart_unitary(theta, "II")
-        out.append(_renamed(jc.matrix_equal(vi @ glue, vii, nm, tol), f"gluing_relation_theta{theta}"))
-        out.append(
-            jc.string_report_check(
-                f"strings_transition_theta{theta}", jc.transition_singular_map(nm), {1: [0]}
-            )
-        )
+        out.append(matrix_equal(vi @ glue, vii, nm, tol, f"gluing_relation_theta{theta}"))
+        out.append(jc.string_report_check(f"strings_transition_theta{theta}", jc.transition_singular_map(nm), {1: [0]}))
         p = jc.projector_pjc(theta)
-        out.append(_renamed(jc.check_idempotent_hermitian(p, nm, tol), f"projector_theta{theta}"))
-        out.append(
-            jc.string_report_check(
-                f"strings_projector_theta{theta}",
-                jc.projector_singular_map(theta, nm),
-                {2: [0]} if theta == 0 else {},
-            )
-        )
-        out.append(_renamed(jc.spectral_decomposition_check(theta, nm, tol), f"spectral_theta{theta}"))
-        out.append(_renamed(jc.z_identity_check(theta, nm, tol), f"z_identity_theta{theta}"))
+        out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}"))
+        computed = jc.projector_singular_map(theta, nm)
+        claimed = {2: [0]} if jc.resonant(theta) else {}
+        out.append(jc.string_report_check(f"strings_projector_theta{theta}", computed, claimed))
+        out.append(jc.spectral_decomposition_check(theta, nm, tol))
+        out.append(jc.z_identity_check(theta, nm, tol))
     return out
 
 
 def run_propagator(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
-    nm = cfg.n_max
+    nm, tol, g, t = cfg.n_max, cfg.tol, cfg.g, cfg.t
     for theta in cfg.theta_list:
-        out.append(
-            _renamed(
-                jc.propagator_oracle_check(theta, cfg.g, cfg.t, nm, cfg.tol),
-                f"propagator_oracle_theta{theta}",
-            )
-        )
-        out.append(
-            _renamed(
-                jc.propagator_unitarity_check(theta, cfg.g, cfg.t, nm, cfg.tol),
-                f"propagator_unitary_theta{theta}",
-            )
-        )
-        out.append(
-            _renamed(
-                jc.propagator_semigroup_check(theta, cfg.g, cfg.t, cfg.t / 2.0, nm, cfg.tol),
-                f"propagator_semigroup_theta{theta}",
-            )
-        )
+        out.append(jc.propagator_oracle_check(theta, g, t, nm, tol))
+        out.append(jc.propagator_unitarity_check(theta, g, t, nm, tol))
+        out.append(jc.propagator_semigroup_check(theta, g, t, t / 2.0, nm, tol))
     return out
 
 
@@ -172,18 +135,18 @@ def run_veronese(cfg: SuiteConfig) -> List[CheckResult]:
     nm, tol = cfg.n_max, cfg.tol
     for theta in cfg.theta_list:
         for j in range(5):
-            out.append(_retag(veronese.sum_rule_check(theta, j, nm, tol), theta))
+            out.append(veronese.sum_rule_check(theta, j, nm, tol))
         for j in range(1, 5):
-            out.append(_retag(veronese.shift_rule_check(theta, j, nm, tol), theta))
-        out.append(_retag(veronese.commutation_check(theta, 0, 0, nm, tol), theta))
-        out.append(_retag(veronese.commutation_check(theta, 1, 0, nm, tol), theta))
+            out.append(veronese.shift_rule_check(theta, j, nm, tol))
+        out.append(veronese.commutation_check(theta, 0, 0, nm, tol))
+        out.append(veronese.commutation_check(theta, 1, 0, nm, tol))
         for n in (2, 3):
             lifted = veronese.lift(veronese.build_family(theta, n))
-            out.append(_retag(veronese.lift_norm_check(lifted, nm, tol), theta))
-            out.append(_retag(veronese.binomial_power_check(lifted, nm, tol), theta))
-            out.append(_retag(veronese.factored_form_check(lifted, nm, tol), theta))
-            out.append(_retag(veronese.oike_layout_check(lifted, nm, tol), theta))
-            out.append(_retag(veronese.eigencolumn_check(lifted, nm, tol), theta))
+            out.append(veronese.lift_norm_check(lifted, nm, tol))
+            out.append(veronese.binomial_power_check(lifted, nm, tol))
+            out.append(veronese.factored_form_check(lifted, nm, tol))
+            out.append(veronese.oike_layout_check(lifted, nm, tol))
+            out.append(veronese.eigencolumn_check(lifted, nm, tol))
     return out
 
 
@@ -210,18 +173,18 @@ def run_spinrep(cfg: SuiteConfig) -> List[CheckResult]:
             float(np.max(np.abs(spinrep.cg_decompose_pair(g1) - spinrep.pair_block_target(g1)))),
             float(np.max(np.abs(spinrep.cg_decompose_triple(g1) - spinrep.triple_block_target(g1)))),
         )
-    out.append(CheckResult("su2_rep_unitary", worst_u, 1e-12, worst_u <= 1e-12))
-    out.append(CheckResult("su2_rep_homomorphism", worst_h, 1e-12, worst_h <= 1e-12))
-    out.append(CheckResult("su2_cg_blocks", worst_cg, 1e-12, worst_cg <= 1e-12))
+    out.append(upper_bound_check("su2_rep_unitary", worst_u, 1e-12))
+    out.append(upper_bound_check("su2_rep_homomorphism", worst_h, 1e-12))
+    out.append(upper_bound_check("su2_cg_blocks", worst_cg, 1e-12))
     nm, tol = cfg.n_max, cfg.tol
     for theta in cfg.theta_list:
         for j in (0.5, 1.0, 1.5):
-            out.append(_retag(spinrep.nc_unitarity_check(theta, j, nm, tol), theta))
+            out.append(spinrep.nc_unitarity_check(theta, j, nm, tol))
         for j in (1.0, 1.5):
-            out.append(_retag(spinrep.first_column_check(theta, j, nm, tol), theta))
-            out.append(_retag(spinrep.projector_relation_check(theta, j, nm, tol), theta))
-        if theta != 0:
-            # at theta = 0 the conjugated tensor square happens to agree
+            out.append(spinrep.first_column_check(theta, j, nm, tol))
+            out.append(spinrep.projector_relation_check(theta, j, nm, tol))
+        if not jc.resonant(theta):
+            # at resonance the conjugated tensor square happens to agree
             # with the block form on the common domain, so there is no
             # breakdown to assert there
             out.append(spinrep.tensor_breakdown_check(theta, nm, 1e-8))
@@ -233,38 +196,19 @@ def run_classical(cfg: SuiteConfig) -> List[CheckResult]:
 
     out: List[CheckResult] = []
     worst = classical.verify_sample(200, cfg.seed)
-    out.append(CheckResult("sphere_identities_sample", worst, 1e-12, worst <= 1e-12))
+    out.append(upper_bound_check("sphere_identities_sample", worst, 1e-12))
     spots = [0.3 + 0.4j, -1.2 + 0.7j, 2.0 - 0.5j]
-    dev = 0.0
-    for z in spots:
-        dev = max(
-            dev,
-            float(
-                np.max(np.abs(classical.cp1_chart_projector(z, 0) - classical.cp_projector(np.array([1.0, z]))))
-            ),
-        )
-        dev = max(
-            dev,
-            float(
-                np.max(np.abs(classical.cp1_chart_projector(z, 1) - classical.cp_projector(np.array([z, 1.0]))))
-            ),
-        )
-    for z1, z2 in [(0.3 + 0.4j, -0.2j), (1.0 - 1.0j, 0.5 + 0.25j)]:
-        dev = max(
-            dev,
-            float(
-                np.max(
-                    np.abs(
-                        classical.cp2_chart_projector(z1, z2)
-                        - classical.cp_projector(np.array([1.0, z1, z2]))
-                    )
-                )
-            ),
-        )
-    out.append(CheckResult("cp_chart_projectors", dev, 1e-12, dev <= 1e-12))
+    pairs = [(classical.cp1_chart_projector(z, 0), [1.0, z]) for z in spots]
+    pairs += [(classical.cp1_chart_projector(z, 1), [z, 1.0]) for z in spots]
+    pairs += [
+        (classical.cp2_chart_projector(z1, z2), [1.0, z1, z2])
+        for z1, z2 in [(0.3 + 0.4j, -0.2j), (1.0 - 1.0j, 0.5 + 0.25j)]
+    ]
+    dev = max(float(np.max(np.abs(form - classical.cp_projector(np.array(col))))) for form, col in pairs)
+    out.append(upper_bound_check("cp_chart_projectors", dev, 1e-12))
     for theta in cfg.theta_list:
         if theta >= 0:
-            out.append(_retag(jc.classical_limit_check(theta), theta))
+            out.append(jc.classical_limit_check(theta))
     return out
 
 
@@ -278,18 +222,7 @@ _RUNNERS = {
 }
 
 
-def _renamed(res: CheckResult, name: str) -> CheckResult:
-    res.name = name
-    return res
-
-
-def _retag(res: CheckResult, theta: float) -> CheckResult:
-    res.name = f"{res.name}_theta{theta}"
-    return res
-
-
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    thread_cap()  # validated even though execution is sequential
     report = VerificationReport(suite=cfg.suite, config=cfg.to_dict())
     names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
     for name in names:
@@ -334,18 +267,16 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         raise ConfigError("sweep needs at least one axis value")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("sweep values must be finite")
+    if axis == "nmax" and not all(v == int(v) for v in values):
+        raise ConfigError("nmax sweep values must be integers")
     rows: List[Tuple[float, VerificationReport]] = []
     columns: Dict[str, None] = {}
     for v in values:
-        sub = SuiteConfig(
-            suite=cfg.suite,
+        sub = replace(
+            cfg,
             theta_list=[v] if axis == "theta" else cfg.theta_list,
             n_max=int(v) if axis == "nmax" else cfg.n_max,
-            tol=cfg.tol,
-            g=cfg.g,
             t=v if axis == "t" else cfg.t,
-            seed=cfg.seed,
-            format=cfg.format,
         )
         report = run_suite(sub)
         columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)
@@ -367,6 +298,11 @@ def _axis_free_name(name: str, axis: str) -> str:
 
 
 # -- entry point -----------------------------------------------------------
+
+
+# argparse reads "-1e-13" as an option string because its pattern for
+# negative numbers has no exponent form; this one does
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--axis", required=True, help="theta, t or nmax")
     ps.add_argument("--values", type=float, nargs="+", required=True)
+    for p in (parser, pv, ps):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -16,31 +16,21 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal
-from .operators import DomainError, FockOperator, grid_terms, op_equal
+from .opmatrix import OpMatrix, check_unitary, matrix_equal
+from .operators import DomainError, FockOperator, grid_deviation, op_equal
 from .report import CheckResult, merge_excluded, upper_bound_check
 from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
 
 
-@dataclass(frozen=True)
-class JCParams:
-    """Detuning theta = (delta - omega)/(2 g); omega/delta optional."""
+def resonant(theta: float) -> bool:
+    """Whether theta lies in the resonance band |theta| < sigma_tol(theta).
 
-    theta: float
-    g: float = 1.0
-    t: float = 0.0
-    omega: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.omega is not None and self.delta is not None:
-            implied = (self.delta - self.omega) / (2.0 * self.g)
-            if abs(implied - self.theta) > 1e-12:
-                raise ValueError(f"theta={self.theta} inconsistent with (delta-omega)/2g={implied}")
-
-    @staticmethod
-    def from_frequencies(omega: float, delta: float, g: float, t: float = 0.0) -> "JCParams":
-        return JCParams(theta=(delta - omega) / (2.0 * g), g=g, t=t, omega=omega, delta=delta)
+    Inside the band both R(0) + theta and R(0) - theta (R(0) = |theta|)
+    are below the guards' threshold, so the charts and the projector are
+    singular exactly where they are at theta = 0: the claimed strings
+    there are the resonant ones.
+    """
+    return abs(theta) < sigma_tol(theta)
 
 
 def r_symbol(theta: float, offset: int = 0) -> DiagonalSymbol:
@@ -96,7 +86,9 @@ def qdm_reconstruction_check(theta: float, n_max: int, tol: float) -> CheckResul
     excluded and reported.
     """
     left, middle, right = qdm_factorization(theta)
-    return matrix_equal(left @ middle @ right, build_h_jc(theta), n_max, tol, "qdm_factorization", skip={2: {0}})
+    return matrix_equal(
+        left @ middle @ right, build_h_jc(theta), n_max, tol, f"qdm_factorization_theta{theta}", skip={2: {0}}
+    )
 
 
 def chart_core(theta: float, label: str) -> OpMatrix:
@@ -155,8 +147,8 @@ class BundleChart:
     def claimed_strings(self) -> Dict[int, Set[int]]:
         """Ground-state exclusion sets claimed for this chart's domain."""
         if self.label == "I":
-            return {2: {0}} if self.theta <= 0 else {}
-        return {1: {0}, 2: {0}} if self.theta >= 0 else {}
+            return {2: {0}} if self.theta < 0 or resonant(self.theta) else {}
+        return {1: {0}, 2: {0}} if self.theta > 0 or resonant(self.theta) else {}
 
 
 def build_chart(theta: float, label: str) -> BundleChart:
@@ -272,7 +264,7 @@ def spectral_decomposition_check(theta: float, n_max: int, tol: float) -> CheckR
     p = projector_pjc(theta)
     d = OpMatrix.diag(r_operator(theta, 1), r_operator(theta, 0))
     rebuilt = (d @ p) - (d @ (OpMatrix.identity(2) - p))
-    return matrix_equal(build_h_jc(theta), rebuilt, n_max, tol, name="spectral_decomposition")
+    return matrix_equal(build_h_jc(theta), rebuilt, n_max, tol, name=f"spectral_theta{theta}")
 
 
 # -- propagator -----------------------------------------------------------
@@ -296,14 +288,14 @@ def propagator_closed_form(theta: float, g: float, t: float) -> OpMatrix:
     return OpMatrix.build([[e11, f_upper * a], [f_lower * adag, e22]])
 
 
-def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> Dict[Tuple[int, int, int], np.ndarray]:
+def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> OpMatrix:
     """Exact propagator elements from the invariant two-dimensional subspaces.
 
     The Hamiltonian couples only (slot1,|n>) with (slot2,|n+1>), plus the
     uncoupled (slot2,|0>).  Each 2x2 block is exponentiated through its
     numpy eigendecomposition, which is independent of the closed form.
-    Returns <slot si, n + d| U |slot sj, n> over n = 0..n_max for each
-    (si, sj, d) that the blocks reach; every other element is 0.
+    Returns the propagator with those elements as coefficients, valid on
+    n = 0..n_max.
     """
     coupling = np.sqrt(np.arange(1, n_max + 2, dtype=float))
     h = np.zeros((n_max + 1, 2, 2), dtype=complex)
@@ -313,52 +305,40 @@ def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> Dic
     phases = np.zeros_like(h)
     phases[:, 0, 0], phases[:, 1, 1] = np.exp(-1j * g * t * w).T
     u = v @ phases @ np.conj(np.swapaxes(v, 1, 2))  # u[n] is the block of (slot1,|n>), (slot2,|n+1>)
-    return {
-        (1, 1, 0): u[:, 0, 0],
-        (2, 1, 1): u[:, 1, 0],
-        (1, 2, -1): np.concatenate(([0.0], u[:-1, 0, 1])),
-        (2, 2, 0): np.concatenate(([np.exp(1j * g * t * theta)], u[:-1, 1, 1])),
-    }
+
+    def term(d: int, values: np.ndarray) -> FockOperator:
+        # values[n] = <slot si, n + d| U |slot sj, n>
+        return FockOperator.from_terms({d: grid_leaf(lambda idx: (values.real[idx], values.imag[idx]))})
+
+    return OpMatrix.build(
+        [
+            [term(0, u[:, 0, 0]), term(-1, np.concatenate(([0.0], u[:-1, 0, 1])))],
+            [term(1, u[:, 1, 0]), term(0, np.concatenate(([np.exp(1j * g * t * theta)], u[:-1, 1, 1])))],
+        ]
+    )
 
 
 def propagator_oracle_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
     """Closed form against the block oracle on every element <slot si, m|U|slot sj, n>
-    with m in {n-1, n, n+1}, both indices within the grid."""
-    closed = propagator_closed_form(theta, g, t)
-    oracle = propagator_block_oracle(theta, g, t, n_max)
-    slots = [(si, sj) for si in (1, 2) for sj in (1, 2)]
-    terms = grid_terms([closed.entry(si - 1, sj - 1) for si, sj in slots], n_max)
-    n = np.arange(n_max + 1)
-    max_dev, where = 0.0, ""
-    for (si, sj), entry in zip(slots, terms):
-        lhs = dict(entry)
-        devs = []
-        for d in (-1, 0, 1):
-            v = lhs.get(d)
-            rhs = oracle.get((si, sj, d))
-            re = np.zeros(n_max + 1) if v is None else v.re
-            im = np.zeros(n_max + 1) if v is None or v.im is None else v.im
-            if rhs is not None:
-                re, im = re - rhs.real, im - rhs.imag
-            dev = np.hypot(re, im)
-            if v is not None and v.singular is not None:
-                dev[v.singular] = np.nan
-            dev[np.isnan(dev)] = np.inf
-            dev[(n + d < 0) | (n + d > n_max)] = -1.0
-            devs.append(dev)
-        table = np.stack(devs, axis=1)  # scan order: n, then m = n - 1, n, n + 1
-        at = int(np.argmax(table))
-        if table.flat[at] > max_dev:
-            max_dev = float(table.flat[at])
-            col, k = divmod(at, 3)
-            where = f"(slot{si},{col + k - 1} | slot{sj},{col})"
-    return upper_bound_check(
-        "propagator_vs_block_oracle", max_dev, tol, {}, 2 * (n_max + 1), f"theta={theta}, gt={g * t}; max at {where}"
-    )
+    with m in {n-1, n, n+1}, both indices within the grid.
+
+    The entries are scanned one at a time in row order, so a tied maximum
+    is reported at its first occurrence in (1,1), (1,2), (2,1), (2,2).
+    """
+    diff = propagator_closed_form(theta, g, t) - propagator_block_oracle(theta, g, t, n_max)
+    max_dev, where, excluded = 0.0, "", {}
+    for si in (1, 2):
+        for sj in (1, 2):
+            dev, at, found = grid_deviation([[diff.entry(si - 1, sj - 1)]], n_max)
+            excluded = merge_excluded(excluded, {sj: found.get(1, set())})
+            if dev > max_dev:
+                max_dev, where = dev, f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
+    detail = f"theta={theta}, gt={g * t}; max at {where}"
+    return upper_bound_check(f"propagator_oracle_theta{theta}", max_dev, tol, excluded, 2 * (n_max + 1), detail)
 
 
 def propagator_unitarity_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
-    res = check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name="propagator_unitary")
+    res = check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name=f"propagator_unitary_theta{theta}")
     return dataclasses.replace(res, detail=f"theta={theta}, gt={g * t}")
 
 
@@ -366,34 +346,8 @@ def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_m
     """U(t1) U(t2) against U(t1 + t2)."""
     prod = propagator_closed_form(theta, g, t1) @ propagator_closed_form(theta, g, t2)
     whole = propagator_closed_form(theta, g, t1 + t2)
-    res = matrix_equal(prod, whole, n_max, tol, name="propagator_semigroup")
+    res = matrix_equal(prod, whole, n_max, tol, name=f"propagator_semigroup_theta{theta}")
     return dataclasses.replace(res, detail=f"theta={theta}, g={g}, t1={t1}, t2={t2}")
-
-
-def full_evolution(p: JCParams, order: str = "free_first") -> OpMatrix:
-    """exp(-i t H) as the product of the free part and the coupling part.
-
-    The free part contributes the diagonal phases exp(-i t (omega n +/- omega/2));
-    the two factors commute, which ``order`` lets callers verify.
-    """
-    if p.omega is None or p.delta is None:
-        raise ValueError("full evolution needs omega and delta")
-    omega, t = p.omega, p.t
-    def phase(sign: float) -> FockOperator:
-        def fn(idx: np.ndarray):
-            z = np.exp(-1j * t * (omega * idx + sign * omega / 2.0))
-            return z.real, z.imag
-
-        return FockOperator.diagonal(grid_leaf(fn))
-
-    up, down = phase(1.0), phase(-1.0)
-    free = OpMatrix.diag(up, down)
-    coupling = propagator_closed_form(p.theta, p.g, p.t)
-    if order == "free_first":
-        return free @ coupling
-    if order == "coupling_first":
-        return coupling @ free
-    raise ValueError(f"unknown order {order!r}")
 
 
 # -- local coordinate and classical limit ---------------------------------
@@ -419,7 +373,7 @@ def z_identity_check(theta: float, n_max: int, tol: float) -> CheckResult:
     rhs = FockOperator.diagonal(
         guarded_div(2.0 * r_symbol(theta, 1), r_symbol(theta, 1) + theta, sigma_tol(theta))
     )
-    return op_equal(lhs, rhs, n_max, tol, name="z_coordinate_identity")
+    return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{theta}")
 
 
 def coherent_support(alpha: complex, cutoff: float = 1e-16) -> int:
@@ -476,7 +430,7 @@ def classical_limit_check(theta: float, alphas=(2.0, 4.0, 8.0)) -> CheckResult:
     errs = classical_limit_errors(theta, alphas)
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     return CheckResult(
-        name="z_classical_limit_decay",
+        name=f"z_classical_limit_decay_theta{theta}",
         max_deviation=errs[-1],
         tol=errs[0] if errs else 0.0,
         passed=monotone,

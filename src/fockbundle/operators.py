@@ -11,7 +11,6 @@ grid, never in the operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -36,55 +35,14 @@ Scalar = (int, float, complex)
 
 
 class DomainError(Exception):
-    """An operator was applied to basis states where a coefficient is singular.
+    """An operator was evaluated at basis states where a coefficient is singular.
 
-    ``states`` is the set of offending basis indices; for matrix-valued
-    operators the raiser wraps this with the affected component slot.
+    ``states`` is the set of offending basis indices.
     """
 
     def __init__(self, states: Iterable[int], message: str = "singular basis states"):
         self.states = set(states)
         super().__init__(f"{message}: {sorted(self.states)}")
-
-
-class FockVector:
-    """Finite-support complex coefficient map over the number basis."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, complex] | None = None):
-        self.coeffs = {n: complex(c) for n, c in (coeffs or {}).items() if c != 0}
-        if any(n < 0 for n in self.coeffs):
-            raise ValueError("basis indices must be nonnegative")
-
-    @staticmethod
-    def basis(n: int) -> "FockVector":
-        return FockVector({n: 1.0})
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def inner(self, other: "FockVector") -> complex:
-        return sum(self.coeffs[n].conjugate() * c for n, c in other.coeffs.items() if n in self.coeffs)
-
-    def add(self, other: "FockVector") -> "FockVector":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0.0) + c
-        return FockVector(out)
-
-    def scale(self, z: complex) -> "FockVector":
-        return FockVector({n: z * c for n, c in self.coeffs.items()})
-
-    def __getitem__(self, n: int) -> complex:
-        return self.coeffs.get(n, 0.0)
-
-    def support(self) -> Set[int]:
-        return set(self.coeffs)
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"({c:.6g})|{n}>" for n, c in sorted(self.coeffs.items()))
-        return body or "0"
 
 
 @dataclass(frozen=True)
@@ -181,23 +139,7 @@ class FockOperator:
             raise ValueError(f"{what} is only defined for shift-degree-0 operators")
         return self.terms[0][1] if self.terms else const(0.0)
 
-    # -- action and evaluation --------------------------------------------
-
-    def apply(self, v: FockVector) -> FockVector:
-        out: Dict[int, complex] = {}
-        singular: Set[int] = set()
-        for d, c in self.terms:
-            for n, amp in v.coeffs.items():
-                try:
-                    val = c(n)
-                except SingularPoint:
-                    singular.add(n)
-                    continue
-                if n + d >= 0 and val != 0:
-                    out[n + d] = out.get(n + d, 0.0) + val * amp
-        if singular:
-            raise DomainError(singular)
-        return FockVector(out)
+    # -- evaluation -------------------------------------------------------
 
     def matrix_element(self, m: int, n: int) -> complex:
         """<m|op|n>; zero when m-n matches no term degree."""

@@ -14,36 +14,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .operators import DomainError, FockOperator, FockVector, grid_deviation, grid_terms, singular_states
+from .operators import FockOperator, grid_deviation, grid_terms, singular_states
 from .report import CheckResult, merge_excluded, upper_bound_check
-
-
-class SlotDomainError(Exception):
-    """Matrix application hit singular basis states, resolved per slot (1-based)."""
-
-    def __init__(self, slot_states: Dict[int, Set[int]]):
-        self.slot_states = {s: set(v) for s, v in slot_states.items() if v}
-        body = "; ".join(f"slot {s}: {sorted(v)}" for s, v in sorted(self.slot_states.items()))
-        super().__init__(f"singular states: {body}")
-
-
-@dataclass
-class StackedState:
-    """Element of C^k (x) F: one FockVector per matrix slot."""
-
-    components: List[FockVector]
-
-    @staticmethod
-    def basis(k: int, slot: int, n: int) -> "StackedState":
-        comps = [FockVector() for _ in range(k)]
-        comps[slot - 1] = FockVector.basis(n)
-        return StackedState(comps)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(v.norm() ** 2 for v in self.components)))
-
-    def add(self, other: "StackedState") -> "StackedState":
-        return StackedState([a.add(b) for a, b in zip(self.components, other.components)])
 
 
 @dataclass(frozen=True)
@@ -144,22 +116,7 @@ class OpMatrix:
                 rows.append(row)
         return OpMatrix.build(rows)
 
-    # -- action -----------------------------------------------------------
-
-    def apply(self, s: StackedState) -> StackedState:
-        if len(s.components) != self.cols:
-            raise ValueError("component count mismatch")
-        out = [FockVector() for _ in range(self.rows)]
-        bad: Dict[int, Set[int]] = {}
-        for i in range(self.rows):
-            for j in range(self.cols):
-                try:
-                    out[i] = out[i].add(self.entries[i][j].apply(s.components[j]))
-                except DomainError as err:
-                    bad.setdefault(j + 1, set()).update(err.states)
-        if bad:
-            raise SlotDomainError(bad)
-        return StackedState(out)
+    # -- evaluation -------------------------------------------------------
 
     def matrix_element(self, slot_m: int, m: int, slot_n: int, n: int) -> complex:
         return self.entries[slot_m - 1][slot_n - 1].matrix_element(m, n)

@@ -45,13 +45,20 @@ class CheckResult:
 
 
 def upper_bound_check(
-    name: str, max_deviation: float, tol: float, excluded: Dict[int, List[int]], grid_states: int, detail: str = ""
+    name: str,
+    max_deviation: float,
+    tol: float,
+    excluded: Dict[int, List[int]] | None = None,
+    grid_states: int = 1,
+    detail: str = "",
 ) -> CheckResult:
-    """A grid check that passes when the deviation is at most ``tol`` and
+    """A check that passes when the deviation is at most ``tol`` and
     ``excluded`` leaves at least one of the ``grid_states`` states scanned.
 
-    A NaN deviation never passes.
+    The defaults describe a check with nothing excluded from one state,
+    such as a numeric check.  A NaN deviation never passes.
     """
+    excluded = {} if excluded is None else excluded
     scanned = grid_states - sum(len(v) for v in excluded.values())
     return CheckResult(
         name=name,

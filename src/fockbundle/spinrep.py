@@ -15,7 +15,7 @@ import numpy as np
 
 from .opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation, pair_check
 from .operators import FockOperator, grid_deviation
-from .report import CheckResult
+from .report import CheckResult, merge_excluded, upper_bound_check
 from .veronese import x_operator, y_operator
 
 _S2 = np.sqrt(2.0)
@@ -207,7 +207,8 @@ def nc_unitarity_check(theta: float, j: float, n_max: int, tol: float) -> CheckR
     m = nc_spin_rep(theta, j)
     skip = family_string_map(theta, int(round(2 * j)), n_max)
     ident = OpMatrix.identity(m.rows)
-    return pair_check(f"nc_spin_unitary_j{j}", m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip)
+    name = f"nc_spin_unitary_j{j}_theta{theta}"
+    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip)
 
 
 def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
@@ -218,7 +219,7 @@ def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckR
     m = nc_spin_rep(theta, j)
     col = OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
     target = lift(build_family(theta, int(round(2 * j)))).a_col
-    return matrix_equal(col, target, n_max, tol, name=f"first_column_j{j}")
+    return matrix_equal(col, target, n_max, tol, name=f"first_column_j{j}_theta{theta}")
 
 
 def projector_relation_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
@@ -234,7 +235,7 @@ def projector_relation_check(theta: float, j: float, n_max: int, tol: float) -> 
         ]
     )
     target = projector_pn(lift(build_family(theta, int(round(2 * j)))))
-    return matrix_equal(m @ e00 @ m.dagger(), target, n_max, tol, name=f"projector_relation_j{j}")
+    return matrix_equal(m @ e00 @ m.dagger(), target, n_max, tol, name=f"projector_relation_j{j}_theta{theta}")
 
 
 def tensor_breakdown_check(theta: float, n_max: int, floor: float) -> CheckResult:
@@ -267,12 +268,12 @@ def tensor_square_entry_check(theta: float, n_max: int, tol: float) -> CheckResu
     v = chart_matrix(theta)
     y0 = y_operator(theta, 0)
     diff = v.kron(v).entry(1, 2) - (-(y0.dagger() * y0))
-    worst, _, _ = grid_deviation([[diff]], n_max)
-    return CheckResult(
-        name="tensor_square_entry",
-        max_deviation=worst,
-        tol=tol,
-        passed=worst <= tol,
-        excluded={},
-        detail="off-diagonal entry of the operator tensor square",
+    worst, _, excluded = grid_deviation([[diff]], n_max)
+    return upper_bound_check(
+        f"tensor_square_entry_theta{theta}",
+        worst,
+        tol,
+        merge_excluded(excluded),
+        n_max + 1,
+        "off-diagonal entry of the operator tensor square",
     )

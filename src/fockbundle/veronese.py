@@ -82,7 +82,7 @@ def sum_rule_check(theta: float, j: int, n_max: int, tol: float) -> CheckResult:
     """X_{-j}^2 + Y_{-j}† Y_{-j} = 1."""
     x = x_operator(theta, j)
     y = y_operator(theta, j)
-    return op_equal(x * x + y.dagger() * y, FockOperator.identity(), n_max, tol, name=f"sum_rule_j{j}")
+    return op_equal(x * x + y.dagger() * y, FockOperator.identity(), n_max, tol, name=f"sum_rule_j{j}_theta{theta}")
 
 
 def shift_rule_check(theta: float, j: int, n_max: int, tol: float) -> CheckResult:
@@ -91,7 +91,7 @@ def shift_rule_check(theta: float, j: int, n_max: int, tol: float) -> CheckResul
         raise ValueError("shift rule needs j >= 1")
     yj = y_operator(theta, j)
     yp = y_operator(theta, j - 1)
-    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, name=f"shift_rule_j{j}")
+    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, name=f"shift_rule_j{j}_theta{theta}")
 
 
 def commutation_check(theta: float, j: int, k: int, n_max: int, tol: float) -> CheckResult:
@@ -100,7 +100,7 @@ def commutation_check(theta: float, j: int, k: int, n_max: int, tol: float) -> C
     y = y_operator(theta, j)
     xk_inv = x_operator(theta, k).inverse(tol_sigma)
     xk1_inv = x_operator(theta, k + 1).inverse(tol_sigma)
-    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, name=f"commutation_j{j}_k{k}")
+    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, name=f"commutation_j{j}_k{k}_theta{theta}")
 
 
 def _ordered_product(ops: List[FockOperator]) -> FockOperator:
@@ -119,6 +119,9 @@ class LiftedColumn:
     family: VeroneseFamily
     a_col: OpMatrix  # (n+1) x 1
     z_col: OpMatrix  # n x 1
+
+    def check_name(self, stem: str) -> str:
+        return f"{stem}_n{self.family.n}_theta{self.family.theta}"
 
 
 def lift(family: VeroneseFamily) -> LiftedColumn:
@@ -143,7 +146,7 @@ def lift(family: VeroneseFamily) -> LiftedColumn:
 def lift_norm_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
     col = lifted.a_col
     prod = col.dagger() @ col
-    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name=f"lift_norm_n{lifted.family.n}")
+    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name=lifted.check_name("lift_norm"))
 
 
 def _one_plus_ztz(lifted: LiftedColumn) -> FockOperator:
@@ -163,7 +166,7 @@ def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckRe
     stacked = [[FockOperator.identity() * scale]]
     for i in range(lifted.z_col.rows):
         stacked.append([lifted.z_col.entry(i, 0) * scale])
-    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name=f"factored_form_n{fam.n}")
+    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name=lifted.check_name("factored_form"))
 
 
 def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
@@ -172,7 +175,7 @@ def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckR
     z0 = fam.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
     return op_equal(
-        _one_plus_ztz(lifted), op_power(base, fam.n), n_max, tol, name=f"binomial_power_n{fam.n}"
+        _one_plus_ztz(lifted), op_power(base, fam.n), n_max, tol, name=lifted.check_name("binomial_power")
     )
 
 
@@ -198,14 +201,14 @@ def oike_layout(lifted: LiftedColumn) -> OpMatrix:
 
 def oike_layout_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
     return matrix_equal(
-        projector_pn(lifted), oike_layout(lifted), n_max, tol, name=f"oike_layout_n{lifted.family.n}"
+        projector_pn(lifted), oike_layout(lifted), n_max, tol, name=lifted.check_name("oike_layout")
     )
 
 
 def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
     """P_n A_n = A_n."""
     p = projector_pn(lifted)
-    return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name=f"eigencolumn_n{lifted.family.n}")
+    return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name=lifted.check_name("eigencolumn"))
 
 
 # -- classical limit -------------------------------------------------------

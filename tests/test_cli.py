@@ -75,18 +75,6 @@ def test_bad_nmax_exits_two(capsys):
     assert code == 2
 
 
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FOCKBUNDLE_THREADS", "zero")
-    code, _, err = run_main(["verify", "--suite", "fock"] + FAST, capsys)
-    assert code == 2 and "config error" in err
-    monkeypatch.setenv("FOCKBUNDLE_THREADS", "0")
-    code, _, _ = run_main(["verify", "--suite", "fock"] + FAST, capsys)
-    assert code == 2
-    monkeypatch.setenv("FOCKBUNDLE_THREADS", "2")
-    code, _, _ = run_main(["verify", "--suite", "fock"] + FAST, capsys)
-    assert code == 0
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_main(
@@ -175,3 +163,33 @@ def test_propagator_suite_scans_the_requested_grid(capsys):
     assert oracle["name"] == "propagator_oracle_theta0.5"
     # the largest deviation sits beyond n = 32, where the suite used to stop
     assert oracle["detail"].endswith("max at (slot1,57 | slot1,57)")
+
+
+@pytest.mark.parametrize("theta", ["--theta=1e-13", "--theta=-1e-13"])
+def test_resonance_band_passes_every_suite(theta, capsys):
+    code, _, _ = run_main(["verify", "--suite", "all", theta, "--nmax", "24", "--format", "text"], capsys)
+    assert code == 0
+
+
+def test_negative_exponent_form_parses(capsys):
+    code, out, _ = run_main(["verify", "--suite", "fock", "--theta", "-1e-13", "--nmax", "6"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["theta_list"] == [-1e-13]
+    argv = ["sweep", "--suite", "fock", "--axis", "theta", "--values", "-1e-13", "1", "--nmax", "6"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["-1e-13", "1.0"]
+
+
+def test_negative_seed_exits_two(capsys):
+    code, out, err = run_main(["verify", "--suite", "spinrep", "--seed", "-1", "--nmax", "6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+def test_non_integral_nmax_sweep_value_exits_two(capsys):
+    code, out, err = run_main(["sweep", "--suite", "fock", "--axis", "nmax", "--values", "6.7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nmax" in err

@@ -7,20 +7,13 @@ import numpy as np
 import pytest
 
 from fockbundle import jc
-from fockbundle.opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation
+from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
 from fockbundle.operators import DomainError
 
 N_MAX = 32
 TOL = 1e-10
 
 THETAS = [2.0, 1.0, 0.5, 0.1, 0.0, -0.5, -1.0, -2.0]
-
-
-def test_params_consistency():
-    p = jc.JCParams.from_frequencies(omega=1.0, delta=3.0, g=1.0)
-    assert p.theta == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        jc.JCParams(theta=0.0, g=1.0, omega=1.0, delta=3.0)
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -67,6 +60,16 @@ def test_string_jump_across_resonance():
     assert jc.dirac_string_map(0.25, "I", N_MAX).computed == {}
 
 
+@pytest.mark.parametrize("theta", [1e-13, -1e-13])
+def test_resonance_band_has_the_resonant_strings(theta):
+    assert jc.resonant(theta) and not jc.resonant(1e-11)
+    for label in ("I", "II"):
+        rep = jc.dirac_string_map(theta, label, N_MAX)
+        assert rep.computed == jc.dirac_string_map(0.0, label, N_MAX).computed
+        assert rep.matches, f"{label}/{theta}: computed {rep.computed} claimed {rep.claimed}"
+    assert jc.projector_singular_map(theta, N_MAX) == jc.projector_singular_map(0.0, N_MAX)
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_gluing_relation(theta):
     glue = jc.transition_operator("ground")
@@ -91,7 +94,7 @@ def test_transition_forms_and_strings():
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_projector_idempotent_hermitian(theta):
-    res = jc.check_idempotent_hermitian(jc.projector_pjc(theta), N_MAX, TOL)
+    res = check_idempotent_hermitian(jc.projector_pjc(theta), N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
@@ -129,14 +132,6 @@ def test_rabi_cosine_at_resonance():
 def test_uncoupled_ground_state_phase():
     u = jc.propagator_closed_form(0.7, 1.0, 2.0)
     assert u.matrix_element(2, 0, 2, 0) == pytest.approx(np.exp(1j * 2.0 * 0.7), abs=1e-14)
-
-
-def test_full_evolution_factor_order_commutes():
-    p = jc.JCParams.from_frequencies(omega=2.0, delta=3.0, g=0.5, t=1.1)
-    res = matrix_equal(
-        jc.full_evolution(p, "free_first"), jc.full_evolution(p, "coupling_first"), 16, TOL
-    )
-    assert res.passed
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, -1.0])

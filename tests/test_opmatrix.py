@@ -5,8 +5,6 @@ import pytest
 
 from fockbundle.opmatrix import (
     OpMatrix,
-    SlotDomainError,
-    StackedState,
     check_idempotent_hermitian,
     check_unitary,
     matrix_equal,
@@ -64,16 +62,6 @@ def test_kron_block_structure():
 def test_from_scalars_embeds_numeric_matrix():
     arr = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert matrix_equal(OpMatrix.from_scalars(arr), _pauli_x(), N_MAX, TOL).passed
-
-
-def test_apply_collects_singular_slots():
-    inv = FockOperator.diagonal(guarded_div(1.0, number()))
-    m = OpMatrix.diag(inv, FockOperator.identity())
-    with pytest.raises(SlotDomainError) as err:
-        m.apply(StackedState.basis(2, 1, 0))
-    assert err.value.slot_states == {1: {0}}
-    out = m.apply(StackedState.basis(2, 2, 0))
-    assert out.norm() == pytest.approx(1.0)
 
 
 def test_grid_deviation_reports_location_and_exclusions():

@@ -156,7 +156,10 @@ def lifted_projector(p: SpherePoint, n: int) -> np.ndarray:
     return cp_projector(veronese_column(classical_local_z(p), n))
 
 
-def verify_point(p: SpherePoint, n_lift: int = 3) -> float:
+N_LIFT = 3  # degree of the Veronese lift checked at every point
+
+
+def verify_point(p: SpherePoint) -> float:
     """All classical identities at one point; returns the worst deviation.
 
     Covers: both chart unitaries diagonalize H to diag(r, -r), the
@@ -198,12 +201,12 @@ def verify_point(p: SpherePoint, n_lift: int = 3) -> float:
             zc = classical_local_z(p)
             col = np.array([1.0, zc], dtype=complex)
             worst = max(worst, float(np.max(np.abs(cp_projector(col) - proj))))
-            big = lifted_projector(p, n_lift)
+            big = lifted_projector(p, N_LIFT)
             worst = max(
                 worst,
                 float(np.max(np.abs(big @ big - big))),
             )
-            col_n = veronese_column(zc, n_lift)
+            col_n = veronese_column(zc, N_LIFT)
             worst = max(
                 worst,
                 float(np.max(np.abs(big @ col_n - col_n))) / float(np.linalg.norm(col_n)),
@@ -213,6 +216,6 @@ def verify_point(p: SpherePoint, n_lift: int = 3) -> float:
     return worst
 
 
-def verify_sample(count: int, seed: int, n_lift: int = 3) -> float:
+def verify_sample(count: int, seed: int) -> float:
     """Worst deviation of verify_point over a seeded sample."""
-    return max(verify_point(p, n_lift) for p in sample_points(count, seed))
+    return max(verify_point(p) for p in sample_points(count, seed))

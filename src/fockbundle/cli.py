@@ -186,8 +186,9 @@ def run_spinrep(cfg: SuiteConfig) -> List[CheckResult]:
         if not jc.resonant(theta):
             # at resonance the conjugated tensor square happens to agree
             # with the block form on the common domain, so there is no
-            # breakdown to assert there
-            out.append(spinrep.tensor_breakdown_check(theta, nm, 1e-8))
+            # breakdown to assert there; for small negative theta the
+            # mismatch is about 0.146 |theta|, so the floor scales with it
+            out.append(spinrep.tensor_breakdown_check(theta, nm, min(1e-8, 1e-2 * abs(theta))))
     return out
 
 
@@ -300,9 +301,10 @@ def _axis_free_name(name: str, axis: str) -> str:
 # -- entry point -----------------------------------------------------------
 
 
-# argparse reads "-1e-13" as an option string because its pattern for
-# negative numbers has no exponent form; this one does
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse reads "-1e-13" or "-inf" as an option string because its
+# pattern for negative numbers has no exponent form and no infinity or NaN;
+# this one has them, so such values reach the finiteness check
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -376,10 +376,14 @@ def z_identity_check(theta: float, n_max: int, tol: float) -> CheckResult:
     return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{theta}")
 
 
-def coherent_support(alpha: complex, cutoff: float = 1e-16) -> int:
-    """Largest n whose coherent amplitude |alpha|^n e^{-|alpha|^2/2}/sqrt(n!) exceeds the cutoff."""
+COHERENT_CUTOFF = 1e-16  # coherent amplitudes below this are cut from the sums
+CLASSICAL_ALPHAS = (2.0, 4.0, 8.0)  # coherent amplitudes of the classical-limit checks
+
+
+def coherent_support(alpha: complex) -> int:
+    """Largest n whose coherent amplitude |alpha|^n e^{-|alpha|^2/2}/sqrt(n!) exceeds COHERENT_CUTOFF."""
     a2 = abs(alpha) ** 2
-    log_cut = math.log(cutoff)
+    log_cut = math.log(COHERENT_CUTOFF)
     log_amp = -a2 / 2.0
     n, n_top = 0, 0
     while n < 100000:
@@ -393,7 +397,7 @@ def coherent_support(alpha: complex, cutoff: float = 1e-16) -> int:
 
 
 def coherent_expectation_z(theta: float, alpha: complex) -> complex:
-    """<alpha| Z |alpha> with the coherent tail cut below 1e-16 amplitude.
+    """<alpha| Z |alpha> with the coherent tail cut below COHERENT_CUTOFF amplitude.
 
     Reduces to conj(alpha) * sum_n p_n / (R(n+1)+theta) over Poisson
     weights p_n.
@@ -416,23 +420,23 @@ def classical_z(alpha: complex, theta: float) -> complex:
     return complex(np.conj(alpha)) / (r + theta)
 
 
-def classical_limit_errors(theta: float, alphas=(2.0, 4.0, 8.0)) -> List[float]:
-    """Relative error of <alpha|Z|alpha> against the classical coordinate."""
+def classical_limit_errors(theta: float) -> List[float]:
+    """Relative error of <alpha|Z|alpha> against the classical coordinate, per CLASSICAL_ALPHAS."""
     errs = []
-    for alpha in alphas:
+    for alpha in CLASSICAL_ALPHAS:
         expect = coherent_expectation_z(theta, alpha)
         target = classical_z(alpha, theta)
         errs.append(abs(expect - target) / abs(target))
     return errs
 
 
-def classical_limit_check(theta: float, alphas=(2.0, 4.0, 8.0)) -> CheckResult:
-    errs = classical_limit_errors(theta, alphas)
+def classical_limit_check(theta: float) -> CheckResult:
+    errs = classical_limit_errors(theta)
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     return CheckResult(
         name=f"z_classical_limit_decay_theta{theta}",
         max_deviation=errs[-1],
-        tol=errs[0] if errs else 0.0,
+        tol=errs[0],
         passed=monotone,
-        detail="relative errors " + ", ".join(f"|a|={a}: {e:.3e}" for a, e in zip(alphas, errs)),
+        detail="relative errors " + ", ".join(f"|a|={a}: {e:.3e}" for a, e in zip(CLASSICAL_ALPHAS, errs)),
     )

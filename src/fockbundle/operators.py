@@ -127,9 +127,6 @@ class FockOperator:
     def inverse(self, tol: float = DEFAULT_SIGMA_TOL) -> "FockOperator":
         return FockOperator.diagonal(guarded_div(1.0, self._diagonal_symbol("inverse"), tol))
 
-    def sqrt(self, tol: float = DEFAULT_SIGMA_TOL) -> "FockOperator":
-        return FockOperator.diagonal(guarded_sqrt(self._diagonal_symbol("sqrt"), tol))
-
     def power(self, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> "FockOperator":
         """Pointwise real power; only defined for pure functions of N."""
         return FockOperator.diagonal(guarded_pow(self._diagonal_symbol("power"), exponent, tol))
@@ -142,15 +139,17 @@ class FockOperator:
     # -- evaluation -------------------------------------------------------
 
     def matrix_element(self, m: int, n: int) -> complex:
-        """<m|op|n>; zero when m-n matches no term degree."""
-        if m < 0 or n < 0:
+        """<m|op|n>; zero when m-n matches no term degree or m < 0.  The matching
+        term's coefficient is evaluated at n first, so a singular one raises DomainError."""
+        if n < 0:
             return 0.0
         for d, c in self.terms:
             if d == m - n:
                 try:
-                    return c(n)
+                    value = c(n)
                 except SingularPoint:
                     raise DomainError({n})
+                return 0.0 if m < 0 else value
         return 0.0
 
     def singular_support(self, n_max: int) -> Set[int]:

@@ -10,7 +10,7 @@ reported per slot -- the exclusion sets are the Dirac strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class OpMatrix:
 
     @staticmethod
     def identity(k: int) -> "OpMatrix":
-        return OpMatrix.build(
-            [[FockOperator.identity() if i == j else FockOperator.zero() for j in range(k)] for i in range(k)]
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "OpMatrix":
-        return OpMatrix.build([[FockOperator.zero()] * cols for _ in range(rows)])
+        return OpMatrix.diag(*[FockOperator.identity()] * k)
 
     @staticmethod
     def diag(*ops: FockOperator) -> "OpMatrix":
@@ -86,18 +80,10 @@ class OpMatrix:
             rows.append(row)
         return OpMatrix.build(rows)
 
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return OpMatrix.build(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
-
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix.build(
             [[self.entries[i][j] - other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
         )
-
-    def scale(self, z: complex) -> "OpMatrix":
-        return OpMatrix.build([[e.scale(z) for e in row] for row in self.entries])
 
     def dagger(self) -> "OpMatrix":
         return OpMatrix.build(
@@ -135,7 +121,7 @@ class OpMatrix:
 
 
 def matrix_grid_deviation(
-    diff: OpMatrix, n_max: int, skip: Dict[int, Set[int]] | None = None
+    diff: OpMatrix, n_max: int, skip: Mapping[int, Iterable[int]] | None = None
 ) -> Tuple[float, str, Dict[int, Set[int]]]:
     """Max |coefficient| of ``diff`` over non-excluded grid states.
 
@@ -154,7 +140,7 @@ def matrix_equal(
     n_max: int,
     tol: float,
     name: str = "matrix_equal",
-    skip: Dict[int, Set[int]] | None = None,
+    skip: Mapping[int, Iterable[int]] | None = None,
 ) -> CheckResult:
     """Max deviation of A - B on the grid; fails when every state is excluded."""
     if (a.rows, a.cols) != (b.rows, b.cols):
@@ -165,7 +151,7 @@ def matrix_equal(
 
 
 def pair_check(
-    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Dict[int, Set[int]]
+    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Mapping[int, Iterable[int]]
 ) -> CheckResult:
     """The larger of two grid deviations (each against zero) with the
     union of their exclusions; the location is the first one's on a tie."""
@@ -178,9 +164,8 @@ def pair_check(
     )
 
 
-def _own_strings(m: OpMatrix, n_max: int) -> Dict[int, Set[int]]:
-    base = merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
-    return {k: set(v) for k, v in base.items()}
+def _own_strings(m: OpMatrix, n_max: int) -> Dict[int, List[int]]:
+    return merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
 
 
 def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary") -> CheckResult:

@@ -1,23 +1,22 @@
 """Coefficient functions of the photon-number index, evaluated over the grid.
 
 A DiagonalSymbol is a node of a guarded expression: a constant, the
-index itself, a vectorised leaf, arithmetic, an index shift, a guarded
-division / square root / power, or one of the two node kinds the shift
-algebra needs (a composed product and an adjoint coefficient).  A node
-evaluates on a whole int64 index array at once and returns the values
-plus a singular mask: a vanishing divisor, or a square root of a
-negative real, marks the index singular instead of producing NaN/Inf.
+index itself, a vectorised leaf, add/sub/mul, a guarded division /
+square root / power of a real argument, or one of the two node kinds the
+shift algebra needs (a composed product and an adjoint coefficient).  A
+node evaluates on a whole int64 index array at once and returns the
+values plus a singular mask: a vanishing divisor, or a square root of a
+negative value, marks the index singular instead of producing NaN/Inf.
 
 Values keep CPython's scalar arithmetic bit for bit.  A real symbol is
 held as one float64 array; a complex one as real and imaginary float64
-arrays, combined with CPython's formulas for complex ``*``, ``/`` and
-``abs``.  Calling a symbol on an int keeps the scalar contract: it
-returns a complex, or raises SingularPoint.
+arrays, combined with CPython's formulas for complex ``*`` and ``abs``.
+Calling a symbol on an int keeps the scalar contract: it returns a
+complex, or raises SingularPoint.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -100,24 +99,11 @@ class DiagonalSymbol:
         other = _coerce(other)
         return DiagonalSymbol("sub", (self, other), self.real and other.real)
 
-    def __rsub__(self, other) -> "DiagonalSymbol":
-        return _coerce(other) - self
-
     def __mul__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
         return DiagonalSymbol("mul", (self, other), self.real and other.real)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "DiagonalSymbol":
-        return DiagonalSymbol("neg", (self,), self.real)
-
-    def shifted(self, d: int) -> "DiagonalSymbol":
-        """The symbol n -> self(n + d)."""
-        return DiagonalSymbol("shift", (self, d), self.real)
-
-    def conjugate(self) -> "DiagonalSymbol":
-        return DiagonalSymbol("conj", (self,), self.real)
 
 
 def _coerce(value) -> DiagonalSymbol:
@@ -126,6 +112,13 @@ def _coerce(value) -> DiagonalSymbol:
     if isinstance(value, (int, float, complex)):
         return const(value)
     raise TypeError(f"cannot use {type(value).__name__} as a diagonal symbol")
+
+
+def _real(value, what: str) -> DiagonalSymbol:
+    sym = _coerce(value)
+    if not sym.real:
+        raise TypeError(f"{what} must be a real symbol")
+    return sym
 
 
 def const(value: Scalar) -> DiagonalSymbol:
@@ -149,29 +142,27 @@ def grid_leaf(fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]) -> Diag
 
 
 def guarded_div(num, den, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
-    """num / den, singular where |den| < tol."""
-    num, den = _coerce(num), _coerce(den)
-    return DiagonalSymbol("div", (num, den, tol), num.real and den.real)
+    """num / den for a real divisor, singular where |den| < tol."""
+    num, den = _coerce(num), _real(den, "divisor")
+    return DiagonalSymbol("div", (num, den, tol), num.real)
 
 
 def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
-    """sqrt(arg), singular where arg is a real value below -tol.
+    """sqrt(arg) for a real argument, singular where arg < -tol.
 
-    Real values in [-tol, 0) are float noise around an exact zero and are
+    Values in [-tol, 0) are float noise around an exact zero and are
     clamped to 0.
     """
-    arg = _coerce(arg)
-    return DiagonalSymbol("sqrt", (arg, tol), arg.real)
+    return DiagonalSymbol("sqrt", (_real(arg, "radicand"), tol), True)
 
 
 def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
-    """arg ** exponent for real exponents, with sqrt/division guards.
+    """arg ** exponent for a real argument and exponent, with sqrt/division guards.
 
-    Negative real bases are singular for non-integer exponents; bases
-    with magnitude below tol are singular for negative exponents.
+    Negative bases are singular for non-integer exponents; bases with
+    magnitude below tol are singular for negative exponents.
     """
-    arg = _coerce(arg)
-    return DiagonalSymbol("pow", (arg, float(exponent), tol), arg.real)
+    return DiagonalSymbol("pow", (_real(arg, "power base"), float(exponent), tol), True)
 
 
 def composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
@@ -293,80 +284,35 @@ def _eval_mul(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(re, im, _either(a.singular, b.singular))
 
 
-def _eval_neg(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a = grid.values(node.args[0], k)
-    return GridValues(-a.re, None if a.im is None else -a.im, a.singular)
-
-
-def _eval_shift(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a, d = node.args
-    return grid.values(a, k + d)
-
-
-def _eval_conj(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a = grid.values(node.args[0], k)
-    return a if a.im is None else GridValues(a.re, -a.im, a.singular)
-
-
 def _eval_div(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     num, den, tol = node.args
     a, b = grid.values(num, k), grid.values(den, k)
-    singular = _either(_either(b.singular, _flag(b.magnitude() < tol)), a.singular)
-    if b.im is None:
-        return GridValues(a.re / b.re, None if a.im is None else a.im / b.re, singular)
-    # CPython's complex quotient (Smith's method), branch by branch
-    are, aim = a.re, np.zeros_like(a.re) if a.im is None else a.im
-    by_real = np.abs(b.re) >= np.abs(b.im)
-    ratio = np.where(by_real, b.im / b.re, b.re / b.im)
-    denom = np.where(by_real, b.re + b.im * ratio, b.re * ratio + b.im)
-    re = np.where(by_real, (are + aim * ratio) / denom, (are * ratio + aim) / denom)
-    im = np.where(by_real, (aim - are * ratio) / denom, (aim * ratio - are) / denom)
-    return GridValues(re, im, singular)
+    singular = _either(_either(b.singular, _flag(np.abs(b.re) < tol)), a.singular)
+    return GridValues(a.re / b.re, None if a.im is None else a.im / b.re, singular)
 
 
 def _eval_sqrt(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     arg, tol = node.args
     a = grid.values(arg, k)
-    on_real_axis = None if a.im is None else np.abs(a.im) < tol
-    x = a.re if on_real_axis is None else np.where(on_real_axis, a.re, 0.0)
-    singular = _either(a.singular, _flag(x < -tol))
-    re = np.sqrt(np.maximum(x, 0.0))
-    if on_real_axis is None:
-        return GridValues(re, None, singular)
-    im = np.zeros_like(re)
-    for i in np.flatnonzero(~on_real_axis):
-        z = cmath.sqrt(complex(a.re[i], a.im[i]))
-        re[i], im[i] = z.real, z.imag
-    return GridValues(re, im, singular)
+    return GridValues(np.sqrt(np.maximum(a.re, 0.0)), None, _either(a.singular, _flag(a.re < -tol)))
 
 
 def _eval_pow(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    # CPython's float ** per element: np.power does not round every value as it does
     arg, p, tol = node.args
     a = grid.values(arg, k)
     integral = p.is_integer()
-    n = a.re.size
-    re, im = np.zeros(n), np.zeros(n)
-    singular = np.zeros(n, dtype=bool) if a.singular is None else a.singular.copy()
+    re = np.zeros(a.re.size)
+    singular = np.zeros(a.re.size, dtype=bool) if a.singular is None else a.singular.copy()
     live = grid.index(k) >= 0
-    for i in range(n):
+    for i, x in enumerate(a.re.tolist()):
         if singular[i] or not live[i]:
             continue
-        v = complex(a.re[i], 0.0 if a.im is None else a.im[i])
-        if abs(v) < tol and p < 0:
+        if (abs(x) < tol and p < 0) or (x < -tol and not integral):
             singular[i] = True
             continue
-        if abs(v.imag) < tol:
-            x = v.real
-            if x < -tol and not integral:
-                singular[i] = True
-                continue
-            if not integral:
-                x = max(x, 0.0)
-            z = complex(x**p)
-        else:
-            z = v**p
-        re[i], im[i] = z.real, z.imag
-    return GridValues(re, None if node.real else im, _flag(singular))
+        re[i] = (x if integral else max(x, 0.0)) ** p
+    return GridValues(re, None, _flag(singular))
 
 
 def _eval_composed(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
@@ -404,9 +350,6 @@ _EVAL = {
     "add": _eval_sum,
     "sub": _eval_sum,
     "mul": _eval_mul,
-    "neg": _eval_neg,
-    "shift": _eval_shift,
-    "conj": _eval_conj,
     "div": _eval_div,
     "sqrt": _eval_sqrt,
     "pow": _eval_pow,

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .jc import classical_z, coherent_support, r_symbol
+from .jc import CLASSICAL_ALPHAS, classical_z, coherent_support, r_symbol
 from .opmatrix import OpMatrix, matrix_equal
 from .operators import FockOperator, grid_terms, op_equal
 from .report import CheckResult
@@ -214,9 +214,9 @@ def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResu
 # -- classical limit -------------------------------------------------------
 
 
-def coherent_expectation(op: FockOperator, alpha: complex, cutoff: float = 1e-16) -> complex:
+def coherent_expectation(op: FockOperator, alpha: complex) -> complex:
     """<alpha| op |alpha> over the truncated coherent support."""
-    n_top = coherent_support(alpha, cutoff)
+    n_top = coherent_support(alpha)
     amps = np.zeros(n_top + 1, dtype=complex)
     log_mag = -abs(alpha) ** 2 / 2.0
     phase = 1.0 + 0.0j
@@ -234,12 +234,12 @@ def coherent_expectation(op: FockOperator, alpha: complex, cutoff: float = 1e-16
     return complex(total)
 
 
-def classical_column_errors(theta: float, n: int, alphas=(2.0, 4.0, 8.0)) -> List[float]:
+def classical_column_errors(theta: float, n: int) -> List[float]:
     """Max relative error of the coordinate-column coherent expectations
-    against the classical components sqrt(nCk) Z_c^k, per alpha."""
+    against the classical components sqrt(nCk) Z_c^k, per CLASSICAL_ALPHAS."""
     lifted = lift(build_family(theta, n))
     errs = []
-    for alpha in alphas:
+    for alpha in CLASSICAL_ALPHAS:
         zc = classical_z(alpha, theta)
         worst = 0.0
         for k in range(1, n + 1):

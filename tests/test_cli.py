@@ -123,6 +123,10 @@ def test_sweep_bad_axis_exits_two(capsys):
         ["--suite", "propagator", "--g", "inf"],
         ["--suite", "fock", "--tol", "inf"],
         ["--suite", "fock", "--tol", "nan"],
+        ["--suite", "fock", "--theta", "-inf"],
+        ["--suite", "fock", "--theta", "-nan"],
+        ["--suite", "fock", "--theta", "-Infinity"],
+        ["--suite", "fock", "--theta", "-INF"],
     ],
 )
 def test_non_finite_configuration_exits_two(argv, capsys):
@@ -193,3 +197,20 @@ def test_non_integral_nmax_sweep_value_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "nmax" in err
+
+
+def test_negative_infinite_sweep_value_reaches_the_finiteness_check(capsys):
+    code, out, err = run_main(["sweep", "--suite", "fock", "--axis", "theta", "--values", "-inf", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("theta", ["-1e-9", "-6e-8"])
+def test_tensor_breakdown_holds_for_small_negative_theta(theta, capsys):
+    # the mismatch is about 0.146 |theta| there, below a fixed 1e-8 floor
+    code, out, _ = run_main(["verify", "--suite", "spinrep", "--theta", theta, "--nmax", "24", "--format", "json"], capsys)
+    assert code == 0
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"].startswith("tensor_breakdown")]
+    assert check["pass"]
+    assert check["max_deviation"] > 0.1 * abs(float(theta))

@@ -5,7 +5,6 @@ complex arithmetic, as the closure-based symbols did; the grid
 evaluation must agree with it bit for bit, singular indices included.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -38,12 +37,6 @@ def scalar_reference(node, n):
     if op in ("add", "sub", "mul"):
         a, b = scalar_reference(args[0], n), scalar_reference(args[1], n)
         return a + b if op == "add" else a - b if op == "sub" else a * b
-    if op == "neg":
-        return -scalar_reference(args[0], n)
-    if op == "shift":
-        return scalar_reference(args[0], n + args[1])
-    if op == "conj":
-        return scalar_reference(args[0], n).conjugate()
     if op == "div":
         num, den, tol = args
         d = scalar_reference(den, n)
@@ -52,23 +45,16 @@ def scalar_reference(node, n):
         return scalar_reference(num, n) / d
     if op == "sqrt":
         arg, tol = args
-        v = scalar_reference(arg, n)
-        if abs(v.imag) < tol:
-            if v.real < -tol:
-                raise SingularPoint(n, "sqrt")
-            return complex(math.sqrt(max(v.real, 0.0)))
-        return cmath.sqrt(v)
+        x = scalar_reference(arg, n).real
+        if x < -tol:
+            raise SingularPoint(n, "sqrt")
+        return complex(math.sqrt(max(x, 0.0)))
     if op == "pow":
         arg, p, tol = args
-        v = scalar_reference(arg, n)
-        if abs(v) < tol and p < 0:
+        x = scalar_reference(arg, n).real
+        if (abs(x) < tol and p < 0) or (x < -tol and not p.is_integer()):
             raise SingularPoint(n, "pow")
-        if abs(v.imag) < tol:
-            x = v.real
-            if x < -tol and not p.is_integer():
-                raise SingularPoint(n, "pow")
-            return complex((x if p.is_integer() else max(x, 0.0)) ** p)
-        return v**p
+        return complex((x if p.is_integer() else max(x, 0.0)) ** p)
     if op == "composed":
         ca, db, cb = args
         right = scalar_reference(cb, n)
@@ -79,36 +65,32 @@ def scalar_reference(node, n):
     raise AssertionError(op)
 
 
-def random_symbol(rng, depth):
-    """A random expression over every node kind except leaves."""
+def random_symbol(rng, depth, real=False):
+    """A random expression over every node kind except leaves; divisors,
+    radicands and power bases are drawn real, as the guards require."""
     if depth == 0:
         pick = rng.integers(3)
         if pick == 0:
-            return const(complex(*rng.normal(size=2)) if rng.random() < 0.5 else float(rng.normal()))
+            complex_value = not real and rng.random() < 0.5
+            return const(complex(*rng.normal(size=2)) if complex_value else float(rng.normal()))
         return number(int(rng.integers(-1, 3)), float(rng.normal()))
-    kind = rng.integers(11)
-    a = random_symbol(rng, depth - 1)
+    kind = rng.integers(8)
     if kind == 0:
-        return a + random_symbol(rng, depth - 1)
+        return random_symbol(rng, depth - 1, real) + random_symbol(rng, depth - 1, real)
     if kind == 1:
-        return a - random_symbol(rng, depth - 1)
+        return random_symbol(rng, depth - 1, real) - random_symbol(rng, depth - 1, real)
     if kind == 2:
-        return a * random_symbol(rng, depth - 1)
+        return random_symbol(rng, depth - 1, real) * random_symbol(rng, depth - 1, real)
     if kind == 3:
-        return -a
+        return guarded_div(random_symbol(rng, depth - 1, real), random_symbol(rng, depth - 1, True), 0.3)
     if kind == 4:
-        return a.conjugate()
+        return guarded_sqrt(random_symbol(rng, depth - 1, True), 0.3)
     if kind == 5:
-        return guarded_div(a, random_symbol(rng, depth - 1), 0.3)
+        return guarded_pow(random_symbol(rng, depth - 1, True), float(rng.choice([-2.0, -0.5, 1.5, 3.0])), 0.3)
     if kind == 6:
-        return guarded_sqrt(a, 0.3)
-    if kind == 7:
-        return guarded_pow(a, float(rng.choice([-2.0, -0.5, 1.5, 3.0])), 0.3)
-    if kind == 8:
-        return composed(a, int(rng.integers(-2, 3)), random_symbol(rng, depth - 1))
-    if kind == 9:
-        return adjoint(a, int(rng.integers(-2, 3)))
-    return a.shifted(int(rng.integers(0, 3)))
+        a = random_symbol(rng, depth - 1, real)
+        return composed(a, int(rng.integers(-2, 3)), random_symbol(rng, depth - 1, real))
+    return adjoint(random_symbol(rng, depth - 1, real), int(rng.integers(-2, 3)))
 
 
 def same(x: complex, y: complex) -> bool:
@@ -118,7 +100,7 @@ def same(x: complex, y: complex) -> bool:
 def test_grid_values_match_the_scalar_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     grid = np.arange(12, dtype=np.int64)
-    compared = singular = 0
+    compared = singular = complex_compared = 0
     for _ in range(300):
         sym = random_symbol(rng, 4)
         values = sym(grid)
@@ -134,7 +116,9 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
             assert values.singular is None or not values.singular[n]
             assert same(values.scalar(n, n), expected), (n, sym.op)
             compared += 1
+            complex_compared += not sym.real
     assert compared > 1000 and singular > 100
+    assert complex_compared > 100
 
 
 def test_scalar_call_keeps_the_int_contract():

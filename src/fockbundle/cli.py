@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from . import classical, jc, spinrep, veronese
 from .operators import FockOperator, op_equal
 from .opmatrix import check_idempotent_hermitian, matrix_equal
-from .report import CheckResult, VerificationReport, upper_bound_check
+from .report import CheckResult, VerificationReport, exact_set_check, upper_bound_check
 
 SUITES = ("fock", "charts", "propagator", "veronese", "spinrep", "classical", "all")
 
@@ -103,18 +103,17 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
             chart = jc.build_chart(theta, label)
             rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
             out.append(matrix_equal(rebuilt, h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
-            rep = jc.dirac_string_map(theta, label, nm)
-            out.append(jc.string_report_check(f"strings_chart_{label}_theta{theta}", rep.computed, rep.claimed))
+            out.append(jc.dirac_string_map(theta, label, nm))
         glue = jc.transition_operator("ground")
         vi = jc.chart_unitary(theta, "I")
         vii = jc.chart_unitary(theta, "II")
         out.append(matrix_equal(vi @ glue, vii, nm, tol, f"gluing_relation_theta{theta}"))
-        out.append(jc.string_report_check(f"strings_transition_theta{theta}", jc.transition_singular_map(nm), {1: [0]}))
+        out.append(exact_set_check(f"strings_transition_theta{theta}", jc.transition_singular_map(nm), {1: [0]}))
         p = jc.projector_pjc(theta)
         out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}"))
         computed = jc.projector_singular_map(theta, nm)
         claimed = {2: [0]} if jc.resonant(theta) else {}
-        out.append(jc.string_report_check(f"strings_projector_theta{theta}", computed, claimed))
+        out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed))
         out.append(jc.spectral_decomposition_check(theta, nm, tol))
         out.append(jc.z_identity_check(theta, nm, tol))
     return out

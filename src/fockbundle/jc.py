@@ -9,7 +9,6 @@ its classical limit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
@@ -18,7 +17,7 @@ import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal
 from .operators import DomainError, FockOperator, grid_deviation, op_equal
-from .report import CheckResult, merge_excluded, upper_bound_check
+from .report import CheckResult, exact_set_check, merge_excluded, monotone_check, upper_bound_check
 from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
 
 
@@ -161,20 +160,9 @@ def build_chart(theta: float, label: str) -> BundleChart:
     )
 
 
-@dataclass
-class DiracStringReport:
-    label: str
-    theta: float
-    computed: Dict[int, List[int]]
-    claimed: Dict[int, List[int]]
-
-    @property
-    def matches(self) -> bool:
-        return self.computed == self.claimed
-
-
-def dirac_string_map(theta: float, label: str, n_max: int) -> DiracStringReport:
-    """Computed singular supports of a chart against the claimed domain.
+def dirac_string_map(theta: float, label: str, n_max: int) -> CheckResult:
+    """Computed singular supports of a chart against the claimed domain,
+    as the exact-set check ``strings_chart_{label}_theta{theta}``.
 
     A chart state is on the string if any displayed form of the unitary
     or its adjoint has a singular coefficient there: the chart map uses
@@ -186,8 +174,7 @@ def dirac_string_map(theta: float, label: str, n_max: int) -> DiracStringReport:
         chart.unitary_alt.column_singular_map(n_max),
         chart.unitary.dagger().column_singular_map(n_max),
     )
-    claimed = {slot: sorted(v) for slot, v in chart.claimed_strings().items()}
-    return DiracStringReport(label=label, theta=theta, computed=computed, claimed=claimed)
+    return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, chart.claimed_strings())
 
 
 def transition_operator(form: str = "ground") -> OpMatrix:
@@ -241,22 +228,6 @@ def projector_singular_map(theta: float, n_max: int) -> Dict[int, List[int]]:
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     """Singular support of the gluing operator in its defining form."""
     return merge_excluded(transition_operator("ground").column_singular_map(n_max))
-
-
-def string_report_check(name: str, computed: Dict[int, List[int]], claimed: Dict[int, List[int]]) -> CheckResult:
-    """Compare a computed singular support against the claimed domain."""
-    mismatch = 0
-    slots = set(computed) | set(claimed)
-    for s in slots:
-        mismatch += len(set(computed.get(s, [])) ^ set(claimed.get(s, [])))
-    return CheckResult(
-        name=name,
-        max_deviation=float(mismatch),
-        tol=0.0,
-        passed=mismatch == 0,
-        excluded={s: sorted(v) for s, v in computed.items()},
-        detail=f"claimed {claimed!r}",
-    )
 
 
 def spectral_decomposition_check(theta: float, n_max: int, tol: float) -> CheckResult:
@@ -338,16 +309,16 @@ def propagator_oracle_check(theta: float, g: float, t: float, n_max: int, tol: f
 
 
 def propagator_unitarity_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
-    res = check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name=f"propagator_unitary_theta{theta}")
-    return dataclasses.replace(res, detail=f"theta={theta}, gt={g * t}")
+    name, detail = f"propagator_unitary_theta{theta}", f"theta={theta}, gt={g * t}"
+    return check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name, detail)
 
 
 def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_max: int, tol: float) -> CheckResult:
     """U(t1) U(t2) against U(t1 + t2)."""
     prod = propagator_closed_form(theta, g, t1) @ propagator_closed_form(theta, g, t2)
     whole = propagator_closed_form(theta, g, t1 + t2)
-    res = matrix_equal(prod, whole, n_max, tol, name=f"propagator_semigroup_theta{theta}")
-    return dataclasses.replace(res, detail=f"theta={theta}, g={g}, t1={t1}, t2={t2}")
+    detail = f"theta={theta}, g={g}, t1={t1}, t2={t2}"
+    return matrix_equal(prod, whole, n_max, tol, f"propagator_semigroup_theta{theta}", detail=detail)
 
 
 # -- local coordinate and classical limit ---------------------------------
@@ -432,11 +403,5 @@ def classical_limit_errors(theta: float) -> List[float]:
 
 def classical_limit_check(theta: float) -> CheckResult:
     errs = classical_limit_errors(theta)
-    monotone = all(b < a for a, b in zip(errs, errs[1:]))
-    return CheckResult(
-        name=f"z_classical_limit_decay_theta{theta}",
-        max_deviation=errs[-1],
-        tol=errs[0],
-        passed=monotone,
-        detail="relative errors " + ", ".join(f"|a|={a}: {e:.3e}" for a, e in zip(CLASSICAL_ALPHAS, errs)),
-    )
+    detail = "relative errors " + ", ".join(f"|a|={a}: {e:.3e}" for a, e in zip(CLASSICAL_ALPHAS, errs))
+    return monotone_check(f"z_classical_limit_decay_theta{theta}", errs, detail)

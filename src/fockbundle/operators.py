@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .report import CheckResult, merge_excluded, upper_bound_check
+from .report import CheckResult, Exclusions, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
@@ -188,7 +188,7 @@ Location = Tuple[int, int, int, int]  # (row, column, n, d)
 
 
 def grid_deviation(
-    columns: Sequence[Sequence[FockOperator]], n_max: int, skip: Mapping[int, Iterable[int]] | None = None
+    columns: Sequence[Sequence[FockOperator]], n_max: int, skip: Exclusions | None = None
 ) -> Tuple[float, Optional[Location], Dict[int, Set[int]]]:
     """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
 
@@ -246,8 +246,6 @@ def op_equal(a: FockOperator, b: FockOperator, n_max: int, tol: float, name: str
     in the result (slot 1 by convention for scalar operators).  The check
     fails when every grid state is excluded.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     dev, where, excluded = grid_deviation([[a - b]], n_max)
     detail = "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})"
-    return upper_bound_check(name, dev, tol, merge_excluded(excluded), n_max + 1, detail)
+    return upper_bound_check(name, dev, tol, excluded, n_max + 1, detail)

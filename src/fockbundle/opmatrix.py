@@ -10,12 +10,12 @@ reported per slot -- the exclusion sets are the Dirac strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .operators import FockOperator, grid_deviation, grid_terms, singular_states
-from .report import CheckResult, merge_excluded, upper_bound_check
+from .report import CheckResult, Exclusions, merge_excluded, upper_bound_check
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class OpMatrix:
 
 
 def matrix_grid_deviation(
-    diff: OpMatrix, n_max: int, skip: Mapping[int, Iterable[int]] | None = None
+    diff: OpMatrix, n_max: int, skip: Exclusions | None = None
 ) -> Tuple[float, str, Dict[int, Set[int]]]:
     """Max |coefficient| of ``diff`` over non-excluded grid states.
 
@@ -140,35 +140,35 @@ def matrix_equal(
     n_max: int,
     tol: float,
     name: str = "matrix_equal",
-    skip: Mapping[int, Iterable[int]] | None = None,
+    skip: Exclusions | None = None,
+    detail: str = "",
 ) -> CheckResult:
-    """Max deviation of A - B on the grid; fails when every state is excluded."""
+    """Max deviation of A - B on the grid; fails when every state is excluded.
+    A ``detail`` replaces the default one, the location of the maximum."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
     max_dev, where, excl = matrix_grid_deviation(a - b, n_max, skip)
-    detail = f"max at {where}" if where else ""
-    return upper_bound_check(name, max_dev, tol, merge_excluded(excl), a.cols * (n_max + 1), detail)
+    detail = detail or (f"max at {where}" if where else "")
+    return upper_bound_check(name, max_dev, tol, excl, a.cols * (n_max + 1), detail)
 
 
 def pair_check(
-    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Mapping[int, Iterable[int]]
+    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Exclusions, detail: str = ""
 ) -> CheckResult:
     """The larger of two grid deviations (each against zero) with the
-    union of their exclusions; the location is the first one's on a tie."""
+    union of their exclusions; the default detail is the location, the
+    first one's on a tie."""
     dev1, w1, e1 = matrix_grid_deviation(first, n_max, skip)
     dev2, w2, e2 = matrix_grid_deviation(second, n_max, skip)
-    max_dev = max(dev1, dev2)
-    excluded = merge_excluded(e1, e2)
-    return upper_bound_check(
-        name, max_dev, tol, excluded, first.cols * (n_max + 1), f"max at {w1 if dev1 >= dev2 else w2}"
-    )
+    detail = detail or f"max at {w1 if dev1 >= dev2 else w2}"
+    return upper_bound_check(name, max(dev1, dev2), tol, merge_excluded(e1, e2), first.cols * (n_max + 1), detail)
 
 
 def _own_strings(m: OpMatrix, n_max: int) -> Dict[int, List[int]]:
     return merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
 
 
-def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary") -> CheckResult:
+def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary", detail: str = "") -> CheckResult:
     """Deviation of M†M and MM† from the identity on the non-singular grid.
 
     The grid excludes states where M or M† itself is singular, even when
@@ -178,7 +178,7 @@ def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary") ->
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
     ident = OpMatrix.identity(m.rows)
-    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, _own_strings(m, n_max))
+    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, _own_strings(m, n_max), detail)
 
 
 def check_idempotent_hermitian(m: OpMatrix, n_max: int, tol: float, name: str = "projector") -> CheckResult:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation, pair_check
 from .operators import FockOperator, grid_deviation
-from .report import CheckResult, merge_excluded, upper_bound_check
+from .report import CheckResult, lower_bound_check, upper_bound_check
 from .veronese import x_operator, y_operator
 
 _S2 = np.sqrt(2.0)
@@ -253,14 +253,8 @@ def tensor_breakdown_check(theta: float, n_max: int, floor: float) -> CheckResul
             target_rows[i + 1][k + 1] = phi1.entry(i, k)
     diff = conj - OpMatrix.build(target_rows)
     dev, where, excluded = matrix_grid_deviation(diff, n_max)
-    return CheckResult(
-        name=f"tensor_breakdown_theta{theta}",
-        max_deviation=dev,
-        tol=floor,
-        passed=dev > floor,
-        excluded=excluded,
-        detail=f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}",
-    )
+    detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
+    return lower_bound_check(f"tensor_breakdown_theta{theta}", dev, floor, excluded, 4 * (n_max + 1), detail)
 
 
 def tensor_square_entry_check(theta: float, n_max: int, tol: float) -> CheckResult:
@@ -273,7 +267,7 @@ def tensor_square_entry_check(theta: float, n_max: int, tol: float) -> CheckResu
         f"tensor_square_entry_theta{theta}",
         worst,
         tol,
-        merge_excluded(excluded),
+        excluded,
         n_max + 1,
         "off-diagonal entry of the operator tensor square",
     )

@@ -160,7 +160,8 @@ def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> Diagona
     """arg ** exponent for a real argument and exponent, with sqrt/division guards.
 
     Negative bases are singular for non-integer exponents; bases with
-    magnitude below tol are singular for negative exponents.
+    magnitude below tol are singular for negative exponents.  A power
+    that overflows is the signed infinity.
     """
     return DiagonalSymbol("pow", (_real(arg, "power base"), float(exponent), tol), True)
 
@@ -311,7 +312,11 @@ def _eval_pow(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
         if (abs(x) < tol and p < 0) or (x < -tol and not integral):
             singular[i] = True
             continue
-        re[i] = (x if integral else max(x, 0.0)) ** p
+        base = x if integral else max(x, 0.0)
+        try:
+            re[i] = base**p
+        except OverflowError:  # the signed infinity, as the overflowing product x * x * ... gives
+            re[i] = -np.inf if base < 0 and p % 2 == 1 else np.inf
     return GridValues(re, None, _flag(singular))
 
 

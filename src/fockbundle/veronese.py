@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
-from .jc import CLASSICAL_ALPHAS, classical_z, coherent_support, r_symbol
+from .jc import r_symbol
 from .opmatrix import OpMatrix, matrix_equal
-from .operators import FockOperator, grid_terms, op_equal
+from .operators import FockOperator, op_equal
 from .report import CheckResult
 from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, number, sigma_tol
 
@@ -209,42 +207,3 @@ def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResu
     """P_n A_n = A_n."""
     p = projector_pn(lifted)
     return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name=lifted.check_name("eigencolumn"))
-
-
-# -- classical limit -------------------------------------------------------
-
-
-def coherent_expectation(op: FockOperator, alpha: complex) -> complex:
-    """<alpha| op |alpha> over the truncated coherent support."""
-    n_top = coherent_support(alpha)
-    amps = np.zeros(n_top + 1, dtype=complex)
-    log_mag = -abs(alpha) ** 2 / 2.0
-    phase = 1.0 + 0.0j
-    unit = alpha / abs(alpha) if alpha != 0 else 1.0
-    for n in range(n_top + 1):
-        amps[n] = math.exp(log_mag) * phase
-        phase *= unit
-        log_mag += math.log(abs(alpha)) - 0.5 * math.log(n + 1)
-    total = 0.0 + 0.0j
-    for d, values in grid_terms([op], n_top)[0]:
-        for n in range(n_top + 1):
-            m = n + d
-            if 0 <= m <= n_top:
-                total += np.conj(amps[m]) * values.scalar(n, n) * amps[n]
-    return complex(total)
-
-
-def classical_column_errors(theta: float, n: int) -> List[float]:
-    """Max relative error of the coordinate-column coherent expectations
-    against the classical components sqrt(nCk) Z_c^k, per CLASSICAL_ALPHAS."""
-    lifted = lift(build_family(theta, n))
-    errs = []
-    for alpha in CLASSICAL_ALPHAS:
-        zc = classical_z(alpha, theta)
-        worst = 0.0
-        for k in range(1, n + 1):
-            expect = coherent_expectation(lifted.z_col.entry(k - 1, 0), alpha)
-            target = math.sqrt(math.comb(n, k)) * zc**k
-            worst = max(worst, abs(expect - target) / abs(target))
-        errs.append(worst)
-    return errs

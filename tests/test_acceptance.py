@@ -11,7 +11,6 @@ import pytest
 
 from fockbundle import classical, jc, spinrep, veronese
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
-from fockbundle.report import CheckResult
 
 
 def _dev(a, b):
@@ -35,9 +34,7 @@ def test_acceptance_chart_reconstruction(theta, label):
 def test_acceptance_dirac_strings(theta):
     for label in ("I", "II"):
         rep = jc.dirac_string_map(theta, label, 64)
-        assert rep.matches, (
-            f"chart {label} at theta={theta}: computed {rep.computed}, claimed {rep.claimed}"
-        )
+        assert rep.passed, rep.text_line() + " " + rep.detail
     expected_proj = {2: [0]} if theta == 0 else {}
     assert jc.projector_singular_map(theta, 64) == expected_proj
     assert jc.transition_singular_map(64) == {1: [0]}

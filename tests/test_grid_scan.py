@@ -187,3 +187,16 @@ def test_propagator_is_checked_on_the_full_grid():
     ):
         assert check.passed, check.text_line()
         assert check.max_deviation < 1e-13
+
+
+def test_pow_overflow_is_the_signed_infinity():
+    big = FockOperator.diagonal(guarded_pow(number(add=1e200), 3.0))
+    res = op_equal(big, FockOperator.identity(), 6, 1e-10)
+    assert res.max_deviation == math.inf
+    assert not res.passed
+    grid = np.arange(7, dtype=np.int64)
+    x = number(add=-1e200)
+    cube = guarded_pow(x, 3.0)(grid)
+    assert cube.singular is None
+    assert cube.re.tolist() == (x * x * x)(grid).re.tolist() == [-math.inf] * 7
+    assert guarded_pow(x, 2.0)(grid).re.tolist() == [math.inf] * 7

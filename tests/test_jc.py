@@ -51,13 +51,13 @@ def test_chart_unitary_off_strings(theta, label):
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_dirac_strings_match_claims(theta, label):
     rep = jc.dirac_string_map(theta, label, N_MAX)
-    assert rep.matches, f"{label}/{theta}: computed {rep.computed} claimed {rep.claimed}"
+    assert rep.passed, rep.text_line() + " " + rep.detail
 
 
 def test_string_jump_across_resonance():
     # the chart-I string exists only for theta <= 0 and disappears above it
-    assert jc.dirac_string_map(-0.25, "I", N_MAX).computed == {2: [0]}
-    assert jc.dirac_string_map(0.25, "I", N_MAX).computed == {}
+    assert jc.dirac_string_map(-0.25, "I", N_MAX).excluded == {2: [0]}
+    assert jc.dirac_string_map(0.25, "I", N_MAX).excluded == {}
 
 
 @pytest.mark.parametrize("theta", [1e-13, -1e-13])
@@ -65,8 +65,8 @@ def test_resonance_band_has_the_resonant_strings(theta):
     assert jc.resonant(theta) and not jc.resonant(1e-11)
     for label in ("I", "II"):
         rep = jc.dirac_string_map(theta, label, N_MAX)
-        assert rep.computed == jc.dirac_string_map(0.0, label, N_MAX).computed
-        assert rep.matches, f"{label}/{theta}: computed {rep.computed} claimed {rep.claimed}"
+        assert rep.excluded == jc.dirac_string_map(0.0, label, N_MAX).excluded
+        assert rep.passed, rep.text_line() + " " + rep.detail
     assert jc.projector_singular_map(theta, N_MAX) == jc.projector_singular_map(0.0, N_MAX)
 
 

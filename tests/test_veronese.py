@@ -1,9 +1,8 @@
 """Tests for the diagonal-coefficient family X/Y/Z, the lifted columns of
-weighted shifts, their rank-one projectors, and the classical limit."""
+weighted shifts and their rank-one projectors."""
 
 import math
 
-import numpy as np
 import pytest
 
 from fockbundle import veronese
@@ -100,26 +99,3 @@ def test_lift_degree_one_matches_chart_column():
     lifted = veronese.lift(veronese.build_family(1.0, 1))
     col = veronese.OpMatrix.build([[veronese.x_operator(1.0, 0)], [veronese.y_operator(1.0, 0)]])
     assert matrix_equal(lifted.a_col, col, N_MAX, TOL).passed
-
-
-def test_coherent_expectation_against_matrix_sum():
-    op = veronese.y_operator(1.0, 0)
-    alpha = 1.5
-    n_top = 60
-    amps = np.array(
-        [alpha**n * math.exp(-(alpha**2) / 2) / math.sqrt(math.factorial(n)) for n in range(n_top)]
-    )
-    direct = sum(
-        amps[m] * op.matrix_element(m, n) * amps[n]
-        for n in range(n_top)
-        for m in (n + d for d, _ in op.terms)
-        if 0 <= m < n_top
-    )
-    assert veronese.coherent_expectation(op, alpha) == pytest.approx(direct, rel=1e-10)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_classical_column_errors_decay(n):
-    errs = veronese.classical_column_errors(1.0, n)
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[-1] < 5e-2

@@ -19,7 +19,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from . import classical, jc, spinrep, veronese
@@ -43,8 +43,6 @@ class SuiteConfig:
     g: float = 1.0
     t: float = 1.0
     seed: int = 0
-    out: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -60,19 +58,6 @@ class SuiteConfig:
             raise ConfigError("tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.format not in ("json", "csv", "text"):
-            raise ConfigError(f"unknown format {self.format!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "theta_list": list(self.theta_list),
-            "n_max": self.n_max,
-            "tol": self.tol,
-            "g": self.g,
-            "t": self.t,
-            "seed": self.seed,
-        }
 
 
 # -- suites ----------------------------------------------------------------
@@ -107,13 +92,14 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
         glue = jc.transition_operator("ground")
         vi = jc.chart_unitary(theta, "I")
         vii = jc.chart_unitary(theta, "II")
+        claimed = jc.claimed_strings(theta)
         out.append(matrix_equal(vi @ glue, vii, nm, tol, f"gluing_relation_theta{theta}"))
-        out.append(exact_set_check(f"strings_transition_theta{theta}", jc.transition_singular_map(nm), {1: [0]}))
+        transition = jc.transition_singular_map(nm)
+        out.append(exact_set_check(f"strings_transition_theta{theta}", transition, claimed["transition"]))
         p = jc.projector_pjc(theta)
         out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}"))
         computed = jc.projector_singular_map(theta, nm)
-        claimed = {2: [0]} if jc.resonant(theta) else {}
-        out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed))
+        out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed["projector"]))
         out.append(jc.spectral_decomposition_check(theta, nm, tol))
         out.append(jc.z_identity_check(theta, nm, tol))
     return out
@@ -223,7 +209,7 @@ _RUNNERS = {
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    report = VerificationReport(suite=cfg.suite, config=cfg.to_dict())
+    report = VerificationReport(suite=cfg.suite, config=asdict(cfg))
     names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
     for name in names:
         report.extend(_RUNNERS[name](cfg))
@@ -344,15 +330,13 @@ def main(argv: List[str] | None = None) -> int:
             g=args.g,
             t=args.t,
             seed=args.seed,
-            out=args.out,
-            format=getattr(args, "format", "csv"),
         )
         if args.command == "verify":
             report = run_suite(cfg)
-            emit(render(report, cfg.format), cfg.out)
+            emit(render(report, args.format), args.out)
             return 0 if report.passed else 1
         text, passed = sweep(cfg, args.axis, list(args.values))
-        emit(text, cfg.out)
+        emit(text, args.out)
         return 0 if passed else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

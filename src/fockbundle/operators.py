@@ -12,7 +12,7 @@ grid, never in the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .report import CheckResult, Exclusions, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
-    GridValues,
     SingularPoint,
     adjoint,
     composed,
@@ -154,35 +153,10 @@ class FockOperator:
 
     def singular_support(self, n_max: int) -> Set[int]:
         """Basis indices n <= n_max at which any coefficient evaluation is singular."""
-        return singular_states(grid_terms([self], n_max)[0])
+        return grid_deviation([[self]], n_max)[2].get(1, set())
 
 
 # -- the grid scan -----------------------------------------------------------
-
-Terms = List[Tuple[int, GridValues]]
-
-
-def grid_terms(ops: Sequence[FockOperator], n_max: int) -> List[Terms]:
-    """Every term (d, values) of every operator in ``ops`` on n = 0..n_max.
-
-    This is the one grid scan.  Each top-level coefficient is evaluated
-    on the whole index array through its call, under one memo shared by
-    all of them, so a subexpression common to several coefficients is
-    computed once per index offset.  The memo is dropped on return.
-    """
-    grid = np.arange(n_max + 1, dtype=np.int64)
-    memo: Dict = {}
-    return [[(d, c(grid, memo)) for d, c in op.terms] for op in ops]
-
-
-def singular_states(terms: Terms) -> Set[int]:
-    """Indices at which some term of one operator is singular."""
-    out: Set[int] = set()
-    for _, v in terms:
-        if v.singular is not None:
-            out.update(np.flatnonzero(v.singular).tolist())
-    return out
-
 
 Location = Tuple[int, int, int, int]  # (row, column, n, d)
 
@@ -192,12 +166,17 @@ def grid_deviation(
 ) -> Tuple[float, Optional[Location], Dict[int, Set[int]]]:
     """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
 
-    ``columns[j]`` holds the operators (one per row) acting on slot j + 1.
-    A state is excluded when ``skip`` lists it or when a term evaluated
-    on it is singular.  A term that maps it above n_max is not evaluated;
-    one that maps it below the vacuum is evaluated, so its singularities
-    count, but adds no deviation.  Excluded states add nothing, and a NaN
-    or infinite coefficient counts as an infinite deviation.
+    This is the one grid scan.  ``columns[j]`` holds the operators (one
+    per row) acting on slot j + 1.  Each coefficient is evaluated on the
+    whole index array under one memo, so a subexpression common to
+    several coefficients is computed once per index offset.
+
+    It is also the one rule for singular states, the Dirac strings: a
+    state is excluded when ``skip`` lists it or when a coefficient
+    evaluated on it is singular, wherever its term maps it.  A term that
+    maps it above n_max or below the vacuum adds no deviation.  Excluded
+    states add nothing, and a NaN or infinite coefficient counts as an
+    infinite deviation.
 
     Returns the maximum, the location of its first occurrence in slot,
     n, row, term order (None when the maximum is 0), and the exclusions
@@ -205,31 +184,33 @@ def grid_deviation(
     """
     skip = skip or {}
     excluded = {s: set(v) for s, v in skip.items()}
-    terms = grid_terms([op for col in columns for op in col], n_max)
-    n = np.arange(n_max + 1)
-    best, where, first = 0.0, None, 0
+    n = np.arange(n_max + 1, dtype=np.int64)
+    memo: Dict = {}
+    best, where = 0.0, None
     for j, col in enumerate(columns):
         skipped = np.zeros(n_max + 1, dtype=bool)
         skipped[[m for m in skip.get(j + 1, ()) if 0 <= m <= n_max]] = True
         singular = np.zeros(n_max + 1, dtype=bool)
         devs, labels = [], []
-        for i in range(len(col)):
-            for d, v in terms[first + i]:
-                evaluated = n + d <= n_max
+        for i, op in enumerate(col):
+            for d, c in op.terms:
+                v = c(n, memo)
                 if v.singular is not None:
-                    singular |= v.singular & evaluated
+                    singular |= v.singular
                 dev = v.magnitude()
-                dev[np.isnan(dev)] = np.inf
-                dev[~evaluated | (n + d < 0)] = -1.0
+                if d > 0:
+                    dev[max(n_max + 1 - d, 0) :] = -1.0  # maps above n_max
+                else:
+                    dev[: -d] = -1.0  # maps below the vacuum
                 devs.append(dev)
                 labels.append((i, d))
-        first += len(col)
         found = singular & ~skipped
         if found.any():
             excluded.setdefault(j + 1, set()).update(np.flatnonzero(found).tolist())
         if not devs:
             continue
         table = np.stack(devs, axis=1)
+        table[np.isnan(table)] = np.inf
         table[skipped | found] = -1.0
         at = int(np.argmax(table))
         if table.flat[at] > best:

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .operators import FockOperator, grid_deviation, grid_terms, singular_states
+from .operators import FockOperator, grid_deviation
 from .report import CheckResult, Exclusions, merge_excluded, upper_bound_check
 
 
@@ -109,15 +109,13 @@ class OpMatrix:
 
     def column_singular_map(self, n_max: int) -> Dict[int, Set[int]]:
         """Per input slot, the basis states on which some column entry is singular."""
-        terms = grid_terms([op for col in self.columns() for op in col], n_max)
-        out: Dict[int, Set[int]] = {}
-        for j in range(self.cols):
-            states: Set[int] = set()
-            for t in terms[j * self.rows : (j + 1) * self.rows]:
-                states |= singular_states(t)
-            if states:
-                out[j + 1] = states
-        return out
+        return grid_deviation(self.columns(), n_max)[2]
+
+
+def strings(n_max: int, *forms: OpMatrix) -> Dict[int, List[int]]:
+    """The Dirac strings of an object displayed in several forms: the
+    union of the forms' column singular maps."""
+    return merge_excluded(*(form.column_singular_map(n_max) for form in forms))
 
 
 def matrix_grid_deviation(
@@ -164,25 +162,24 @@ def pair_check(
     return upper_bound_check(name, max(dev1, dev2), tol, merge_excluded(e1, e2), first.cols * (n_max + 1), detail)
 
 
-def _own_strings(m: OpMatrix, n_max: int) -> Dict[int, List[int]]:
-    return merge_excluded(m.column_singular_map(n_max), m.dagger().column_singular_map(n_max))
+def check_unitary(
+    m: OpMatrix, n_max: int, tol: float, name: str = "unitary", detail: str = "", skip: Exclusions | None = None
+) -> CheckResult:
+    """Deviation of M†M and MM† from the identity on the grid off ``skip``.
 
-
-def check_unitary(m: OpMatrix, n_max: int, tol: float, name: str = "unitary", detail: str = "") -> CheckResult:
-    """Deviation of M†M and MM† from the identity on the non-singular grid.
-
-    The grid excludes states where M or M† itself is singular, even when
-    the products happen to smooth the singularity out: the operator
-    being checked is undefined there.
+    By default ``skip`` is the strings of M and M†, even where the
+    products happen to smooth the singularity out: the operator being
+    checked is undefined there.
     """
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
     ident = OpMatrix.identity(m.rows)
-    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, _own_strings(m, n_max), detail)
+    skip = strings(n_max, m, m.dagger()) if skip is None else skip
+    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip, detail)
 
 
 def check_idempotent_hermitian(m: OpMatrix, n_max: int, tol: float, name: str = "projector") -> CheckResult:
     """Deviations of M@M - M and M† - M on the non-singular grid."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
-    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, _own_strings(m, n_max))
+    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, strings(n_max, m, m.dagger()))

@@ -10,13 +10,14 @@ matrix does NOT block-diagonalize it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
-from .opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation, pair_check
-from .operators import FockOperator, grid_deviation
-from .report import CheckResult, lower_bound_check, upper_bound_check
-from .veronese import x_operator, y_operator
+from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
+from .operators import FockOperator
+from .report import CheckResult, lower_bound_check
+from .veronese import build_family, lift, projector_pn, x_operator, y_operator
 
 _S2 = np.sqrt(2.0)
 _S3 = np.sqrt(3.0)
@@ -188,34 +189,27 @@ def nc_spin_rep(theta: float, j: float) -> OpMatrix:
     raise ValueError(f"no operator matrix for j={j}")
 
 
-def family_string_map(theta: float, n: int, n_max: int):
-    """Slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
+def family_string_map(theta: float, n: int, n_max: int) -> Dict[int, List[int]]:
+    """The level strings: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
 
     Column k of the operator spin matrices is normalized through the
     level-k sum rule, so its domain excludes the singular states of both
     level-k generators even when only one of them appears in the column.
     """
-    out = {}
-    for k in range(n + 1):
-        bad = x_operator(theta, k).singular_support(n_max) | y_operator(theta, k).singular_support(n_max)
-        if bad:
-            out[k + 1] = bad
-    return out
+    levels = range(n + 1)
+    generators = [[x_operator(theta, k) for k in levels], [y_operator(theta, k) for k in levels]]
+    return strings(n_max, OpMatrix.build(generators))
 
 
 def nc_unitarity_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
-    m = nc_spin_rep(theta, j)
+    """Unitarity of the operator spin matrix off its level strings."""
     skip = family_string_map(theta, int(round(2 * j)), n_max)
-    ident = OpMatrix.identity(m.rows)
-    name = f"nc_spin_unitary_j{j}_theta{theta}"
-    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip)
+    return check_unitary(nc_spin_rep(theta, j), n_max, tol, f"nc_spin_unitary_j{j}_theta{theta}", skip=skip)
 
 
 def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
     """The first column of the j = 1 or 3/2 operator matrix is the
     degree-2j lifted column."""
-    from .veronese import build_family, lift
-
     m = nc_spin_rep(theta, j)
     col = OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
     target = lift(build_family(theta, int(round(2 * j)))).a_col
@@ -224,8 +218,6 @@ def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckR
 
 def projector_relation_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
     """M e00 M† equals the rank-1 projector of the degree-2j lifted column."""
-    from .veronese import build_family, lift, projector_pn
-
     m = nc_spin_rep(theta, j)
     k = m.rows
     e00 = OpMatrix.build(
@@ -255,19 +247,3 @@ def tensor_breakdown_check(theta: float, n_max: int, floor: float) -> CheckResul
     dev, where, excluded = matrix_grid_deviation(diff, n_max)
     detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
     return lower_bound_check(f"tensor_breakdown_theta{theta}", dev, floor, excluded, 4 * (n_max + 1), detail)
-
-
-def tensor_square_entry_check(theta: float, n_max: int, tol: float) -> CheckResult:
-    """V (x) V places -Y_0† Y_0 at row 2, column 3 (0-based (1, 2))."""
-    v = chart_matrix(theta)
-    y0 = y_operator(theta, 0)
-    diff = v.kron(v).entry(1, 2) - (-(y0.dagger() * y0))
-    worst, _, excluded = grid_deviation([[diff]], n_max)
-    return upper_bound_check(
-        f"tensor_square_entry_theta{theta}",
-        worst,
-        tol,
-        excluded,
-        n_max + 1,
-        "off-diagonal entry of the operator tensor square",
-    )

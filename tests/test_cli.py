@@ -214,3 +214,11 @@ def test_tensor_breakdown_holds_for_small_negative_theta(theta, capsys):
     (check,) = [c for c in json.loads(out)["checks"] if c["name"].startswith("tensor_breakdown")]
     assert check["pass"]
     assert check["max_deviation"] > 0.1 * abs(float(theta))
+
+
+def test_classical_limit_with_overflowing_theta_fails_with_a_report(capsys):
+    # theta^2 overflows, so the classical target is 0: the relative error is infinite
+    code, out, _ = run_main(["verify", "--suite", "classical", "--theta", "1e155", "--nmax", "6"], capsys)
+    assert code == 1
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"].startswith("z_classical_limit_decay")]
+    assert not check["pass"] and check["max_deviation"] == float("inf")

@@ -11,6 +11,12 @@ evaluation that the grid evaluation replaced, with
 written with the same theta values by the grid evaluation, before the
 check records named themselves and the CLI stopped renaming them: the
 classical suite in json, and the whole suite in text and csv.
+
+``spinrep-theta1.5-2.5-nmax24.json`` and ``sweep-theta-nmax6.csv`` were
+written before every singular-state question went through the grid
+scanner, with the command lines in ``RUNS``.  At theta 1.5 and 2.5 the
+level strings of the j = 1 and 3/2 operator spin matrices are not the
+matrices' own strings.
 """
 
 from pathlib import Path
@@ -23,6 +29,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 THETAS = ["--theta", "1", "--theta=-1", "--theta", "0", "--theta", "0.37", "--theta=-1.9"]
 CASES = [(suite, n_max) for suite in ("fock", "charts", "propagator", "veronese", "spinrep") for n_max in (6, 24)]
 FORMATS = [("classical", "json", "json"), ("all", "text", "txt"), ("all", "csv", "csv")]
+RUNS = [
+    ("spinrep-theta1.5-2.5-nmax24.json", "verify --suite spinrep --theta 1.5 --theta 2.5 --nmax 24".split()),
+    ("sweep-theta-nmax6.csv", "sweep --suite all --axis theta --values -1.5 -0.2 0 0.3 1.7 --nmax 6".split()),
+]
 
 
 def _verify(suite, n_max, fmt, capsys):
@@ -40,3 +50,9 @@ def test_report_is_byte_identical_to_golden(suite, n_max, capsys):
 def test_format_is_byte_identical_to_golden(suite, fmt, suffix, capsys):
     expected = (GOLDEN / f"{suite}-nmax6.{suffix}").read_text(encoding="utf-8")
     assert _verify(suite, 6, fmt, capsys) == (0, expected)
+
+
+@pytest.mark.parametrize("golden,argv", RUNS, ids=[g for g, _ in RUNS])
+def test_run_is_byte_identical_to_golden(golden, argv, capsys):
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert (cli.main(argv), capsys.readouterr().out) == (0, expected)

@@ -5,7 +5,9 @@ complex arithmetic, as the closure-based symbols did; the grid
 evaluation must agree with it bit for bit, singular indices included.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from fockbundle.symbols import (
     guarded_sqrt,
     number,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
 
 def scalar_reference(node, n):
@@ -200,3 +204,24 @@ def test_pow_overflow_is_the_signed_infinity():
     assert cube.singular is None
     assert cube.re.tolist() == (x * x * x)(grid).re.tolist() == [-math.inf] * 7
     assert guarded_pow(x, 2.0)(grid).re.tolist() == [math.inf] * 7
+
+
+def test_singular_state_counts_wherever_its_term_maps_it():
+    # the term maps n = 6 to 8, above the grid, but its coefficient is
+    # evaluated there and is singular: one rule for the check and the support
+    op = FockOperator.from_terms({2: guarded_div(1.0, number(add=-6.0))})
+    res = op_equal(op, op, 6, 1e-10)
+    assert res.excluded == {1: [6]} == {1: sorted(op.singular_support(6))}
+    assert res.passed and res.max_deviation == 0.0
+
+
+def test_only_the_grid_scan_decides_singular_states():
+    callers, definitions = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "column_singular_map":
+                callers.add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "singular_states":
+                definitions.add(path.name)
+    assert callers == {"opmatrix.py"}
+    assert not definitions

@@ -170,3 +170,10 @@ def test_classical_limit_errors_decay():
     errs = jc.classical_limit_errors(1.0)
     assert errs[0] > errs[1] > errs[2]
     assert jc.classical_limit_check(1.0).passed
+
+
+@pytest.mark.parametrize("theta", THETAS + [1e-13, -1e-13])
+def test_claimed_strings_sit_on_the_ground_state(theta):
+    claims = jc.claimed_strings(theta)
+    assert set(claims) == {"chart_I", "chart_II", "transition", "projector"}
+    assert all(states == {0} for claim in claims.values() for states in claim.values())

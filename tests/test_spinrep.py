@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fockbundle import spinrep
+from fockbundle.veronese import x_operator, y_operator
 
 N_MAX = 32
 TOL = 1e-12
@@ -107,6 +108,12 @@ def test_tensor_square_recovers_block_form_at_resonance():
     assert res.max_deviation < 1e-12
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_tensor_square_entry(theta):
-    assert spinrep.tensor_square_entry_check(theta, N_MAX, NC_TOL).passed
+@pytest.mark.parametrize("theta", [-1.9, -1.0, 0.0, 0.37, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_string_map_is_the_union_of_generator_supports(theta, n):
+    union = {}
+    for k in range(n + 1):
+        bad = x_operator(theta, k).singular_support(24) | y_operator(theta, k).singular_support(24)
+        if bad:
+            union[k + 1] = bad
+    assert {k: set(v) for k, v in spinrep.family_string_map(theta, n, 24).items()} == union

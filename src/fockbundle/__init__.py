@@ -6,20 +6,18 @@ error; states on which a coefficient is singular (Dirac strings) are
 excluded from the scan and reported.
 """
 
-from .operators import DomainError, FockOperator, op_equal
+from .operators import FockOperator, op_equal
 from .opmatrix import OpMatrix, check_unitary, matrix_equal
 from .report import CheckResult, VerificationReport
-from .symbols import DiagonalSymbol, SingularPoint, sigma_tol
+from .symbols import DiagonalSymbol, sigma_tol
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CheckResult",
     "DiagonalSymbol",
-    "DomainError",
     "FockOperator",
     "OpMatrix",
-    "SingularPoint",
     "VerificationReport",
     "check_unitary",
     "matrix_equal",

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
-from .operators import DomainError, FockOperator, grid_deviation, op_equal
+from .operators import FockOperator, grid_deviation, op_equal
 from .report import CheckResult, exact_set_check, merge_excluded, monotone_check, upper_bound_check
 from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
 
@@ -163,14 +163,13 @@ def claimed_strings(theta: float) -> Dict[str, Dict[int, Set[int]]]:
     }
 
 
-def dirac_string_map(theta: float, label: str, n_max: int) -> CheckResult:
-    """Computed strings of a chart against the claimed ones, as the
-    exact-set check ``strings_chart_{label}_theta{theta}``.
+def dirac_string_map(theta: float, label: str, chart: BundleChart, n_max: int) -> CheckResult:
+    """Computed strings of ``chart`` (built at theta) against the claimed
+    ones, as the exact-set check ``strings_chart_{label}_theta{theta}``.
 
     The chart map uses V together with V†, so the strings are those of
     both orderings of V and of V†.
     """
-    chart = build_chart(theta, label)
     computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.unitary.dagger())
     return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, claimed_strings(theta)[f"chart_{label}"])
 
@@ -214,8 +213,8 @@ def projector_pjc(theta: float, ordering: str = "left") -> OpMatrix:
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
-def projector_singular_map(theta: float, n_max: int) -> Dict[int, List[int]]:
-    p = projector_pjc(theta, "left")
+def projector_singular_map(theta: float, p: OpMatrix, n_max: int) -> Dict[int, List[int]]:
+    """Strings of the projector ``p`` (built at theta, left ordering)."""
     return strings(n_max, p, projector_pjc(theta, "right"), p.dagger())
 
 
@@ -224,9 +223,8 @@ def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     return strings(n_max, transition_operator("ground"))
 
 
-def spectral_decomposition_check(theta: float, n_max: int, tol: float) -> CheckResult:
-    """H_JC against diag(R(N+1), R(N)) (2 P - 1)."""
-    p = projector_pjc(theta)
+def spectral_decomposition_check(theta: float, p: OpMatrix, n_max: int, tol: float) -> CheckResult:
+    """H_JC against diag(R(N+1), R(N)) (2 P - 1), for the projector ``p`` built at theta."""
     d = OpMatrix.diag(r_operator(theta, 1), r_operator(theta, 0))
     rebuilt = (d @ p) - (d @ (OpMatrix.identity(2) - p))
     return matrix_equal(build_h_jc(theta), rebuilt, n_max, tol, name=f"spectral_theta{theta}")
@@ -368,7 +366,7 @@ def coherent_expectation_z(theta: float, alpha: complex) -> complex:
     weights p_n.
     """
     if theta < 0:
-        raise DomainError({0}, "coordinate chart undefined for theta < 0 (string at the ground state)")
+        raise ValueError("coordinate chart undefined for theta < 0 (string at the ground state)")
     a2 = abs(alpha) ** 2
     n_top = coherent_support(alpha)
     total = 0.0

@@ -12,7 +12,7 @@ grid, never in the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .report import CheckResult, Exclusions, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
-    SingularPoint,
     adjoint,
     composed,
     const,
@@ -31,17 +30,6 @@ from .symbols import (
 )
 
 Scalar = (int, float, complex)
-
-
-class DomainError(Exception):
-    """An operator was evaluated at basis states where a coefficient is singular.
-
-    ``states`` is the set of offending basis indices.
-    """
-
-    def __init__(self, states: Iterable[int], message: str = "singular basis states"):
-        self.states = set(states)
-        super().__init__(f"{message}: {sorted(self.states)}")
 
 
 @dataclass(frozen=True)
@@ -136,20 +124,6 @@ class FockOperator:
         return self.terms[0][1] if self.terms else const(0.0)
 
     # -- evaluation -------------------------------------------------------
-
-    def matrix_element(self, m: int, n: int) -> complex:
-        """<m|op|n>; zero when m-n matches no term degree or m < 0.  The matching
-        term's coefficient is evaluated at n first, so a singular one raises DomainError."""
-        if n < 0:
-            return 0.0
-        for d, c in self.terms:
-            if d == m - n:
-                try:
-                    value = c(n)
-                except SingularPoint:
-                    raise DomainError({n})
-                return 0.0 if m < 0 else value
-        return 0.0
 
     def singular_support(self, n_max: int) -> Set[int]:
         """Basis indices n <= n_max at which any coefficient evaluation is singular."""

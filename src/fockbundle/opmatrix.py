@@ -104,9 +104,6 @@ class OpMatrix:
 
     # -- evaluation -------------------------------------------------------
 
-    def matrix_element(self, slot_m: int, m: int, slot_n: int, n: int) -> complex:
-        return self.entries[slot_m - 1][slot_n - 1].matrix_element(m, n)
-
     def column_singular_map(self, n_max: int) -> Dict[int, Set[int]]:
         """Per input slot, the basis states on which some column entry is singular."""
         return grid_deviation(self.columns(), n_max)[2]
@@ -178,8 +175,12 @@ def check_unitary(
     return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip, detail)
 
 
-def check_idempotent_hermitian(m: OpMatrix, n_max: int, tol: float, name: str = "projector") -> CheckResult:
-    """Deviations of M@M - M and M† - M on the non-singular grid."""
+def check_idempotent_hermitian(
+    m: OpMatrix, n_max: int, tol: float, name: str = "projector", skip: Exclusions | None = None
+) -> CheckResult:
+    """Deviations of M@M - M and M† - M on the grid off ``skip``, by
+    default the strings of M and M†."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
-    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, strings(n_max, m, m.dagger()))
+    skip = strings(n_max, m, m.dagger()) if skip is None else skip
+    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, skip)

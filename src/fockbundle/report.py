@@ -40,11 +40,7 @@ class CheckResult:
 
     def text_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        excl = (
-            " excluded=" + ";".join(f"slot{k}:{sorted(v)}" for k, v in sorted(self.excluded.items()))
-            if self.excluded
-            else ""
-        )
+        excl = " excluded=" + format_excluded(self.excluded) if self.excluded else ""
         return f"{status} {self.name} max_dev={self.max_deviation:.3e} tol={self.tol:.1e}{excl}"
 
 
@@ -101,6 +97,11 @@ def monotone_check(name: str, values: Sequence[float], detail: str) -> CheckResu
     """
     passed = len(values) > 1 and all(map(math.isfinite, values)) and all(b < a for a, b in zip(values, values[1:]))
     return CheckResult(name, values[-1], values[0], passed, {}, detail)
+
+
+def format_excluded(excluded: Exclusions) -> str:
+    """Exclusions as the text and CSV reports write them: ``slot1:[0];slot2:[0]``."""
+    return ";".join(f"slot{k}:{sorted(v)}" for k, v in sorted(excluded.items()))
 
 
 def merge_excluded(*maps: Exclusions) -> Dict[int, List[int]]:

@@ -142,11 +142,11 @@ def chart_matrix(theta: float) -> OpMatrix:
 
 def nc_spin_rep(theta: float, j: float) -> OpMatrix:
     """Operator matrix playing the role of spin_rep for j in {1/2, 1, 3/2}."""
+    if j == 0.5:
+        return chart_matrix(theta)
     x = [x_operator(theta, i) for i in range(4)]
     y = [y_operator(theta, i) for i in range(3)]
     yd = [op.dagger() for op in y]
-    if j == 0.5:
-        return chart_matrix(theta)
     if j == 1:
         return OpMatrix.build(
             [

@@ -11,8 +11,8 @@ negative value, marks the index singular instead of producing NaN/Inf.
 Values keep CPython's scalar arithmetic bit for bit.  A real symbol is
 held as one float64 array; a complex one as real and imaginary float64
 arrays, combined with CPython's formulas for complex ``*`` and ``abs``.
-Calling a symbol on an int keeps the scalar contract: it returns a
-complex, or raises SingularPoint.
+The grid is the only way to read a symbol: calling one on anything but
+an int64 index array is a TypeError.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ def sigma_tol(theta: float = 0.0) -> float:
 
 
 class SingularPoint(Exception):
-    """A coefficient evaluation hit a vanishing divisor or sqrt of a negative."""
-
+    # nothing raises it: it stays only because perfbench/tracer.py counts SingularPoint.__init__
     def __init__(self, n: int, reason: str):
         super().__init__(f"singular coefficient at basis index {n}: {reason}")
-        self.n = n
-        self.reason = reason
 
 
 class GridValues(NamedTuple):
@@ -56,12 +53,6 @@ class GridValues(NamedTuple):
     def magnitude(self) -> np.ndarray:
         """|value| as CPython's abs computes it (hypot for complex values)."""
         return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
-
-    def scalar(self, i: int, n: int) -> complex:
-        """The value at position ``i`` (basis index ``n``), or SingularPoint."""
-        if self.singular is not None and self.singular[i]:
-            raise SingularPoint(n, "vanishing divisor or root of a negative value")
-        return complex(float(self.re[i]), 0.0 if self.im is None else float(self.im[i]))
 
 
 class DiagonalSymbol:
@@ -79,15 +70,14 @@ class DiagonalSymbol:
         self.args = args
         self.real = real
 
-    def __call__(self, n, memo: Optional[Dict] = None):
-        """At an int: the complex value, or SingularPoint.  At an int64
-        index array: GridValues.  ``memo`` is shared by calls on the same
-        array, so subexpressions common to them are evaluated once."""
+    def __call__(self, n: np.ndarray, memo: Dict) -> GridValues:
+        """The values on the int64 index array ``n``.  ``memo`` is shared by
+        calls on the same array, so subexpressions common to them are
+        evaluated once."""
+        if not (isinstance(n, np.ndarray) and n.dtype == np.int64):
+            raise TypeError("a symbol is evaluated on an int64 index array")
         with np.errstate(all="ignore"):
-            if isinstance(n, np.ndarray):
-                return _Grid(n, {} if memo is None else memo).values(self, 0)
-            v = _Grid(np.array([n], dtype=np.int64), {}).values(self, 0)
-        return v.scalar(0, n)
+            return _Grid(n, memo).values(self, 0)
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)

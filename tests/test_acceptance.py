@@ -33,10 +33,10 @@ def test_acceptance_chart_reconstruction(theta, label):
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 def test_acceptance_dirac_strings(theta):
     for label in ("I", "II"):
-        rep = jc.dirac_string_map(theta, label, 64)
+        rep = jc.dirac_string_map(theta, label, jc.build_chart(theta, label), 64)
         assert rep.passed, rep.text_line() + " " + rep.detail
     expected_proj = {2: [0]} if theta == 0 else {}
-    assert jc.projector_singular_map(theta, 64) == expected_proj
+    assert jc.projector_singular_map(theta, jc.projector_pjc(theta), 64) == expected_proj
     assert jc.transition_singular_map(64) == {1: [0]}
 
 
@@ -60,7 +60,7 @@ def test_acceptance_propagator_properties(theta, gt):
 
 @pytest.mark.parametrize("theta", [2.0, 1.0, 0.5, 0.0, -1.0])
 def test_acceptance_spectral_decomposition(theta):
-    res = jc.spectral_decomposition_check(theta, 64, 1e-10)
+    res = jc.spectral_decomposition_check(theta, jc.projector_pjc(theta), 64, 1e-10)
     assert res.passed, res.text_line()
 
 
@@ -162,7 +162,8 @@ def _representative_deviations(n_max):
         chart = jc.build_chart(theta, "I")
         rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
         devs[f"chart_{theta}"] = matrix_equal(rebuilt, jc.build_h_jc(theta), n_max, 1e-10).max_deviation
-        devs[f"spectral_{theta}"] = jc.spectral_decomposition_check(theta, n_max, 1e-10).max_deviation
+        spectral = jc.spectral_decomposition_check(theta, jc.projector_pjc(theta), n_max, 1e-10)
+        devs[f"spectral_{theta}"] = spectral.max_deviation
         lifted = veronese.lift(veronese.build_family(theta, 3)) if theta > 0 else None
         if lifted is not None:
             devs[f"lift_{theta}"] = veronese.lift_norm_check(lifted, n_max, 1e-9).max_deviation

@@ -222,3 +222,24 @@ def test_classical_limit_with_overflowing_theta_fails_with_a_report(capsys):
     assert code == 1
     (check,) = [c for c in json.loads(out)["checks"] if c["name"].startswith("z_classical_limit_decay")]
     assert not check["pass"] and check["max_deviation"] == float("inf")
+
+
+
+def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
+    calls = []
+    for name in ("build_chart", "projector_pjc", "transition_singular_map"):
+
+        def counted(*args, _name=name, _fn=getattr(cli.jc, name), **kwargs):
+            calls.append((_name,) + args + tuple(kwargs.values()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli.jc, name, counted)
+    cfg = cli.SuiteConfig(suite="charts", theta_list=[1.0, -0.5], n_max=8)
+    assert all(c.passed for c in cli.run_charts(cfg))
+    for theta in (1.0, -0.5):
+        assert [c for c in calls if c[:2] == ("build_chart", theta)] == [
+            ("build_chart", theta, "I"),
+            ("build_chart", theta, "II"),
+        ]
+        assert calls.count(("projector_pjc", theta)) + calls.count(("projector_pjc", theta, "left")) == 1
+    assert [c[0] for c in calls].count("transition_singular_map") == 1

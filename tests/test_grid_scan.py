@@ -3,6 +3,7 @@
 ``scalar_reference`` evaluates a symbol at one index with Python
 complex arithmetic, as the closure-based symbols did; the grid
 evaluation must agree with it bit for bit, singular indices included.
+The grid is the only way the package reads a symbol.
 """
 
 import ast
@@ -16,7 +17,6 @@ from fockbundle import jc
 from fockbundle.operators import FockOperator, grid_deviation, op_equal
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import (
-    SingularPoint,
     adjoint,
     composed,
     const,
@@ -29,8 +29,12 @@ from fockbundle.symbols import (
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
 
+class Singular(Exception):
+    """The reference hit a vanishing divisor or a root of a negative value."""
+
+
 def scalar_reference(node, n):
-    """One value of ``node`` at ``n`` in CPython complex arithmetic, or SingularPoint."""
+    """One value of ``node`` at ``n`` in CPython complex arithmetic, or Singular."""
     op, args = node.op, node.args
     if op == "const":
         return args[0]
@@ -45,19 +49,19 @@ def scalar_reference(node, n):
         num, den, tol = args
         d = scalar_reference(den, n)
         if abs(d) < tol:
-            raise SingularPoint(n, "division")
+            raise Singular(n)
         return scalar_reference(num, n) / d
     if op == "sqrt":
         arg, tol = args
         x = scalar_reference(arg, n).real
         if x < -tol:
-            raise SingularPoint(n, "sqrt")
+            raise Singular(n)
         return complex(math.sqrt(max(x, 0.0)))
     if op == "pow":
         arg, p, tol = args
         x = scalar_reference(arg, n).real
         if (abs(x) < tol and p < 0) or (x < -tol and not p.is_integer()):
-            raise SingularPoint(n, "pow")
+            raise Singular(n)
         return complex((x if p.is_integer() else max(x, 0.0)) ** p)
     if op == "composed":
         ca, db, cb = args
@@ -107,32 +111,33 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
     compared = singular = complex_compared = 0
     for _ in range(300):
         sym = random_symbol(rng, 4)
-        values = sym(grid)
+        values = sym(grid, {})
         for n in range(12):
             try:
                 expected = scalar_reference(sym, n)
-            except (SingularPoint, ValueError, OverflowError, ZeroDivisionError):
+            except (Singular, ValueError, OverflowError, ZeroDivisionError):
                 expected = None
             if expected is None:
                 assert values.singular is not None and values.singular[n], (n, sym.op)
                 singular += 1
                 continue
             assert values.singular is None or not values.singular[n]
-            assert same(values.scalar(n, n), expected), (n, sym.op)
+            got = complex(values.re[n], 0.0 if values.im is None else values.im[n])
+            assert same(got, expected), (n, sym.op)
             compared += 1
             complex_compared += not sym.real
     assert compared > 1000 and singular > 100
     assert complex_compared > 100
 
 
-def test_scalar_call_keeps_the_int_contract():
+def test_a_symbol_is_read_only_on_the_grid():
     sym = guarded_div(1.0, number() - 3.0)
-    assert sym(5) == 0.5
-    with pytest.raises(SingularPoint):
-        sym(3)
-    values = sym(np.arange(6, dtype=np.int64))
+    for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int32), np.arange(6.0)):
+        with pytest.raises(TypeError):
+            sym(index, {})
+    values = sym(np.arange(6, dtype=np.int64), {})
     assert values.singular.tolist() == [False, False, False, True, False, False]
-    assert values.scalar(5, 5) == 0.5
+    assert (values.re[5], values.im) == (0.5, None)
 
 
 def test_nan_coefficient_counts_as_infinite_deviation():
@@ -200,10 +205,10 @@ def test_pow_overflow_is_the_signed_infinity():
     assert not res.passed
     grid = np.arange(7, dtype=np.int64)
     x = number(add=-1e200)
-    cube = guarded_pow(x, 3.0)(grid)
+    cube = guarded_pow(x, 3.0)(grid, {})
     assert cube.singular is None
-    assert cube.re.tolist() == (x * x * x)(grid).re.tolist() == [-math.inf] * 7
-    assert guarded_pow(x, 2.0)(grid).re.tolist() == [math.inf] * 7
+    assert cube.re.tolist() == (x * x * x)(grid, {}).re.tolist() == [-math.inf] * 7
+    assert guarded_pow(x, 2.0)(grid, {}).re.tolist() == [math.inf] * 7
 
 
 def test_singular_state_counts_wherever_its_term_maps_it():
@@ -225,3 +230,16 @@ def test_only_the_grid_scan_decides_singular_states():
                 definitions.add(path.name)
     assert callers == {"opmatrix.py"}
     assert not definitions
+
+
+def test_no_scalar_evaluation_path_is_defined():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "DomainError":
+                found.add(node.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "matrix_element":
+                found.add(node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "GridValues":
+                found.update(f"GridValues.{f.name}" for f in node.body if getattr(f, "name", "") == "scalar")
+    assert not found

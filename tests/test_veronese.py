@@ -3,10 +3,11 @@ weighted shifts and their rank-one projectors."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fockbundle import veronese
-from fockbundle.operators import DomainError, FockOperator
+from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
 
 N_MAX = 32
@@ -38,11 +39,12 @@ def test_commutation_rule(theta, k):
 
 def test_x_values_explicit():
     # at theta=0 every X collapses to 1/sqrt(2) wherever it is defined
-    x0 = veronese.x_symbol(0.0, 0)
+    x0 = veronese.x_symbol(0.0, 0)(np.arange(8), {})
+    assert x0.singular is None and x0.im is None
     for n in (1, 2, 7):
-        assert x0(n) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+        assert x0.re[n] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # large theta pushes X toward 1: the fibre aligns with the pole
-    assert abs(veronese.x_symbol(50.0, 0)(3)) > 0.999
+    assert veronese.x_symbol(50.0, 0)(np.arange(4), {}).magnitude()[3] > 0.999
 
 
 def test_y_index_structure():
@@ -50,15 +52,18 @@ def test_y_index_structure():
     # at the raised index: negative under the root at |0>, zero at |1>
     y2 = veronese.y_operator(1.0, 2)
     assert y2.singular_support(N_MAX) == {0}
-    assert abs(y2.matrix_element(2, 1)) == 0.0
-    assert abs(y2.matrix_element(4, 3)) > 0.0
+    (d, c), = y2.terms
+    values = c(np.arange(N_MAX + 1), {})
+    assert d == 1
+    assert values.magnitude()[1] == 0.0
+    assert values.magnitude()[3] > 0.0
 
 
 def test_z_regular_at_vacuum_for_positive_theta():
     z0 = veronese.z_operator(1.0, 0)
     assert z0.singular_support(N_MAX) == set()
-    with pytest.raises(DomainError):
-        veronese.z_operator(1.0, 2).matrix_element(1, 0)
+    (d, c), = veronese.z_operator(1.0, 2).terms
+    assert d == 1 and c(np.arange(N_MAX + 1), {}).singular[0]
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])

@@ -9,6 +9,7 @@ of CP^1 into CP^n, and the projective-chart projectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -216,6 +217,11 @@ def verify_point(p: SpherePoint) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=None)
 def verify_sample(count: int, seed: int) -> float:
-    """Worst deviation of verify_point over a seeded sample."""
+    """Worst deviation of verify_point over a seeded sample.
+
+    A pure function of its arguments, so it is cached: a sweep computes
+    it once per process, whatever axis it varies.
+    """
     return max(verify_point(p) for p in sample_points(count, seed))

@@ -86,21 +86,22 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
     for theta in cfg.theta_list:
         h = jc.build_h_jc(theta)
         claimed = jc.claimed_strings(theta)
-        out.append(jc.qdm_reconstruction_check(theta, nm, tol))
+        out.append(jc.qdm_reconstruction_check(theta, h, nm, tol))
         charts = {}
         for label in ("I", "II"):
             chart = charts[label] = jc.build_chart(theta, label)
-            rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
+            rebuilt = chart.unitary @ chart.diagonal @ chart.adjoint
             out.append(matrix_equal(rebuilt, h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
             out.append(jc.dirac_string_map(theta, label, chart, nm))
         gluing = charts["I"].unitary @ glue
         out.append(matrix_equal(gluing, charts["II"].unitary, nm, tol, f"gluing_relation_theta{theta}"))
         out.append(exact_set_check(f"strings_transition_theta{theta}", transition, claimed["transition"]))
         p = jc.projector_pjc(theta)
-        computed = jc.projector_singular_map(theta, p, nm)
-        out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}", skip=computed))
+        p_adjoint = p.dagger()
+        computed = jc.projector_singular_map(theta, p, p_adjoint, nm)
+        out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}", skip=computed, adjoint=p_adjoint))
         out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed["projector"]))
-        out.append(jc.spectral_decomposition_check(theta, p, nm, tol))
+        out.append(jc.spectral_decomposition_check(theta, h, p, nm, tol))
         out.append(jc.z_identity_check(theta, nm, tol))
     return out
 
@@ -136,28 +137,8 @@ def run_veronese(cfg: SuiteConfig) -> List[CheckResult]:
 
 
 def run_spinrep(cfg: SuiteConfig) -> List[CheckResult]:
-    import numpy as np
-
     out: List[CheckResult] = []
-    rng = np.random.default_rng(cfg.seed)
-    worst_u, worst_h, worst_cg = 0.0, 0.0, 0.0
-    for _ in range(50):
-        g1 = spinrep.random_su2(rng)
-        g2 = spinrep.random_su2(rng)
-        prod = spinrep.SU2Element(
-            alpha=g1.alpha * g2.alpha - np.conj(g1.beta) * g2.beta,
-            beta=g1.beta * g2.alpha + np.conj(g1.alpha) * g2.beta,
-        )
-        for j in (0.5, 1.0, 1.5):
-            m1, m2 = spinrep.spin_rep(g1, j), spinrep.spin_rep(g2, j)
-            k = m1.shape[0]
-            worst_u = max(worst_u, float(np.max(np.abs(m1.conj().T @ m1 - np.eye(k)))))
-            worst_h = max(worst_h, float(np.max(np.abs(m1 @ m2 - spinrep.spin_rep(prod, j)))))
-        worst_cg = max(
-            worst_cg,
-            float(np.max(np.abs(spinrep.cg_decompose_pair(g1) - spinrep.pair_block_target(g1)))),
-            float(np.max(np.abs(spinrep.cg_decompose_triple(g1) - spinrep.triple_block_target(g1)))),
-        )
+    worst_u, worst_h, worst_cg = spinrep.group_sample_deviations(cfg.seed)
     out.append(upper_bound_check("su2_rep_unitary", worst_u, 1e-12))
     out.append(upper_bound_check("su2_rep_homomorphism", worst_h, 1e-12))
     out.append(upper_bound_check("su2_cg_blocks", worst_cg, 1e-12))

@@ -22,14 +22,17 @@ from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt
 
 
 def resonant(theta: float) -> bool:
-    """Whether theta lies in the resonance band |theta| < sigma_tol(theta).
+    """Whether theta lies in the resonance band 2 |theta| < sigma_tol(theta).
 
-    Inside the band both R(0) + theta and R(0) - theta (R(0) = |theta|)
-    are below the guards' threshold, so the charts and the projector are
-    singular exactly where they are at theta = 0: the claimed strings
-    there are the resonant ones.
+    At the ground state R(0) = |theta|, so one of R(0) +- theta is 0 and
+    the other 2 |theta|.  The divisors that make the strings are then
+    2 |theta|: sqrt(2 R(0) (R(0) +- theta)) in the chart prefactors and
+    2 R(0) in the projector.  Inside the band they are below the guards'
+    threshold, so the charts and the projector are singular exactly where
+    they are at theta = 0: the claimed strings there are the resonant
+    ones.
     """
-    return abs(theta) < sigma_tol(theta)
+    return 2.0 * abs(theta) < sigma_tol(theta)
 
 
 def r_symbol(theta: float, offset: int = 0) -> DiagonalSymbol:
@@ -76,8 +79,9 @@ def qdm_factorization(theta: float) -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
     return left, middle, right
 
 
-def qdm_reconstruction_check(theta: float, n_max: int, tol: float) -> CheckResult:
-    """left @ middle @ right against H, away from the uncoupled state.
+def qdm_reconstruction_check(theta: float, h: OpMatrix, n_max: int, tol: float) -> CheckResult:
+    """left @ middle @ right against H = ``h`` (built at theta), away from
+    the uncoupled state.
 
     The right factor (1/sqrt(N+1)) a annihilates (slot2, |0>), while H
     acts on it as -theta; equivalently its alternate writing a (1/sqrt(N))
@@ -86,7 +90,7 @@ def qdm_reconstruction_check(theta: float, n_max: int, tol: float) -> CheckResul
     """
     left, middle, right = qdm_factorization(theta)
     return matrix_equal(
-        left @ middle @ right, build_h_jc(theta), n_max, tol, f"qdm_factorization_theta{theta}", skip={2: {0}}
+        left @ middle @ right, h, n_max, tol, f"qdm_factorization_theta{theta}", skip={2: {0}}
     )
 
 
@@ -139,13 +143,16 @@ def chart_diagonal(theta: float, label: str) -> OpMatrix:
 class BundleChart:
     unitary: OpMatrix
     unitary_alt: OpMatrix
+    adjoint: OpMatrix  # unitary.dagger()
     diagonal: OpMatrix
 
 
 def build_chart(theta: float, label: str) -> BundleChart:
+    unitary = chart_unitary(theta, label, "left")
     return BundleChart(
-        unitary=chart_unitary(theta, label, "left"),
+        unitary=unitary,
         unitary_alt=chart_unitary(theta, label, "right"),
+        adjoint=unitary.dagger(),
         diagonal=chart_diagonal(theta, label),
     )
 
@@ -170,7 +177,7 @@ def dirac_string_map(theta: float, label: str, chart: BundleChart, n_max: int) -
     The chart map uses V together with V†, so the strings are those of
     both orderings of V and of V†.
     """
-    computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.unitary.dagger())
+    computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint)
     return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, claimed_strings(theta)[f"chart_{label}"])
 
 
@@ -213,9 +220,10 @@ def projector_pjc(theta: float, ordering: str = "left") -> OpMatrix:
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
-def projector_singular_map(theta: float, p: OpMatrix, n_max: int) -> Dict[int, List[int]]:
-    """Strings of the projector ``p`` (built at theta, left ordering)."""
-    return strings(n_max, p, projector_pjc(theta, "right"), p.dagger())
+def projector_singular_map(theta: float, p: OpMatrix, p_adjoint: OpMatrix, n_max: int) -> Dict[int, List[int]]:
+    """Strings of the projector ``p`` (built at theta, left ordering) and
+    of its adjoint ``p_adjoint``."""
+    return strings(n_max, p, projector_pjc(theta, "right"), p_adjoint)
 
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
@@ -223,11 +231,12 @@ def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     return strings(n_max, transition_operator("ground"))
 
 
-def spectral_decomposition_check(theta: float, p: OpMatrix, n_max: int, tol: float) -> CheckResult:
-    """H_JC against diag(R(N+1), R(N)) (2 P - 1), for the projector ``p`` built at theta."""
+def spectral_decomposition_check(theta: float, h: OpMatrix, p: OpMatrix, n_max: int, tol: float) -> CheckResult:
+    """H_JC = ``h`` against diag(R(N+1), R(N)) (2 P - 1), for the projector
+    ``p``; both built at theta."""
     d = OpMatrix.diag(r_operator(theta, 1), r_operator(theta, 0))
     rebuilt = (d @ p) - (d @ (OpMatrix.identity(2) - p))
-    return matrix_equal(build_h_jc(theta), rebuilt, n_max, tol, name=f"spectral_theta{theta}")
+    return matrix_equal(h, rebuilt, n_max, tol, name=f"spectral_theta{theta}")
 
 
 # -- propagator -----------------------------------------------------------

@@ -176,11 +176,18 @@ def check_unitary(
 
 
 def check_idempotent_hermitian(
-    m: OpMatrix, n_max: int, tol: float, name: str = "projector", skip: Exclusions | None = None
+    m: OpMatrix,
+    n_max: int,
+    tol: float,
+    name: str = "projector",
+    skip: Exclusions | None = None,
+    adjoint: OpMatrix | None = None,
 ) -> CheckResult:
     """Deviations of M@M - M and M† - M on the grid off ``skip``, by
-    default the strings of M and M†."""
+    default the strings of M and M†.  ``adjoint`` is M† when the caller
+    has built it already."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
-    skip = strings(n_max, m, m.dagger()) if skip is None else skip
-    return pair_check(name, m @ m - m, m.dagger() - m, n_max, tol, skip)
+    adjoint = m.dagger() if adjoint is None else adjoint
+    skip = strings(n_max, m, adjoint) if skip is None else skip
+    return pair_check(name, m @ m - m, adjoint - m, n_max, tol, skip)

@@ -9,8 +9,9 @@ matrix does NOT block-diagonalize it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -127,6 +128,39 @@ def triple_block_target(g: SU2Element) -> np.ndarray:
     out[2:4, 2:4] = g.matrix()
     out[4:, 4:] = spin_rep(g, 1.5)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
+    """Worst deviations of the numeric spin matrices over 50 seeded pairs
+    (g1, g2) of SU(2) elements: unitarity of spin_rep(g1, j), the
+    homomorphism spin_rep(g1, j) spin_rep(g2, j) = spin_rep(g1 g2, j) for
+    j in {1/2, 1, 3/2}, and the Clebsch-Gordan blocks of g1 (x) g1 and
+    g1 (x) g1 (x) g1.
+
+    A pure function of the seed, so it is cached: a sweep computes it
+    once per process, whatever axis it varies.
+    """
+    rng = np.random.default_rng(seed)
+    worst_u, worst_h, worst_cg = 0.0, 0.0, 0.0
+    for _ in range(50):
+        g1 = random_su2(rng)
+        g2 = random_su2(rng)
+        prod = SU2Element(
+            alpha=g1.alpha * g2.alpha - np.conj(g1.beta) * g2.beta,
+            beta=g1.beta * g2.alpha + np.conj(g1.alpha) * g2.beta,
+        )
+        for j in (0.5, 1.0, 1.5):
+            m1, m2 = spin_rep(g1, j), spin_rep(g2, j)
+            k = m1.shape[0]
+            worst_u = max(worst_u, float(np.max(np.abs(m1.conj().T @ m1 - np.eye(k)))))
+            worst_h = max(worst_h, float(np.max(np.abs(m1 @ m2 - spin_rep(prod, j)))))
+        worst_cg = max(
+            worst_cg,
+            float(np.max(np.abs(cg_decompose_pair(g1) - pair_block_target(g1)))),
+            float(np.max(np.abs(cg_decompose_triple(g1) - triple_block_target(g1)))),
+        )
+    return worst_u, worst_h, worst_cg
 
 
 # -- operator-valued analogues ---------------------------------------------

@@ -152,6 +152,35 @@ def test_sweep_header_is_the_union_of_check_names(capsys):
     assert by_theta["0.0"][header.index("tensor_breakdown")] == ""
 
 
+def test_sweep_rows_match_verify_alone_and_follow_the_seed(capsys):
+    # the theta-free checks are cached per process: each sweep computes
+    # them once, keyed by the seed, and every row repeats the same values.
+    # Seeds 3 and 4 differ in all four theta-free checks (3 and 5 share
+    # su2_rep_unitary = 1.1102230246251565e-15, a common roundoff value)
+    caches = (cli.spinrep.group_sample_deviations, cli.classical.verify_sample)
+    thetas = ["-1", "0", "1"]
+    by_seed = {}
+    for seed in ("3", "4"):
+        for cache in caches:
+            cache.cache_clear()
+        argv = ["sweep", "--suite", "all", "--axis", "theta", "--values", *thetas, "--nmax", "4", "--seed", seed]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert [cache.cache_info().misses for cache in caches] == [1, 1]
+        header, *rows = [line.split(",") for line in out.strip().splitlines()]
+        for theta, row in zip(thetas, rows):
+            for cache in caches:
+                cache.cache_clear()
+            argv = ["verify", "--suite", "all", f"--theta={theta}", "--nmax", "4", "--seed", seed, "--format", "csv"]
+            code, alone, _ = run_main(argv, capsys)
+            cells = {cli._axis_free_name(line.split(",")[0], "theta"): line.split(",")[1] for line in alone.splitlines()[1:]}
+            assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
+            assert row[-1] == str(1 - code)
+        by_seed[seed] = dict(zip(header, rows[0]))
+    for name in ("su2_rep_unitary", "su2_rep_homomorphism", "su2_cg_blocks", "sphere_identities_sample"):
+        assert by_seed["3"][name] != by_seed["4"][name], name
+
+
 def test_sweep_with_a_failed_row_exits_one(capsys):
     code, out, _ = run_main(
         ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "8", "16", "--tol", "1e-30"], capsys
@@ -169,10 +198,17 @@ def test_propagator_suite_scans_the_requested_grid(capsys):
     assert oracle["detail"].endswith("max at (slot1,57 | slot1,57)")
 
 
-@pytest.mark.parametrize("theta", ["--theta=1e-13", "--theta=-1e-13"])
+# the string divisors at the ground state are 2 |theta|, so the band ends at
+# |theta| = sigma_tol / 2, about 5e-13: 4e-13 is inside it, the others just outside
+@pytest.mark.parametrize(
+    "theta",
+    ["--theta=1e-13", "--theta=-1e-13"]
+    + [f"--theta={s}{v}" for v in ("4e-13", "6e-13", "7e-13", "9e-13", "1.2e-12") for s in ("", "-")],
+)
 def test_resonance_band_passes_every_suite(theta, capsys):
-    code, _, _ = run_main(["verify", "--suite", "all", theta, "--nmax", "24", "--format", "text"], capsys)
+    code, out, _ = run_main(["verify", "--suite", "all", theta, "--nmax", "24", "--format", "text"], capsys)
     assert code == 0
+    assert ("tensor_breakdown" in out) == (abs(float(theta.split("=")[1])) > 5e-13)
 
 
 def test_negative_exponent_form_parses(capsys):

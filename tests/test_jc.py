@@ -22,9 +22,14 @@ def element(op, d: int, n: int) -> complex:
     return complex(values.re[n], 0.0 if values.im is None else values.im[n])
 
 
+def projector_strings(theta):
+    p = jc.projector_pjc(theta)
+    return jc.projector_singular_map(theta, p, p.dagger(), N_MAX)
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_qdm_reconstruction(theta):
-    res = jc.qdm_reconstruction_check(theta, N_MAX, TOL)
+    res = jc.qdm_reconstruction_check(theta, jc.build_h_jc(theta), N_MAX, TOL)
     assert res.passed, res.text_line()
     assert res.excluded == {2: [0]}
 
@@ -73,8 +78,8 @@ def test_resonance_band_has_the_resonant_strings(theta):
         rep = jc.dirac_string_map(theta, label, jc.build_chart(theta, label), N_MAX)
         assert rep.excluded == jc.dirac_string_map(0.0, label, jc.build_chart(0.0, label), N_MAX).excluded
         assert rep.passed, rep.text_line() + " " + rep.detail
-    resonant = jc.projector_singular_map(0.0, jc.projector_pjc(0.0), N_MAX)
-    assert jc.projector_singular_map(theta, jc.projector_pjc(theta), N_MAX) == resonant
+    resonant = projector_strings(0.0)
+    assert projector_strings(theta) == resonant
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -108,12 +113,12 @@ def test_projector_idempotent_hermitian(theta):
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 def test_projector_string_only_at_resonance(theta):
     expected = {2: [0]} if theta == 0 else {}
-    assert jc.projector_singular_map(theta, jc.projector_pjc(theta), N_MAX) == expected
+    assert projector_strings(theta) == expected
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_spectral_decomposition(theta):
-    assert jc.spectral_decomposition_check(theta, jc.projector_pjc(theta), N_MAX, TOL).passed
+    assert jc.spectral_decomposition_check(theta, jc.build_h_jc(theta), jc.projector_pjc(theta), N_MAX, TOL).passed
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])

@@ -8,7 +8,8 @@ writes one CSV row per axis value.
 Exit codes: 0 all checks pass, 1 some check failed (report still
 written; for ``sweep``, some row failed), 2 invalid configuration,
 including a NaN or infinite theta, t, g, tol or sweep value, a negative
-seed and a non-integral nmax sweep value.
+seed, a non-integral nmax sweep value and an nmax whose index grid numpy
+cannot hold.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from . import classical, jc, spinrep, veronese
 from .operators import FockOperator, op_equal
@@ -49,6 +52,9 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.n_max < 4:
             raise ConfigError("n_max must be at least 4")
+        grid_states = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize  # numpy's byte limit on one array
+        if self.n_max >= grid_states:
+            raise ConfigError(f"n_max must be below {grid_states}, the most int64 indices numpy can hold")
         if not self.theta_list:
             raise ConfigError("at least one theta is required")
         for label, value in [("theta", v) for v in self.theta_list] + [("t", self.t), ("g", self.g), ("tol", self.tol)]:
@@ -120,14 +126,15 @@ def run_veronese(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
     nm, tol = cfg.n_max, cfg.tol
     for theta in cfg.theta_list:
+        family = veronese.build_family(theta, 4)
         for j in range(5):
-            out.append(veronese.sum_rule_check(theta, j, nm, tol))
+            out.append(veronese.sum_rule_check(family, j, nm, tol))
         for j in range(1, 5):
-            out.append(veronese.shift_rule_check(theta, j, nm, tol))
-        out.append(veronese.commutation_check(theta, 0, 0, nm, tol))
-        out.append(veronese.commutation_check(theta, 1, 0, nm, tol))
+            out.append(veronese.shift_rule_check(family, j, nm, tol))
+        out.append(veronese.commutation_check(family, 0, 0, nm, tol))
+        out.append(veronese.commutation_check(family, 1, 0, nm, tol))
         for n in (2, 3):
-            lifted = veronese.lift(veronese.build_family(theta, n))
+            lifted = veronese.lift(family, n)
             out.append(veronese.lift_norm_check(lifted, nm, tol))
             out.append(veronese.binomial_power_check(lifted, nm, tol))
             out.append(veronese.factored_form_check(lifted, nm, tol))
@@ -144,23 +151,25 @@ def run_spinrep(cfg: SuiteConfig) -> List[CheckResult]:
     out.append(upper_bound_check("su2_cg_blocks", worst_cg, 1e-12))
     nm, tol = cfg.n_max, cfg.tol
     for theta in cfg.theta_list:
-        for j in (0.5, 1.0, 1.5):
-            out.append(spinrep.nc_unitarity_check(theta, j, nm, tol))
+        family = veronese.build_family(theta, 3)
+        reps = {j: spinrep.nc_spin_rep(family, j) for j in (0.5, 1.0, 1.5)}
+        for m in reps.values():
+            out.append(spinrep.nc_unitarity_check(family, m, nm, tol))
         for j in (1.0, 1.5):
-            out.append(spinrep.first_column_check(theta, j, nm, tol))
-            out.append(spinrep.projector_relation_check(theta, j, nm, tol))
+            lifted = veronese.lift(family, int(2 * j))
+            out.append(spinrep.first_column_check(reps[j], lifted, nm, tol))
+            out.append(spinrep.projector_relation_check(reps[j], lifted, nm, tol))
         if not jc.resonant(theta):
             # at resonance the conjugated tensor square happens to agree
             # with the block form on the common domain, so there is no
             # breakdown to assert there; for small negative theta the
             # mismatch is about 0.146 |theta|, so the floor scales with it
-            out.append(spinrep.tensor_breakdown_check(theta, nm, min(1e-8, 1e-2 * abs(theta))))
+            floor = min(1e-8, 1e-2 * abs(theta))
+            out.append(spinrep.tensor_breakdown_check(theta, reps[0.5], reps[1.0], nm, floor))
     return out
 
 
 def run_classical(cfg: SuiteConfig) -> List[CheckResult]:
-    import numpy as np
-
     out: List[CheckResult] = []
     worst = classical.verify_sample(200, cfg.seed)
     out.append(upper_bound_check("sphere_identities_sample", worst, 1e-12))

@@ -18,7 +18,7 @@ import numpy as np
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator
 from .report import CheckResult, lower_bound_check
-from .veronese import build_family, lift, projector_pn, x_operator, y_operator
+from .veronese import LiftedColumn, VeroneseFamily, projector_pn
 
 _S2 = np.sqrt(2.0)
 _S3 = np.sqrt(3.0)
@@ -166,21 +166,18 @@ def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
 # -- operator-valued analogues ---------------------------------------------
 
 
-def chart_matrix(theta: float) -> OpMatrix:
+def chart_matrix(family: VeroneseFamily) -> OpMatrix:
     """[[X_0, -Y_0†], [Y_0, X_{-1}]] -- the base unitary the higher maps lift."""
-    x0 = x_operator(theta, 0)
-    x1 = x_operator(theta, 1)
-    y0 = y_operator(theta, 0)
-    return OpMatrix.build([[x0, -y0.dagger()], [y0, x1]])
+    return OpMatrix.build([[family.x[0], -family.y[0].dagger()], [family.y[0], family.x[1]]])
 
 
-def nc_spin_rep(theta: float, j: float) -> OpMatrix:
-    """Operator matrix playing the role of spin_rep for j in {1/2, 1, 3/2}."""
+def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
+    """Operator matrix playing the role of spin_rep for j in {1/2, 1, 3/2},
+    read from a family of degree at least 2j."""
     if j == 0.5:
-        return chart_matrix(theta)
-    x = [x_operator(theta, i) for i in range(4)]
-    y = [y_operator(theta, i) for i in range(3)]
-    yd = [op.dagger() for op in y]
+        return chart_matrix(family)
+    x, y = family.x, family.y
+    yd = [op.dagger() for op in y[:3]]
     if j == 1:
         return OpMatrix.build(
             [
@@ -223,61 +220,56 @@ def nc_spin_rep(theta: float, j: float) -> OpMatrix:
     raise ValueError(f"no operator matrix for j={j}")
 
 
-def family_string_map(theta: float, n: int, n_max: int) -> Dict[int, List[int]]:
+def family_string_map(family: VeroneseFamily, n: int, n_max: int) -> Dict[int, List[int]]:
     """The level strings: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
 
     Column k of the operator spin matrices is normalized through the
     level-k sum rule, so its domain excludes the singular states of both
     level-k generators even when only one of them appears in the column.
     """
-    levels = range(n + 1)
-    generators = [[x_operator(theta, k) for k in levels], [y_operator(theta, k) for k in levels]]
-    return strings(n_max, OpMatrix.build(generators))
+    return strings(n_max, OpMatrix.build([family.x[: n + 1], family.y[: n + 1]]))
 
 
-def nc_unitarity_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
-    """Unitarity of the operator spin matrix off its level strings."""
-    skip = family_string_map(theta, int(round(2 * j)), n_max)
-    return check_unitary(nc_spin_rep(theta, j), n_max, tol, f"nc_spin_unitary_j{j}_theta{theta}", skip=skip)
+def _spin(m: OpMatrix) -> float:
+    return (m.rows - 1) / 2
 
 
-def first_column_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
+def _first_column(m: OpMatrix) -> OpMatrix:
+    return OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
+
+
+def nc_unitarity_check(family: VeroneseFamily, m: OpMatrix, n_max: int, tol: float) -> CheckResult:
+    """Unitarity of the operator spin matrix ``m`` off the level strings of
+    the family it was read from."""
+    skip = family_string_map(family, m.rows - 1, n_max)
+    return check_unitary(m, n_max, tol, f"nc_spin_unitary_j{_spin(m)}_theta{family.theta}", skip=skip)
+
+
+def first_column_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
     """The first column of the j = 1 or 3/2 operator matrix is the
     degree-2j lifted column."""
-    m = nc_spin_rep(theta, j)
-    col = OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
-    target = lift(build_family(theta, int(round(2 * j)))).a_col
-    return matrix_equal(col, target, n_max, tol, name=f"first_column_j{j}_theta{theta}")
+    name = f"first_column_j{_spin(m)}_theta{lifted.family.theta}"
+    return matrix_equal(_first_column(m), lifted.a_col, n_max, tol, name=name)
 
 
-def projector_relation_check(theta: float, j: float, n_max: int, tol: float) -> CheckResult:
-    """M e00 M† equals the rank-1 projector of the degree-2j lifted column."""
-    m = nc_spin_rep(theta, j)
-    k = m.rows
-    e00 = OpMatrix.build(
-        [
-            [FockOperator.identity() if i == 0 and c == 0 else FockOperator.zero() for c in range(k)]
-            for i in range(k)
-        ]
-    )
-    target = projector_pn(lift(build_family(theta, int(round(2 * j)))))
-    return matrix_equal(m @ e00 @ m.dagger(), target, n_max, tol, name=f"projector_relation_j{j}_theta{theta}")
+def projector_relation_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+    """M e00 M†, the projector c c† on the first column c of M, equals the
+    rank-1 projector of the degree-2j lifted column."""
+    col = _first_column(m)
+    name = f"projector_relation_j{_spin(m)}_theta{lifted.family.theta}"
+    return matrix_equal(col @ col.dagger(), projector_pn(lifted), n_max, tol, name=name)
 
 
-def tensor_breakdown_check(theta: float, n_max: int, floor: float) -> CheckResult:
+def tensor_breakdown_check(theta: float, v: OpMatrix, phi1: OpMatrix, n_max: int, floor: float) -> CheckResult:
     """The operator analogue of the pair decomposition fails: conjugating
-    V (x) V by T4 does not give diag(1, nc_spin_rep(1)).  Passes when the
-    deviation genuinely exceeds the floor."""
-    v = chart_matrix(theta)
+    V (x) V by T4 does not give diag(1, phi1), for the chart matrix V and
+    its spin-1 matrix phi1.  Passes when the deviation genuinely exceeds
+    the floor."""
     t4 = OpMatrix.from_scalars(T4)
     conj = t4.dagger() @ v.kron(v) @ t4
-    target_rows = [[FockOperator.zero() for _ in range(4)] for _ in range(4)]
-    target_rows[0][0] = FockOperator.identity()
-    phi1 = nc_spin_rep(theta, 1)
-    for i in range(3):
-        for k in range(3):
-            target_rows[i + 1][k + 1] = phi1.entry(i, k)
-    diff = conj - OpMatrix.build(target_rows)
+    zero = FockOperator.zero()
+    target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
+    diff = conj - target
     dev, where, excluded = matrix_grid_deviation(diff, n_max)
     detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
     return lower_bound_check(f"tensor_breakdown_theta{theta}", dev, floor, excluded, 4 * (n_max + 1), detail)

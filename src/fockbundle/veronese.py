@@ -57,8 +57,9 @@ def z_operator(theta: float, j: int) -> FockOperator:
 
 @dataclass(frozen=True)
 class VeroneseFamily:
+    """The chart entries up to degree n at one theta; a suite builds it once per theta."""
+
     theta: float
-    n: int
     x: List[FockOperator]  # X_0 .. X_{-n}
     y: List[FockOperator]  # Y_0 .. Y_{-n}
     z: List[FockOperator]  # Z_0 .. Z_{-n}
@@ -69,36 +70,35 @@ def build_family(theta: float, n: int) -> VeroneseFamily:
         raise ValueError("target degree must be at least 1")
     return VeroneseFamily(
         theta=theta,
-        n=n,
         x=[x_operator(theta, j) for j in range(n + 1)],
         y=[y_operator(theta, j) for j in range(n + 1)],
         z=[z_operator(theta, j) for j in range(n + 1)],
     )
 
 
-def sum_rule_check(theta: float, j: int, n_max: int, tol: float) -> CheckResult:
+def sum_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> CheckResult:
     """X_{-j}^2 + Y_{-j}† Y_{-j} = 1."""
-    x = x_operator(theta, j)
-    y = y_operator(theta, j)
-    return op_equal(x * x + y.dagger() * y, FockOperator.identity(), n_max, tol, name=f"sum_rule_j{j}_theta{theta}")
+    x, y = family.x[j], family.y[j]
+    return op_equal(
+        x * x + y.dagger() * y, FockOperator.identity(), n_max, tol, name=f"sum_rule_j{j}_theta{family.theta}"
+    )
 
 
-def shift_rule_check(theta: float, j: int, n_max: int, tol: float) -> CheckResult:
+def shift_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> CheckResult:
     """Y_{-j}† Y_{-j} = Y_{-(j-1)} Y_{-(j-1)}† for j >= 1."""
     if j < 1:
         raise ValueError("shift rule needs j >= 1")
-    yj = y_operator(theta, j)
-    yp = y_operator(theta, j - 1)
-    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, name=f"shift_rule_j{j}_theta{theta}")
+    yj, yp = family.y[j], family.y[j - 1]
+    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, name=f"shift_rule_j{j}_theta{family.theta}")
 
 
-def commutation_check(theta: float, j: int, k: int, n_max: int, tol: float) -> CheckResult:
+def commutation_check(family: VeroneseFamily, j: int, k: int, n_max: int, tol: float) -> CheckResult:
     """Y_{-j} X_{-k}^{-1} = X_{-(k+1)}^{-1} Y_{-j} (shift-through of the creation factor)."""
-    tol_sigma = sigma_tol(theta)
-    y = y_operator(theta, j)
-    xk_inv = x_operator(theta, k).inverse(tol_sigma)
-    xk1_inv = x_operator(theta, k + 1).inverse(tol_sigma)
-    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, name=f"commutation_j{j}_k{k}_theta{theta}")
+    tol_sigma = sigma_tol(family.theta)
+    y = family.y[j]
+    xk_inv = family.x[k].inverse(tol_sigma)
+    xk1_inv = family.x[k + 1].inverse(tol_sigma)
+    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, name=f"commutation_j{j}_k{k}_theta{family.theta}")
 
 
 def _ordered_product(ops: List[FockOperator]) -> FockOperator:
@@ -115,27 +115,27 @@ def op_power(op: FockOperator, k: int) -> FockOperator:
 @dataclass(frozen=True)
 class LiftedColumn:
     family: VeroneseFamily
+    n: int  # the degree, at most the family's
     a_col: OpMatrix  # (n+1) x 1
     z_col: OpMatrix  # n x 1
 
     def check_name(self, stem: str) -> str:
-        return f"{stem}_n{self.family.n}_theta{self.family.theta}"
+        return f"{stem}_n{self.n}_theta{self.family.theta}"
 
 
-def lift(family: VeroneseFamily) -> LiftedColumn:
-    """The degree-n column with entries sqrt(nCj) Y_{-(j-1)}...Y_0 X_0^{n-j}."""
-    n, theta = family.n, family.theta
+def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
+    """The degree-n column with entries sqrt(nCj) Y_{-(j-1)}...Y_0 X_0^{n-j},
+    read from a family of degree at least n."""
     x0 = family.x[0]
-    a_entries = [op_power(x0, n)]
+    a_entries, z_entries = [op_power(x0, n)], []
     for j in range(1, n + 1):
-        ys = [family.y[i] for i in range(j - 1, -1, -1)]  # Y_{-(j-1)} leftmost
-        a_entries.append(math.sqrt(math.comb(n, j)) * (_ordered_product(ys) * op_power(x0, n - j)))
-    z_entries = []
-    for k in range(1, n + 1):
-        zs = [family.z[i] for i in range(k - 1, -1, -1)]
-        z_entries.append(math.sqrt(math.comb(n, k)) * _ordered_product(zs))
+        w = math.sqrt(math.comb(n, j))
+        # the reversed slices put Y_{-(j-1)} and Z_{-(j-1)} leftmost
+        a_entries.append(w * (_ordered_product(family.y[j - 1 :: -1]) * op_power(x0, n - j)))
+        z_entries.append(w * _ordered_product(family.z[j - 1 :: -1]))
     return LiftedColumn(
         family=family,
+        n=n,
         a_col=OpMatrix.build([[e] for e in a_entries]),
         z_col=OpMatrix.build([[e] for e in z_entries]),
     )
@@ -160,7 +160,7 @@ def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckRe
     fam = lifted.family
     z0 = fam.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
-    scale = base.power(-fam.n / 2.0, sigma_tol(fam.theta))
+    scale = base.power(-lifted.n / 2.0, sigma_tol(fam.theta))
     stacked = [[FockOperator.identity() * scale]]
     for i in range(lifted.z_col.rows):
         stacked.append([lifted.z_col.entry(i, 0) * scale])
@@ -169,11 +169,10 @@ def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckRe
 
 def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
     """1 + Zcol† Zcol = (1 + Z_0† Z_0)^n."""
-    fam = lifted.family
-    z0 = fam.z[0]
+    z0 = lifted.family.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
     return op_equal(
-        _one_plus_ztz(lifted), op_power(base, fam.n), n_max, tol, name=lifted.check_name("binomial_power")
+        _one_plus_ztz(lifted), op_power(base, lifted.n), n_max, tol, name=lifted.check_name("binomial_power")
     )
 
 
@@ -185,8 +184,7 @@ def projector_pn(lifted: LiftedColumn) -> OpMatrix:
 def oike_layout(lifted: LiftedColumn) -> OpMatrix:
     """The projector written through the coordinate column: blocks of
     (1+Z†Z)^{-1} against Z entries."""
-    fam = lifted.family
-    s_inv = _one_plus_ztz(lifted).inverse(sigma_tol(fam.theta))
+    s_inv = _one_plus_ztz(lifted).inverse(sigma_tol(lifted.family.theta))
     zc = lifted.z_col
     n = zc.rows
     rows = [[s_inv] + [s_inv * zc.entry(k, 0).dagger() for k in range(n)]]

@@ -70,7 +70,7 @@ def test_acceptance_spectral_decomposition(theta):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_acceptance_lift_identities(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     assert veronese.lift_norm_check(lifted, 48, 1e-9).passed
     assert veronese.binomial_power_check(lifted, 48, 1e-9).passed
 
@@ -78,15 +78,15 @@ def test_acceptance_lift_identities(theta, n):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
 def test_acceptance_family_rules(theta, j):
-    assert veronese.sum_rule_check(theta, j, 48, 1e-9).passed
+    assert veronese.sum_rule_check(veronese.build_family(theta, 4), j, 48, 1e-9).passed
     if j >= 1:
-        assert veronese.shift_rule_check(theta, j, 48, 1e-9).passed
+        assert veronese.shift_rule_check(veronese.build_family(theta, 4), j, 48, 1e-9).passed
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_acceptance_oike_layout(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     res = veronese.oike_layout_check(lifted, 48, 1e-10)
     assert res.passed, res.text_line()
 
@@ -110,16 +110,20 @@ def test_acceptance_su2_reps_random_pairs():
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_acceptance_nc_spin_reps(theta, j):
-    assert spinrep.nc_unitarity_check(theta, j, 48, 1e-10).passed
-    assert spinrep.first_column_check(theta, j, 48, 1e-10).passed
-    assert spinrep.projector_relation_check(theta, j, 48, 1e-10).passed
+    family = veronese.build_family(theta, 3)
+    m, lifted = spinrep.nc_spin_rep(family, j), veronese.lift(family, int(2 * j))
+    assert spinrep.nc_unitarity_check(family, m, 48, 1e-10).passed
+    assert spinrep.first_column_check(m, lifted, 48, 1e-10).passed
+    assert spinrep.projector_relation_check(m, lifted, 48, 1e-10).passed
 
 
 # 7. the tensor square does not block-decompose off resonance
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_acceptance_tensor_obstruction(theta):
-    res = spinrep.tensor_breakdown_check(theta, 48, 1e-8)
+    family = veronese.build_family(theta, 3)
+    v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
+    res = spinrep.tensor_breakdown_check(theta, v, phi1, 48, 1e-8)
     assert res.passed, res.text_line()
     assert res.max_deviation > 1e-8
 
@@ -165,11 +169,13 @@ def _representative_deviations(n_max):
         devs[f"chart_{theta}"] = matrix_equal(rebuilt, jc.build_h_jc(theta), n_max, 1e-10).max_deviation
         spectral = jc.spectral_decomposition_check(theta, jc.build_h_jc(theta), jc.projector_pjc(theta), n_max, 1e-10)
         devs[f"spectral_{theta}"] = spectral.max_deviation
-        lifted = veronese.lift(veronese.build_family(theta, 3)) if theta > 0 else None
+        lifted = veronese.lift(veronese.build_family(theta, 3), 3) if theta > 0 else None
         if lifted is not None:
             devs[f"lift_{theta}"] = veronese.lift_norm_check(lifted, n_max, 1e-9).max_deviation
     devs["projector"] = check_idempotent_hermitian(jc.projector_pjc(1.0), n_max, 1e-10).max_deviation
-    devs["nc_unitary"] = spinrep.nc_unitarity_check(1.0, 1.5, n_max, 1e-10).max_deviation
+    family = veronese.build_family(1.0, 3)
+    unitarity = spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, 1.5), n_max, 1e-10)
+    devs["nc_unitary"] = unitarity.max_deviation
     return devs
 
 

@@ -279,3 +279,37 @@ def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
         ]
         assert calls.count(("projector_pjc", theta)) + calls.count(("projector_pjc", theta, "left")) == 1
     assert [c[0] for c in calls].count("transition_singular_map") == 1
+
+
+def test_spin_and_veronese_suites_build_one_family_per_theta(monkeypatch):
+    calls = []
+    for module, name in ((cli.veronese, "build_family"), (cli.spinrep, "nc_spin_rep")):
+
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls.append((_name,) + args)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    thetas = [1.0, -0.5]
+    for suite, degree, spins in (("veronese", 4, []), ("spinrep", 3, [0.5, 1.0, 1.5])):
+        calls.clear()
+        cfg = cli.SuiteConfig(suite=suite, theta_list=thetas, n_max=8)
+        assert all(c.passed for c in cli.run_suite(cfg).checks)
+        for theta in thetas:
+            assert [c for c in calls if c[:2] == ("build_family", theta)] == [("build_family", theta, degree)]
+            assert [c[2] for c in calls if c[0] == "nc_spin_rep" and c[1].theta == theta] == spins
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "fock", "--nmax", "100000000000000000000"],
+        ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "4", "1e300"],
+    ],
+)
+def test_nmax_beyond_the_index_grid_numpy_can_hold_exits_two(argv, capsys):
+    # both sizes are past numpy's limit, so even without the bound nothing would be allocated
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "n_max" in err

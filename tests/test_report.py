@@ -14,6 +14,7 @@ import pytest
 from fockbundle import spinrep
 from fockbundle.opmatrix import OpMatrix, matrix_equal
 from fockbundle.report import exact_set_check, lower_bound_check, monotone_check, upper_bound_check
+from fockbundle.veronese import build_family
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
@@ -45,7 +46,9 @@ def test_lower_bound_rule():
 
 
 def test_tensor_breakdown_fails_at_nan_theta():
-    res = spinrep.tensor_breakdown_check(float("nan"), 6, 1e-8)
+    family = build_family(float("nan"), 3)
+    v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
+    res = spinrep.tensor_breakdown_check(float("nan"), v, phi1, 6, 1e-8)
     assert not res.passed, res.text_line()
 
 

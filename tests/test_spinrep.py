@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockbundle import spinrep
-from fockbundle.veronese import x_operator, y_operator
+from fockbundle.veronese import build_family, lift, x_operator, y_operator
 
 N_MAX = 32
 TOL = 1e-12
@@ -14,6 +14,22 @@ NC_TOL = 1e-10
 
 def _dev(a, b):
     return float(np.max(np.abs(a - b)))
+
+
+def _unitarity(theta, j):
+    family = build_family(theta, 3)
+    return spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), N_MAX, NC_TOL)
+
+
+def _rep_and_lift(theta, j):
+    family = build_family(theta, 3)
+    return spinrep.nc_spin_rep(family, j), lift(family, int(2 * j))
+
+
+def _breakdown(theta, floor):
+    family = build_family(theta, 3)
+    v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
+    return spinrep.tensor_breakdown_check(theta, v, phi1, N_MAX, floor)
 
 
 def test_su2_element_validation():
@@ -62,39 +78,39 @@ def test_triple_decomposition():
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_chart_matrix_unitary_half_spin(theta):
-    assert spinrep.nc_unitarity_check(theta, 0.5, N_MAX, NC_TOL).passed
+    assert _unitarity(theta, 0.5).passed
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_nc_rep_unitary_off_strings(theta, j):
-    res = spinrep.nc_unitarity_check(theta, j, N_MAX, NC_TOL)
+    res = _unitarity(theta, j)
     assert res.passed, res.text_line()
 
 
 def test_family_string_map_covers_partner_singularities():
     # at theta=2 the slot-3 diagonal factor is regular at |0> (theta^2 > 1)
     # but its sum-rule partner is not, so the state stays excluded
-    assert 0 in spinrep.family_string_map(2.0, 3, N_MAX)[3]
+    assert 0 in spinrep.family_string_map(build_family(2.0, 3), 3, N_MAX)[3]
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_first_column_is_lifted_column(theta, j):
-    res = spinrep.first_column_check(theta, j, N_MAX, NC_TOL)
+    res = spinrep.first_column_check(*_rep_and_lift(theta, j), N_MAX, NC_TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_projector_relation(theta, j):
-    res = spinrep.projector_relation_check(theta, j, N_MAX, NC_TOL)
+    res = spinrep.projector_relation_check(*_rep_and_lift(theta, j), N_MAX, NC_TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_tensor_square_does_not_block_decompose(theta):
-    res = spinrep.tensor_breakdown_check(theta, N_MAX, 1e-8)
+    res = _breakdown(theta, 1e-8)
     assert res.passed, res.text_line()
     assert res.max_deviation > 0.1  # the obstruction is order one, not roundoff
 
@@ -103,7 +119,7 @@ def test_tensor_square_recovers_block_form_at_resonance():
     # with no detuning the conjugated tensor square does agree with the
     # block form on the common domain, so the obstruction check would be
     # vacuous there; pin that boundary behavior
-    res = spinrep.tensor_breakdown_check(0.0, N_MAX, 1e-8)
+    res = _breakdown(0.0, 1e-8)
     assert not res.passed
     assert res.max_deviation < 1e-12
 
@@ -116,4 +132,4 @@ def test_family_string_map_is_the_union_of_generator_supports(theta, n):
         bad = x_operator(theta, k).singular_support(24) | y_operator(theta, k).singular_support(24)
         if bad:
             union[k + 1] = bad
-    assert {k: set(v) for k, v in spinrep.family_string_map(theta, n, 24).items()} == union
+    assert {k: set(v) for k, v in spinrep.family_string_map(build_family(theta, 3), n, 24).items()} == union

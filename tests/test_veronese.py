@@ -1,7 +1,9 @@
 """Tests for the diagonal-coefficient family X/Y/Z, the lifted columns of
 weighted shifts and their rank-one projectors."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
 
 N_MAX = 32
 TOL = 1e-10
+SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
 THETAS = [2.0, 1.0, 0.5, 0.0, -0.5]
 
@@ -19,21 +22,21 @@ THETAS = [2.0, 1.0, 0.5, 0.0, -0.5]
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("j", range(5))
 def test_sum_rule(theta, j):
-    res = veronese.sum_rule_check(theta, j, N_MAX, TOL)
+    res = veronese.sum_rule_check(veronese.build_family(theta, 4), j, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("j", range(1, 5))
 def test_shift_rule(theta, j):
-    res = veronese.shift_rule_check(theta, j, N_MAX, TOL)
+    res = veronese.shift_rule_check(veronese.build_family(theta, 4), j, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5, -0.5])
 @pytest.mark.parametrize("k", range(4))
 def test_commutation_rule(theta, k):
-    res = veronese.commutation_check(theta, k, k + 1, N_MAX, TOL)
+    res = veronese.commutation_check(veronese.build_family(theta, 5), k, k + 1, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
@@ -69,7 +72,7 @@ def test_z_regular_at_vacuum_for_positive_theta():
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lift_is_isometric_column(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     res = veronese.lift_norm_check(lifted, N_MAX, TOL)
     assert res.passed, res.text_line()
 
@@ -77,7 +80,7 @@ def test_lift_is_isometric_column(theta, n):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_factored_form_and_binomial_power(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     assert veronese.factored_form_check(lifted, N_MAX, TOL).passed
     assert veronese.binomial_power_check(lifted, N_MAX, TOL).passed
 
@@ -85,7 +88,7 @@ def test_factored_form_and_binomial_power(theta, n):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_projector_and_eigencolumn(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     p = veronese.projector_pn(lifted)
     assert check_idempotent_hermitian(p, N_MAX, TOL).passed
     assert veronese.eigencolumn_check(lifted, N_MAX, TOL).passed
@@ -94,13 +97,27 @@ def test_projector_and_eigencolumn(theta, n):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_oike_layout(theta, n):
-    lifted = veronese.lift(veronese.build_family(theta, n))
+    lifted = veronese.lift(veronese.build_family(theta, n), n)
     res = veronese.oike_layout_check(lifted, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 def test_lift_degree_one_matches_chart_column():
     # for n=1 the lifted column is just (X0; Y0)
-    lifted = veronese.lift(veronese.build_family(1.0, 1))
+    lifted = veronese.lift(veronese.build_family(1.0, 1), 1)
     col = veronese.OpMatrix.build([[veronese.x_operator(1.0, 0)], [veronese.y_operator(1.0, 0)]])
     assert matrix_equal(lifted.a_col, col, N_MAX, TOL).passed
+
+
+def test_only_build_family_builds_the_operator_family():
+    builders = ("x_operator", "y_operator", "z_operator")
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in builders:
+                        callers.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
+    assert callers == {"veronese.py:build_family"}

@@ -244,15 +244,19 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         raise ConfigError("sweep values must be finite")
     if axis == "nmax" and not all(v == int(v) for v in values):
         raise ConfigError("nmax sweep values must be integers")
-    rows: List[Tuple[float, VerificationReport]] = []
-    columns: Dict[str, None] = {}
-    for v in values:
-        sub = replace(
+    # every row's configuration is checked before the first row runs
+    subs = [
+        replace(
             cfg,
             theta_list=[v] if axis == "theta" else cfg.theta_list,
             n_max=int(v) if axis == "nmax" else cfg.n_max,
             t=v if axis == "t" else cfg.t,
         )
+        for v in values
+    ]
+    rows: List[Tuple[float, VerificationReport]] = []
+    columns: Dict[str, None] = {}
+    for v, sub in zip(values, subs):
         report = run_suite(sub)
         columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)
         rows.append((v, report))

@@ -1,16 +1,20 @@
 """Spin representations of SU(2) and their operator-valued analogues.
 
-Numeric spin-j matrices for j = 1/2, 1, 3/2, the Clebsch-Gordan change of
-basis for two- and three-fold tensor products, and the operator matrices
-built from the chart entries X_{-j}, Y_{-j}.  Includes the negative
-result: conjugating the operator tensor square by the Clebsch-Gordan
-matrix does NOT block-diagonalize it.
+The spin-j irrep, for any positive half-integer j, is the 2j-th symmetric
+power of the defining representation; one term table of that power serves
+the numeric matrices and the operator matrices read from the chart entries.
+From j = 2 on, the level strings of the operator matrices reach excited
+states (at theta = 1, slot 5 of the spin-2 matrix excludes n = 0, 1, 2).
+Also the Clebsch-Gordan change of basis for two- and three-fold tensor
+products, and the negative result: conjugating the operator tensor square
+by the Clebsch-Gordan matrix does NOT block-diagonalize it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import comb, sqrt
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -74,33 +78,50 @@ def random_su2(rng: np.random.Generator) -> SU2Element:
     return SU2Element(alpha=complex(v[0], v[1]), beta=complex(v[2], v[3]))
 
 
+def _degree(j: float) -> int:
+    if not (2 * j >= 1 and float(2 * j).is_integer()):
+        raise ValueError(f"spin must be a positive half-integer, got {j!r}")
+    return int(2 * j)
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_power(n: int) -> Tuple[Tuple[int, int, float, Tuple[Tuple[int, int, int], ...]], ...]:
+    """The terms (i, k, weight, factors) of the n-th symmetric power of a 2x2
+    matrix g, one per entry (i, k) and count r of (1, 1) factors.  Basis
+    vector k is t = 0^(n-k) 1^k, and s = 0^(n-k-i+r) 1^(i-r) 0^(k-r) 1^r
+    stands for all C(k, r) C(n-k, i-r) orderings of its blocks.  A factor is
+    (s_m, t_m, level): the block g[s_m, t_m] at level (ones of s before m)
+    + (ones of t after m).  The weight holds the sign of g01.
+    """
+    terms = []
+    for i in range(n + 1):
+        for k in range(n + 1):
+            t = "0" * (n - k) + "1" * k
+            for r in range(max(0, i + k - n), min(i, k) + 1):
+                s = "0" * (n - k - i + r) + "1" * (i - r) + "0" * (k - r) + "1" * r
+                factors = tuple((int(s[m]), int(t[m]), s[:m].count("1") + t[m + 1 :].count("1")) for m in range(n))
+                weight = (-1) ** (k - r) * comb(k, r) * comb(n - k, i - r) * sqrt(comb(n, k) / comb(n, i))
+                terms.append((i, k, weight, factors))
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_table(n: int) -> Tuple[np.ndarray, ...]:
+    """``_symmetric_power(n)`` for commuting blocks: rows, columns, weights and
+    the exponents of the blocks (0, 0), (1, 0), (0, 1), (1, 1) of each term."""
+    rows, cols, weights, factors = zip(*_symmetric_power(n))
+    exponents = [[sum((o, t) == b for o, t, _ in f) for b in ((0, 0), (1, 0), (0, 1), (1, 1))] for f in factors]
+    return np.array(rows), np.array(cols), np.array(weights), np.array(exponents)
+
+
 def spin_rep(g: SU2Element, j: float) -> np.ndarray:
-    """Spin-j matrix for j in {1/2, 1, 3/2}."""
-    a, b = g.alpha, g.beta
-    ac, bc = np.conj(a), np.conj(b)
-    if j == 0.5:
-        return g.matrix()
-    if j == 1:
-        return np.array(
-            [
-                [a**2, -_S2 * a * bc, bc**2],
-                [_S2 * a * b, abs(a) ** 2 - abs(b) ** 2, -_S2 * ac * bc],
-                [b**2, _S2 * ac * b, ac**2],
-            ],
-            dtype=complex,
-        )
-    if j == 1.5:
-        aa, bb = abs(a) ** 2, abs(b) ** 2
-        return np.array(
-            [
-                [a**3, -_S3 * a**2 * bc, _S3 * a * bc**2, -(bc**3)],
-                [_S3 * a**2 * b, (aa - 2 * bb) * a, -(2 * aa - bb) * bc, _S3 * ac * bc**2],
-                [_S3 * a * b**2, (2 * aa - bb) * b, (aa - 2 * bb) * ac, -_S3 * ac**2 * bc],
-                [b**3, _S3 * ac * b**2, _S3 * ac**2 * b, ac**3],
-            ],
-            dtype=complex,
-        )
-    raise ValueError(f"no explicit spin-{j} matrix available")
+    """Spin-j matrix of g, its 2j-th symmetric power, for any positive half-integer j."""
+    n = _degree(j)
+    rows, cols, weights, exponents = _exponent_table(n)
+    blocks = np.array([g.alpha, g.beta, np.conj(g.beta), np.conj(g.alpha)], dtype=complex)
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    np.add.at(out, (rows, cols), weights * np.prod(blocks**exponents, axis=1))
+    return out
 
 
 def cg_decompose_pair(g: SU2Element) -> np.ndarray:
@@ -168,56 +189,31 @@ def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
 
 def chart_matrix(family: VeroneseFamily) -> OpMatrix:
     """[[X_0, -Y_0†], [Y_0, X_{-1}]] -- the base unitary the higher maps lift."""
-    return OpMatrix.build([[family.x[0], -family.y[0].dagger()], [family.y[0], family.x[1]]])
+    return nc_spin_rep(family, 0.5)
 
 
 def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
-    """Operator matrix playing the role of spin_rep for j in {1/2, 1, 3/2},
-    read from a family of degree at least 2j."""
-    if j == 0.5:
-        return chart_matrix(family)
+    """The 2j-th symmetric power of the chart matrix [[X_0, -Y_0†], [Y_0, X_{-1}]],
+    for any positive half-integer j, read from a family of degree at least 2j."""
+    n = _degree(j)
+    if len(family.x) <= n:
+        raise ValueError(f"spin {j} needs a family of degree at least {n}, got {len(family.x) - 1}")
     x, y = family.x, family.y
-    yd = [op.dagger() for op in y[:3]]
-    if j == 1:
-        return OpMatrix.build(
-            [
-                [x[0] * x[0], -_S2 * (x[0] * yd[0]), yd[0] * yd[1]],
-                [_S2 * (y[0] * x[0]), x[1] * x[1] - yd[1] * y[1], -_S2 * (x[1] * yd[1])],
-                [y[1] * y[0], _S2 * (y[1] * x[1]), x[2] * x[2]],
-            ]
-        )
-    if j == 1.5:
-        x1sq = x[1] * x[1]
-        x2sq = x[2] * x[2]
-        return OpMatrix.build(
-            [
-                [
-                    x[0] * x[0] * x[0],
-                    -_S3 * (x[0] * x[0] * yd[0]),
-                    _S3 * (x[0] * yd[0] * yd[1]),
-                    -(yd[0] * yd[1] * yd[2]),
-                ],
-                [
-                    _S3 * (y[0] * x[0] * x[0]),
-                    x[1] * (x1sq - 2.0 * (yd[1] * y[1])),
-                    -((2.0 * x1sq - yd[1] * y[1]) * yd[1]),
-                    _S3 * (x[1] * yd[1] * yd[2]),
-                ],
-                [
-                    _S3 * (y[1] * y[0] * x[0]),
-                    y[1] * (2.0 * x1sq - yd[1] * y[1]),
-                    x[2] * (x2sq - 2.0 * (yd[2] * y[2])),
-                    -_S3 * (x2sq * yd[2]),
-                ],
-                [
-                    y[2] * y[1] * y[0],
-                    _S3 * (y[2] * y[1] * x[1]),
-                    _S3 * (y[2] * x2sq),
-                    x[3] * x[3] * x[3],
-                ],
-            ]
-        )
-    raise ValueError(f"no operator matrix for j={j}")
+
+    @functools.lru_cache(maxsize=None)
+    def chain(factors: tuple) -> FockOperator:
+        # factor 0 acts first, so a chain composes leftward; a prefix shared by terms is one operator
+        if len(factors) > 1:
+            return chain(factors[-1:]) * chain(factors[:-1])
+        # the blocks (0, 0), (1, 0), (0, 1), (1, 1) at level l are X_{-l}, Y_{-l}, Y_{-l}†, X_{-(l+1)}
+        out_bit, in_bit, level = factors[0]
+        return (x[level + 1] if out_bit else y[level].dagger()) if in_bit else (y if out_bit else x)[level]
+
+    entries = [[FockOperator.zero()] * (n + 1) for _ in range(n + 1)]
+    for i, k, weight, factors in _symmetric_power(n):
+        term = chain(factors)
+        entries[i][k] = entries[i][k] + (term if weight == 1 else weight * term)
+    return OpMatrix.build(entries)
 
 
 def family_string_map(family: VeroneseFamily, n: int, n_max: int) -> Dict[int, List[int]]:
@@ -246,8 +242,8 @@ def nc_unitarity_check(family: VeroneseFamily, m: OpMatrix, n_max: int, tol: flo
 
 
 def first_column_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
-    """The first column of the j = 1 or 3/2 operator matrix is the
-    degree-2j lifted column."""
+    """The first column of the operator spin-j matrix is the degree-2j
+    lifted column."""
     name = f"first_column_j{_spin(m)}_theta{lifted.family.theta}"
     return matrix_equal(_first_column(m), lifted.a_col, n_max, tol, name=name)
 

@@ -235,6 +235,14 @@ def test_non_integral_nmax_sweep_value_exits_two(capsys):
     assert "nmax" in err
 
 
+def test_sweep_checks_every_row_before_running_any(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg))
+    code, out, err = run_main(["sweep", "--suite", "all", "--axis", "nmax", "--values", "48", "2"], capsys)
+    assert (code, out, ran) == (2, "", [])
+    assert "n_max must be at least 4" in err
+
+
 def test_negative_infinite_sweep_value_reaches_the_finiteness_check(capsys):
     code, out, err = run_main(["sweep", "--suite", "fock", "--axis", "theta", "--values", "-inf", "1"], capsys)
     assert code == 2

@@ -5,25 +5,99 @@ import numpy as np
 import pytest
 
 from fockbundle import spinrep
+from fockbundle.opmatrix import OpMatrix, matrix_equal
 from fockbundle.veronese import build_family, lift, x_operator, y_operator
 
 N_MAX = 32
 TOL = 1e-12
 NC_TOL = 1e-10
+S2, S3 = np.sqrt(2.0), np.sqrt(3.0)
 
 
 def _dev(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def _n_max(j):
+    # from j = 2 on the matrices are large enough that a short grid keeps the tests quick
+    return N_MAX if j < 2 else 12
+
+
 def _unitarity(theta, j):
-    family = build_family(theta, 3)
-    return spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), N_MAX, NC_TOL)
+    family = build_family(theta, 5)
+    return spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), _n_max(j), NC_TOL)
 
 
 def _rep_and_lift(theta, j):
-    family = build_family(theta, 3)
+    family = build_family(theta, 5)
     return spinrep.nc_spin_rep(family, j), lift(family, int(2 * j))
+
+
+def _hand_expanded_spin_rep(g, j):
+    """The spin-1 and spin-3/2 matrices written out entry by entry."""
+    a, b = g.alpha, g.beta
+    ac, bc = np.conj(a), np.conj(b)
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    if j == 1:
+        return np.array(
+            [
+                [a**2, -S2 * a * bc, bc**2],
+                [S2 * a * b, aa - bb, -S2 * ac * bc],
+                [b**2, S2 * ac * b, ac**2],
+            ]
+        )
+    return np.array(
+        [
+            [a**3, -S3 * a**2 * bc, S3 * a * bc**2, -(bc**3)],
+            [S3 * a**2 * b, (aa - 2 * bb) * a, -(2 * aa - bb) * bc, S3 * ac * bc**2],
+            [S3 * a * b**2, (2 * aa - bb) * b, (aa - 2 * bb) * ac, -S3 * ac**2 * bc],
+            [b**3, S3 * ac * b**2, S3 * ac**2 * b, ac**3],
+        ]
+    )
+
+
+def _hand_expanded_nc_spin_rep(family, j):
+    """The chart matrix and the operator spin-1 and spin-3/2 matrices
+    written out entry by entry, in the factor orders of the first hand
+    derivation."""
+    x, y = family.x, family.y
+    yd = [op.dagger() for op in y[:3]]
+    if j == 0.5:
+        return OpMatrix.build([[x[0], -yd[0]], [y[0], x[1]]])
+    if j == 1:
+        return OpMatrix.build(
+            [
+                [x[0] * x[0], -S2 * (x[0] * yd[0]), yd[0] * yd[1]],
+                [S2 * (y[0] * x[0]), x[1] * x[1] - yd[1] * y[1], -S2 * (x[1] * yd[1])],
+                [y[1] * y[0], S2 * (y[1] * x[1]), x[2] * x[2]],
+            ]
+        )
+    x1sq, x2sq = x[1] * x[1], x[2] * x[2]
+    return OpMatrix.build(
+        [
+            [x[0] * x[0] * x[0], -S3 * (x[0] * x[0] * yd[0]), S3 * (x[0] * yd[0] * yd[1]), -(yd[0] * yd[1] * yd[2])],
+            [
+                S3 * (y[0] * x[0] * x[0]),
+                x[1] * (x1sq - 2.0 * (yd[1] * y[1])),
+                -((2.0 * x1sq - yd[1] * y[1]) * yd[1]),
+                S3 * (x[1] * yd[1] * yd[2]),
+            ],
+            [
+                S3 * (y[1] * y[0] * x[0]),
+                y[1] * (2.0 * x1sq - yd[1] * y[1]),
+                x[2] * (x2sq - 2.0 * (yd[2] * y[2])),
+                -S3 * (x2sq * yd[2]),
+            ],
+            [y[2] * y[1] * y[0], S3 * (y[2] * y[1] * x[1]), S3 * (y[2] * x2sq), x[3] * x[3] * x[3]],
+        ]
+    )
+
+
+def _spin_generators(j):
+    """J_x, J_y, J_z of spin j in the basis m = j, j - 1, ..., -j."""
+    m = j - np.arange(int(2 * j) + 1)
+    raising = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1)), 1)
+    return (raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m)
 
 
 def _breakdown(theta, floor):
@@ -44,7 +118,7 @@ def test_cg_matrices_are_unitary():
     assert _dev(spinrep.T8.conj().T @ spinrep.T8, np.eye(8)) < TOL
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 2.5])
 def test_irrep_unitary_and_homomorphism(j):
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -58,8 +132,58 @@ def test_irrep_unitary_and_homomorphism(j):
 
 def test_identity_maps_to_identity():
     e = spinrep.SU2Element(1.0, 0.0)
-    for j, dim in ((0.5, 2), (1.0, 3), (1.5, 4)):
+    for j, dim in ((0.5, 2), (1.0, 3), (1.5, 4), (2.0, 5)):
         assert _dev(spinrep.spin_rep(e, j), np.eye(dim)) < TOL
+
+
+def test_half_spin_is_the_element_itself():
+    g = spinrep.random_su2(np.random.default_rng(5))
+    assert np.array_equal(spinrep.spin_rep(g, 0.5), g.matrix())
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5])
+def test_spin_rep_matches_the_hand_expanded_matrices(j):
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        g = spinrep.random_su2(rng)
+        assert _dev(spinrep.spin_rep(g, j), _hand_expanded_spin_rep(g, j)) <= 1e-15
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+def test_spin_rep_is_the_exponential_of_the_spin_generators(j):
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(19)
+    half, generators = _spin_generators(0.5), _spin_generators(j)
+    for _ in range(10):
+        h = rng.normal(size=3)
+        g = expm(-1j * sum(c * s for c, s in zip(h, half)))
+        rep = spinrep.spin_rep(spinrep.SU2Element(g[0, 0], g[1, 0]), j)
+        assert _dev(rep, expm(-1j * sum(c * s for c, s in zip(h, generators)))) < 1e-13
+
+
+@pytest.mark.parametrize("j", [0, 0.3, -0.5, 1.25, float("nan"), float("inf")])
+def test_spin_must_be_a_positive_half_integer(j):
+    with pytest.raises(ValueError):
+        spinrep.spin_rep(spinrep.SU2Element(1.0, 0.0), j)
+    with pytest.raises(ValueError):
+        spinrep.nc_spin_rep(build_family(1.0, 3), j)
+
+
+def test_operator_spin_needs_a_family_of_degree_2j():
+    family = build_family(1.0, 3)
+    assert spinrep.nc_spin_rep(family, 1.5).rows == 4
+    with pytest.raises(ValueError):
+        spinrep.nc_spin_rep(family, 2.0)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0, 0.37, 0.0])
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def test_nc_spin_rep_matches_the_hand_expanded_matrices(theta, j):
+    family = build_family(theta, 3)
+    reference = _hand_expanded_nc_spin_rep(family, j)
+    res = matrix_equal(spinrep.nc_spin_rep(family, j), reference, N_MAX, 1e-12)
+    assert res.passed, res.text_line()
+
 
 
 def test_pair_decomposition():
@@ -78,11 +202,12 @@ def test_triple_decomposition():
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_chart_matrix_unitary_half_spin(theta):
-    assert _unitarity(theta, 0.5).passed
+    family = build_family(theta, 1)
+    assert spinrep.nc_unitarity_check(family, spinrep.chart_matrix(family), N_MAX, NC_TOL).passed
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("j", [1.0, 1.5])
+@pytest.mark.parametrize("j", [1.0, 1.5, 2.0, 2.5])
 def test_nc_rep_unitary_off_strings(theta, j):
     res = _unitarity(theta, j)
     assert res.passed, res.text_line()
@@ -95,16 +220,16 @@ def test_family_string_map_covers_partner_singularities():
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("j", [1.0, 1.5])
+@pytest.mark.parametrize("j", [1.0, 1.5, 2.0, 2.5])
 def test_first_column_is_lifted_column(theta, j):
-    res = spinrep.first_column_check(*_rep_and_lift(theta, j), N_MAX, NC_TOL)
+    res = spinrep.first_column_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("j", [1.0, 1.5])
+@pytest.mark.parametrize("j", [1.0, 1.5, 2.0, 2.5])
 def test_projector_relation(theta, j):
-    res = spinrep.projector_relation_check(*_rep_and_lift(theta, j), N_MAX, NC_TOL)
+    res = spinrep.projector_relation_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
     assert res.passed, res.text_line()
 
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import classical, jc, spinrep, veronese
-from .operators import FockOperator, op_equal
+from .operators import ANNIHILATION, CREATION, FockOperator, op_equal
 from .opmatrix import check_idempotent_hermitian, matrix_equal
 from .report import CheckResult, VerificationReport, exact_set_check, format_excluded, upper_bound_check
 
@@ -70,8 +70,7 @@ class SuiteConfig:
 
 
 def run_fock(cfg: SuiteConfig) -> List[CheckResult]:
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
+    a, adag = ANNIHILATION, CREATION
     num = FockOperator.number_op()
     ident = FockOperator.identity()
     nm, tol = cfg.n_max, cfg.tol
@@ -87,7 +86,7 @@ def run_fock(cfg: SuiteConfig) -> List[CheckResult]:
 def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
     nm, tol = cfg.n_max, cfg.tol
-    glue = jc.transition_operator("ground")
+    glue = jc.transition_operator()
     transition = jc.transition_singular_map(nm)  # the same at every theta
     for theta in cfg.theta_list:
         h = jc.build_h_jc(theta)

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
-from .operators import FockOperator, grid_deviation, op_equal
+from .operators import ANNIHILATION, CREATION, FockOperator, grid_deviation, op_equal
 from .report import CheckResult, exact_set_check, merge_excluded, monotone_check, upper_bound_check
 from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
 
@@ -44,7 +44,7 @@ def r_operator(theta: float, offset: int = 0) -> FockOperator:
     return FockOperator.diagonal(r_symbol(theta, offset))
 
 
-def _prefactor(theta: float, sign: int, offset: int) -> DiagonalSymbol:
+def chart_prefactor(theta: float, sign: int, offset: int) -> DiagonalSymbol:
     """1 / sqrt(2 R(N+offset) (R(N+offset) + sign*theta))."""
     tol = sigma_tol(theta)
     r = r_symbol(theta, offset)
@@ -52,30 +52,17 @@ def _prefactor(theta: float, sign: int, offset: int) -> DiagonalSymbol:
 
 
 def build_h_jc(theta: float) -> OpMatrix:
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
-    return OpMatrix.build(
-        [
-            [FockOperator.scalar(theta), a],
-            [adag, FockOperator.scalar(-theta)],
-        ]
-    )
+    return OpMatrix.build([[FockOperator.scalar(theta), ANNIHILATION], [CREATION, FockOperator.scalar(-theta)]])
 
 
 def qdm_factorization(theta: float) -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
     """The shift / classical / shift triple whose ordered product is H_JC."""
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
-    inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number() + 1.0)))
-    sqrt_np1 = FockOperator.diagonal(guarded_sqrt(number() + 1.0))
-    left = OpMatrix.diag(FockOperator.identity(), adag * inv_sqrt_np1)
-    middle = OpMatrix.build(
-        [
-            [FockOperator.scalar(theta), sqrt_np1],
-            [sqrt_np1, FockOperator.scalar(-theta)],
-        ]
-    )
-    right = OpMatrix.diag(FockOperator.identity(), inv_sqrt_np1 * a)
+    root = guarded_sqrt(number(1))
+    inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, root))
+    sqrt_np1 = FockOperator.diagonal(root)
+    left = OpMatrix.diag(FockOperator.identity(), CREATION * inv_sqrt_np1)
+    middle = OpMatrix.build([[FockOperator.scalar(theta), sqrt_np1], [sqrt_np1, FockOperator.scalar(-theta)]])
+    right = OpMatrix.diag(FockOperator.identity(), inv_sqrt_np1 * ANNIHILATION)
     return left, middle, right
 
 
@@ -95,22 +82,20 @@ def qdm_reconstruction_check(theta: float, h: OpMatrix, n_max: int, tol: float) 
 
 
 def chart_core(theta: float, label: str) -> OpMatrix:
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
     r0 = r_operator(theta, 0)
     r1 = r_operator(theta, 1)
     if label == "I":
         return OpMatrix.build(
             [
-                [r1 + FockOperator.scalar(theta), -a],
-                [adag, r0 + FockOperator.scalar(theta)],
+                [r1 + FockOperator.scalar(theta), -ANNIHILATION],
+                [CREATION, r0 + FockOperator.scalar(theta)],
             ]
         )
     if label == "II":
         return OpMatrix.build(
             [
-                [a, FockOperator.scalar(theta) - r1],
-                [r0 - FockOperator.scalar(theta), adag],
+                [ANNIHILATION, FockOperator.scalar(theta) - r1],
+                [r0 - FockOperator.scalar(theta), CREATION],
             ]
         )
     raise ValueError(f"unknown chart label {label!r}")
@@ -119,8 +104,8 @@ def chart_core(theta: float, label: str) -> OpMatrix:
 def chart_unitary(theta: float, label: str, ordering: str = "left") -> OpMatrix:
     """V_I or V_II, with the scalar prefactors composed on the requested side."""
     sign = +1 if label == "I" else -1
-    p_upper = FockOperator.diagonal(_prefactor(theta, sign, 1))
-    p_lower = FockOperator.diagonal(_prefactor(theta, sign, 0))
+    p_upper = FockOperator.diagonal(chart_prefactor(theta, sign, 1))
+    p_lower = FockOperator.diagonal(chart_prefactor(theta, sign, 0))
     core = chart_core(theta, label)
     if ordering == "left":
         return OpMatrix.diag(p_upper, p_lower) @ core
@@ -181,35 +166,22 @@ def dirac_string_map(theta: float, label: str, chart: BundleChart, n_max: int) -
     return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, claimed_strings(theta)[f"chart_{label}"])
 
 
-def transition_operator(form: str = "ground") -> OpMatrix:
-    """The diagonal gluing operator between the two charts.
-
-    ``ground`` uses the 1/sqrt(N) writing (singular on slot 1, |0>);
-    ``shifted`` uses the equivalent 1/sqrt(N+1) writing.
-    """
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
-    if form == "ground":
-        inv_sqrt_n = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number())))
-        return OpMatrix.diag(a * inv_sqrt_n, inv_sqrt_n * adag)
-    if form == "shifted":
-        inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number() + 1.0)))
-        return OpMatrix.diag(inv_sqrt_np1 * a, adag * inv_sqrt_np1)
-    raise ValueError(f"unknown form {form!r}")
+def transition_operator() -> OpMatrix:
+    """The diagonal gluing operator between the two charts, in the
+    1/sqrt(N) writing that is singular on (slot 1, |0>)."""
+    inv_sqrt_n = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number())))
+    return OpMatrix.diag(ANNIHILATION * inv_sqrt_n, inv_sqrt_n * CREATION)
 
 
 def projector_pjc(theta: float, ordering: str = "left") -> OpMatrix:
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
-    r0 = r_operator(theta, 0)
-    r1 = r_operator(theta, 1)
+    r0, r1 = r_symbol(theta, 0), r_symbol(theta, 1)
     tol = sigma_tol(theta)
-    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r_symbol(theta, 1), tol))
-    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r_symbol(theta, 0), tol))
+    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1, tol))
+    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0, tol))
     core = OpMatrix.build(
         [
-            [r1 + FockOperator.scalar(theta), a],
-            [adag, r0 - FockOperator.scalar(theta)],
+            [FockOperator.diagonal(r1) + FockOperator.scalar(theta), ANNIHILATION],
+            [CREATION, FockOperator.diagonal(r0) - FockOperator.scalar(theta)],
         ]
     )
     pre = OpMatrix.diag(half_inv_r1, half_inv_r0)
@@ -228,7 +200,7 @@ def projector_singular_map(theta: float, p: OpMatrix, p_adjoint: OpMatrix, n_max
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     """Strings of the gluing operator in its defining form."""
-    return strings(n_max, transition_operator("ground"))
+    return strings(n_max, transition_operator())
 
 
 def spectral_decomposition_check(theta: float, h: OpMatrix, p: OpMatrix, n_max: int, tol: float) -> CheckResult:
@@ -244,8 +216,6 @@ def spectral_decomposition_check(theta: float, h: OpMatrix, p: OpMatrix, n_max: 
 
 def propagator_closed_form(theta: float, g: float, t: float) -> OpMatrix:
     """exp(-i g t H_JC) written with cos/sin of R(N), sinc-regularized at R=0."""
-    a = FockOperator.annihilation()
-    adag = FockOperator.creation()
     gt = g * t
     phase = theta * gt
 
@@ -257,7 +227,7 @@ def propagator_closed_form(theta: float, g: float, t: float) -> OpMatrix:
     e22 = diagonal(0, lambda x: (np.cos(x), phase * sinc(x)))  # cos + i theta gt sinc
     f_upper = diagonal(1, lambda x: (np.zeros_like(x), -gt * sinc(x)))  # -i gt sinc
     f_lower = diagonal(0, lambda x: (np.zeros_like(x), -gt * sinc(x)))
-    return OpMatrix.build([[e11, f_upper * a], [f_lower * adag, e22]])
+    return OpMatrix.build([[e11, f_upper * ANNIHILATION], [f_lower * CREATION, e22]])
 
 
 def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> OpMatrix:
@@ -325,26 +295,18 @@ def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_m
 # -- local coordinate and classical limit ---------------------------------
 
 
-def local_coordinate_z(theta: float, form: str = "prefactor_left") -> FockOperator:
+def local_coordinate_z(theta: float) -> FockOperator:
     """The off-diagonal chart coordinate (1/(R(N)+theta)) a-dagger."""
-    adag = FockOperator.creation()
-    tol = sigma_tol(theta)
-    if form == "prefactor_left":
-        pre = FockOperator.diagonal(guarded_div(1.0, r_symbol(theta, 0) + theta, tol))
-        return pre * adag
-    if form == "prefactor_right":
-        post = FockOperator.diagonal(guarded_div(1.0, r_symbol(theta, 1) + theta, tol))
-        return adag * post
-    raise ValueError(f"unknown form {form!r}")
+    pre = FockOperator.diagonal(guarded_div(1.0, r_symbol(theta, 0) + theta, sigma_tol(theta)))
+    return pre * CREATION
 
 
 def z_identity_check(theta: float, n_max: int, tol: float) -> CheckResult:
     """1 + Z†Z against 2 R(N+1) / (R(N+1)+theta)."""
     z = local_coordinate_z(theta)
     lhs = FockOperator.identity() + z.dagger() * z
-    rhs = FockOperator.diagonal(
-        guarded_div(2.0 * r_symbol(theta, 1), r_symbol(theta, 1) + theta, sigma_tol(theta))
-    )
+    r1 = r_symbol(theta, 1)
+    rhs = FockOperator.diagonal(guarded_div(2.0 * r1, r1 + theta, sigma_tol(theta)))
     return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{theta}")
 
 

@@ -130,6 +130,11 @@ class FockOperator:
         return grid_deviation([[self]], n_max)[2].get(1, set())
 
 
+# the ladder operators, built once: every builder composes these nodes
+ANNIHILATION = FockOperator.annihilation()
+CREATION = FockOperator.creation()
+
+
 # -- the grid scan -----------------------------------------------------------
 
 Location = Tuple[int, int, int, int]  # (row, column, n, d)

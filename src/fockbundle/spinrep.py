@@ -64,7 +64,7 @@ class SU2Element:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm is rejected too
             raise ValueError(f"column norm {norm} is not 1 within 1e-12")
 
     def matrix(self) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Coefficient functions of the photon-number index, evaluated over the grid.
 
-A DiagonalSymbol is a node of a guarded expression: a constant, the
-index itself, a vectorised leaf, add/sub/mul, a guarded division /
-square root / power of a real argument, or one of the two node kinds the
-shift algebra needs (a composed product and an adjoint coefficient).  A
-node evaluates on a whole int64 index array at once and returns the
-values plus a singular mask: a vanishing divisor, or a square root of a
-negative value, marks the index singular instead of producing NaN/Inf.
+A DiagonalSymbol is a node of a guarded expression, of one of 10 kinds:
+``const``; ``index``, N + k + c, the one writing of N +- k; a vectorised
+``leaf``; ``add`` and ``mul`` (a - b is a + (-1) b); the guarded ``div``,
+``sqrt`` and ``pow`` of a real argument; and ``composed`` and ``adjoint``,
+which the shift algebra needs.  A node evaluates on a whole int64 index
+array at once and returns the values plus a singular mask: a vanishing
+divisor, or a square root of a negative value, marks the index singular
+instead of producing NaN/Inf.
 
-Values keep CPython's scalar arithmetic bit for bit.  A real symbol is
-held as one float64 array; a complex one as real and imaginary float64
-arrays, combined with CPython's formulas for complex ``*`` and ``abs``.
+Values keep CPython's scalar arithmetic bit for bit, so reports do not
+depend on the machine's numpy kernels: a real symbol is one float64 array,
+a complex one real and imaginary float64 arrays combined with CPython's
+formulas for complex ``*`` and ``abs`` (hypot), and ``pow`` is CPython's
+float ``**`` element by element.  numpy's complex128 ``*``, ``np.abs``
+and ``np.power`` round differently on some machines.
 The grid is the only way to read a symbol: calling one on anything but
 an int64 index array is a TypeError.
 """
@@ -84,10 +88,6 @@ class DiagonalSymbol:
         return DiagonalSymbol("add", (self, other), self.real and other.real)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "DiagonalSymbol":
-        other = _coerce(other)
-        return DiagonalSymbol("sub", (self, other), self.real and other.real)
 
     def __mul__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
@@ -248,13 +248,12 @@ def _eval_leaf(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(np.asarray(re, dtype=float), np.asarray(im, dtype=float), None)
 
 
-def _eval_sum(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_add(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     a, b = (grid.values(x, k) for x in node.args)
-    combine = np.add if node.op == "add" else np.subtract
     im = None
     if not node.real:  # a missing imaginary part is an exact 0
-        im = combine(np.zeros_like(a.re) if a.im is None else a.im, np.zeros_like(b.re) if b.im is None else b.im)
-    return GridValues(combine(a.re, b.re), im, _either(a.singular, b.singular))
+        im = (np.zeros_like(a.re) if a.im is None else a.im) + (np.zeros_like(b.re) if b.im is None else b.im)
+    return GridValues(a.re + b.re, im, _either(a.singular, b.singular))
 
 
 def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -342,8 +341,7 @@ _EVAL = {
     "const": _eval_const,
     "index": _eval_index,
     "leaf": _eval_leaf,
-    "add": _eval_sum,
-    "sub": _eval_sum,
+    "add": _eval_add,
     "mul": _eval_mul,
     "div": _eval_div,
     "sqrt": _eval_sqrt,

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .jc import r_symbol
+from .jc import chart_prefactor, r_symbol
 from .opmatrix import OpMatrix, matrix_equal
-from .operators import FockOperator, op_equal
+from .operators import CREATION, FockOperator, op_equal
 from .report import CheckResult
 from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, number, sigma_tol
 
@@ -23,36 +23,35 @@ def x_symbol(theta: float, j: int) -> DiagonalSymbol:
     """(R(N+1-j)+theta) / sqrt(2 R(N+1-j)(R(N+1-j)+theta))."""
     tol = sigma_tol(theta)
     r = r_symbol(theta, 1 - j)
-    return guarded_div(r + theta, guarded_sqrt(const(2.0) * r * (r + theta), tol), tol)
+    r_plus = r + theta
+    return guarded_div(r_plus, guarded_sqrt(const(2.0) * r * r_plus, tol), tol)
 
 
 def x_operator(theta: float, j: int) -> FockOperator:
     return FockOperator.diagonal(x_symbol(theta, j))
 
 
+def _level_ratio(theta: float, j: int) -> DiagonalSymbol:
+    """sqrt((N-j)/N)."""
+    tol = sigma_tol(theta)
+    return guarded_sqrt(guarded_div(number(-j), number(), tol), tol)
+
+
 def y_operator(theta: float, j: int) -> FockOperator:
-    """sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta)) a-dagger.
+    """sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta)) a-dagger, the second
+    factor being chart I's prefactor at N-j.
 
     The diagonal factor is only ever evaluated at N >= 1 because the
     shift acts first; states where N-j goes negative under the square
     root are singular and get reported, never regularized.
     """
-    tol = sigma_tol(theta)
-    r = r_symbol(theta, -j)
-    nn = number()
-    ratio = guarded_sqrt(guarded_div(nn - j, nn, tol), tol)
-    pre = FockOperator.diagonal(ratio * guarded_div(1.0, guarded_sqrt(const(2.0) * r * (r + theta), tol), tol))
-    return pre * FockOperator.creation()
+    return FockOperator.diagonal(_level_ratio(theta, j) * chart_prefactor(theta, +1, -j)) * CREATION
 
 
 def z_operator(theta: float, j: int) -> FockOperator:
     """sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
-    tol = sigma_tol(theta)
-    r = r_symbol(theta, -j)
-    nn = number()
-    ratio = guarded_sqrt(guarded_div(nn - j, nn, tol), tol)
-    pre = FockOperator.diagonal(ratio * guarded_div(1.0, r + theta, tol))
-    return pre * FockOperator.creation()
+    pre = guarded_div(1.0, r_symbol(theta, -j) + theta, sigma_tol(theta))
+    return FockOperator.diagonal(_level_ratio(theta, j) * pre) * CREATION
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fockbundle import jc
+from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
+from fockbundle.symbols import guarded_div, guarded_sqrt, number
 
 N_MAX = 32
 TOL = 1e-10
@@ -84,7 +86,7 @@ def test_resonance_band_has_the_resonant_strings(theta):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_gluing_relation(theta):
-    glue = jc.transition_operator("ground")
+    glue = jc.transition_operator()
     vi = jc.chart_unitary(theta, "I")
     vii = jc.chart_unitary(theta, "II")
     res = matrix_equal(vi @ glue, vii, N_MAX, TOL)
@@ -93,8 +95,11 @@ def test_gluing_relation(theta):
 
 
 def test_transition_forms_and_strings():
-    ground = jc.transition_operator("ground")
-    shifted = jc.transition_operator("shifted")
+    ground = jc.transition_operator()
+    # the equivalent 1/sqrt(N+1) writing, regular everywhere
+    inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number(1))))
+    shifted = OpMatrix.diag(inv_sqrt_np1 * FockOperator.annihilation(), FockOperator.creation() * inv_sqrt_np1)
+    assert shifted.column_singular_map(N_MAX) == {}
     res = matrix_equal(ground, shifted, N_MAX, TOL)
     assert res.passed
     assert jc.transition_singular_map(N_MAX) == {1: [0]}
@@ -148,8 +153,10 @@ def test_uncoupled_ground_state_phase():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, -1.0])
 def test_local_coordinate_forms_agree(theta):
-    lhs = jc.local_coordinate_z(theta, "prefactor_left")
-    rhs = jc.local_coordinate_z(theta, "prefactor_right")
+    lhs = jc.local_coordinate_z(theta)
+    # the prefactor written to the right of a-dagger, at N + 1
+    post = guarded_div(1.0, jc.r_symbol(theta, 1) + theta, jc.sigma_tol(theta))
+    rhs = FockOperator.creation() * FockOperator.diagonal(post)
     dev, _, _ = matrix_grid_deviation(OpMatrix.build([[lhs - rhs]]), N_MAX)
     assert dev <= TOL
 

@@ -83,6 +83,6 @@ def test_check_unitary_and_projector_helpers():
 
 
 def test_column_singular_map():
-    inv = FockOperator.diagonal(guarded_div(1.0, number() - 2.0))
+    inv = FockOperator.diagonal(guarded_div(1.0, number(-2)))
     m = OpMatrix.build([[FockOperator.identity(), inv], [FockOperator.zero(), FockOperator.identity()]])
     assert m.column_singular_map(8) == {2: {2}}

@@ -109,8 +109,11 @@ def _breakdown(theta, floor):
 def test_su2_element_validation():
     g = spinrep.SU2Element(0.6, 0.8j)
     assert _dev(g.matrix() @ g.matrix().conj().T, np.eye(2)) < TOL
-    with pytest.raises(ValueError):
-        spinrep.SU2Element(1.0, 0.5)
+    nan, inf = float("nan"), float("inf")
+    columns = [(1.0, 0.5), (nan, 0.0), (0.6, complex(0.8, nan)), (inf, 0.0), (1.0, -inf), (complex(0.0, inf), 0.0)]
+    for alpha, beta in columns:
+        with pytest.raises(ValueError):
+            spinrep.SU2Element(alpha, beta)
 
 
 def test_cg_matrices_are_unitary():

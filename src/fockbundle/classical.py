@@ -148,6 +148,16 @@ def cp2_chart_projector(z1: complex, z2: complex) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def chart_projector_deviation() -> float:
+    """Worst entry of the CP^1 and CP^2 chart forms against cp_projector at fixed points."""
+    spots = [0.3 + 0.4j, -1.2 + 0.7j, 2.0 - 0.5j]
+    pairs = [(cp1_chart_projector(z, 0), [1.0, z]) for z in spots]
+    pairs += [(cp1_chart_projector(z, 1), [z, 1.0]) for z in spots]
+    pairs += [(cp2_chart_projector(a, b), [1.0, a, b]) for a, b in [(0.3 + 0.4j, -0.2j), (1.0 - 1.0j, 0.5 + 0.25j)]]
+    return max(float(np.max(np.abs(form - cp_projector(np.array(col))))) for form, col in pairs)
+
+
 def veronese_column(zc: complex, n: int) -> np.ndarray:
     """Chart column (1, sqrt(nC1) Zc, ..., sqrt(nCn) Zc^n)."""
     return np.array([math.sqrt(math.comb(n, k)) * zc**k for k in range(n + 1)], dtype=complex)

@@ -172,15 +172,7 @@ def run_classical(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
     worst = classical.verify_sample(200, cfg.seed)
     out.append(upper_bound_check("sphere_identities_sample", worst, 1e-12))
-    spots = [0.3 + 0.4j, -1.2 + 0.7j, 2.0 - 0.5j]
-    pairs = [(classical.cp1_chart_projector(z, 0), [1.0, z]) for z in spots]
-    pairs += [(classical.cp1_chart_projector(z, 1), [z, 1.0]) for z in spots]
-    pairs += [
-        (classical.cp2_chart_projector(z1, z2), [1.0, z1, z2])
-        for z1, z2 in [(0.3 + 0.4j, -0.2j), (1.0 - 1.0j, 0.5 + 0.25j)]
-    ]
-    dev = max(float(np.max(np.abs(form - classical.cp_projector(np.array(col))))) for form, col in pairs)
-    out.append(upper_bound_check("cp_chart_projectors", dev, 1e-12))
+    out.append(upper_bound_check("cp_chart_projectors", classical.chart_projector_deviation(), 1e-12))
     for theta in cfg.theta_list:
         if theta >= 0:
             out.append(jc.classical_limit_check(theta))

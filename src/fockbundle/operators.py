@@ -11,6 +11,7 @@ grid, never in the operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
@@ -140,15 +141,22 @@ CREATION = FockOperator.creation()
 Location = Tuple[int, int, int, int]  # (row, column, n, d)
 
 
+@functools.lru_cache(maxsize=1)  # the latest grid only: an n_max sweep holds one
+def _index_grid(n_max: int) -> np.ndarray:
+    n = np.arange(n_max + 1, dtype=np.int64)
+    n.flags.writeable = False  # node caches key on this object; nothing may change it
+    return n
+
+
 def grid_deviation(
     columns: Sequence[Sequence[FockOperator]], n_max: int, skip: Exclusions | None = None
 ) -> Tuple[float, Optional[Location], Dict[int, Set[int]]]:
     """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
 
     This is the one grid scan.  ``columns[j]`` holds the operators (one
-    per row) acting on slot j + 1.  Each coefficient is evaluated on the
-    whole index array under one memo, so a subexpression common to
-    several coefficients is computed once per index offset.
+    per row) acting on slot j + 1.  Each coefficient is evaluated on one
+    read-only index array shared by every scan at this n_max, so a
+    subexpression is computed once per node, index offset and grid.
 
     It is also the one rule for singular states, the Dirac strings: a
     state is excluded when ``skip`` lists it or when a coefficient
@@ -163,8 +171,7 @@ def grid_deviation(
     """
     skip = skip or {}
     excluded = {s: set(v) for s, v in skip.items()}
-    n = np.arange(n_max + 1, dtype=np.int64)
-    memo: Dict = {}
+    n = _index_grid(n_max)
     best, where = 0.0, None
     for j, col in enumerate(columns):
         skipped = np.zeros(n_max + 1, dtype=bool)
@@ -173,7 +180,7 @@ def grid_deviation(
         devs, labels = [], []
         for i, op in enumerate(col):
             for d, c in op.terms:
-                v = c(n, memo)
+                v = c(n)
                 if v.singular is not None:
                     singular |= v.singular
                 dev = v.magnitude()

@@ -16,7 +16,8 @@ formulas for complex ``*`` and ``abs`` (hypot), and ``pow`` is CPython's
 float ``**`` element by element.  numpy's complex128 ``*``, ``np.abs``
 and ``np.power`` round differently on some machines.
 The grid is the only way to read a symbol: calling one on anything but
-an int64 index array is a TypeError.
+an int64 index array is a TypeError.  A node caches its values on the
+last index array it was read on, per offset, for the node's lifetime.
 """
 
 from __future__ import annotations
@@ -62,26 +63,26 @@ class GridValues(NamedTuple):
 class DiagonalSymbol:
     """An exactly evaluable function of the number operator.
 
-    Nodes are never modified and are compared by identity, so a subexpression
-    shared by many coefficients is one node; a scan evaluates each
-    (node, index offset) pair once through its memo.
+    Nodes are compared by identity and their expression never changes, so a
+    shared subexpression is one node; ``cache`` holds its values on the last
+    index array it was read on, as (array, {offset: GridValues}).
     """
 
-    __slots__ = ("op", "args", "real")
+    __slots__ = ("op", "args", "real", "cache")
 
     def __init__(self, op: str, args: tuple, real: bool):
         self.op = op
         self.args = args
         self.real = real
+        self.cache: Optional[Tuple[np.ndarray, Dict[int, GridValues]]] = None
 
-    def __call__(self, n: np.ndarray, memo: Dict) -> GridValues:
-        """The values on the int64 index array ``n``.  ``memo`` is shared by
-        calls on the same array, so subexpressions common to them are
-        evaluated once."""
+    def __call__(self, n: np.ndarray) -> GridValues:
+        """The values on the int64 index array ``n``.  Calls on the same
+        array object reuse the values cached on every node they reach."""
         if not (isinstance(n, np.ndarray) and n.dtype == np.int64):
             raise TypeError("a symbol is evaluated on an int64 index array")
         with np.errstate(all="ignore"):
-            return _Grid(n, memo).values(self, 0)
+            return _Grid(n).values(self, 0)
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
@@ -208,28 +209,28 @@ def _flag(mask: np.ndarray) -> Optional[np.ndarray]:
 class _Grid:
     """One evaluation of symbols on ``base + offset`` index arrays.
 
-    ``memo`` maps (node, offset) to GridValues.  Positions whose index is
-    below the vacuum may hold anything: every node that reads a child
-    there (composed, adjoint) masks them out.
+    A node's cache serves it only while it holds this very ``base`` object,
+    which it keeps alive, so a reused id cannot match; otherwise it is
+    replaced.  Positions whose index is below the vacuum may hold anything:
+    every node that reads a child there (composed, adjoint) masks them out.
     """
 
-    __slots__ = ("base", "lo", "memo")
+    __slots__ = ("base", "lo")
 
-    def __init__(self, base: np.ndarray, memo: Dict):
+    def __init__(self, base: np.ndarray):
         self.base = base
         self.lo = int(base.min()) if base.size else 0
-        self.memo = memo
 
     def index(self, k: int) -> np.ndarray:
         return self.base + k if k else self.base
 
     def values(self, node: DiagonalSymbol, k: int) -> GridValues:
-        key = (node, k)
-        out = self.memo.get(key)
-        if out is None:
-            out = _EVAL[node.op](self, node, k)
-            self.memo[key] = out
-        return out
+        if node.cache is None or node.cache[0] is not self.base:
+            node.cache = (self.base, {})
+        found = node.cache[1]
+        if k not in found:
+            found[k] = _EVAL[node.op](self, node, k)
+        return found[k]
 
 
 def _eval_const(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:

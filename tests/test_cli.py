@@ -181,6 +181,31 @@ def test_sweep_rows_match_verify_alone_and_follow_the_seed(capsys):
         assert by_seed["3"][name] != by_seed["4"][name], name
 
 
+def test_an_nmax_sweep_back_to_a_grid_reads_no_stale_node_values(capsys):
+    # ANNIHILATION and CREATION live for the whole process and keep values
+    # on the last grid they were read on, across rows and CLI calls
+    argv = ["sweep", "--suite", "all", "--axis", "nmax", "--values", "6", "24", "6", "--theta", "0.37"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    assert [row[0] for row in rows] == ["6.0", "24.0", "6.0"]
+    assert rows[0] == rows[2] != rows[1]
+    code, alone, _ = run_main(["verify", "--suite", "all", "--theta", "0.37", "--nmax", "6", "--format", "csv"], capsys)
+    assert code == 0
+    cells = {line.split(",")[0]: line.split(",")[1] for line in alone.splitlines()[1:]}
+    assert dict(zip(header[1:-1], rows[2][1:-1])) == cells
+
+
+def test_the_chart_projector_check_is_computed_once_per_sweep(capsys):
+    cache = cli.classical.chart_projector_deviation
+    cache.cache_clear()
+    code, out, _ = run_main(["sweep", "--suite", "classical", "--axis", "theta", "--values", "-1", "0", "1"], capsys)
+    assert code == 0
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 2)
+    column = out.splitlines()[0].split(",").index("cp_chart_projectors")
+    assert {line.split(",")[column] for line in out.strip().splitlines()[1:]} == {repr(cache())}
+
+
 def test_sweep_with_a_failed_row_exits_one(capsys):
     code, out, _ = run_main(
         ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "8", "16", "--tol", "1e-30"], capsys

@@ -8,6 +8,7 @@ The grid is the only way the package reads a symbol.
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from fockbundle.symbols import (
     adjoint,
     composed,
     const,
+    grid_leaf,
     guarded_div,
     guarded_pow,
     guarded_sqrt,
@@ -116,7 +118,7 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
     compared = singular = complex_compared = 0
     for _ in range(300):
         sym = random_symbol(rng, 4)
-        values = sym(grid, {})
+        values = sym(grid)
         for n in range(12):
             try:
                 expected = scalar_reference(sym, n)
@@ -139,8 +141,8 @@ def test_a_symbol_is_read_only_on_the_grid():
     sym = guarded_div(1.0, number(-3))
     for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int32), np.arange(6.0)):
         with pytest.raises(TypeError):
-            sym(index, {})
-    values = sym(np.arange(6, dtype=np.int64), {})
+            sym(index)
+    values = sym(np.arange(6, dtype=np.int64))
     assert values.singular.tolist() == [False, False, False, True, False, False]
     assert (values.re[5], values.im) == (0.5, None)
 
@@ -210,10 +212,10 @@ def test_pow_overflow_is_the_signed_infinity():
     assert not res.passed
     grid = np.arange(7, dtype=np.int64)
     x = number(add=-1e200)
-    cube = guarded_pow(x, 3.0)(grid, {})
+    cube = guarded_pow(x, 3.0)(grid)
     assert cube.singular is None
-    assert cube.re.tolist() == (x * x * x)(grid, {}).re.tolist() == [-math.inf] * 7
-    assert guarded_pow(x, 2.0)(grid, {}).re.tolist() == [math.inf] * 7
+    assert cube.re.tolist() == (x * x * x)(grid).re.tolist() == [-math.inf] * 7
+    assert guarded_pow(x, 2.0)(grid).re.tolist() == [math.inf] * 7
 
 
 def test_singular_state_counts_wherever_its_term_maps_it():
@@ -248,3 +250,75 @@ def test_no_scalar_evaluation_path_is_defined():
             if isinstance(node, ast.ClassDef) and node.name == "GridValues":
                 found.update(f"GridValues.{f.name}" for f in node.body if getattr(f, "name", "") == "scalar")
     assert not found
+
+
+# -- values cached on the nodes ----------------------------------------------
+
+
+def count_evaluations(monkeypatch) -> Counter:
+    """Count every (node, offset) evaluation from here on."""
+    calls: Counter = Counter()
+    for op, fn in list(symbols._EVAL.items()):
+
+        def counted(grid, node, k, fn=fn):
+            calls[node, k] += 1
+            return fn(grid, node, k)
+
+        monkeypatch.setitem(symbols._EVAL, op, counted)
+    return calls
+
+
+def singular_mix():
+    """A fresh operator with terms of several degrees, adjoints and a
+    singular divisor, so every kind of cached node is read."""
+    a, adag = FockOperator.annihilation(), FockOperator.creation()
+    inv = FockOperator.diagonal(guarded_div(1.0, number(-3)))
+    return (a * inv * adag) - inv.dagger() * adag * a + adag * adag * 0.5
+
+
+def test_a_node_shared_by_two_scans_is_evaluated_once_per_offset(monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    shared = guarded_div(1.0, number(-2))
+    first = FockOperator.from_terms({0: shared * 2.0, 1: composed(shared, 1, shared)})
+    second = FockOperator.from_terms({-1: adjoint(shared, 1)}) * FockOperator.creation()
+    grid_deviation([[first]], 10)
+    assert sorted(k for node, k in calls if node is shared) == [0, 1]
+    grid_deviation([[second]], 10)  # reads shared at offset 0 again, through the adjoint
+    assert sorted(k for node, k in calls if node is shared) == [0, 1]
+    assert max(calls.values()) == 1
+
+
+def test_scans_across_grids_read_no_stale_values():
+    op = singular_mix()
+    for n_max in (6, 24, 6):
+        assert grid_deviation([[op]], n_max) == grid_deviation([[singular_mix()]], n_max)
+    # two arrays of one size: the cache follows the array object, not its size
+    sym = guarded_div(1.0, number(-3))
+    low, high = np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 4
+    assert sym(low).singular.tolist() == [False, False, False, True, False, False]
+    assert sym(high).singular is None
+    assert sym(low).re.tolist() == guarded_div(1.0, number(-3))(low).re.tolist()
+
+
+def test_the_index_array_handed_to_a_leaf_is_read_only():
+    seen = []
+
+    def record(n):
+        seen.append(n.flags.writeable)
+        return n.astype(float), np.zeros(n.shape)
+
+    grid_deviation([[FockOperator.diagonal(grid_leaf(record))]], 6)
+    assert seen == [False]
+
+
+def test_a_repeated_scan_returns_the_same_result():
+    # slot 2 reads x again inside x + y: a scan that wrote into x's cached
+    # mask would hand slot 1 of the next scan the singular state 7 of y
+    x, y = guarded_div(1.0, number(-9)), guarded_div(1.0, number(-7))
+    op = singular_mix()
+    columns = [[op, op.dagger(), FockOperator.diagonal(x)], [op * op, FockOperator.diagonal(x + y)]]
+    first = grid_deviation(columns, 12)
+    assert first[0] > 0 and first[2] == {1: {2, 3, 9}, 2: {0, 1, 2, 3, 7, 9}}
+    assert grid_deviation(columns, 12) == first
+    fresh = singular_mix()
+    assert grid_deviation([[fresh, fresh.dagger(), columns[0][2]], columns[1]], 12) == first

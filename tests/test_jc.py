@@ -19,7 +19,7 @@ THETAS = [2.0, 1.0, 0.5, 0.1, 0.0, -0.5, -1.0, -2.0]
 
 def element(op, d: int, n: int) -> complex:
     """<n + d| op |n>, read from the grid values of op's degree-d term."""
-    values = dict(op.terms)[d](np.arange(n + 1), {})
+    values = dict(op.terms)[d](np.arange(n + 1))
     assert values.singular is None or not values.singular[n]
     return complex(values.re[n], 0.0 if values.im is None else values.im[n])
 

@@ -42,12 +42,12 @@ def test_commutation_rule(theta, k):
 
 def test_x_values_explicit():
     # at theta=0 every X collapses to 1/sqrt(2) wherever it is defined
-    x0 = veronese.x_symbol(0.0, 0)(np.arange(8), {})
+    x0 = veronese.x_symbol(0.0, 0)(np.arange(8))
     assert x0.singular is None and x0.im is None
     for n in (1, 2, 7):
         assert x0.re[n] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # large theta pushes X toward 1: the fibre aligns with the pole
-    assert veronese.x_symbol(50.0, 0)(np.arange(4), {}).magnitude()[3] > 0.999
+    assert veronese.x_symbol(50.0, 0)(np.arange(4)).magnitude()[3] > 0.999
 
 
 def test_y_index_structure():
@@ -56,7 +56,7 @@ def test_y_index_structure():
     y2 = veronese.y_operator(1.0, 2)
     assert y2.singular_support(N_MAX) == {0}
     (d, c), = y2.terms
-    values = c(np.arange(N_MAX + 1), {})
+    values = c(np.arange(N_MAX + 1))
     assert d == 1
     assert values.magnitude()[1] == 0.0
     assert values.magnitude()[3] > 0.0
@@ -66,7 +66,7 @@ def test_z_regular_at_vacuum_for_positive_theta():
     z0 = veronese.z_operator(1.0, 0)
     assert z0.singular_support(N_MAX) == set()
     (d, c), = veronese.z_operator(1.0, 2).terms
-    assert d == 1 and c(np.arange(N_MAX + 1), {}).singular[0]
+    assert d == 1 and c(np.arange(N_MAX + 1)).singular[0]
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])

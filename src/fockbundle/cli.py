@@ -89,25 +89,22 @@ def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
     glue = jc.transition_operator()
     transition = jc.transition_singular_map(nm)  # the same at every theta
     for theta in cfg.theta_list:
-        h = jc.build_h_jc(theta)
+        bundle = jc.build_bundle(theta)
         claimed = jc.claimed_strings(theta)
-        out.append(jc.qdm_reconstruction_check(theta, h, nm, tol))
-        charts = {}
-        for label in ("I", "II"):
-            chart = charts[label] = jc.build_chart(theta, label)
+        out.append(jc.qdm_reconstruction_check(bundle, nm, tol))
+        for label, chart in bundle.charts.items():
             rebuilt = chart.unitary @ chart.diagonal @ chart.adjoint
-            out.append(matrix_equal(rebuilt, h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
-            out.append(jc.dirac_string_map(theta, label, chart, nm))
-        gluing = charts["I"].unitary @ glue
-        out.append(matrix_equal(gluing, charts["II"].unitary, nm, tol, f"gluing_relation_theta{theta}"))
+            out.append(matrix_equal(rebuilt, bundle.h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
+            out.append(jc.dirac_string_map(bundle, label, nm))
+        gluing = bundle.charts["I"].unitary @ glue
+        out.append(matrix_equal(gluing, bundle.charts["II"].unitary, nm, tol, f"gluing_relation_theta{theta}"))
         out.append(exact_set_check(f"strings_transition_theta{theta}", transition, claimed["transition"]))
-        p = jc.projector_pjc(theta)
-        p_adjoint = p.dagger()
-        computed = jc.projector_singular_map(theta, p, p_adjoint, nm)
+        computed = jc.projector_singular_map(bundle, nm)
+        p, p_adjoint = bundle.projector, bundle.projector_adjoint
         out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}", skip=computed, adjoint=p_adjoint))
         out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed["projector"]))
-        out.append(jc.spectral_decomposition_check(theta, h, p, nm, tol))
-        out.append(jc.z_identity_check(theta, nm, tol))
+        out.append(jc.spectral_decomposition_check(bundle, nm, tol))
+        out.append(jc.z_identity_check(bundle, nm, tol))
     return out
 
 
@@ -193,7 +190,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     report = VerificationReport(suite=cfg.suite, config=asdict(cfg))
     names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
     for name in names:
-        report.extend(_RUNNERS[name](cfg))
+        report.checks.extend(_RUNNERS[name](cfg))
     return report
 
 

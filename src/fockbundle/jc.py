@@ -4,7 +4,9 @@ Provides its exact factorization into shift times classical times shift,
 the two chart unitaries with their Dirac-string domains, the transition
 operator gluing them, the rank-1 projector, the closed-form propagator
 with an independent block oracle, and the local complex coordinate with
-its classical limit.
+its classical limit.  ``build_bundle`` builds the charts, the projector and
+the coordinate at one theta on one R(N) and one R(N+1) node (``Radius``),
+where R +- theta and sqrt(2 R (R + theta)) are each written once.
 """
 
 from __future__ import annotations
@@ -40,15 +42,26 @@ def r_symbol(theta: float, offset: int = 0) -> DiagonalSymbol:
     return guarded_sqrt(number(offset, theta * theta), sigma_tol(theta))
 
 
-def r_operator(theta: float, offset: int = 0) -> FockOperator:
-    return FockOperator.diagonal(r_symbol(theta, offset))
+class Radius:
+    """R(N + offset) at one theta as one node, with the nodes on it that several builders share."""
+
+    def __init__(self, theta: float, offset: int):
+        self.theta, self.offset = theta, offset
+        self.tol = sigma_tol(theta)  # the singularity threshold of every node built on it
+        self.r = r_symbol(theta, offset)
+        self.plus = self.r + theta  # R + theta
+        self.minus = self.r + const(-1.0) * theta  # R - theta as an operator difference writes it
+        self.root = guarded_sqrt(const(2.0) * self.r * self.plus, self.tol)  # sqrt(2 R (R + theta))
 
 
-def chart_prefactor(theta: float, sign: int, offset: int) -> DiagonalSymbol:
-    """1 / sqrt(2 R(N+offset) (R(N+offset) + sign*theta))."""
-    tol = sigma_tol(theta)
-    r = r_symbol(theta, offset)
-    return guarded_div(1.0, guarded_sqrt(const(2.0) * r * (r + sign * theta), tol), tol)
+def r_operator(level: Radius) -> FockOperator:
+    return FockOperator.diagonal(level.r)
+
+
+def chart_prefactor(level: Radius, sign: int) -> DiagonalSymbol:
+    """1 / sqrt(2 R (R + sign*theta)) at the level's offset."""
+    root = level.root if sign > 0 else guarded_sqrt(const(2.0) * level.r * (level.r + -level.theta), level.tol)
+    return guarded_div(1.0, root, level.tol)
 
 
 def build_h_jc(theta: float) -> OpMatrix:
@@ -66,80 +79,63 @@ def qdm_factorization(theta: float) -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
     return left, middle, right
 
 
-def qdm_reconstruction_check(theta: float, h: OpMatrix, n_max: int, tol: float) -> CheckResult:
-    """left @ middle @ right against H = ``h`` (built at theta), away from
-    the uncoupled state.
+def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+    """left @ middle @ right against H, away from the uncoupled state.
 
     The right factor (1/sqrt(N+1)) a annihilates (slot2, |0>), while H
     acts on it as -theta; equivalently its alternate writing a (1/sqrt(N))
     is singular there.  That state is the factorization's string and is
     excluded and reported.
     """
-    left, middle, right = qdm_factorization(theta)
+    left, middle, right = qdm_factorization(bundle.theta)
     return matrix_equal(
-        left @ middle @ right, h, n_max, tol, f"qdm_factorization_theta{theta}", skip={2: {0}}
+        left @ middle @ right, bundle.h, n_max, tol, f"qdm_factorization_theta{bundle.theta}", skip={2: {0}}
     )
 
 
-def chart_core(theta: float, label: str) -> OpMatrix:
-    r0 = r_operator(theta, 0)
-    r1 = r_operator(theta, 1)
+def chart_core(label: str, r0: Radius, r1: Radius) -> OpMatrix:
     if label == "I":
         return OpMatrix.build(
             [
-                [r1 + FockOperator.scalar(theta), -ANNIHILATION],
-                [CREATION, r0 + FockOperator.scalar(theta)],
+                [FockOperator.diagonal(r1.plus), -ANNIHILATION],
+                [CREATION, FockOperator.diagonal(r0.plus)],
             ]
         )
-    if label == "II":
-        return OpMatrix.build(
-            [
-                [ANNIHILATION, FockOperator.scalar(theta) - r1],
-                [r0 - FockOperator.scalar(theta), CREATION],
-            ]
-        )
-    raise ValueError(f"unknown chart label {label!r}")
+    return OpMatrix.build(
+        [
+            [ANNIHILATION, FockOperator.scalar(r1.theta) - r_operator(r1)],
+            [FockOperator.diagonal(r0.minus), CREATION],
+        ]
+    )
 
 
-def chart_unitary(theta: float, label: str, ordering: str = "left") -> OpMatrix:
-    """V_I or V_II, with the scalar prefactors composed on the requested side."""
+def chart_unitary(label: str, r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
+    """V_I or V_II, one core with its scalar prefactors on the left and on the right."""
     sign = +1 if label == "I" else -1
-    p_upper = FockOperator.diagonal(chart_prefactor(theta, sign, 1))
-    p_lower = FockOperator.diagonal(chart_prefactor(theta, sign, 0))
-    core = chart_core(theta, label)
-    if ordering == "left":
-        return OpMatrix.diag(p_upper, p_lower) @ core
-    if ordering == "right":
-        if label == "I":
-            return core @ OpMatrix.diag(p_upper, p_lower)
-        return core @ OpMatrix.diag(p_lower, p_upper)
-    raise ValueError(f"unknown ordering {ordering!r}")
+    p_upper = FockOperator.diagonal(chart_prefactor(r1, sign))
+    p_lower = FockOperator.diagonal(chart_prefactor(r0, sign))
+    core = chart_core(label, r0, r1)
+    left = OpMatrix.diag(p_upper, p_lower)
+    right = left if label == "I" else OpMatrix.diag(p_lower, p_upper)
+    return left @ core, core @ right
 
 
-def chart_diagonal(theta: float, label: str) -> OpMatrix:
-    r0 = r_operator(theta, 0)
-    r1 = r_operator(theta, 1)
-    if label == "I":
-        return OpMatrix.diag(r1, -r0)
-    return OpMatrix.diag(r0, -r1)
+def chart_diagonal(label: str, r0: Radius, r1: Radius) -> OpMatrix:
+    upper, lower = (r1, r0) if label == "I" else (r0, r1)
+    return OpMatrix.diag(r_operator(upper), -r_operator(lower))
 
 
 @dataclass(frozen=True)
 class BundleChart:
-    unitary: OpMatrix
-    unitary_alt: OpMatrix
+    unitary: OpMatrix  # prefactors on the left
+    unitary_alt: OpMatrix  # prefactors on the right
     adjoint: OpMatrix  # unitary.dagger()
     diagonal: OpMatrix
 
 
-def build_chart(theta: float, label: str) -> BundleChart:
-    unitary = chart_unitary(theta, label, "left")
-    return BundleChart(
-        unitary=unitary,
-        unitary_alt=chart_unitary(theta, label, "right"),
-        adjoint=unitary.dagger(),
-        diagonal=chart_diagonal(theta, label),
-    )
+def build_chart(label: str, r0: Radius, r1: Radius) -> BundleChart:
+    unitary, unitary_alt = chart_unitary(label, r0, r1)
+    return BundleChart(unitary, unitary_alt, unitary.dagger(), chart_diagonal(label, r0, r1))
 
 
 def claimed_strings(theta: float) -> Dict[str, Dict[int, Set[int]]]:
@@ -155,13 +151,11 @@ def claimed_strings(theta: float) -> Dict[str, Dict[int, Set[int]]]:
     }
 
 
-def dirac_string_map(theta: float, label: str, chart: BundleChart, n_max: int) -> CheckResult:
-    """Computed strings of ``chart`` (built at theta) against the claimed
-    ones, as the exact-set check ``strings_chart_{label}_theta{theta}``.
-
-    The chart map uses V together with V†, so the strings are those of
-    both orderings of V and of V†.
-    """
+def dirac_string_map(bundle: Bundle, label: str, n_max: int) -> CheckResult:
+    """The strings of the bundle's chart ``label`` -- of both orderings of V
+    and of V†, as the chart map uses V with V† -- against the claimed ones,
+    as the exact-set check ``strings_chart_{label}_theta{theta}``."""
+    chart, theta = bundle.charts[label], bundle.theta
     computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint)
     return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, claimed_strings(theta)[f"chart_{label}"])
 
@@ -173,29 +167,51 @@ def transition_operator() -> OpMatrix:
     return OpMatrix.diag(ANNIHILATION * inv_sqrt_n, inv_sqrt_n * CREATION)
 
 
-def projector_pjc(theta: float, ordering: str = "left") -> OpMatrix:
-    r0, r1 = r_symbol(theta, 0), r_symbol(theta, 1)
-    tol = sigma_tol(theta)
-    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1, tol))
-    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0, tol))
+def projector_pjc(r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
+    """The rank-1 projector, one core with its 1/(2R) prefactors on the left and on the right."""
+    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1.r, r1.tol))
+    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0.r, r0.tol))
     core = OpMatrix.build(
         [
-            [FockOperator.diagonal(r1) + FockOperator.scalar(theta), ANNIHILATION],
-            [CREATION, FockOperator.diagonal(r0) - FockOperator.scalar(theta)],
+            [FockOperator.diagonal(r1.plus), ANNIHILATION],
+            [CREATION, FockOperator.diagonal(r0.minus)],
         ]
     )
     pre = OpMatrix.diag(half_inv_r1, half_inv_r0)
-    if ordering == "left":
-        return pre @ core
-    if ordering == "right":
-        return core @ pre
-    raise ValueError(f"unknown ordering {ordering!r}")
+    return pre @ core, core @ pre
 
 
-def projector_singular_map(theta: float, p: OpMatrix, p_adjoint: OpMatrix, n_max: int) -> Dict[int, List[int]]:
-    """Strings of the projector ``p`` (built at theta, left ordering) and
-    of its adjoint ``p_adjoint``."""
-    return strings(n_max, p, projector_pjc(theta, "right"), p_adjoint)
+def local_coordinate_z(r0: Radius) -> FockOperator:
+    """The off-diagonal chart coordinate (1/(R(N)+theta)) a-dagger."""
+    return FockOperator.diagonal(guarded_div(1.0, r0.plus, r0.tol)) * CREATION
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """Everything the charts suite reads at one theta, built once on one R(N) and one R(N+1)."""
+
+    theta: float
+    r0: Radius  # R(N)
+    r1: Radius  # R(N+1)
+    h: OpMatrix
+    charts: Dict[str, BundleChart]  # "I", "II"
+    projector: OpMatrix  # prefactors on the left
+    projector_alt: OpMatrix  # prefactors on the right
+    projector_adjoint: OpMatrix  # projector.dagger()
+    z: FockOperator
+
+
+def build_bundle(theta: float) -> Bundle:
+    r0, r1 = Radius(theta, 0), Radius(theta, 1)
+    charts = {label: build_chart(label, r0, r1) for label in ("I", "II")}
+    projector, projector_alt = projector_pjc(r0, r1)
+    h, z = build_h_jc(theta), local_coordinate_z(r0)
+    return Bundle(theta, r0, r1, h, charts, projector, projector_alt, projector.dagger(), z)
+
+
+def projector_singular_map(bundle: Bundle, n_max: int) -> Dict[int, List[int]]:
+    """Strings of the bundle's projector, in both orderings, and of its adjoint."""
+    return strings(n_max, bundle.projector, bundle.projector_alt, bundle.projector_adjoint)
 
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
@@ -203,12 +219,18 @@ def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     return strings(n_max, transition_operator())
 
 
-def spectral_decomposition_check(theta: float, h: OpMatrix, p: OpMatrix, n_max: int, tol: float) -> CheckResult:
-    """H_JC = ``h`` against diag(R(N+1), R(N)) (2 P - 1), for the projector
-    ``p``; both built at theta."""
-    d = OpMatrix.diag(r_operator(theta, 1), r_operator(theta, 0))
-    rebuilt = (d @ p) - (d @ (OpMatrix.identity(2) - p))
-    return matrix_equal(h, rebuilt, n_max, tol, name=f"spectral_theta{theta}")
+def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+    """H_JC against diag(R(N+1), R(N)) (2 P - 1), for the bundle's projector P."""
+    d = OpMatrix.diag(r_operator(bundle.r1), r_operator(bundle.r0))
+    rebuilt = (d @ bundle.projector) - (d @ (OpMatrix.identity(2) - bundle.projector))
+    return matrix_equal(bundle.h, rebuilt, n_max, tol, name=f"spectral_theta{bundle.theta}")
+
+
+def z_identity_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+    """1 + Z†Z against 2 R(N+1) / (R(N+1)+theta)."""
+    lhs = FockOperator.identity() + bundle.z.dagger() * bundle.z
+    rhs = FockOperator.diagonal(guarded_div(2.0 * bundle.r1.r, bundle.r1.plus, bundle.r1.tol))
+    return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{bundle.theta}")
 
 
 # -- propagator -----------------------------------------------------------
@@ -292,22 +314,7 @@ def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_m
     return matrix_equal(prod, whole, n_max, tol, f"propagator_semigroup_theta{theta}", detail=detail)
 
 
-# -- local coordinate and classical limit ---------------------------------
-
-
-def local_coordinate_z(theta: float) -> FockOperator:
-    """The off-diagonal chart coordinate (1/(R(N)+theta)) a-dagger."""
-    pre = FockOperator.diagonal(guarded_div(1.0, r_symbol(theta, 0) + theta, sigma_tol(theta)))
-    return pre * CREATION
-
-
-def z_identity_check(theta: float, n_max: int, tol: float) -> CheckResult:
-    """1 + Z†Z against 2 R(N+1) / (R(N+1)+theta)."""
-    z = local_coordinate_z(theta)
-    lhs = FockOperator.identity() + z.dagger() * z
-    r1 = r_symbol(theta, 1)
-    rhs = FockOperator.diagonal(guarded_div(2.0 * r1, r1 + theta, sigma_tol(theta)))
-    return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{theta}")
+# -- classical limit of the local coordinate ------------------------------
 
 
 COHERENT_CUTOFF = 1e-16  # coherent amplitudes below this are cut from the sums

@@ -126,9 +126,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def extend(self, results) -> None:
-        self.checks.extend(results)
-
     def to_dict(self) -> dict:
         return {
             "version": 1,

@@ -12,46 +12,42 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from .jc import chart_prefactor, r_symbol
+from .jc import Radius, chart_prefactor
 from .opmatrix import OpMatrix, matrix_equal
 from .operators import CREATION, FockOperator, op_equal
 from .report import CheckResult
-from .symbols import DiagonalSymbol, const, guarded_div, guarded_sqrt, number, sigma_tol
+from .symbols import DiagonalSymbol, guarded_div, guarded_sqrt, number, sigma_tol
 
 
-def x_symbol(theta: float, j: int) -> DiagonalSymbol:
-    """(R(N+1-j)+theta) / sqrt(2 R(N+1-j)(R(N+1-j)+theta))."""
-    tol = sigma_tol(theta)
-    r = r_symbol(theta, 1 - j)
-    r_plus = r + theta
-    return guarded_div(r_plus, guarded_sqrt(const(2.0) * r * r_plus, tol), tol)
+def x_symbol(level: Radius) -> DiagonalSymbol:
+    """(R + theta) / sqrt(2 R (R + theta)) at R = R(N+1-j), the level's, for X_{-j}."""
+    return guarded_div(level.plus, level.root, level.tol)
 
 
-def x_operator(theta: float, j: int) -> FockOperator:
-    return FockOperator.diagonal(x_symbol(theta, j))
+def x_operator(level: Radius) -> FockOperator:
+    return FockOperator.diagonal(x_symbol(level))
 
 
-def _level_ratio(theta: float, j: int) -> DiagonalSymbol:
-    """sqrt((N-j)/N)."""
-    tol = sigma_tol(theta)
-    return guarded_sqrt(guarded_div(number(-j), number(), tol), tol)
+def _level_ratio(level: Radius) -> DiagonalSymbol:
+    """sqrt((N-j)/N) at the level's offset -j."""
+    return guarded_sqrt(guarded_div(number(level.offset), number(), level.tol), level.tol)
 
 
-def y_operator(theta: float, j: int) -> FockOperator:
-    """sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta)) a-dagger, the second
-    factor being chart I's prefactor at N-j.
+def y_operator(level: Radius) -> FockOperator:
+    """Y_{-j} at the level R(N-j): sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta))
+    a-dagger, the second factor being chart I's prefactor at N-j.
 
     The diagonal factor is only ever evaluated at N >= 1 because the
     shift acts first; states where N-j goes negative under the square
     root are singular and get reported, never regularized.
     """
-    return FockOperator.diagonal(_level_ratio(theta, j) * chart_prefactor(theta, +1, -j)) * CREATION
+    return FockOperator.diagonal(_level_ratio(level) * chart_prefactor(level, +1)) * CREATION
 
 
-def z_operator(theta: float, j: int) -> FockOperator:
-    """sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
-    pre = guarded_div(1.0, r_symbol(theta, -j) + theta, sigma_tol(theta))
-    return FockOperator.diagonal(_level_ratio(theta, j) * pre) * CREATION
+def z_operator(level: Radius) -> FockOperator:
+    """Z_{-j} at the level R(N-j): sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
+    pre = guarded_div(1.0, level.plus, level.tol)
+    return FockOperator.diagonal(_level_ratio(level) * pre) * CREATION
 
 
 @dataclass(frozen=True)
@@ -67,11 +63,12 @@ class VeroneseFamily:
 def build_family(theta: float, n: int) -> VeroneseFamily:
     if n < 1:
         raise ValueError("target degree must be at least 1")
+    levels = {offset: Radius(theta, offset) for offset in range(1, -n - 1, -1)}  # X_{-j} reads 1-j, Y and Z -j
     return VeroneseFamily(
         theta=theta,
-        x=[x_operator(theta, j) for j in range(n + 1)],
-        y=[y_operator(theta, j) for j in range(n + 1)],
-        z=[z_operator(theta, j) for j in range(n + 1)],
+        x=[x_operator(levels[1 - j]) for j in range(n + 1)],
+        y=[y_operator(levels[-j]) for j in range(n + 1)],
+        z=[z_operator(levels[-j]) for j in range(n + 1)],
     )
 
 

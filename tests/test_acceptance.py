@@ -22,9 +22,10 @@ def _dev(a, b):
 @pytest.mark.parametrize("theta", [2.0, -2.0, 1.0, -1.0, 0.5, -0.5, 0.1])
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_acceptance_chart_reconstruction(theta, label):
-    chart = jc.build_chart(theta, label)
+    bundle = jc.build_bundle(theta)
+    chart = bundle.charts[label]
     rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
-    res = matrix_equal(rebuilt, jc.build_h_jc(theta), 64, 1e-10)
+    res = matrix_equal(rebuilt, bundle.h, 64, 1e-10)
     assert res.passed, res.text_line()
 
 
@@ -32,12 +33,12 @@ def test_acceptance_chart_reconstruction(theta, label):
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 def test_acceptance_dirac_strings(theta):
+    bundle = jc.build_bundle(theta)
     for label in ("I", "II"):
-        rep = jc.dirac_string_map(theta, label, jc.build_chart(theta, label), 64)
+        rep = jc.dirac_string_map(bundle, label, 64)
         assert rep.passed, rep.text_line() + " " + rep.detail
     expected_proj = {2: [0]} if theta == 0 else {}
-    p = jc.projector_pjc(theta)
-    assert jc.projector_singular_map(theta, p, p.dagger(), 64) == expected_proj
+    assert jc.projector_singular_map(bundle, 64) == expected_proj
     assert jc.transition_singular_map(64) == {1: [0]}
 
 
@@ -61,7 +62,7 @@ def test_acceptance_propagator_properties(theta, gt):
 
 @pytest.mark.parametrize("theta", [2.0, 1.0, 0.5, 0.0, -1.0])
 def test_acceptance_spectral_decomposition(theta):
-    res = jc.spectral_decomposition_check(theta, jc.build_h_jc(theta), jc.projector_pjc(theta), 64, 1e-10)
+    res = jc.spectral_decomposition_check(jc.build_bundle(theta), 64, 1e-10)
     assert res.passed, res.text_line()
 
 
@@ -164,15 +165,16 @@ def test_acceptance_classical_limit():
 def _representative_deviations(n_max):
     devs = {}
     for theta in (1.0, -1.0, 0.5):
-        chart = jc.build_chart(theta, "I")
+        bundle = jc.build_bundle(theta)
+        chart = bundle.charts["I"]
         rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
-        devs[f"chart_{theta}"] = matrix_equal(rebuilt, jc.build_h_jc(theta), n_max, 1e-10).max_deviation
-        spectral = jc.spectral_decomposition_check(theta, jc.build_h_jc(theta), jc.projector_pjc(theta), n_max, 1e-10)
+        devs[f"chart_{theta}"] = matrix_equal(rebuilt, bundle.h, n_max, 1e-10).max_deviation
+        spectral = jc.spectral_decomposition_check(bundle, n_max, 1e-10)
         devs[f"spectral_{theta}"] = spectral.max_deviation
         lifted = veronese.lift(veronese.build_family(theta, 3), 3) if theta > 0 else None
         if lifted is not None:
             devs[f"lift_{theta}"] = veronese.lift_norm_check(lifted, n_max, 1e-9).max_deviation
-    devs["projector"] = check_idempotent_hermitian(jc.projector_pjc(1.0), n_max, 1e-10).max_deviation
+    devs["projector"] = check_idempotent_hermitian(jc.build_bundle(1.0).projector, n_max, 1e-10).max_deviation
     family = veronese.build_family(1.0, 3)
     unitarity = spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, 1.5), n_max, 1e-10)
     devs["nc_unitary"] = unitarity.max_deviation

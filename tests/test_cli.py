@@ -296,7 +296,7 @@ def test_classical_limit_with_overflowing_theta_fails_with_a_report(capsys):
 
 def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
     calls = []
-    for name in ("build_chart", "projector_pjc", "transition_singular_map"):
+    for name in ("build_bundle", "r_symbol", "transition_singular_map"):
 
         def counted(*args, _name=name, _fn=getattr(cli.jc, name), **kwargs):
             calls.append((_name,) + args + tuple(kwargs.values()))
@@ -306,11 +306,11 @@ def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
     cfg = cli.SuiteConfig(suite="charts", theta_list=[1.0, -0.5], n_max=8)
     assert all(c.passed for c in cli.run_charts(cfg))
     for theta in (1.0, -0.5):
-        assert [c for c in calls if c[:2] == ("build_chart", theta)] == [
-            ("build_chart", theta, "I"),
-            ("build_chart", theta, "II"),
-        ]
-        assert calls.count(("projector_pjc", theta)) + calls.count(("projector_pjc", theta, "left")) == 1
+        assert calls.count(("build_bundle", theta)) == 1
+        # one R(N) and one R(N+1) node per theta, shared by the charts, the projector and Z
+        offsets = sorted(c[2] for c in calls if c[:2] == ("r_symbol", theta))
+        assert offsets == [0, 1]
+    assert [c[0] for c in calls].count("build_bundle") == 2
     assert [c[0] for c in calls].count("transition_singular_map") == 1
 
 

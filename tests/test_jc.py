@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fockbundle import jc
+from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
-from fockbundle.symbols import guarded_div, guarded_sqrt, number
+from fockbundle.symbols import DiagonalSymbol, guarded_div, guarded_sqrt, number
 
 N_MAX = 32
 TOL = 1e-10
@@ -25,13 +25,12 @@ def element(op, d: int, n: int) -> complex:
 
 
 def projector_strings(theta):
-    p = jc.projector_pjc(theta)
-    return jc.projector_singular_map(theta, p, p.dagger(), N_MAX)
+    return jc.projector_singular_map(jc.build_bundle(theta), N_MAX)
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_qdm_reconstruction(theta):
-    res = jc.qdm_reconstruction_check(theta, jc.build_h_jc(theta), N_MAX, TOL)
+    res = jc.qdm_reconstruction_check(jc.build_bundle(theta), N_MAX, TOL)
     assert res.passed, res.text_line()
     assert res.excluded == {2: [0]}
 
@@ -39,7 +38,7 @@ def test_qdm_reconstruction(theta):
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_rebuilds_hamiltonian(theta, label):
-    chart = jc.build_chart(theta, label)
+    chart = jc.build_bundle(theta).charts[label]
     rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
     res = matrix_equal(rebuilt, jc.build_h_jc(theta), N_MAX, TOL)
     assert res.passed, res.text_line()
@@ -48,7 +47,7 @@ def test_chart_rebuilds_hamiltonian(theta, label):
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_orderings_agree(theta, label):
-    chart = jc.build_chart(theta, label)
+    chart = jc.build_bundle(theta).charts[label]
     res = matrix_equal(chart.unitary, chart.unitary_alt, N_MAX, TOL)
     assert res.passed, res.text_line()
 
@@ -56,29 +55,29 @@ def test_chart_orderings_agree(theta, label):
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_unitary_off_strings(theta, label):
-    res = check_unitary(jc.build_chart(theta, label).unitary, N_MAX, TOL)
+    res = check_unitary(jc.build_bundle(theta).charts[label].unitary, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_dirac_strings_match_claims(theta, label):
-    rep = jc.dirac_string_map(theta, label, jc.build_chart(theta, label), N_MAX)
+    rep = jc.dirac_string_map(jc.build_bundle(theta), label, N_MAX)
     assert rep.passed, rep.text_line() + " " + rep.detail
 
 
 def test_string_jump_across_resonance():
     # the chart-I string exists only for theta <= 0 and disappears above it
-    assert jc.dirac_string_map(-0.25, "I", jc.build_chart(-0.25, "I"), N_MAX).excluded == {2: [0]}
-    assert jc.dirac_string_map(0.25, "I", jc.build_chart(0.25, "I"), N_MAX).excluded == {}
+    assert jc.dirac_string_map(jc.build_bundle(-0.25), "I", N_MAX).excluded == {2: [0]}
+    assert jc.dirac_string_map(jc.build_bundle(0.25), "I", N_MAX).excluded == {}
 
 
 @pytest.mark.parametrize("theta", [1e-13, -1e-13])
 def test_resonance_band_has_the_resonant_strings(theta):
     assert jc.resonant(theta) and not jc.resonant(1e-11)
     for label in ("I", "II"):
-        rep = jc.dirac_string_map(theta, label, jc.build_chart(theta, label), N_MAX)
-        assert rep.excluded == jc.dirac_string_map(0.0, label, jc.build_chart(0.0, label), N_MAX).excluded
+        rep = jc.dirac_string_map(jc.build_bundle(theta), label, N_MAX)
+        assert rep.excluded == jc.dirac_string_map(jc.build_bundle(0.0), label, N_MAX).excluded
         assert rep.passed, rep.text_line() + " " + rep.detail
     resonant = projector_strings(0.0)
     assert projector_strings(theta) == resonant
@@ -87,8 +86,8 @@ def test_resonance_band_has_the_resonant_strings(theta):
 @pytest.mark.parametrize("theta", THETAS)
 def test_gluing_relation(theta):
     glue = jc.transition_operator()
-    vi = jc.chart_unitary(theta, "I")
-    vii = jc.chart_unitary(theta, "II")
+    charts = jc.build_bundle(theta).charts
+    vi, vii = charts["I"].unitary, charts["II"].unitary
     res = matrix_equal(vi @ glue, vii, N_MAX, TOL)
     assert res.passed, res.text_line()
     assert res.excluded.get(1) == [0]
@@ -109,9 +108,55 @@ def test_transition_forms_and_strings():
     assert matrix_equal(ground.dagger() @ ground, ident, N_MAX, TOL).passed
 
 
+def coefficient_nodes(*objects):
+    """Every coefficient node reachable from the operators and operator matrices ``objects``."""
+    ops = []
+    for obj in objects:
+        ops += [e for row in obj.entries for e in row] if isinstance(obj, OpMatrix) else [obj]
+    stack, seen = [c for op in ops for _, c in op.terms], {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [arg for arg in node.args if isinstance(arg, DiagonalSymbol)]
+    return list(seen.values())
+
+
+def shared_r_nodes(theta, *objects):
+    """The R(N + c) nodes reachable from ``objects``, checking that each has
+    one R + theta node and one sqrt(2 R (R + theta)) node on it."""
+    nodes = coefficient_nodes(*objects)
+    r_nodes = [n for n in nodes if n.op == "sqrt" and n.args[0].op == "index" and n.args[0].args[1] == theta * theta]
+    for r in r_nodes:
+        plus = [n for n in nodes if n.op == "add" and n.args[0] is r and n.args[1].args == (complex(theta),)]
+        assert len(plus) <= 1
+        roots = [n for n in nodes if n.op == "sqrt" and n.args[0].op == "mul" and n.args[0].args[1] in plus]
+        assert len(roots) <= 1
+    return r_nodes
+
+
+@pytest.mark.parametrize("theta", [2.0, 0.5, -1.0])  # at theta = 0 the ladder's sqrt(N) reads like R(N)
+def test_bundle_and_family_share_one_r_node_per_offset(theta):
+    bundle = jc.build_bundle(theta)
+    objects = [bundle.h, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, bundle.z]
+    for chart in bundle.charts.values():
+        objects += [chart.unitary, chart.unitary_alt, chart.adjoint, chart.diagonal]
+    assert {id(r) for r in shared_r_nodes(theta, *objects)} == {id(bundle.r0.r), id(bundle.r1.r)}
+    family = veronese.build_family(theta, 4)
+    r_nodes = shared_r_nodes(theta, *family.x, *family.y, *family.z)
+    assert sorted(r.args[0].args[0] for r in r_nodes) == list(range(-4, 2))  # offsets -n .. 1, once each
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_projector_orderings_agree(theta):
+    bundle = jc.build_bundle(theta)
+    res = matrix_equal(bundle.projector, bundle.projector_alt, N_MAX, TOL)
+    assert res.passed, res.text_line()
+
+
 @pytest.mark.parametrize("theta", THETAS)
 def test_projector_idempotent_hermitian(theta):
-    res = check_idempotent_hermitian(jc.projector_pjc(theta), N_MAX, TOL)
+    res = check_idempotent_hermitian(jc.build_bundle(theta).projector, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
@@ -123,7 +168,7 @@ def test_projector_string_only_at_resonance(theta):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_spectral_decomposition(theta):
-    assert jc.spectral_decomposition_check(theta, jc.build_h_jc(theta), jc.projector_pjc(theta), N_MAX, TOL).passed
+    assert jc.spectral_decomposition_check(jc.build_bundle(theta), N_MAX, TOL).passed
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -153,7 +198,7 @@ def test_uncoupled_ground_state_phase():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, -1.0])
 def test_local_coordinate_forms_agree(theta):
-    lhs = jc.local_coordinate_z(theta)
+    lhs = jc.build_bundle(theta).z
     # the prefactor written to the right of a-dagger, at N + 1
     post = guarded_div(1.0, jc.r_symbol(theta, 1) + theta, jc.sigma_tol(theta))
     rhs = FockOperator.creation() * FockOperator.diagonal(post)
@@ -163,7 +208,7 @@ def test_local_coordinate_forms_agree(theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.0])
 def test_z_identity(theta):
-    assert jc.z_identity_check(theta, N_MAX, TOL).passed
+    assert jc.z_identity_check(jc.build_bundle(theta), N_MAX, TOL).passed
 
 
 def test_coherent_expectation_matches_direct_sum():
@@ -173,7 +218,7 @@ def test_coherent_expectation_matches_direct_sum():
     amps = np.array(
         [alpha**n * math.exp(-abs(alpha) ** 2 / 2) / math.sqrt(math.factorial(n)) for n in range(n_top + 1)]
     )
-    z = jc.local_coordinate_z(theta)
+    z = jc.build_bundle(theta).z
     direct = sum(
         amps[n + 1] * element(z, 1, n) * amps[n] for n in range(n_top)
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fockbundle import spinrep
+from fockbundle.jc import Radius
 from fockbundle.opmatrix import OpMatrix, matrix_equal
 from fockbundle.veronese import build_family, lift, x_operator, y_operator
 
@@ -257,7 +258,7 @@ def test_tensor_square_recovers_block_form_at_resonance():
 def test_family_string_map_is_the_union_of_generator_supports(theta, n):
     union = {}
     for k in range(n + 1):
-        bad = x_operator(theta, k).singular_support(24) | y_operator(theta, k).singular_support(24)
+        bad = x_operator(Radius(theta, 1 - k)).singular_support(24) | y_operator(Radius(theta, -k)).singular_support(24)
         if bad:
             union[k + 1] = bad
     assert {k: set(v) for k, v in spinrep.family_string_map(build_family(theta, 3), n, 24).items()} == union

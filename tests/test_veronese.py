@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbundle import veronese
+from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
 
@@ -42,18 +42,18 @@ def test_commutation_rule(theta, k):
 
 def test_x_values_explicit():
     # at theta=0 every X collapses to 1/sqrt(2) wherever it is defined
-    x0 = veronese.x_symbol(0.0, 0)(np.arange(8))
+    x0 = veronese.x_symbol(jc.Radius(0.0, 1))(np.arange(8))
     assert x0.singular is None and x0.im is None
     for n in (1, 2, 7):
         assert x0.re[n] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # large theta pushes X toward 1: the fibre aligns with the pole
-    assert veronese.x_symbol(50.0, 0)(np.arange(4)).magnitude()[3] > 0.999
+    assert veronese.x_symbol(jc.Radius(50.0, 1))(np.arange(4)).magnitude()[3] > 0.999
 
 
 def test_y_index_structure():
     # the shift acts first, so the sqrt((N-2)/N) factor of Y_{-2} is read
     # at the raised index: negative under the root at |0>, zero at |1>
-    y2 = veronese.y_operator(1.0, 2)
+    y2 = veronese.y_operator(jc.Radius(1.0, -2))
     assert y2.singular_support(N_MAX) == {0}
     (d, c), = y2.terms
     values = c(np.arange(N_MAX + 1))
@@ -63,9 +63,9 @@ def test_y_index_structure():
 
 
 def test_z_regular_at_vacuum_for_positive_theta():
-    z0 = veronese.z_operator(1.0, 0)
+    z0 = veronese.z_operator(jc.Radius(1.0, 0))
     assert z0.singular_support(N_MAX) == set()
-    (d, c), = veronese.z_operator(1.0, 2).terms
+    (d, c), = veronese.z_operator(jc.Radius(1.0, -2)).terms
     assert d == 1 and c(np.arange(N_MAX + 1)).singular[0]
 
 
@@ -105,7 +105,7 @@ def test_oike_layout(theta, n):
 def test_lift_degree_one_matches_chart_column():
     # for n=1 the lifted column is just (X0; Y0)
     lifted = veronese.lift(veronese.build_family(1.0, 1), 1)
-    col = veronese.OpMatrix.build([[veronese.x_operator(1.0, 0)], [veronese.y_operator(1.0, 0)]])
+    col = veronese.OpMatrix.build([[veronese.x_operator(jc.Radius(1.0, 1))], [veronese.y_operator(jc.Radius(1.0, 0))]])
     assert matrix_equal(lifted.a_col, col, N_MAX, TOL).passed
 
 
@@ -121,3 +121,18 @@ def test_only_build_family_builds_the_operator_family():
                     if called in builders:
                         callers.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
     assert callers == {"veronese.py:build_family"}
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_build_family_builds_one_r_node_per_offset(monkeypatch, n):
+    offsets = []
+
+    def counted(theta, offset=0, _fn=jc.r_symbol):
+        offsets.append(offset)
+        return _fn(theta, offset)
+
+    monkeypatch.setattr(jc, "r_symbol", counted)
+    family = veronese.build_family(0.5, n)
+    # X_{-j} reads R(N+1-j), Y_{-j} and Z_{-j} read R(N-j)
+    assert offsets == list(range(1, -n - 1, -1))
+    assert veronese.sum_rule_check(family, n, N_MAX, TOL).passed

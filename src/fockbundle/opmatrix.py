@@ -152,10 +152,11 @@ def pair_check(
 ) -> CheckResult:
     """The larger of two grid deviations (each against zero) with the
     union of their exclusions; the default detail is the location, the
-    first one's on a tie."""
+    first one's on a tie, and empty when both are 0."""
     dev1, w1, e1 = matrix_grid_deviation(first, n_max, skip)
     dev2, w2, e2 = matrix_grid_deviation(second, n_max, skip)
-    detail = detail or f"max at {w1 if dev1 >= dev2 else w2}"
+    where = w1 if dev1 >= dev2 else w2
+    detail = detail or (f"max at {where}" if where else "")
     return upper_bound_check(name, max(dev1, dev2), tol, merge_excluded(e1, e2), first.cols * (n_max + 1), detail)
 
 

@@ -75,11 +75,14 @@ def test_grid_deviation_reports_location_and_exclusions():
 
 def test_check_unitary_and_projector_helpers():
     x = _pauli_x()
-    assert check_unitary(x, N_MAX, TOL).passed
+    unitary = check_unitary(x, N_MAX, TOL)
+    assert unitary.passed and unitary.detail == ""  # no deviation, so no location
     p = OpMatrix.diag(FockOperator.identity(), FockOperator.zero())
-    assert check_idempotent_hermitian(p, N_MAX, TOL).passed
+    projector = check_idempotent_hermitian(p, N_MAX, TOL)
+    assert projector.passed and projector.detail == ""
     not_p = OpMatrix.diag(FockOperator.identity().scale(0.5), FockOperator.zero())
-    assert not check_idempotent_hermitian(not_p, N_MAX, TOL).passed
+    res = check_idempotent_hermitian(not_p, N_MAX, TOL)
+    assert not res.passed and res.detail == "max at (slot1,0 | slot1,0)"
 
 
 def test_column_singular_map():

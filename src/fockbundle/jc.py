@@ -5,8 +5,8 @@ the two chart unitaries with their Dirac-string domains, the transition
 operator gluing them, the rank-1 projector, the closed-form propagator
 with an independent block oracle, and the local complex coordinate with
 its classical limit.  ``build_bundle`` builds the charts, the projector and
-the coordinate at one theta on one R(N) and one R(N+1) node (``Radius``),
-where R +- theta and sqrt(2 R (R + theta)) are each written once.
+the coordinate at one theta on one ``Radius`` each for R(N) and R(N+1): one
+node per offset, with the sums and roots that several builders share.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ class VeroneseFamily:
 def build_family(theta: float, n: int) -> VeroneseFamily:
     if n < 1:
         raise ValueError("target degree must be at least 1")
-    levels = {offset: Radius(theta, offset) for offset in range(1, -n - 1, -1)}  # X_{-j} reads 1-j, Y and Z -j
+    levels = {offset: Radius(theta, offset) for offset in range(1, -n - 1, -1)}  # X_{-j} at 1-j; Y_{-j}, Z_{-j} at -j
     return VeroneseFamily(
         theta=theta,
         x=[x_operator(levels[1 - j]) for j in range(n + 1)],

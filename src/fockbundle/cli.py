@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import re
@@ -26,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import classical, jc, spinrep, veronese
-from .operators import ANNIHILATION, CREATION, FockOperator, op_equal
+from .operators import ANNIHILATION, CREATION, FockOperator, op_deviation
 from .opmatrix import check_idempotent_hermitian, matrix_equal
 from .report import CheckResult, VerificationReport, exact_set_check, format_excluded, upper_bound_check
 
@@ -70,24 +71,41 @@ class SuiteConfig:
 
 
 def run_fock(cfg: SuiteConfig) -> List[CheckResult]:
+    return [
+        upper_bound_check(name, dev, cfg.tol, dict(excluded), cfg.n_max + 1, detail)
+        for name, dev, excluded, detail in _fock_deviations(cfg.n_max)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _fock_deviations(n_max: int) -> Tuple[Tuple[str, float, tuple, str], ...]:
+    """Name, deviation, ((slot, states), ...) and detail of each fock check.
+
+    Neither theta nor tol enters them, so a sweep scans once per grid;
+    ``run_fock`` builds fresh records from them for every report.
+    """
     a, adag = ANNIHILATION, CREATION
     num = FockOperator.number_op()
     ident = FockOperator.identity()
-    nm, tol = cfg.n_max, cfg.tol
-    return [
-        op_equal(a * adag - adag * a, ident, nm, tol, name="ladder_commutator"),
-        op_equal(adag * a, num, nm, tol, name="number_from_ladders"),
-        op_equal(a.dagger(), adag, nm, tol, name="adjoint_of_annihilation"),
-        op_equal((a * adag) * a, a * (adag * a), nm, tol, name="composition_associativity"),
-        op_equal(num * a, a * (num - ident), nm, tol, name="number_shift_relation"),
-    ]
+    sides = {
+        "ladder_commutator": (a * adag - adag * a, ident),
+        "number_from_ladders": (adag * a, num),
+        "adjoint_of_annihilation": (a.dagger(), adag),
+        "composition_associativity": ((a * adag) * a, a * (adag * a)),
+        "number_shift_relation": (num * a, a * (num - ident)),
+    }
+    out = []
+    for name, (lhs, rhs) in sides.items():
+        dev, excluded, detail = op_deviation(lhs, rhs, n_max)
+        out.append((name, dev, tuple((slot, frozenset(states)) for slot, states in excluded.items()), detail))
+    return tuple(out)
 
 
 def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
     out: List[CheckResult] = []
     nm, tol = cfg.n_max, cfg.tol
     glue = jc.transition_operator()
-    transition = jc.transition_singular_map(nm)  # the same at every theta
+    transition = jc.transition_singular_map(nm)  # cached: the same at every theta
     for theta in cfg.theta_list:
         bundle = jc.build_bundle(theta)
         claimed = jc.claimed_strings(theta)

@@ -11,6 +11,7 @@ node per offset, with the sums and roots that several builders share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
@@ -216,7 +217,13 @@ def projector_singular_map(bundle: Bundle, n_max: int) -> Dict[int, List[int]]:
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     """Strings of the gluing operator in its defining form."""
-    return strings(n_max, transition_operator())
+    return {slot: list(states) for slot, states in _transition_strings(n_max)}
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_strings(n_max: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    # no theta enters them, so a sweep scans once per grid; frozen, as every caller gets them
+    return tuple((slot, tuple(states)) for slot, states in strings(n_max, transition_operator()).items())
 
 
 def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:

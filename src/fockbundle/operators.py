@@ -174,15 +174,19 @@ def grid_deviation(
     n = _index_grid(n_max)
     best, where = 0.0, None
     for j, col in enumerate(columns):
-        skipped = np.zeros(n_max + 1, dtype=bool)
-        skipped[[m for m in skip.get(j + 1, ()) if 0 <= m <= n_max]] = True
-        singular = np.zeros(n_max + 1, dtype=bool)
+        # both masks stay None, unallocated, while the column has nothing to drop
+        skipped = None
+        states = [m for m in skip.get(j + 1, ()) if 0 <= m <= n_max]
+        if states:
+            skipped = np.zeros(n_max + 1, dtype=bool)
+            skipped[states] = True
+        found = None
         devs, labels = [], []
         for i, op in enumerate(col):
             for d, c in op.terms:
                 v = c(n)
-                if v.singular is not None:
-                    singular |= v.singular
+                if v.singular is not None:  # a node's cached mask: never written to
+                    found = v.singular if found is None else found | v.singular
                 dev = v.magnitude()
                 if d > 0:
                     dev[max(n_max + 1 - d, 0) :] = -1.0  # maps above n_max
@@ -190,14 +194,17 @@ def grid_deviation(
                     dev[: -d] = -1.0  # maps below the vacuum
                 devs.append(dev)
                 labels.append((i, d))
-        found = singular & ~skipped
-        if found.any():
-            excluded.setdefault(j + 1, set()).update(np.flatnonzero(found).tolist())
+        if found is not None:
+            found = found if skipped is None else found & ~skipped
+            if found.any():
+                excluded.setdefault(j + 1, set()).update(np.flatnonzero(found).tolist())
         if not devs:
             continue
         table = np.stack(devs, axis=1)
         table[np.isnan(table)] = np.inf
-        table[skipped | found] = -1.0
+        for drop in (skipped, found):
+            if drop is not None:
+                table[drop] = -1.0
         at = int(np.argmax(table))
         if table.flat[at] > best:
             best = float(table.flat[at])
@@ -206,13 +213,17 @@ def grid_deviation(
     return best, where, {s: v for s, v in excluded.items() if v}
 
 
-def op_equal(a: FockOperator, b: FockOperator, n_max: int, tol: float, name: str = "op_equal") -> CheckResult:
-    """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max.
-
-    Singular points of either side are excluded from the scan and listed
-    in the result (slot 1 by convention for scalar operators).  The check
-    fails when every grid state is excluded.
-    """
+def op_deviation(a: FockOperator, b: FockOperator, n_max: int) -> Tuple[float, Dict[int, Set[int]], str]:
+    """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max, the
+    singular points of either side (slot 1 by convention for scalar
+    operators) and the location of the maximum as a detail."""
     dev, where, excluded = grid_deviation([[a - b]], n_max)
-    detail = "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})"
+    return dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})"
+
+
+def op_equal(a: FockOperator, b: FockOperator, n_max: int, tol: float, name: str = "op_equal") -> CheckResult:
+    """The check of ``op_deviation``: singular points are excluded from the
+    scan and listed in the result, and it fails when every grid state is
+    excluded."""
+    dev, excluded, detail = op_deviation(a, b, n_max)
     return upper_bound_check(name, dev, tol, excluded, n_max + 1, detail)

@@ -171,9 +171,9 @@ def check_unitary(
     """
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
-    ident = OpMatrix.identity(m.rows)
-    skip = strings(n_max, m, m.dagger()) if skip is None else skip
-    return pair_check(name, m.dagger() @ m - ident, m @ m.dagger() - ident, n_max, tol, skip, detail)
+    ident, adjoint = OpMatrix.identity(m.rows), m.dagger()
+    skip = strings(n_max, m, adjoint) if skip is None else skip
+    return pair_check(name, adjoint @ m - ident, m @ adjoint - ident, n_max, tol, skip, detail)
 
 
 def check_idempotent_hermitian(

@@ -18,10 +18,20 @@ and ``np.power`` round differently on some machines.
 The grid is the only way to read a symbol: calling one on anything but
 an int64 index array is a TypeError.  A node caches its values on the
 last index array it was read on, per offset, for the node's lifetime.
+
+Nodes are hash-consed: every builder goes through ``_node``, which returns
+the live node of the same kind and arguments if there is one (children
+compared by identity, numbers by value, a constant's zeros by sign too).
+So while any copy is alive, structurally equal subexpressions are one
+node, and the cache evaluates them once per offset.  The table holds weak
+references only and a node removes its entry when it dies, so interning
+keeps no node, and none of its cached values, alive.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -60,21 +70,35 @@ class GridValues(NamedTuple):
         return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
 
 
+# (op, args, signs) -> weak reference to the one live node built from them
+_NODES: Dict[tuple, "weakref.ref[DiagonalSymbol]"] = {}
+
+
 class DiagonalSymbol:
     """An exactly evaluable function of the number operator.
 
-    Nodes are compared by identity and their expression never changes, so a
-    shared subexpression is one node; ``cache`` holds its values on the last
-    index array it was read on, as (array, {offset: GridValues}).
+    Built only by ``_node``, so two live nodes of equal structure are one
+    object; nodes are compared by identity and their expression never
+    changes.  ``key`` is the node's entry in the interning table, and
+    ``cache`` holds its values on the last index array it was read on, as
+    (array, {offset: GridValues}).
     """
 
-    __slots__ = ("op", "args", "real", "cache")
+    __slots__ = ("op", "args", "real", "key", "cache", "__weakref__")
 
-    def __init__(self, op: str, args: tuple, real: bool):
+    def __init__(self, op: str, args: tuple, real: bool, key: tuple):
         self.op = op
         self.args = args
         self.real = real
+        self.key = key
         self.cache: Optional[Tuple[np.ndarray, Dict[int, GridValues]]] = None
+
+    def __del__(self, _nodes=_NODES):
+        # the entry may already point to a successor built after the garbage
+        # collector cleared this node's weak reference; that one stays
+        ref = _nodes.get(self.key)
+        if ref is not None and ref() in (None, self):
+            del _nodes[self.key]
 
     def __call__(self, n: np.ndarray) -> GridValues:
         """The values on the int64 index array ``n``.  Calls on the same
@@ -86,15 +110,32 @@ class DiagonalSymbol:
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
-        return DiagonalSymbol("add", (self, other), self.real and other.real)
+        return _node("add", (self, other), self.real and other.real)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
-        return DiagonalSymbol("mul", (self, other), self.real and other.real)
+        return _node("mul", (self, other), self.real and other.real)
 
     __rmul__ = __mul__
+
+
+def _node(op: str, args: tuple, real: bool, signs: Optional[tuple] = None) -> DiagonalSymbol:
+    """The one constructor: the live node (op, args) if any, else a new one.
+
+    ``signs`` tells apart numbers that compare equal but evaluate
+    differently, +0.0 and -0.0.
+    """
+    key = (op, args, signs)
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = DiagonalSymbol(op, args, real, key)
+    _NODES[key] = weakref.ref(node)
+    return node
 
 
 def _coerce(value) -> DiagonalSymbol:
@@ -114,12 +155,12 @@ def _real(value, what: str) -> DiagonalSymbol:
 
 def const(value: Scalar) -> DiagonalSymbol:
     v = complex(value)
-    return DiagonalSymbol("const", (v,), v.imag == 0)
+    return _node("const", (v,), v.imag == 0, (math.copysign(1.0, v.real), math.copysign(1.0, v.imag)))
 
 
 def number(shift: int = 0, add: float = 0.0) -> DiagonalSymbol:
     """The number operator itself, n -> (n + shift) + add."""
-    return DiagonalSymbol("index", (shift, float(add)), True)
+    return _node("index", (shift, float(add)), True)
 
 
 def grid_leaf(fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]) -> DiagonalSymbol:
@@ -129,13 +170,13 @@ def grid_leaf(fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]) -> Diag
     The array may hold indices below the vacuum; what ``fn`` returns there
     is never used.
     """
-    return DiagonalSymbol("leaf", (fn,), False)
+    return _node("leaf", (fn,), False)
 
 
 def guarded_div(num, den, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     """num / den for a real divisor, singular where |den| < tol."""
     num, den = _coerce(num), _real(den, "divisor")
-    return DiagonalSymbol("div", (num, den, tol), num.real)
+    return _node("div", (num, den, tol), num.real)
 
 
 def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
@@ -144,7 +185,7 @@ def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     Values in [-tol, 0) are float noise around an exact zero and are
     clamped to 0.
     """
-    return DiagonalSymbol("sqrt", (_real(arg, "radicand"), tol), True)
+    return _node("sqrt", (_real(arg, "radicand"), tol), True)
 
 
 def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
@@ -154,7 +195,7 @@ def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> Diagona
     magnitude below tol are singular for negative exponents.  A power
     that overflows is the signed infinity.
     """
-    return DiagonalSymbol("pow", (_real(arg, "power base"), float(exponent), tol), True)
+    return _node("pow", (_real(arg, "power base"), float(exponent), tol), True)
 
 
 def composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
@@ -165,13 +206,13 @@ def composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
     where that index is a basis state; below the vacuum the product is 0.
     A vanishing right factor does not repair a singular ca.
     """
-    return DiagonalSymbol("composed", (ca, db, cb), ca.real and cb.real)
+    return _node("composed", (ca, db, cb), ca.real and cb.real)
 
 
 def adjoint(c: DiagonalSymbol, d: int) -> DiagonalSymbol:
     """Coefficient of the adjoint of the shift term (d, c): conj(c(n - d)),
     and 0 below the vacuum (n - d < 0), where c is not evaluated."""
-    return DiagonalSymbol("adjoint", (c, d), c.real)
+    return _node("adjoint", (c, d), c.real)
 
 
 def sinc(x):
@@ -225,12 +266,13 @@ class _Grid:
         return self.base + k if k else self.base
 
     def values(self, node: DiagonalSymbol, k: int) -> GridValues:
-        if node.cache is None or node.cache[0] is not self.base:
-            node.cache = (self.base, {})
-        found = node.cache[1]
-        if k not in found:
-            found[k] = _EVAL[node.op](self, node, k)
-        return found[k]
+        cache = node.cache
+        if cache is None or cache[0] is not self.base:
+            cache = node.cache = (self.base, {})
+        found = cache[1].get(k)
+        if found is None:
+            found = cache[1][k] = _EVAL[node.op](self, node, k)
+        return found
 
 
 def _eval_const(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
@@ -250,7 +292,8 @@ def _eval_leaf(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
 
 
 def _eval_add(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a, b = (grid.values(x, k) for x in node.args)
+    a, b = node.args
+    a, b = grid.values(a, k), grid.values(b, k)
     im = None
     if not node.real:  # a missing imaginary part is an exact 0
         im = (np.zeros_like(a.re) if a.im is None else a.im) + (np.zeros_like(b.re) if b.im is None else b.im)
@@ -270,7 +313,8 @@ def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndar
 
 
 def _eval_mul(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a, b = (grid.values(x, k) for x in node.args)
+    a, b = node.args
+    a, b = grid.values(a, k), grid.values(b, k)
     re, im = _product(a, b)
     return GridValues(re, im, _either(a.singular, b.singular))
 

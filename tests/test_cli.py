@@ -206,6 +206,30 @@ def test_the_chart_projector_check_is_computed_once_per_sweep(capsys):
     assert {line.split(",")[column] for line in out.strip().splitlines()[1:]} == {repr(cache())}
 
 
+def test_theta_free_scans_are_computed_once_per_sweep(capsys):
+    fock, transition = cli._fock_deviations, cli.jc._transition_strings
+    fock.cache_clear()
+    transition.cache_clear()
+    code, out, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "6"], capsys)
+    assert code == 0
+    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 2)
+    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 2)
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    for name in ("ladder_commutator", "strings_transition"):
+        assert len({row[header.index(name)] for row in rows}) == 1
+    # the records and the string maps are rebuilt for every caller: changing one changes no other
+    cli.jc.transition_singular_map(6)[1].append(5)
+    assert cli.jc.transition_singular_map(6) == {1: [0]}
+    cfg = cli.SuiteConfig(suite="fock", n_max=6)
+    first = cli.run_suite(cfg).checks
+    first[0].excluded[1] = [0]
+    first[0].passed = False
+    second = cli.run_suite(cfg).checks
+    assert second[0].excluded == {} and second[0].passed
+    assert [c.to_dict() for c in second[1:]] == [c.to_dict() for c in first[1:]]
+    assert fock.cache_info().misses == 1
+
+
 def test_sweep_with_a_failed_row_exits_one(capsys):
     code, out, _ = run_main(
         ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "8", "16", "--tol", "1e-30"], capsys

@@ -7,6 +7,7 @@ The grid is the only way the package reads a symbol.
 """
 
 import ast
+import gc
 import math
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbundle import jc, symbols
+from fockbundle import cli, jc, symbols
 from fockbundle.operators import FockOperator, grid_deviation, op_equal
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import (
@@ -288,10 +289,21 @@ def test_a_node_shared_by_two_scans_is_evaluated_once_per_offset(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def uncached_deviation(columns, n_max):
+    """The scan with every live node's cache emptied first.  A fresh build
+    is no fresh evaluation: while the old nodes live it returns them."""
+    for ref in list(symbols._NODES.values()):
+        node = ref()
+        if node is not None:
+            node.cache = None
+    return grid_deviation(columns, n_max)
+
+
 def test_scans_across_grids_read_no_stale_values():
     op = singular_mix()
+    expected = {n_max: uncached_deviation([[op]], n_max) for n_max in (6, 24)}
     for n_max in (6, 24, 6):
-        assert grid_deviation([[op]], n_max) == grid_deviation([[singular_mix()]], n_max)
+        assert grid_deviation([[op]], n_max) == expected[n_max]
     # two arrays of one size: the cache follows the array object, not its size
     sym = guarded_div(1.0, number(-3))
     low, high = np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 4
@@ -320,5 +332,110 @@ def test_a_repeated_scan_returns_the_same_result():
     first = grid_deviation(columns, 12)
     assert first[0] > 0 and first[2] == {1: {2, 3, 9}, 2: {0, 1, 2, 3, 7, 9}}
     assert grid_deviation(columns, 12) == first
-    fresh = singular_mix()
-    assert grid_deviation([[fresh, fresh.dagger(), columns[0][2]], columns[1]], 12) == first
+    assert uncached_deviation(columns, 12) == first
+
+
+# -- interning ------------------------------------------------------------------
+
+
+def build_every_kind():
+    """Nine new nodes, one of each kind but leaf, on values no other test uses."""
+    n = number(5, 0.125)
+    c = const(3.25 - 1.5j)
+    return {
+        "const": c,
+        "index": n,
+        "add": n + c,
+        "mul": n * c,
+        "div": guarded_div(c, n, 0.375),
+        "sqrt": guarded_sqrt(n, 0.375),
+        "pow": guarded_pow(n, -1.5, 0.375),
+        "composed": composed(c, 1, n),
+        "adjoint": adjoint(n * c, -1),
+    }
+
+
+def test_equal_builds_are_one_node():
+    first, second = build_every_kind(), build_every_kind()
+    assert set(first) == set(symbols._EVAL) - {"leaf"}
+    for kind, node in first.items():
+        assert node.op == kind
+        assert node is second[kind], kind
+    # numbers match by value, children by identity
+    assert const(2) is const(2.0) is const(2 + 0j)
+    assert number(5, 0.125) + 1 is first["index"] + 1.0
+    assert guarded_sqrt(first["index"], 0.5) is not first["sqrt"]
+    assert adjoint(first["mul"], 1) is not first["adjoint"]
+    assert number(5, 0.125) * const(3.25 - 1.5j) is not first["composed"]
+
+
+def test_a_node_is_initialised_only_when_new(monkeypatch):
+    # the benchmark counts DiagonalSymbol.__init__ as the nodes built
+    kinds = []
+    init = symbols.DiagonalSymbol.__init__
+
+    def counted(self, op, *args):
+        kinds.append(op)
+        init(self, op, *args)
+
+    monkeypatch.setattr(symbols.DiagonalSymbol, "__init__", counted)
+    first = build_every_kind()
+    assert sorted(kinds) == sorted(first)
+    second = build_every_kind()
+    assert sorted(kinds) == sorted(first) and second == first
+
+
+def test_two_leaf_functions_are_two_nodes():
+    leaves = [grid_leaf(lambda n, c=c: (n + c, np.zeros(n.shape))) for c in (1.0, 2.0)]
+    assert leaves[0] is not leaves[1]
+    grid = np.arange(4, dtype=np.int64)
+    assert [leaf(grid).re.tolist() for leaf in leaves] == [[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0]]
+
+
+def test_a_zero_of_either_sign_is_its_own_constant():
+    # +0.0 == -0.0, yet a product keeps the factor's sign
+    assert const(0.0) is not const(-0.0)
+    assert const(complex(0.0, 0.0)) is not const(complex(0.0, -0.0))
+    assert const(complex(1.0, 0.0)) is not const(complex(1.0, -0.0))
+    assert const(-0.0) is const(-0.0) and const(complex(1.0, -0.0)) is const(complex(1.0, -0.0))
+    grid = np.arange(3, dtype=np.int64)
+    assert np.signbit((const(-0.0) * number(1))(grid).re).all()
+    assert not np.signbit((const(0.0) * number(1))(grid).re).any()
+
+
+def test_a_nan_constant_is_an_infinite_deviation_however_often_built():
+    nan = float("nan")
+    for _ in range(2):
+        assert grid_deviation([[FockOperator.scalar(nan)]], 4)[0] == math.inf
+        res = op_equal(FockOperator.scalar(nan), FockOperator.scalar(nan), 4, 1e-10)
+        assert res.max_deviation == math.inf and not res.passed
+
+
+def test_the_interning_table_keeps_no_node_alive(capsys):
+    gc.collect()
+    before = len(symbols._NODES)
+    argv = ["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "6"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+    gc.collect()
+    assert len(symbols._NODES) == before
+    # every entry is a live node that knows its own key
+    for key, ref in symbols._NODES.items():
+        assert ref().key is key
+
+
+def test_only_the_interning_constructor_builds_nodes():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_node" and path.name == "symbols.py":
+                inside.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            builds = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DiagonalSymbol"
+            fills = isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            fills = fills and getattr(node.value, "id", None) == "_NODES"
+            if (builds or fills) and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []

@@ -93,6 +93,15 @@ def test_gluing_relation(theta):
     assert res.excluded.get(1) == [0]
 
 
+def test_two_gluing_operators_are_built_on_the_same_nodes():
+    def coefficients(m):
+        return [c for row in m.entries for op in row for _, c in op.terms]
+
+    first, second = coefficients(jc.transition_operator()), coefficients(jc.transition_operator())
+    assert len(first) == 2
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_transition_forms_and_strings():
     ground = jc.transition_operator()
     # the equivalent 1/sqrt(N+1) writing, regular everywhere

@@ -89,3 +89,18 @@ def test_column_singular_map():
     inv = FockOperator.diagonal(guarded_div(1.0, number(-2)))
     m = OpMatrix.build([[FockOperator.identity(), inv], [FockOperator.zero(), FockOperator.identity()]])
     assert m.column_singular_map(8) == {2: {2}}
+
+
+@pytest.mark.parametrize("skip", [None, {1: {0}}])
+def test_check_unitary_builds_the_adjoint_once(monkeypatch, skip):
+    calls = []
+    dagger = OpMatrix.dagger
+
+    def counted(self):
+        calls.append(self)
+        return dagger(self)
+
+    monkeypatch.setattr(OpMatrix, "dagger", counted)
+    x = _pauli_x()
+    assert check_unitary(x, N_MAX, TOL, skip=skip).passed
+    assert calls == [x]

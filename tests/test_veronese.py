@@ -136,3 +136,13 @@ def test_build_family_builds_one_r_node_per_offset(monkeypatch, n):
     # X_{-j} reads R(N+1-j), Y_{-j} and Z_{-j} read R(N-j)
     assert offsets == list(range(1, -n - 1, -1))
     assert veronese.sum_rule_check(family, n, N_MAX, TOL).passed
+
+
+def test_y_and_z_of_a_level_share_one_level_ratio_node():
+    family = veronese.build_family(0.7, 3)
+    for j in range(4):
+        # Y_{-j} and Z_{-j} are (ratio * prefactor) a-dagger: one composed term each
+        ((_, y),), ((_, z),) = family.y[j].terms, family.z[j].terms
+        ratio = veronese._level_ratio(jc.Radius(0.7, -j))
+        assert y.args[0].args[0] is ratio
+        assert z.args[0].args[0] is ratio

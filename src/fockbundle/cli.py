@@ -22,12 +22,12 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import classical, jc, spinrep, veronese
-from .operators import ANNIHILATION, CREATION, FockOperator, op_deviation
+from .operators import ANNIHILATION, CREATION, FockOperator, op_deviation, row_names
 from .opmatrix import check_idempotent_hermitian, matrix_equal
 from .report import CheckResult, VerificationReport, exact_set_check, format_excluded, upper_bound_check
 
@@ -69,12 +69,23 @@ class SuiteConfig:
 
 # -- suites ----------------------------------------------------------------
 
+# A runner returns its theta-free checks and one list of checks per theta of
+# the configuration, in order: every theta-dependent object is built once
+# and scanned on one grid with a row per theta.
+Parts = Tuple[List[CheckResult], List[List[CheckResult]]]
 
-def run_fock(cfg: SuiteConfig) -> List[CheckResult]:
-    return [
+
+def _by_theta(checks: List[List[CheckResult]]) -> List[List[CheckResult]]:
+    """Per-check lists of per-theta records as per-theta lists of records, in check order."""
+    return [list(row) for row in zip(*checks)]
+
+
+def run_fock(cfg: SuiteConfig) -> Parts:
+    free = [
         upper_bound_check(name, dev, cfg.tol, dict(excluded), cfg.n_max + 1, detail)
         for name, dev, excluded, detail in _fock_deviations(cfg.n_max)
     ]
+    return free, [[] for _ in cfg.theta_list]
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,97 +112,93 @@ def _fock_deviations(n_max: int) -> Tuple[Tuple[str, float, tuple, str], ...]:
     return tuple(out)
 
 
-def run_charts(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    nm, tol = cfg.n_max, cfg.tol
+def run_charts(cfg: SuiteConfig) -> Parts:
+    nm, tol, thetas = cfg.n_max, cfg.tol, cfg.theta_list
     glue = jc.transition_operator()
     transition = jc.transition_singular_map(nm)  # cached: the same at every theta
-    for theta in cfg.theta_list:
-        bundle = jc.build_bundle(theta)
-        claimed = jc.claimed_strings(theta)
-        out.append(jc.qdm_reconstruction_check(bundle, nm, tol))
-        for label, chart in bundle.charts.items():
-            rebuilt = chart.unitary @ chart.diagonal @ chart.adjoint
-            out.append(matrix_equal(rebuilt, bundle.h, nm, tol, f"chart_{label}_rebuilds_h_theta{theta}"))
-            out.append(jc.dirac_string_map(bundle, label, nm))
-        gluing = bundle.charts["I"].unitary @ glue
-        out.append(matrix_equal(gluing, bundle.charts["II"].unitary, nm, tol, f"gluing_relation_theta{theta}"))
-        out.append(exact_set_check(f"strings_transition_theta{theta}", transition, claimed["transition"]))
-        computed = jc.projector_singular_map(bundle, nm)
-        p, p_adjoint = bundle.projector, bundle.projector_adjoint
-        out.append(check_idempotent_hermitian(p, nm, tol, f"projector_theta{theta}", skip=computed, adjoint=p_adjoint))
-        out.append(exact_set_check(f"strings_projector_theta{theta}", computed, claimed["projector"]))
-        out.append(jc.spectral_decomposition_check(bundle, nm, tol))
-        out.append(jc.z_identity_check(bundle, nm, tol))
-    return out
+    bundle = jc.build_bundle(thetas)
+    checks = [jc.qdm_reconstruction_check(bundle, nm, tol)]
+    for label, chart in bundle.charts.items():
+        rebuilt = chart.unitary @ chart.diagonal @ chart.adjoint
+        checks.append(matrix_equal(rebuilt, bundle.h, nm, tol, f"chart_{label}_rebuilds_h", thetas=thetas))
+        checks.append(jc.dirac_string_map(bundle, label, nm))
+    gluing = bundle.charts["I"].unitary @ glue
+    checks.append(matrix_equal(gluing, bundle.charts["II"].unitary, nm, tol, "gluing_relation", thetas=thetas))
+    claimed = [jc.claimed_strings(theta) for theta in thetas]
+    names = row_names("strings_transition", thetas)
+    checks.append([exact_set_check(name, transition, c["transition"]) for name, c in zip(names, claimed)])
+    computed = jc.projector_singular_map(bundle, nm)
+    p, p_adjoint = bundle.projector, bundle.projector_adjoint
+    checks.append(check_idempotent_hermitian(p, nm, tol, "projector", skip=computed, adjoint=p_adjoint, thetas=thetas))
+    names = row_names("strings_projector", thetas)
+    checks.append([exact_set_check(n, found, c["projector"]) for n, found, c in zip(names, computed, claimed)])
+    checks.append(jc.spectral_decomposition_check(bundle, nm, tol))
+    checks.append(jc.z_identity_check(bundle, nm, tol))
+    return [], _by_theta(checks)
 
 
-def run_propagator(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    nm, tol, g, t = cfg.n_max, cfg.tol, cfg.g, cfg.t
-    for theta in cfg.theta_list:
-        out.append(jc.propagator_oracle_check(theta, g, t, nm, tol))
-        out.append(jc.propagator_unitarity_check(theta, g, t, nm, tol))
-        out.append(jc.propagator_semigroup_check(theta, g, t, t / 2.0, nm, tol))
-    return out
+def run_propagator(cfg: SuiteConfig) -> Parts:
+    nm, tol, g, t, thetas = cfg.n_max, cfg.tol, cfg.g, cfg.t, cfg.theta_list
+    u = jc.propagator_closed_form(g, t)  # alive while the checks run: each of them builds U(t) on its nodes
+    checks = [
+        jc.propagator_oracle_check(thetas, g, t, nm, tol),
+        jc.propagator_unitarity_check(thetas, g, t, nm, tol),
+        jc.propagator_semigroup_check(thetas, g, t, t / 2.0, nm, tol),
+    ]
+    del u
+    return [], _by_theta(checks)
 
 
-def run_veronese(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+def run_veronese(cfg: SuiteConfig) -> Parts:
     nm, tol = cfg.n_max, cfg.tol
-    for theta in cfg.theta_list:
-        family = veronese.build_family(theta, 4)
-        for j in range(5):
-            out.append(veronese.sum_rule_check(family, j, nm, tol))
-        for j in range(1, 5):
-            out.append(veronese.shift_rule_check(family, j, nm, tol))
-        out.append(veronese.commutation_check(family, 0, 0, nm, tol))
-        out.append(veronese.commutation_check(family, 1, 0, nm, tol))
-        for n in (2, 3):
-            lifted = veronese.lift(family, n)
-            out.append(veronese.lift_norm_check(lifted, nm, tol))
-            out.append(veronese.binomial_power_check(lifted, nm, tol))
-            out.append(veronese.factored_form_check(lifted, nm, tol))
-            out.append(veronese.oike_layout_check(lifted, nm, tol))
-            out.append(veronese.eigencolumn_check(lifted, nm, tol))
-    return out
+    family = veronese.build_family(cfg.theta_list, 4)
+    checks = [veronese.sum_rule_check(family, j, nm, tol) for j in range(5)]
+    checks += [veronese.shift_rule_check(family, j, nm, tol) for j in range(1, 5)]
+    checks.append(veronese.commutation_check(family, 0, 0, nm, tol))
+    checks.append(veronese.commutation_check(family, 1, 0, nm, tol))
+    for n in (2, 3):
+        lifted = veronese.lift(family, n)
+        checks.append(veronese.lift_norm_check(lifted, nm, tol))
+        checks.append(veronese.binomial_power_check(lifted, nm, tol))
+        checks.append(veronese.factored_form_check(lifted, nm, tol))
+        checks.append(veronese.oike_layout_check(lifted, nm, tol))
+        checks.append(veronese.eigencolumn_check(lifted, nm, tol))
+    return [], _by_theta(checks)
 
 
-def run_spinrep(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
+def run_spinrep(cfg: SuiteConfig) -> Parts:
     worst_u, worst_h, worst_cg = spinrep.group_sample_deviations(cfg.seed)
-    out.append(upper_bound_check("su2_rep_unitary", worst_u, 1e-12))
-    out.append(upper_bound_check("su2_rep_homomorphism", worst_h, 1e-12))
-    out.append(upper_bound_check("su2_cg_blocks", worst_cg, 1e-12))
-    nm, tol = cfg.n_max, cfg.tol
-    for theta in cfg.theta_list:
-        family = veronese.build_family(theta, 3)
-        reps = {j: spinrep.nc_spin_rep(family, j) for j in (0.5, 1.0, 1.5)}
-        for m in reps.values():
-            out.append(spinrep.nc_unitarity_check(family, m, nm, tol))
-        for j in (1.0, 1.5):
-            lifted = veronese.lift(family, int(2 * j))
-            out.append(spinrep.first_column_check(reps[j], lifted, nm, tol))
-            out.append(spinrep.projector_relation_check(reps[j], lifted, nm, tol))
+    free = [
+        upper_bound_check("su2_rep_unitary", worst_u, 1e-12),
+        upper_bound_check("su2_rep_homomorphism", worst_h, 1e-12),
+        upper_bound_check("su2_cg_blocks", worst_cg, 1e-12),
+    ]
+    nm, tol, thetas = cfg.n_max, cfg.tol, cfg.theta_list
+    family = veronese.build_family(thetas, 3)
+    reps = {j: spinrep.nc_spin_rep(family, j) for j in (0.5, 1.0, 1.5)}
+    checks = [spinrep.nc_unitarity_check(family, m, nm, tol) for m in reps.values()]
+    for j in (1.0, 1.5):
+        lifted = veronese.lift(family, int(2 * j))
+        checks.append(spinrep.first_column_check(reps[j], lifted, nm, tol))
+        checks.append(spinrep.projector_relation_check(reps[j], lifted, nm, tol))
+    # for small negative theta the mismatch is about 0.146 |theta|, so the floor scales with it
+    floors = [min(1e-8, 1e-2 * abs(theta)) for theta in thetas]
+    breakdown = spinrep.tensor_breakdown_check(thetas, reps[0.5], reps[1.0], nm, floors)
+    rows = _by_theta(checks)
+    for row, theta, record in zip(rows, thetas, breakdown):
+        # at resonance the conjugated tensor square happens to agree with
+        # the block form on the common domain: there is no breakdown to assert
         if not jc.resonant(theta):
-            # at resonance the conjugated tensor square happens to agree
-            # with the block form on the common domain, so there is no
-            # breakdown to assert there; for small negative theta the
-            # mismatch is about 0.146 |theta|, so the floor scales with it
-            floor = min(1e-8, 1e-2 * abs(theta))
-            out.append(spinrep.tensor_breakdown_check(theta, reps[0.5], reps[1.0], nm, floor))
-    return out
+            row.append(record)
+    return free, rows
 
 
-def run_classical(cfg: SuiteConfig) -> List[CheckResult]:
-    out: List[CheckResult] = []
-    worst = classical.verify_sample(200, cfg.seed)
-    out.append(upper_bound_check("sphere_identities_sample", worst, 1e-12))
-    out.append(upper_bound_check("cp_chart_projectors", classical.chart_projector_deviation(), 1e-12))
-    for theta in cfg.theta_list:
-        if theta >= 0:
-            out.append(jc.classical_limit_check(theta))
-    return out
+def run_classical(cfg: SuiteConfig) -> Parts:
+    free = [
+        upper_bound_check("sphere_identities_sample", classical.verify_sample(200, cfg.seed), 1e-12),
+        upper_bound_check("cp_chart_projectors", classical.chart_projector_deviation(), 1e-12),
+    ]
+    return free, [[jc.classical_limit_check(theta)] if theta >= 0 else [] for theta in cfg.theta_list]
 
 
 _RUNNERS = {
@@ -204,12 +211,24 @@ _RUNNERS = {
 }
 
 
-def run_suite(cfg: SuiteConfig) -> VerificationReport:
+def run_parts(cfg: SuiteConfig) -> List[Parts]:
+    """The parts of every runner of the configured suite, in suite order."""
+    return [_RUNNERS[name](cfg) for name in (list(_RUNNERS) if cfg.suite == "all" else [cfg.suite])]
+
+
+def assemble(cfg: SuiteConfig, parts: List[Parts], rows: Sequence[int]) -> VerificationReport:
+    """The report of ``cfg`` from runner parts: per runner, its theta-free
+    checks and then the checks of each theta row in ``rows``."""
     report = VerificationReport(suite=cfg.suite, config=asdict(cfg))
-    names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
-    for name in names:
-        report.checks.extend(_RUNNERS[name](cfg))
+    for free, per_theta in parts:
+        report.checks.extend(free)
+        for row in rows:
+            report.checks.extend(per_theta[row])
     return report
+
+
+def run_suite(cfg: SuiteConfig) -> VerificationReport:
+    return assemble(cfg, run_parts(cfg), range(len(cfg.theta_list)))
 
 
 # -- output ----------------------------------------------------------------
@@ -240,7 +259,9 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
     """One CSV row of maximum deviations per axis value, and whether every row passed.
 
     The header holds every check name met along the sweep, in first-seen
-    order; a row leaves the cell empty for a check it did not run.
+    order; a row leaves the cell empty for a check it did not run.  A theta
+    sweep runs every value in one batch and takes each row's report from it;
+    the t and nmax sweeps run row by row.
     """
     if axis not in ("theta", "t", "nmax"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -262,8 +283,9 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
     ]
     rows: List[Tuple[float, VerificationReport]] = []
     columns: Dict[str, None] = {}
-    for v, sub in zip(values, subs):
-        report = run_suite(sub)
+    parts = run_parts(replace(cfg, theta_list=list(values))) if axis == "theta" else None
+    for i, (v, sub) in enumerate(zip(values, subs)):
+        report = run_suite(sub) if parts is None else assemble(sub, parts, [i])
         columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)
         rows.append((v, report))
     buf = io.StringIO()

@@ -4,9 +4,12 @@ Provides its exact factorization into shift times classical times shift,
 the two chart unitaries with their Dirac-string domains, the transition
 operator gluing them, the rank-1 projector, the closed-form propagator
 with an independent block oracle, and the local complex coordinate with
-its classical limit.  ``build_bundle`` builds the charts, the projector and
-the coordinate at one theta on one ``Radius`` each for R(N) and R(N+1): one
-node per offset, with the sums and roots that several builders share.
+its classical limit.  The detuning enters every coefficient as the node
+``symbols.THETA`` and every guard as ``ROW_TOL``, so one build serves all
+theta: ``build_bundle`` builds the charts, the projector and the
+coordinate once, on one ``Radius`` each for R(N) and R(N+1) (one node per
+offset, with the sums and roots that several builders share), and its
+checks scan every theta of the run as one grid, one record per theta.
 """
 
 from __future__ import annotations
@@ -14,14 +17,27 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
-from .operators import ANNIHILATION, CREATION, FockOperator, grid_deviation, op_equal
+from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names, scan_rows
 from .report import CheckResult, exact_set_check, merge_excluded, monotone_check, upper_bound_check
-from .symbols import DiagonalSymbol, const, grid_leaf, guarded_div, guarded_sqrt, number, sigma_tol, sinc
+from .symbols import (
+    ROW_TOL,
+    THETA,
+    DiagonalSymbol,
+    const,
+    grid_leaf,
+    guarded_div,
+    guarded_sqrt,
+    number,
+    sigma_tol,
+    sinc,
+)
+
+MINUS_THETA = const(-1.0) * THETA  # -theta as an operator difference writes it
 
 
 def resonant(theta: float) -> bool:
@@ -38,21 +54,20 @@ def resonant(theta: float) -> bool:
     return 2.0 * abs(theta) < sigma_tol(theta)
 
 
-def r_symbol(theta: float, offset: int = 0) -> DiagonalSymbol:
+def r_symbol(offset: int = 0) -> DiagonalSymbol:
     """sqrt(N + offset + theta^2) as a diagonal symbol."""
-    return guarded_sqrt(number(offset, theta * theta), sigma_tol(theta))
+    return guarded_sqrt(number(offset) + THETA * THETA, ROW_TOL)
 
 
 class Radius:
-    """R(N + offset) at one theta as one node, with the nodes on it that several builders share."""
+    """R(N + offset) as one node, with the nodes on it that several builders share."""
 
-    def __init__(self, theta: float, offset: int):
-        self.theta, self.offset = theta, offset
-        self.tol = sigma_tol(theta)  # the singularity threshold of every node built on it
-        self.r = r_symbol(theta, offset)
-        self.plus = self.r + theta  # R + theta
-        self.minus = self.r + const(-1.0) * theta  # R - theta as an operator difference writes it
-        self.root = guarded_sqrt(const(2.0) * self.r * self.plus, self.tol)  # sqrt(2 R (R + theta))
+    def __init__(self, offset: int):
+        self.offset = offset
+        self.r = r_symbol(offset)
+        self.plus = self.r + THETA  # R + theta
+        self.minus = self.r + MINUS_THETA  # R - theta
+        self.root = guarded_sqrt(const(2.0) * self.r * self.plus, ROW_TOL)  # sqrt(2 R (R + theta))
 
 
 def r_operator(level: Radius) -> FockOperator:
@@ -61,26 +76,28 @@ def r_operator(level: Radius) -> FockOperator:
 
 def chart_prefactor(level: Radius, sign: int) -> DiagonalSymbol:
     """1 / sqrt(2 R (R + sign*theta)) at the level's offset."""
-    root = level.root if sign > 0 else guarded_sqrt(const(2.0) * level.r * (level.r + -level.theta), level.tol)
-    return guarded_div(1.0, root, level.tol)
+    root = level.root if sign > 0 else guarded_sqrt(const(2.0) * level.r * level.minus, ROW_TOL)
+    return guarded_div(1.0, root, ROW_TOL)
 
 
-def build_h_jc(theta: float) -> OpMatrix:
-    return OpMatrix.build([[FockOperator.scalar(theta), ANNIHILATION], [CREATION, FockOperator.scalar(-theta)]])
+def build_h_jc() -> OpMatrix:
+    return OpMatrix.build(
+        [[FockOperator.diagonal(THETA), ANNIHILATION], [CREATION, FockOperator.diagonal(MINUS_THETA)]]
+    )
 
 
-def qdm_factorization(theta: float) -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
+def qdm_factorization() -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
     """The shift / classical / shift triple whose ordered product is H_JC."""
     root = guarded_sqrt(number(1))
     inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, root))
     sqrt_np1 = FockOperator.diagonal(root)
     left = OpMatrix.diag(FockOperator.identity(), CREATION * inv_sqrt_np1)
-    middle = OpMatrix.build([[FockOperator.scalar(theta), sqrt_np1], [sqrt_np1, FockOperator.scalar(-theta)]])
+    middle = OpMatrix.build([[FockOperator.diagonal(THETA), sqrt_np1], [sqrt_np1, FockOperator.diagonal(MINUS_THETA)]])
     right = OpMatrix.diag(FockOperator.identity(), inv_sqrt_np1 * ANNIHILATION)
     return left, middle, right
 
 
-def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
     """left @ middle @ right against H, away from the uncoupled state.
 
     The right factor (1/sqrt(N+1)) a annihilates (slot2, |0>), while H
@@ -88,10 +105,9 @@ def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> CheckRes
     is singular there.  That state is the factorization's string and is
     excluded and reported.
     """
-    left, middle, right = qdm_factorization(bundle.theta)
-    return matrix_equal(
-        left @ middle @ right, bundle.h, n_max, tol, f"qdm_factorization_theta{bundle.theta}", skip={2: {0}}
-    )
+    left, middle, right = qdm_factorization()
+    product = left @ middle @ right
+    return matrix_equal(product, bundle.h, n_max, tol, "qdm_factorization", skip={2: {0}}, thetas=bundle.thetas)
 
 
 def chart_core(label: str, r0: Radius, r1: Radius) -> OpMatrix:
@@ -104,7 +120,7 @@ def chart_core(label: str, r0: Radius, r1: Radius) -> OpMatrix:
         )
     return OpMatrix.build(
         [
-            [ANNIHILATION, FockOperator.scalar(r1.theta) - r_operator(r1)],
+            [ANNIHILATION, FockOperator.diagonal(THETA) - r_operator(r1)],
             [FockOperator.diagonal(r0.minus), CREATION],
         ]
     )
@@ -152,13 +168,17 @@ def claimed_strings(theta: float) -> Dict[str, Dict[int, Set[int]]]:
     }
 
 
-def dirac_string_map(bundle: Bundle, label: str, n_max: int) -> CheckResult:
+def dirac_string_map(bundle: Bundle, label: str, n_max: int) -> List[CheckResult]:
     """The strings of the bundle's chart ``label`` -- of both orderings of V
     and of V†, as the chart map uses V with V† -- against the claimed ones,
-    as the exact-set check ``strings_chart_{label}_theta{theta}``."""
-    chart, theta = bundle.charts[label], bundle.theta
-    computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint)
-    return exact_set_check(f"strings_chart_{label}_theta{theta}", computed, claimed_strings(theta)[f"chart_{label}"])
+    as the exact-set check ``strings_chart_{label}_theta{theta}``, per theta."""
+    chart, thetas = bundle.charts[label], bundle.thetas
+    computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint, thetas=thetas)
+    names = row_names(f"strings_chart_{label}", thetas)
+    return [
+        exact_set_check(name, found, claimed_strings(theta)[f"chart_{label}"])
+        for name, theta, found in zip(names, thetas, computed)
+    ]
 
 
 def transition_operator() -> OpMatrix:
@@ -170,8 +190,8 @@ def transition_operator() -> OpMatrix:
 
 def projector_pjc(r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
     """The rank-1 projector, one core with its 1/(2R) prefactors on the left and on the right."""
-    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1.r, r1.tol))
-    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0.r, r0.tol))
+    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1.r, ROW_TOL))
+    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0.r, ROW_TOL))
     core = OpMatrix.build(
         [
             [FockOperator.diagonal(r1.plus), ANNIHILATION],
@@ -184,14 +204,15 @@ def projector_pjc(r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
 
 def local_coordinate_z(r0: Radius) -> FockOperator:
     """The off-diagonal chart coordinate (1/(R(N)+theta)) a-dagger."""
-    return FockOperator.diagonal(guarded_div(1.0, r0.plus, r0.tol)) * CREATION
+    return FockOperator.diagonal(guarded_div(1.0, r0.plus, ROW_TOL)) * CREATION
 
 
 @dataclass(frozen=True)
 class Bundle:
-    """Everything the charts suite reads at one theta, built once on one R(N) and one R(N+1)."""
+    """Everything the charts suite reads, built once on one R(N) and one
+    R(N+1), with the detunings its checks scan."""
 
-    theta: float
+    thetas: Tuple[float, ...]
     r0: Radius  # R(N)
     r1: Radius  # R(N+1)
     h: OpMatrix
@@ -202,17 +223,17 @@ class Bundle:
     z: FockOperator
 
 
-def build_bundle(theta: float) -> Bundle:
-    r0, r1 = Radius(theta, 0), Radius(theta, 1)
+def build_bundle(thetas: Sequence[float]) -> Bundle:
+    r0, r1 = Radius(0), Radius(1)
     charts = {label: build_chart(label, r0, r1) for label in ("I", "II")}
     projector, projector_alt = projector_pjc(r0, r1)
-    h, z = build_h_jc(theta), local_coordinate_z(r0)
-    return Bundle(theta, r0, r1, h, charts, projector, projector_alt, projector.dagger(), z)
+    h, z = build_h_jc(), local_coordinate_z(r0)
+    return Bundle(tuple(thetas), r0, r1, h, charts, projector, projector_alt, projector.dagger(), z)
 
 
-def projector_singular_map(bundle: Bundle, n_max: int) -> Dict[int, List[int]]:
-    """Strings of the bundle's projector, in both orderings, and of its adjoint."""
-    return strings(n_max, bundle.projector, bundle.projector_alt, bundle.projector_adjoint)
+def projector_singular_map(bundle: Bundle, n_max: int) -> List[Dict[int, List[int]]]:
+    """Strings of the bundle's projector, in both orderings, and of its adjoint, per theta."""
+    return strings(n_max, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, thetas=bundle.thetas)
 
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
@@ -226,99 +247,126 @@ def _transition_strings(n_max: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     return tuple((slot, tuple(states)) for slot, states in strings(n_max, transition_operator()).items())
 
 
-def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
     """H_JC against diag(R(N+1), R(N)) (2 P - 1), for the bundle's projector P."""
     d = OpMatrix.diag(r_operator(bundle.r1), r_operator(bundle.r0))
     rebuilt = (d @ bundle.projector) - (d @ (OpMatrix.identity(2) - bundle.projector))
-    return matrix_equal(bundle.h, rebuilt, n_max, tol, name=f"spectral_theta{bundle.theta}")
+    return matrix_equal(bundle.h, rebuilt, n_max, tol, "spectral", thetas=bundle.thetas)
 
 
-def z_identity_check(bundle: Bundle, n_max: int, tol: float) -> CheckResult:
+def z_identity_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
     """1 + Z†Z against 2 R(N+1) / (R(N+1)+theta)."""
     lhs = FockOperator.identity() + bundle.z.dagger() * bundle.z
-    rhs = FockOperator.diagonal(guarded_div(2.0 * bundle.r1.r, bundle.r1.plus, bundle.r1.tol))
-    return op_equal(lhs, rhs, n_max, tol, name=f"z_identity_theta{bundle.theta}")
+    rhs = FockOperator.diagonal(guarded_div(2.0 * bundle.r1.r, bundle.r1.plus, ROW_TOL))
+    return op_equal(lhs, rhs, n_max, tol, "z_identity", thetas=bundle.thetas)
 
 
 # -- propagator -----------------------------------------------------------
 
 
-def propagator_closed_form(theta: float, g: float, t: float) -> OpMatrix:
-    """exp(-i g t H_JC) written with cos/sin of R(N), sinc-regularized at R=0."""
+def propagator_closed_form(g: float, t: float) -> OpMatrix:
+    """exp(-i g t H_JC) written with cos/sin of R(N), sinc-regularized at R=0.
+
+    Its leaves are interned by function and the functions are cached per
+    g t, so two U at one g t are one set of nodes while either is alive.
+    """
     gt = g * t
-    phase = theta * gt
-
-    def diagonal(offset: int, parts) -> FockOperator:
-        # coefficient (real part, imaginary part) = parts(x) at x = gt R(N + offset)
-        return FockOperator.diagonal(grid_leaf(lambda idx: parts(gt * np.sqrt(idx + offset + theta * theta))))
-
-    e11 = diagonal(1, lambda x: (np.cos(x), -(phase * sinc(x))))  # cos - i theta gt sinc
-    e22 = diagonal(0, lambda x: (np.cos(x), phase * sinc(x)))  # cos + i theta gt sinc
-    f_upper = diagonal(1, lambda x: (np.zeros_like(x), -gt * sinc(x)))  # -i gt sinc
-    f_lower = diagonal(0, lambda x: (np.zeros_like(x), -gt * sinc(x)))
+    leaves = (grid_leaf(fn) for fn in _propagator_parts(gt, math.copysign(1.0, gt)))
+    e11, e22, f_upper, f_lower = map(FockOperator.diagonal, leaves)
     return OpMatrix.build([[e11, f_upper * ANNIHILATION], [f_lower * CREATION, e22]])
 
 
-def propagator_block_oracle(theta: float, g: float, t: float, n_max: int) -> OpMatrix:
+@functools.lru_cache(maxsize=3)  # the suite's three g t: t, t/2 and 3t/2
+def _propagator_parts(gt: float, sign: float) -> Tuple[Callable, ...]:
+    # the leaf functions of U at gt; ``sign`` keeps apart +0.0 and -0.0, which compare equal
+
+    def part(offset: int, fn: Callable) -> Callable:
+        # coefficient (real part, imaginary part) = fn(x, theta gt) at x = gt R(N + offset)
+        return lambda idx, theta: fn(gt * np.sqrt(idx + offset + theta * theta), theta * gt)
+
+    return (
+        part(1, lambda x, phase: (np.cos(x), -(phase * sinc(x)))),  # cos - i theta gt sinc
+        part(0, lambda x, phase: (np.cos(x), phase * sinc(x))),  # cos + i theta gt sinc
+        part(1, lambda x, phase: (np.zeros_like(x), -gt * sinc(x))),  # -i gt sinc
+        part(0, lambda x, phase: (np.zeros_like(x), -gt * sinc(x))),
+    )
+
+
+def propagator_block_oracle(thetas: Sequence[float], g: float, t: float, n_max: int) -> OpMatrix:
     """Exact propagator elements from the invariant two-dimensional subspaces.
 
     The Hamiltonian couples only (slot1,|n>) with (slot2,|n+1>), plus the
     uncoupled (slot2,|0>).  Each 2x2 block is exponentiated through its
-    numpy eigendecomposition, which is independent of the closed form.
-    Returns the propagator with those elements as coefficients, valid on
-    n = 0..n_max.
+    numpy eigendecomposition, one ``eigh`` per theta, which is independent
+    of the closed form.  Returns the propagator with those elements as
+    coefficients, one row per theta, valid on n = 0..n_max of the grid
+    with these ``thetas``.
     """
     coupling = np.sqrt(np.arange(1, n_max + 2, dtype=float))
-    h = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    h[:, 0, 0], h[:, 1, 1] = theta, -theta
-    h[:, 0, 1] = h[:, 1, 0] = coupling
-    w, v = np.linalg.eigh(h)
-    phases = np.zeros_like(h)
-    phases[:, 0, 0], phases[:, 1, 1] = np.exp(-1j * g * t * w).T
-    u = v @ phases @ np.conj(np.swapaxes(v, 1, 2))  # u[n] is the block of (slot1,|n>), (slot2,|n+1>)
+    blocks, ground = [], []
+    for theta in thetas:
+        h = np.zeros((n_max + 1, 2, 2), dtype=complex)
+        h[:, 0, 0], h[:, 1, 1] = theta, -theta
+        h[:, 0, 1] = h[:, 1, 0] = coupling
+        w, v = np.linalg.eigh(h)
+        phases = np.zeros_like(h)
+        phases[:, 0, 0], phases[:, 1, 1] = np.exp(-1j * g * t * w).T
+        blocks.append(v @ phases @ np.conj(np.swapaxes(v, 1, 2)))  # [n] is the block of (slot1,|n>), (slot2,|n+1>)
+        ground.append(np.exp(1j * g * t * theta))
+    u = np.array(blocks).reshape(len(blocks), n_max + 1, 2, 2)
+    below, ground = np.zeros((len(blocks), 1), dtype=complex), np.array(ground).reshape(-1, 1)
 
     def term(d: int, values: np.ndarray) -> FockOperator:
-        # values[n] = <slot si, n + d| U |slot sj, n>
-        return FockOperator.from_terms({d: grid_leaf(lambda idx: (values.real[idx], values.imag[idx]))})
+        # values[row, n] = <slot si, n + d| U |slot sj, n> at the row's theta
+        return FockOperator.from_terms({d: grid_leaf(lambda idx, theta: (values.real[:, idx], values.imag[:, idx]))})
 
     return OpMatrix.build(
         [
-            [term(0, u[:, 0, 0]), term(-1, np.concatenate(([0.0], u[:-1, 0, 1])))],
-            [term(1, u[:, 1, 0]), term(0, np.concatenate(([np.exp(1j * g * t * theta)], u[:-1, 1, 1])))],
+            [term(0, u[:, :, 0, 0]), term(-1, np.concatenate((below, u[:, :-1, 0, 1]), axis=1))],
+            [term(1, u[:, :, 1, 0]), term(0, np.concatenate((ground, u[:, :-1, 1, 1]), axis=1))],
         ]
     )
 
 
-def propagator_oracle_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
+def propagator_oracle_check(thetas: Sequence[float], g: float, t: float, n_max: int, tol: float) -> List[CheckResult]:
     """Closed form against the block oracle on every element <slot si, m|U|slot sj, n>
-    with m in {n-1, n, n+1}, both indices within the grid.
+    with m in {n-1, n, n+1}, both indices within the grid, per theta.
 
     The entries are scanned one at a time in row order, so a tied maximum
     is reported at its first occurrence in (1,1), (1,2), (2,1), (2,2).
     """
-    diff = propagator_closed_form(theta, g, t) - propagator_block_oracle(theta, g, t, n_max)
-    max_dev, where, excluded = 0.0, "", {}
+    diff = propagator_closed_form(g, t) - propagator_block_oracle(thetas, g, t, n_max)
+    rows = [(0.0, "", {}) for _ in thetas]
     for si in (1, 2):
         for sj in (1, 2):
-            dev, at, found = grid_deviation([[diff.entry(si - 1, sj - 1)]], n_max)
-            excluded = merge_excluded(excluded, {sj: found.get(1, set())})
-            if dev > max_dev:
-                max_dev, where = dev, f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
-    detail = f"theta={theta}, gt={g * t}; max at {where}"
-    return upper_bound_check(f"propagator_oracle_theta{theta}", max_dev, tol, excluded, 2 * (n_max + 1), detail)
+            found = scan_rows([[diff.entry(si - 1, sj - 1)]], n_max, thetas)
+            for r, (dev, at, singular) in enumerate(found):
+                max_dev, where, excluded = rows[r]
+                excluded = merge_excluded(excluded, {sj: singular.get(1, set())})
+                if dev > max_dev:
+                    max_dev, where = dev, f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
+                rows[r] = (max_dev, where, excluded)
+    return [
+        upper_bound_check(name, dev, tol, excluded, 2 * (n_max + 1), f"theta={theta}, gt={g * t}; max at {where}")
+        for name, theta, (dev, where, excluded) in zip(row_names("propagator_oracle", thetas), thetas, rows)
+    ]
 
 
-def propagator_unitarity_check(theta: float, g: float, t: float, n_max: int, tol: float) -> CheckResult:
-    name, detail = f"propagator_unitary_theta{theta}", f"theta={theta}, gt={g * t}"
-    return check_unitary(propagator_closed_form(theta, g, t), n_max, tol, name, detail)
+def propagator_unitarity_check(
+    thetas: Sequence[float], g: float, t: float, n_max: int, tol: float
+) -> List[CheckResult]:
+    details = [f"theta={theta}, gt={g * t}" for theta in thetas]
+    return check_unitary(propagator_closed_form(g, t), n_max, tol, "propagator_unitary", details, thetas=thetas)
 
 
-def propagator_semigroup_check(theta: float, g: float, t1: float, t2: float, n_max: int, tol: float) -> CheckResult:
+def propagator_semigroup_check(
+    thetas: Sequence[float], g: float, t1: float, t2: float, n_max: int, tol: float
+) -> List[CheckResult]:
     """U(t1) U(t2) against U(t1 + t2)."""
-    prod = propagator_closed_form(theta, g, t1) @ propagator_closed_form(theta, g, t2)
-    whole = propagator_closed_form(theta, g, t1 + t2)
-    detail = f"theta={theta}, g={g}, t1={t1}, t2={t2}"
-    return matrix_equal(prod, whole, n_max, tol, f"propagator_semigroup_theta{theta}", detail=detail)
+    prod = propagator_closed_form(g, t1) @ propagator_closed_form(g, t2)
+    whole = propagator_closed_form(g, t1 + t2)
+    details = [f"theta={theta}, g={g}, t1={t1}, t2={t2}" for theta in thetas]
+    return matrix_equal(prod, whole, n_max, tol, "propagator_semigroup", detail=details, thetas=thetas)
 
 
 # -- classical limit of the local coordinate ------------------------------

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .report import CheckResult, Exclusions, upper_bound_check
+from .report import Exclusions, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
+    Grid,
     adjoint,
     composed,
     const,
@@ -126,9 +127,11 @@ class FockOperator:
 
     # -- evaluation -------------------------------------------------------
 
-    def singular_support(self, n_max: int) -> Set[int]:
-        """Basis indices n <= n_max at which any coefficient evaluation is singular."""
-        return grid_deviation([[self]], n_max)[2].get(1, set())
+    def singular_support(self, n_max: int, thetas: Optional[Sequence[float]] = None):
+        """Basis indices n <= n_max at which any coefficient evaluation is
+        singular; with ``thetas``, one set per theta row."""
+        rows = [excluded.get(1, set()) for _, _, excluded in scan_rows([[self]], n_max, thetas)]
+        return one_or_rows(rows, thetas)
 
 
 # the ladder operators, built once: every builder composes these nodes
@@ -139,24 +142,56 @@ CREATION = FockOperator.creation()
 # -- the grid scan -----------------------------------------------------------
 
 Location = Tuple[int, int, int, int]  # (row, column, n, d)
+ScanRow = Tuple[float, Optional[Location], Dict[int, Set[int]]]
 
 
-@functools.lru_cache(maxsize=1)  # the latest grid only: an n_max sweep holds one
-def _index_grid(n_max: int) -> np.ndarray:
+@functools.lru_cache(maxsize=2)  # the latest grids: a run holds one with theta rows and one without
+def _grid(n_max: int, thetas: Optional[bytes]) -> Grid:
+    # keyed by the bits of the detunings, as +0.0 and -0.0 compare equal
     n = np.arange(n_max + 1, dtype=np.int64)
-    n.flags.writeable = False  # node caches key on this object; nothing may change it
-    return n
+    n.flags.writeable = False  # node caches key on this grid; nothing may change its index row
+    return Grid(n, None if thetas is None else np.frombuffer(thetas).tolist())
+
+
+def row_names(name: str, thetas: Optional[Sequence[float]]) -> List[str]:
+    """The record name of each row: ``name`` alone without theta rows, else ``{name}_theta{theta}``."""
+    return [name] if thetas is None else [f"{name}_theta{theta}" for theta in thetas]
+
+
+def per_row(value: Any, thetas: Optional[Sequence[float]]) -> list:
+    """``value`` for each row: a list or tuple holds one value per row, anything else serves every row."""
+    rows = 1 if thetas is None else len(thetas)
+    if isinstance(value, (list, tuple)):
+        if len(value) != rows:
+            raise ValueError(f"{len(value)} values for {rows} rows")
+        return list(value)
+    return [value] * rows
+
+
+def one_or_rows(rows: list, thetas: Optional[Sequence[float]]):
+    """The scan convention: with ``thetas`` the list of one result per
+    theta row, without them the one result of the scan."""
+    return rows if thetas is not None else rows[0]
+
+
+def as_rows(result, thetas: Optional[Sequence[float]]) -> list:
+    """The inverse of ``one_or_rows``: a list of one result per row."""
+    return result if thetas is not None else [result]
 
 
 def grid_deviation(
-    columns: Sequence[Sequence[FockOperator]], n_max: int, skip: Exclusions | None = None
-) -> Tuple[float, Optional[Location], Dict[int, Set[int]]]:
+    columns: Sequence[Sequence[FockOperator]],
+    n_max: int,
+    skip: Exclusions | Sequence[Exclusions] | None = None,
+    thetas: Optional[Sequence[float]] = None,
+):
     """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
 
     This is the one grid scan.  ``columns[j]`` holds the operators (one
-    per row) acting on slot j + 1.  Each coefficient is evaluated on one
-    read-only index array shared by every scan at this n_max, so a
-    subexpression is computed once per node, index offset and grid.
+    per row of the matrix) acting on slot j + 1.  Each coefficient is
+    evaluated once on the grid every scan at this n_max and ``thetas``
+    shares, for all theta rows at once, so a subexpression is computed
+    once per node, index offset and grid.
 
     It is also the one rule for singular states, the Dirac strings: a
     state is excluded when ``skip`` lists it or when a coefficient
@@ -167,63 +202,97 @@ def grid_deviation(
 
     Returns the maximum, the location of its first occurrence in slot,
     n, row, term order (None when the maximum is 0), and the exclusions
-    per 1-based slot, ``skip`` included.
+    per 1-based slot, ``skip`` included.  With ``thetas`` every theta row
+    is reduced by that rule on its own and the result is one such triple
+    per row (see ``one_or_rows``); ``skip`` is then one map for every row
+    or a sequence of one per row.
     """
-    skip = skip or {}
-    excluded = {s: set(v) for s, v in skip.items()}
-    n = _index_grid(n_max)
-    best, where = 0.0, None
+    return one_or_rows(scan_rows(columns, n_max, thetas, skip), thetas)
+
+
+def scan_rows(
+    columns: Sequence[Sequence[FockOperator]],
+    n_max: int,
+    thetas: Optional[Sequence[float]] = None,
+    skip: Exclusions | Sequence[Exclusions] | None = None,
+) -> List[ScanRow]:
+    """``grid_deviation`` as a list of one result per row, one row without ``thetas``."""
+    grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
+    skips = [s or {} for s in per_row(skip, thetas)]
+    rows, shape = len(skips), (len(skips), n_max + 1)
+    excluded = [{s: set(v) for s, v in sk.items()} for sk in skips]
+    best, where = np.zeros(rows), [None] * rows
     for j, col in enumerate(columns):
         # both masks stay None, unallocated, while the column has nothing to drop
         skipped = None
-        states = [m for m in skip.get(j + 1, ()) if 0 <= m <= n_max]
-        if states:
-            skipped = np.zeros(n_max + 1, dtype=bool)
-            skipped[states] = True
+        for r, sk in enumerate(skips):
+            states = [m for m in sk.get(j + 1, ()) if 0 <= m <= n_max]
+            if states:
+                skipped = np.zeros(shape, dtype=bool) if skipped is None else skipped
+                skipped[r, states] = True
         found = None
         devs, labels = [], []
         for i, op in enumerate(col):
             for d, c in op.terms:
-                v = c(n)
+                v = c(grid)
                 if v.singular is not None:  # a node's cached mask: never written to
                     found = v.singular if found is None else found | v.singular
-                dev = v.magnitude()
+                dev = v.magnitude().reshape(shape)  # a new array: a row of the grid or (rows, n)
                 if d > 0:
-                    dev[max(n_max + 1 - d, 0) :] = -1.0  # maps above n_max
+                    dev[:, max(n_max + 1 - d, 0) :] = -1.0  # maps above n_max
                 else:
-                    dev[: -d] = -1.0  # maps below the vacuum
+                    dev[:, : -d] = -1.0  # maps below the vacuum
                 devs.append(dev)
                 labels.append((i, d))
         if found is not None:
-            found = found if skipped is None else found & ~skipped
-            if found.any():
-                excluded.setdefault(j + 1, set()).update(np.flatnonzero(found).tolist())
+            found = found.reshape(shape) if skipped is None else found.reshape(shape) & ~skipped
+            for r in np.flatnonzero(found.any(axis=1)).tolist():
+                excluded[r].setdefault(j + 1, set()).update(np.flatnonzero(found[r]).tolist())
         if not devs:
             continue
-        table = np.stack(devs, axis=1)
+        table = np.stack(devs, axis=-1)
         table[np.isnan(table)] = np.inf
         for drop in (skipped, found):
             if drop is not None:
                 table[drop] = -1.0
-        at = int(np.argmax(table))
-        if table.flat[at] > best:
-            best = float(table.flat[at])
-            row, t = divmod(at, len(devs))
-            where = (labels[t][0], j, row, labels[t][1])
-    return best, where, {s: v for s, v in excluded.items() if v}
+        table = table.reshape(rows, -1)
+        at = table.argmax(axis=1)
+        top = table[np.arange(rows), at]
+        for r in np.flatnonzero(top > best).tolist():
+            best[r] = top[r]
+            n, t = divmod(int(at[r]), len(devs))
+            where[r] = (labels[t][0], j, n, labels[t][1])
+    return [(float(best[r]), where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
 
 
-def op_deviation(a: FockOperator, b: FockOperator, n_max: int) -> Tuple[float, Dict[int, Set[int]], str]:
+def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None):
     """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max, the
     singular points of either side (slot 1 by convention for scalar
-    operators) and the location of the maximum as a detail."""
-    dev, where, excluded = grid_deviation([[a - b]], n_max)
-    return dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})"
+    operators) and the location of the maximum as a detail; with
+    ``thetas``, one such triple per theta row."""
+    return one_or_rows(_op_rows(a, b, n_max, thetas), thetas)
 
 
-def op_equal(a: FockOperator, b: FockOperator, n_max: int, tol: float, name: str = "op_equal") -> CheckResult:
+def _op_rows(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]]) -> list:
+    return [
+        (dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})")
+        for dev, where, excluded in scan_rows([[a - b]], n_max, thetas)
+    ]
+
+
+def op_equal(
+    a: FockOperator,
+    b: FockOperator,
+    n_max: int,
+    tol: float,
+    name: str = "op_equal",
+    thetas: Optional[Sequence[float]] = None,
+):
     """The check of ``op_deviation``: singular points are excluded from the
     scan and listed in the result, and it fails when every grid state is
-    excluded."""
-    dev, excluded, detail = op_deviation(a, b, n_max)
-    return upper_bound_check(name, dev, tol, excluded, n_max + 1, detail)
+    excluded.  With ``thetas``, one record per theta row (``row_names``)."""
+    records = [
+        upper_bound_check(row, dev, tol, excluded, n_max + 1, detail)
+        for row, (dev, excluded, detail) in zip(row_names(name, thetas), _op_rows(a, b, n_max, thetas))
+    ]
+    return one_or_rows(records, thetas)

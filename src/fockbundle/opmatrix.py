@@ -4,18 +4,24 @@ Multiplication uses ordered entry products (left factor composed on the
 left), so operator ordering inside every product is observable.  Grid
 checks run over all basis states (slot, |n>) with n <= n_max; states on
 which some coefficient is singular are excluded from the scan and
-reported per slot -- the exclusion sets are the Dirac strings.
+reported per slot -- the exclusion sets are the Dirac strings.  Given
+``thetas``, a scan or check runs on every theta row at once and returns one
+result per row, in order, as ``operators.grid_deviation`` does; a ``skip``
+or ``detail`` is then one value for every row or a list of one per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .operators import FockOperator, grid_deviation
+from .operators import FockOperator, as_rows, one_or_rows, per_row, row_names, scan_rows
 from .report import CheckResult, Exclusions, merge_excluded, upper_bound_check
+
+Thetas = Optional[Sequence[float]]
+Skip = Exclusions | Sequence[Exclusions] | None
 
 
 @dataclass(frozen=True)
@@ -104,29 +110,30 @@ class OpMatrix:
 
     # -- evaluation -------------------------------------------------------
 
-    def column_singular_map(self, n_max: int) -> Dict[int, Set[int]]:
+    def column_singular_map(self, n_max: int, thetas: Thetas = None):
         """Per input slot, the basis states on which some column entry is singular."""
-        return grid_deviation(self.columns(), n_max)[2]
+        return one_or_rows([excluded for _, _, excluded in scan_rows(self.columns(), n_max, thetas)], thetas)
 
 
-def strings(n_max: int, *forms: OpMatrix) -> Dict[int, List[int]]:
+def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None):
     """The Dirac strings of an object displayed in several forms: the
     union of the forms' column singular maps."""
-    return merge_excluded(*(form.column_singular_map(n_max) for form in forms))
+    maps = [as_rows(form.column_singular_map(n_max, thetas), thetas) for form in forms]
+    return one_or_rows([merge_excluded(*row) for row in zip(*maps)], thetas)
 
 
-def matrix_grid_deviation(
-    diff: OpMatrix, n_max: int, skip: Exclusions | None = None
-) -> Tuple[float, str, Dict[int, Set[int]]]:
+def matrix_grid_deviation(diff: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None):
     """Max |coefficient| of ``diff`` over non-excluded grid states.
 
     Returns (max deviation, location string, exclusion map); states in
     ``skip`` and states found singular during the scan are excluded (see
     ``operators.grid_deviation`` for the rules).
     """
-    dev, at, excluded = grid_deviation(diff.columns(), n_max, skip)
-    where = "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})"
-    return dev, where, excluded
+    rows = [
+        (dev, "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})", excluded)
+        for dev, at, excluded in scan_rows(diff.columns(), n_max, thetas, skip)
+    ]
+    return one_or_rows(rows, thetas)
 
 
 def matrix_equal(
@@ -135,34 +142,59 @@ def matrix_equal(
     n_max: int,
     tol: float,
     name: str = "matrix_equal",
-    skip: Exclusions | None = None,
-    detail: str = "",
-) -> CheckResult:
+    skip: Skip = None,
+    detail: str | Sequence[str] = "",
+    thetas: Thetas = None,
+):
     """Max deviation of A - B on the grid; fails when every state is excluded.
     A ``detail`` replaces the default one, the location of the maximum."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    max_dev, where, excl = matrix_grid_deviation(a - b, n_max, skip)
-    detail = detail or (f"max at {where}" if where else "")
-    return upper_bound_check(name, max_dev, tol, excl, a.cols * (n_max + 1), detail)
+    found = as_rows(matrix_grid_deviation(a - b, n_max, skip, thetas), thetas)
+    records = [
+        upper_bound_check(row, dev, tol, excl, a.cols * (n_max + 1), text or (f"max at {where}" if where else ""))
+        for row, text, (dev, where, excl) in zip(row_names(name, thetas), per_row(detail, thetas), found)
+    ]
+    return one_or_rows(records, thetas)
 
 
 def pair_check(
-    name: str, first: OpMatrix, second: OpMatrix, n_max: int, tol: float, skip: Exclusions, detail: str = ""
-) -> CheckResult:
+    name: str,
+    first: OpMatrix,
+    second: OpMatrix,
+    n_max: int,
+    tol: float,
+    skip: Skip,
+    detail: str | Sequence[str] = "",
+    thetas: Thetas = None,
+):
     """The larger of two grid deviations (each against zero) with the
     union of their exclusions; the default detail is the location, the
     first one's on a tie, and empty when both are 0."""
-    dev1, w1, e1 = matrix_grid_deviation(first, n_max, skip)
-    dev2, w2, e2 = matrix_grid_deviation(second, n_max, skip)
-    where = w1 if dev1 >= dev2 else w2
-    detail = detail or (f"max at {where}" if where else "")
-    return upper_bound_check(name, max(dev1, dev2), tol, merge_excluded(e1, e2), first.cols * (n_max + 1), detail)
+    rows = zip(
+        row_names(name, thetas),
+        per_row(detail, thetas),
+        as_rows(matrix_grid_deviation(first, n_max, skip, thetas), thetas),
+        as_rows(matrix_grid_deviation(second, n_max, skip, thetas), thetas),
+    )
+    records: List[CheckResult] = []
+    for row, text, (dev1, w1, e1), (dev2, w2, e2) in rows:
+        where = w1 if dev1 >= dev2 else w2
+        text = text or (f"max at {where}" if where else "")
+        excluded, grid_states = merge_excluded(e1, e2), first.cols * (n_max + 1)
+        records.append(upper_bound_check(row, max(dev1, dev2), tol, excluded, grid_states, text))
+    return one_or_rows(records, thetas)
 
 
 def check_unitary(
-    m: OpMatrix, n_max: int, tol: float, name: str = "unitary", detail: str = "", skip: Exclusions | None = None
-) -> CheckResult:
+    m: OpMatrix,
+    n_max: int,
+    tol: float,
+    name: str = "unitary",
+    detail: str | Sequence[str] = "",
+    skip: Skip = None,
+    thetas: Thetas = None,
+):
     """Deviation of M†M and MM† from the identity on the grid off ``skip``.
 
     By default ``skip`` is the strings of M and M†, even where the
@@ -172,8 +204,8 @@ def check_unitary(
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
     ident, adjoint = OpMatrix.identity(m.rows), m.dagger()
-    skip = strings(n_max, m, adjoint) if skip is None else skip
-    return pair_check(name, adjoint @ m - ident, m @ adjoint - ident, n_max, tol, skip, detail)
+    skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
+    return pair_check(name, adjoint @ m - ident, m @ adjoint - ident, n_max, tol, skip, detail, thetas)
 
 
 def check_idempotent_hermitian(
@@ -181,14 +213,15 @@ def check_idempotent_hermitian(
     n_max: int,
     tol: float,
     name: str = "projector",
-    skip: Exclusions | None = None,
+    skip: Skip = None,
     adjoint: OpMatrix | None = None,
-) -> CheckResult:
+    thetas: Thetas = None,
+):
     """Deviations of M@M - M and M† - M on the grid off ``skip``, by
     default the strings of M and M†.  ``adjoint`` is M† when the caller
     has built it already."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
     adjoint = m.dagger() if adjoint is None else adjoint
-    skip = strings(n_max, m, adjoint) if skip is None else skip
-    return pair_check(name, m @ m - m, adjoint - m, n_max, tol, skip)
+    skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
+    return pair_check(name, m @ m - m, adjoint - m, n_max, tol, skip, thetas=thetas)

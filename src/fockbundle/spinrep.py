@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb, sqrt
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
-from .operators import FockOperator
+from .operators import FockOperator, row_names
 from .report import CheckResult, lower_bound_check
 from .veronese import LiftedColumn, VeroneseFamily, projector_pn
 
@@ -216,14 +216,14 @@ def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
     return OpMatrix.build(entries)
 
 
-def family_string_map(family: VeroneseFamily, n: int, n_max: int) -> Dict[int, List[int]]:
-    """The level strings: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
+def family_string_map(family: VeroneseFamily, n: int, n_max: int) -> List[Dict[int, List[int]]]:
+    """The level strings, per theta: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
 
     Column k of the operator spin matrices is normalized through the
     level-k sum rule, so its domain excludes the singular states of both
     level-k generators even when only one of them appears in the column.
     """
-    return strings(n_max, OpMatrix.build([family.x[: n + 1], family.y[: n + 1]]))
+    return strings(n_max, OpMatrix.build([family.x[: n + 1], family.y[: n + 1]]), thetas=family.thetas)
 
 
 def _spin(m: OpMatrix) -> float:
@@ -234,38 +234,43 @@ def _first_column(m: OpMatrix) -> OpMatrix:
     return OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
 
 
-def nc_unitarity_check(family: VeroneseFamily, m: OpMatrix, n_max: int, tol: float) -> CheckResult:
+def nc_unitarity_check(family: VeroneseFamily, m: OpMatrix, n_max: int, tol: float) -> List[CheckResult]:
     """Unitarity of the operator spin matrix ``m`` off the level strings of
     the family it was read from."""
     skip = family_string_map(family, m.rows - 1, n_max)
-    return check_unitary(m, n_max, tol, f"nc_spin_unitary_j{_spin(m)}_theta{family.theta}", skip=skip)
+    return check_unitary(m, n_max, tol, f"nc_spin_unitary_j{_spin(m)}", skip=skip, thetas=family.thetas)
 
 
-def first_column_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def first_column_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """The first column of the operator spin-j matrix is the degree-2j
     lifted column."""
-    name = f"first_column_j{_spin(m)}_theta{lifted.family.theta}"
-    return matrix_equal(_first_column(m), lifted.a_col, n_max, tol, name=name)
+    name, thetas = f"first_column_j{_spin(m)}", lifted.family.thetas
+    return matrix_equal(_first_column(m), lifted.a_col, n_max, tol, name, thetas=thetas)
 
 
-def projector_relation_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def projector_relation_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """M e00 M†, the projector c c† on the first column c of M, equals the
     rank-1 projector of the degree-2j lifted column."""
     col = _first_column(m)
-    name = f"projector_relation_j{_spin(m)}_theta{lifted.family.theta}"
-    return matrix_equal(col @ col.dagger(), projector_pn(lifted), n_max, tol, name=name)
+    name, thetas = f"projector_relation_j{_spin(m)}", lifted.family.thetas
+    return matrix_equal(col @ col.dagger(), projector_pn(lifted), n_max, tol, name, thetas=thetas)
 
 
-def tensor_breakdown_check(theta: float, v: OpMatrix, phi1: OpMatrix, n_max: int, floor: float) -> CheckResult:
+def tensor_breakdown_check(
+    thetas: Sequence[float], v: OpMatrix, phi1: OpMatrix, n_max: int, floors: Sequence[float]
+) -> List[CheckResult]:
     """The operator analogue of the pair decomposition fails: conjugating
     V (x) V by T4 does not give diag(1, phi1), for the chart matrix V and
-    its spin-1 matrix phi1.  Passes when the deviation genuinely exceeds
-    the floor."""
+    its spin-1 matrix phi1.  Passes, per theta, when the deviation
+    genuinely exceeds that theta's floor."""
     t4 = OpMatrix.from_scalars(T4)
     conj = t4.dagger() @ v.kron(v) @ t4
     zero = FockOperator.zero()
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
-    diff = conj - target
-    dev, where, excluded = matrix_grid_deviation(diff, n_max)
-    detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
-    return lower_bound_check(f"tensor_breakdown_theta{theta}", dev, floor, excluded, 4 * (n_max + 1), detail)
+    records = []
+    for name, floor, (dev, where, excluded) in zip(
+        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj - target, n_max, thetas=thetas)
+    ):
+        detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
+        records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))
+    return records

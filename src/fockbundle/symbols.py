@@ -1,13 +1,22 @@
-"""Coefficient functions of the photon-number index, evaluated over the grid.
+"""Coefficient functions of the photon-number index and the detuning, evaluated over a grid.
 
-A DiagonalSymbol is a node of a guarded expression, of one of 10 kinds:
-``const``; ``index``, N + k + c, the one writing of N +- k; a vectorised
-``leaf``; ``add`` and ``mul`` (a - b is a + (-1) b); the guarded ``div``,
-``sqrt`` and ``pow`` of a real argument; and ``composed`` and ``adjoint``,
-which the shift algebra needs.  A node evaluates on a whole int64 index
-array at once and returns the values plus a singular mask: a vanishing
-divisor, or a square root of a negative value, marks the index singular
-instead of producing NaN/Inf.
+A DiagonalSymbol is a node of a guarded expression, of one of 11 kinds:
+``const``; ``index``, N + k + c, the one writing of N +- k; ``theta``, the
+detuning; a vectorised ``leaf``; ``add`` and ``mul`` (a - b is a + (-1) b);
+the guarded ``div``, ``sqrt`` and ``pow`` of a real argument; and
+``composed`` and ``adjoint``, which the shift algebra needs.  A node
+evaluates on a whole grid at once and returns the values plus a singular
+mask: a vanishing divisor, or a square root of a negative value, marks the
+state singular instead of producing NaN/Inf.
+
+A ``Grid`` is an int64 index row n of N states and, when the detuning is
+an evaluation axis, a column of T detunings: its values have shape (T, N),
+one row per theta.  Without detunings the shape is (N,), and reading the
+``theta`` node is a TypeError.  Nodes are evaluated with numpy's
+broadcasting, so a node that reads no theta holds one row (N,) and the
+``theta`` node one column (T, 1); a guard's threshold is a number or
+``ROW_TOL``, the column of ``sigma_tol(theta)`` per row, computed by the
+scalar function.  A row's values equal those of a one-row grid bit for bit.
 
 Values keep CPython's scalar arithmetic bit for bit, so reports do not
 depend on the machine's numpy kernels: a real symbol is one float64 array,
@@ -16,8 +25,8 @@ formulas for complex ``*`` and ``abs`` (hypot), and ``pow`` is CPython's
 float ``**`` element by element.  numpy's complex128 ``*``, ``np.abs``
 and ``np.power`` round differently on some machines.
 The grid is the only way to read a symbol: calling one on anything but
-an int64 index array is a TypeError.  A node caches its values on the
-last index array it was read on, per offset, for the node's lifetime.
+a Grid or an int64 index array is a TypeError.  A node caches its values
+on the last grid it was read on, per offset, for the node's lifetime.
 
 Nodes are hash-consed: every builder goes through ``_node``, which returns
 the live node of the same kind and arguments if there is one (children
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +58,9 @@ def sigma_tol(theta: float = 0.0) -> float:
     is declared singular.
     """
     return 1e-12 * (1.0 + abs(theta))
+
+
+ROW_TOL = object()  # a guard's threshold: sigma_tol(theta) of each grid row's theta
 
 
 class SingularPoint(Exception):
@@ -80,8 +92,8 @@ class DiagonalSymbol:
     Built only by ``_node``, so two live nodes of equal structure are one
     object; nodes are compared by identity and their expression never
     changes.  ``key`` is the node's entry in the interning table, and
-    ``cache`` holds its values on the last index array it was read on, as
-    (array, {offset: GridValues}).
+    ``cache`` holds its values on the last grid it was read on, as
+    (grid, {offset: GridValues}).
     """
 
     __slots__ = ("op", "args", "real", "key", "cache", "__weakref__")
@@ -91,7 +103,7 @@ class DiagonalSymbol:
         self.args = args
         self.real = real
         self.key = key
-        self.cache: Optional[Tuple[np.ndarray, Dict[int, GridValues]]] = None
+        self.cache: Optional[Tuple[Grid, Dict[int, GridValues]]] = None
 
     def __del__(self, _nodes=_NODES):
         # the entry may already point to a successor built after the garbage
@@ -100,13 +112,15 @@ class DiagonalSymbol:
         if ref is not None and ref() in (None, self):
             del _nodes[self.key]
 
-    def __call__(self, n: np.ndarray) -> GridValues:
-        """The values on the int64 index array ``n``.  Calls on the same
-        array object reuse the values cached on every node they reach."""
-        if not (isinstance(n, np.ndarray) and n.dtype == np.int64):
-            raise TypeError("a symbol is evaluated on an int64 index array")
+    def __call__(self, grid, thetas: Optional[Sequence[float]] = None) -> GridValues:
+        """The values on ``grid``, broadcast to its shape: a Grid, or an
+        int64 index array with the detunings ``thetas`` of the rows (none
+        for a grid without them).  Calls on the same Grid object reuse the
+        values cached on every node they reach."""
+        if not isinstance(grid, Grid):
+            grid = Grid(grid, thetas)
         with np.errstate(all="ignore"):
-            return _Grid(n).values(self, 0)
+            return grid.full(grid.values(self, 0))
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
@@ -138,6 +152,9 @@ def _node(op: str, args: tuple, real: bool, signs: Optional[tuple] = None) -> Di
     return node
 
 
+THETA = _node("theta", (), True)  # the detuning: each grid row's theta
+
+
 def _coerce(value) -> DiagonalSymbol:
     if isinstance(value, DiagonalSymbol):
         return value
@@ -163,23 +180,26 @@ def number(shift: int = 0, add: float = 0.0) -> DiagonalSymbol:
     return _node("index", (shift, float(add)), True)
 
 
-def grid_leaf(fn: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]) -> DiagonalSymbol:
-    """A complex leaf: ``fn`` maps an int64 index array to the real and
-    imaginary parts of the values there, as float64 arrays.
+def grid_leaf(fn: Callable[[np.ndarray, Optional[np.ndarray]], Tuple[np.ndarray, np.ndarray]]) -> DiagonalSymbol:
+    """A complex leaf: ``fn`` maps an int64 index row and the grid's
+    column of detunings (None on a grid without them) to the real and
+    imaginary parts of the values there, as float64 arrays that broadcast
+    to the grid's shape.
 
-    The array may hold indices below the vacuum; what ``fn`` returns there
+    The row may hold indices below the vacuum; what ``fn`` returns there
     is never used.
     """
     return _node("leaf", (fn,), False)
 
 
-def guarded_div(num, den, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
-    """num / den for a real divisor, singular where |den| < tol."""
+def guarded_div(num, den, tol=DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
+    """num / den for a real divisor, singular where |den| < tol (a number,
+    or ``ROW_TOL`` for each row's sigma_tol(theta), as for every guard)."""
     num, den = _coerce(num), _real(den, "divisor")
     return _node("div", (num, den, tol), num.real)
 
 
-def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
+def guarded_sqrt(arg, tol=DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     """sqrt(arg) for a real argument, singular where arg < -tol.
 
     Values in [-tol, 0) are float noise around an exact zero and are
@@ -188,7 +208,7 @@ def guarded_sqrt(arg, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     return _node("sqrt", (_real(arg, "radicand"), tol), True)
 
 
-def guarded_pow(arg, exponent: float, tol: float = DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
+def guarded_pow(arg, exponent: float, tol=DEFAULT_SIGMA_TOL) -> DiagonalSymbol:
     """arg ** exponent for a real argument and exponent, with sqrt/division guards.
 
     Negative bases are singular for non-integer exponents; bases with
@@ -247,51 +267,86 @@ def _flag(mask: np.ndarray) -> Optional[np.ndarray]:
     return mask if mask.any() else None
 
 
-class _Grid:
-    """One evaluation of symbols on ``base + offset`` index arrays.
+class Grid:
+    """Where symbols are evaluated: the int64 index row ``n`` and, unless
+    None, one row per detuning in ``thetas``, with its threshold
+    ``sigma_tol(theta)``.
 
-    A node's cache serves it only while it holds this very ``base`` object,
-    which it keeps alive, so a reused id cannot match; otherwise it is
-    replaced.  Positions whose index is below the vacuum may hold anything:
-    every node that reads a child there (composed, adjoint) masks them out.
+    A node's cache serves it only while it holds this very grid, which it
+    keeps alive, so a reused id cannot match; otherwise it is replaced.
+    Positions whose index is below the vacuum may hold anything: every
+    node that reads a child there (composed, adjoint) masks them out.
     """
 
-    __slots__ = ("base", "lo")
+    __slots__ = ("n", "lo", "theta", "tol", "shape")
 
-    def __init__(self, base: np.ndarray):
-        self.base = base
-        self.lo = int(base.min()) if base.size else 0
+    def __init__(self, n: np.ndarray, thetas: Optional[Sequence[float]] = None):
+        if not (isinstance(n, np.ndarray) and n.dtype == np.int64 and n.ndim == 1):
+            raise TypeError("a symbol is evaluated on a one-dimensional int64 index array")
+        self.n = n
+        self.lo = int(n.min()) if n.size else 0
+        self.theta = self.tol = None
+        self.shape: Tuple[int, ...] = n.shape
+        if thetas is not None:
+            thetas = [float(t) for t in thetas]
+            self.theta = np.array(thetas).reshape(-1, 1)
+            self.tol = np.array([sigma_tol(t) for t in thetas]).reshape(-1, 1)
+            self.theta.flags.writeable = self.tol.flags.writeable = False
+            self.shape = (len(thetas), n.size)
 
     def index(self, k: int) -> np.ndarray:
-        return self.base + k if k else self.base
+        return self.n + k if k else self.n
+
+    def threshold(self, tol):
+        if tol is not ROW_TOL:
+            return tol
+        if self.tol is None:
+            raise TypeError("a per-row threshold is read on a grid with theta values only")
+        return self.tol
 
     def values(self, node: DiagonalSymbol, k: int) -> GridValues:
         cache = node.cache
-        if cache is None or cache[0] is not self.base:
-            cache = node.cache = (self.base, {})
+        if cache is None or cache[0] is not self:
+            cache = node.cache = (self, {})
         found = cache[1].get(k)
         if found is None:
             found = cache[1][k] = _EVAL[node.op](self, node, k)
         return found
 
+    def full(self, v: GridValues) -> GridValues:
+        """``v`` broadcast to the grid's shape, as read-only views."""
+        shape = self.shape
+        re, im, singular = v
+        return GridValues(
+            re if re.shape == shape else np.broadcast_to(re, shape),
+            im if im is None or im.shape == shape else np.broadcast_to(im, shape),
+            singular if singular is None or singular.shape == shape else np.broadcast_to(singular, shape),
+        )
 
-def _eval_const(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+
+def _eval_const(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     (v,) = node.args
-    re = np.full(grid.base.shape, v.real)
-    return GridValues(re, None if node.real else np.full(grid.base.shape, v.imag), None)
+    re = np.full(grid.n.shape, v.real)
+    return GridValues(re, None if node.real else np.full(grid.n.shape, v.imag), None)
 
 
-def _eval_index(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_index(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     shift, add = node.args
     return GridValues(grid.index(k + shift) + add, None, None)
 
 
-def _eval_leaf(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    re, im = node.args[0](grid.index(k))
+def _eval_theta(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    if grid.theta is None:
+        raise TypeError("the theta node is read on a grid with theta values only")
+    return GridValues(grid.theta, None, None)
+
+
+def _eval_leaf(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    re, im = node.args[0](grid.index(k), grid.theta)
     return GridValues(np.asarray(re, dtype=float), np.asarray(im, dtype=float), None)
 
 
-def _eval_add(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_add(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     a, b = node.args
     a, b = grid.values(a, k), grid.values(b, k)
     im = None
@@ -312,38 +367,41 @@ def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndar
     return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
 
 
-def _eval_mul(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_mul(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     a, b = node.args
     a, b = grid.values(a, k), grid.values(b, k)
     re, im = _product(a, b)
     return GridValues(re, im, _either(a.singular, b.singular))
 
 
-def _eval_div(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_div(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     num, den, tol = node.args
     a, b = grid.values(num, k), grid.values(den, k)
-    singular = _either(_either(b.singular, _flag(np.abs(b.re) < tol)), a.singular)
+    singular = _either(_either(b.singular, _flag(np.abs(b.re) < grid.threshold(tol))), a.singular)
     return GridValues(a.re / b.re, None if a.im is None else a.im / b.re, singular)
 
 
-def _eval_sqrt(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_sqrt(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     arg, tol = node.args
     a = grid.values(arg, k)
-    return GridValues(np.sqrt(np.maximum(a.re, 0.0)), None, _either(a.singular, _flag(a.re < -tol)))
+    return GridValues(np.sqrt(np.maximum(a.re, 0.0)), None, _either(a.singular, _flag(a.re < -grid.threshold(tol))))
 
 
-def _eval_pow(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_pow(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     # CPython's float ** per element: np.power does not round every value as it does
     arg, p, tol = node.args
     a = grid.values(arg, k)
-    integral = p.is_integer()
-    re = np.zeros(a.re.size)
-    singular = np.zeros(a.re.size, dtype=bool) if a.singular is None else a.singular.copy()
+    tol = grid.threshold(tol)
     live = grid.index(k) >= 0
-    for i, x in enumerate(a.re.tolist()):
+    shape = np.broadcast_shapes(a.re.shape, live.shape, np.shape(tol), np.shape(a.singular))
+    integral = p.is_integer()
+    re = [0.0] * math.prod(shape)
+    singular = [False] * len(re) if a.singular is None else np.broadcast_to(a.singular, shape).ravel().tolist()
+    live, tol = np.broadcast_to(live, shape).ravel().tolist(), np.broadcast_to(tol, shape).ravel().tolist()
+    for i, x in enumerate(np.broadcast_to(a.re, shape).ravel().tolist()):
         if singular[i] or not live[i]:
             continue
-        if (abs(x) < tol and p < 0) or (x < -tol and not integral):
+        if (abs(x) < tol[i] and p < 0) or (x < -tol[i] and not integral):
             singular[i] = True
             continue
         base = x if integral else max(x, 0.0)
@@ -351,10 +409,10 @@ def _eval_pow(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
             re[i] = base**p
         except OverflowError:  # the signed infinity, as the overflowing product x * x * ... gives
             re[i] = -np.inf if base < 0 and p % 2 == 1 else np.inf
-    return GridValues(re, None, _flag(singular))
+    return GridValues(np.array(re).reshape(shape), None, _flag(np.array(singular).reshape(shape)))
 
 
-def _eval_composed(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_composed(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     ca, db, cb = node.args
     right = grid.values(cb, k)
     left = grid.values(ca, k + db)
@@ -368,7 +426,7 @@ def _eval_composed(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(re, im, _either(right.singular, left_singular))
 
 
-def _eval_adjoint(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
+def _eval_adjoint(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     c, d = node.args
     a = grid.values(c, k - d)
     im = None if a.im is None else -a.im
@@ -385,6 +443,7 @@ def _eval_adjoint(grid: _Grid, node: DiagonalSymbol, k: int) -> GridValues:
 _EVAL = {
     "const": _eval_const,
     "index": _eval_index,
+    "theta": _eval_theta,
     "leaf": _eval_leaf,
     "add": _eval_add,
     "mul": _eval_mul,

@@ -3,25 +3,27 @@
 The classical degree-n lift of CP^1 into CP^n and its operator-valued
 counterpart: the diagonal/shift family X_{-j}, Y_{-j}, Z_{-j}, the lifted
 (n+1)x1 column with ordered entry products, the rank-1 projectors, and
-the single-coordinate block expression of those projectors.
+the single-coordinate block expression of those projectors.  A family is
+built once for every theta of a run (theta enters as ``symbols.THETA``),
+and each check returns one record per theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 from .jc import Radius, chart_prefactor
 from .opmatrix import OpMatrix, matrix_equal
 from .operators import CREATION, FockOperator, op_equal
 from .report import CheckResult
-from .symbols import DiagonalSymbol, guarded_div, guarded_sqrt, number, sigma_tol
+from .symbols import ROW_TOL, DiagonalSymbol, guarded_div, guarded_sqrt, number
 
 
 def x_symbol(level: Radius) -> DiagonalSymbol:
     """(R + theta) / sqrt(2 R (R + theta)) at R = R(N+1-j), the level's, for X_{-j}."""
-    return guarded_div(level.plus, level.root, level.tol)
+    return guarded_div(level.plus, level.root, ROW_TOL)
 
 
 def x_operator(level: Radius) -> FockOperator:
@@ -30,7 +32,7 @@ def x_operator(level: Radius) -> FockOperator:
 
 def _level_ratio(level: Radius) -> DiagonalSymbol:
     """sqrt((N-j)/N) at the level's offset -j."""
-    return guarded_sqrt(guarded_div(number(level.offset), number(), level.tol), level.tol)
+    return guarded_sqrt(guarded_div(number(level.offset), number(), ROW_TOL), ROW_TOL)
 
 
 def y_operator(level: Radius) -> FockOperator:
@@ -46,55 +48,54 @@ def y_operator(level: Radius) -> FockOperator:
 
 def z_operator(level: Radius) -> FockOperator:
     """Z_{-j} at the level R(N-j): sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
-    pre = guarded_div(1.0, level.plus, level.tol)
+    pre = guarded_div(1.0, level.plus, ROW_TOL)
     return FockOperator.diagonal(_level_ratio(level) * pre) * CREATION
 
 
 @dataclass(frozen=True)
 class VeroneseFamily:
-    """The chart entries up to degree n at one theta; a suite builds it once per theta."""
+    """The chart entries up to degree n, and the detunings their checks
+    scan; a suite builds it once per run."""
 
-    theta: float
+    thetas: Tuple[float, ...]
     x: List[FockOperator]  # X_0 .. X_{-n}
     y: List[FockOperator]  # Y_0 .. Y_{-n}
     z: List[FockOperator]  # Z_0 .. Z_{-n}
 
 
-def build_family(theta: float, n: int) -> VeroneseFamily:
+def build_family(thetas: Sequence[float], n: int) -> VeroneseFamily:
     if n < 1:
         raise ValueError("target degree must be at least 1")
-    levels = {offset: Radius(theta, offset) for offset in range(1, -n - 1, -1)}  # X_{-j} at 1-j; Y_{-j}, Z_{-j} at -j
+    levels = {offset: Radius(offset) for offset in range(1, -n - 1, -1)}  # X_{-j} at 1-j; Y_{-j}, Z_{-j} at -j
     return VeroneseFamily(
-        theta=theta,
+        thetas=tuple(thetas),
         x=[x_operator(levels[1 - j]) for j in range(n + 1)],
         y=[y_operator(levels[-j]) for j in range(n + 1)],
         z=[z_operator(levels[-j]) for j in range(n + 1)],
     )
 
 
-def sum_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> CheckResult:
+def sum_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> List[CheckResult]:
     """X_{-j}^2 + Y_{-j}† Y_{-j} = 1."""
     x, y = family.x[j], family.y[j]
-    return op_equal(
-        x * x + y.dagger() * y, FockOperator.identity(), n_max, tol, name=f"sum_rule_j{j}_theta{family.theta}"
-    )
+    lhs = x * x + y.dagger() * y
+    return op_equal(lhs, FockOperator.identity(), n_max, tol, f"sum_rule_j{j}", thetas=family.thetas)
 
 
-def shift_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> CheckResult:
+def shift_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> List[CheckResult]:
     """Y_{-j}† Y_{-j} = Y_{-(j-1)} Y_{-(j-1)}† for j >= 1."""
     if j < 1:
         raise ValueError("shift rule needs j >= 1")
     yj, yp = family.y[j], family.y[j - 1]
-    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, name=f"shift_rule_j{j}_theta{family.theta}")
+    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, f"shift_rule_j{j}", thetas=family.thetas)
 
 
-def commutation_check(family: VeroneseFamily, j: int, k: int, n_max: int, tol: float) -> CheckResult:
+def commutation_check(family: VeroneseFamily, j: int, k: int, n_max: int, tol: float) -> List[CheckResult]:
     """Y_{-j} X_{-k}^{-1} = X_{-(k+1)}^{-1} Y_{-j} (shift-through of the creation factor)."""
-    tol_sigma = sigma_tol(family.theta)
     y = family.y[j]
-    xk_inv = family.x[k].inverse(tol_sigma)
-    xk1_inv = family.x[k + 1].inverse(tol_sigma)
-    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, name=f"commutation_j{j}_k{k}_theta{family.theta}")
+    xk_inv = family.x[k].inverse(ROW_TOL)
+    xk1_inv = family.x[k + 1].inverse(ROW_TOL)
+    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, f"commutation_j{j}_k{k}", thetas=family.thetas)
 
 
 def _ordered_product(ops: List[FockOperator]) -> FockOperator:
@@ -116,7 +117,8 @@ class LiftedColumn:
     z_col: OpMatrix  # n x 1
 
     def check_name(self, stem: str) -> str:
-        return f"{stem}_n{self.n}_theta{self.family.theta}"
+        """The name stem of a check of this column; each theta row adds its tag."""
+        return f"{stem}_n{self.n}"
 
 
 def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
@@ -137,10 +139,11 @@ def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     )
 
 
-def lift_norm_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def lift_norm_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     col = lifted.a_col
     prod = col.dagger() @ col
-    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name=lifted.check_name("lift_norm"))
+    name, thetas = lifted.check_name("lift_norm"), lifted.family.thetas
+    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name, thetas=thetas)
 
 
 def _one_plus_ztz(lifted: LiftedColumn) -> FockOperator:
@@ -151,25 +154,25 @@ def _one_plus_ztz(lifted: LiftedColumn) -> FockOperator:
     return acc
 
 
-def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """A_n = (1; Z-column) (1 + Z_0† Z_0)^{-n/2} entrywise."""
     fam = lifted.family
     z0 = fam.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
-    scale = base.power(-lifted.n / 2.0, sigma_tol(fam.theta))
+    scale = base.power(-lifted.n / 2.0, ROW_TOL)
     stacked = [[FockOperator.identity() * scale]]
     for i in range(lifted.z_col.rows):
         stacked.append([lifted.z_col.entry(i, 0) * scale])
-    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name=lifted.check_name("factored_form"))
+    name = lifted.check_name("factored_form")
+    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name, thetas=fam.thetas)
 
 
-def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """1 + Zcol† Zcol = (1 + Z_0† Z_0)^n."""
     z0 = lifted.family.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
-    return op_equal(
-        _one_plus_ztz(lifted), op_power(base, lifted.n), n_max, tol, name=lifted.check_name("binomial_power")
-    )
+    name, thetas = lifted.check_name("binomial_power"), lifted.family.thetas
+    return op_equal(_one_plus_ztz(lifted), op_power(base, lifted.n), n_max, tol, name, thetas=thetas)
 
 
 def projector_pn(lifted: LiftedColumn) -> OpMatrix:
@@ -180,7 +183,7 @@ def projector_pn(lifted: LiftedColumn) -> OpMatrix:
 def oike_layout(lifted: LiftedColumn) -> OpMatrix:
     """The projector written through the coordinate column: blocks of
     (1+Z†Z)^{-1} against Z entries."""
-    s_inv = _one_plus_ztz(lifted).inverse(sigma_tol(lifted.family.theta))
+    s_inv = _one_plus_ztz(lifted).inverse(ROW_TOL)
     zc = lifted.z_col
     n = zc.rows
     rows = [[s_inv] + [s_inv * zc.entry(k, 0).dagger() for k in range(n)]]
@@ -191,13 +194,13 @@ def oike_layout(lifted: LiftedColumn) -> OpMatrix:
     return OpMatrix.build(rows)
 
 
-def oike_layout_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
-    return matrix_equal(
-        projector_pn(lifted), oike_layout(lifted), n_max, tol, name=lifted.check_name("oike_layout")
-    )
+def oike_layout_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+    name, thetas = lifted.check_name("oike_layout"), lifted.family.thetas
+    return matrix_equal(projector_pn(lifted), oike_layout(lifted), n_max, tol, name, thetas=thetas)
 
 
-def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> CheckResult:
+def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """P_n A_n = A_n."""
     p = projector_pn(lifted)
-    return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name=lifted.check_name("eigencolumn"))
+    name, thetas = lifted.check_name("eigencolumn"), lifted.family.thetas
+    return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name, thetas=thetas)

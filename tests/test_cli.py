@@ -201,7 +201,8 @@ def test_the_chart_projector_check_is_computed_once_per_sweep(capsys):
     cache.cache_clear()
     code, out, _ = run_main(["sweep", "--suite", "classical", "--axis", "theta", "--values", "-1", "0", "1"], capsys)
     assert code == 0
-    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 2)
+    # a theta sweep runs its values as one batch: every row reads the one record
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 0)
     column = out.splitlines()[0].split(",").index("cp_chart_projectors")
     assert {line.split(",")[column] for line in out.strip().splitlines()[1:]} == {repr(cache())}
 
@@ -212,8 +213,13 @@ def test_theta_free_scans_are_computed_once_per_sweep(capsys):
     transition.cache_clear()
     code, out, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "6"], capsys)
     assert code == 0
-    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 2)
-    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 2)
+    # one batch for the three rows; a second sweep at this n_max reads the caches
+    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 0)
+    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 0)
+    code, again, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", "1", "--nmax", "6"], capsys)
+    assert code == 0 and again.splitlines()[1] == out.splitlines()[3]
+    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 1)
+    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 1)
     header, *rows = [line.split(",") for line in out.strip().splitlines()]
     for name in ("ladder_commutator", "strings_transition"):
         assert len({row[header.index(name)] for row in rows}) == 1
@@ -318,7 +324,7 @@ def test_classical_limit_with_overflowing_theta_fails_with_a_report(capsys):
 
 
 
-def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
+def test_charts_suite_builds_each_object_once_per_run(monkeypatch):
     calls = []
     for name in ("build_bundle", "r_symbol", "transition_singular_map"):
 
@@ -328,17 +334,16 @@ def test_charts_suite_builds_each_object_once_per_theta(monkeypatch):
 
         monkeypatch.setattr(cli.jc, name, counted)
     cfg = cli.SuiteConfig(suite="charts", theta_list=[1.0, -0.5], n_max=8)
-    assert all(c.passed for c in cli.run_charts(cfg))
-    for theta in (1.0, -0.5):
-        assert calls.count(("build_bundle", theta)) == 1
-        # one R(N) and one R(N+1) node per theta, shared by the charts, the projector and Z
-        offsets = sorted(c[2] for c in calls if c[:2] == ("r_symbol", theta))
-        assert offsets == [0, 1]
-    assert [c[0] for c in calls].count("build_bundle") == 2
+    free, rows = cli.run_charts(cfg)
+    assert free == [] and len(rows) == 2
+    assert all(c.passed for row in rows for c in row)
+    assert [c for c in calls if c[0] == "build_bundle"] == [("build_bundle", [1.0, -0.5])]
+    # one R(N) and one R(N+1) node for every theta, shared by the charts, the projector and Z
+    assert sorted(c[1] for c in calls if c[0] == "r_symbol") == [0, 1]
     assert [c[0] for c in calls].count("transition_singular_map") == 1
 
 
-def test_spin_and_veronese_suites_build_one_family_per_theta(monkeypatch):
+def test_spin_and_veronese_suites_build_one_family_per_run(monkeypatch):
     calls = []
     for module, name in ((cli.veronese, "build_family"), (cli.spinrep, "nc_spin_rep")):
 
@@ -352,9 +357,8 @@ def test_spin_and_veronese_suites_build_one_family_per_theta(monkeypatch):
         calls.clear()
         cfg = cli.SuiteConfig(suite=suite, theta_list=thetas, n_max=8)
         assert all(c.passed for c in cli.run_suite(cfg).checks)
-        for theta in thetas:
-            assert [c for c in calls if c[:2] == ("build_family", theta)] == [("build_family", theta, degree)]
-            assert [c[2] for c in calls if c[0] == "nc_spin_rep" and c[1].theta == theta] == spins
+        assert [c for c in calls if c[0] == "build_family"] == [("build_family", thetas, degree)]
+        assert [c[2] for c in calls if c[0] == "nc_spin_rep" and c[1].thetas == tuple(thetas)] == spins
 
 
 @pytest.mark.parametrize(
@@ -370,3 +374,41 @@ def test_nmax_beyond_the_index_grid_numpy_can_hold_exits_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert "n_max" in err
+
+
+# one batch of every kind of row: a duplicate, both zeros, the resonance band and a failing theta
+BATCH = ["1", "-1", "0", "-0.0", "0.37", "1e-13", "1", "-300"]
+
+
+def test_theta_rows_are_independent(capsys):
+    suites = [s for s in cli.SUITES if s != "all"]
+    alone = {}
+    for suite in suites:
+        for theta in dict.fromkeys(BATCH):
+            argv = ["verify", "--suite", suite, f"--theta={theta}", "--nmax", "6", "--format", "json"]
+            code, out, _ = run_main(argv, capsys)
+            checks = json.loads(out)["checks"]
+            free = [c for c in checks if "_theta" not in c["name"]]
+            alone[suite, theta] = [c for c in checks if c not in free], free
+    # verify: per suite, its theta-free records once and then each theta's records, as each theta alone gives them
+    expected = []
+    for suite in suites:
+        expected += alone[suite, BATCH[0]][1]
+        for theta in BATCH:
+            expected += alone[suite, theta][0]
+    code, out, _ = run_main(["verify", "--suite", "all", *[f"--theta={t}" for t in BATCH], "--nmax", "6"], capsys)
+    assert code == 1  # -300 fails
+    assert json.loads(out)["checks"] == expected
+    # sweep: every row is its theta's verify alone, cell for cell
+    code, out, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", *BATCH, "--nmax", "6"], capsys)
+    assert code == 1
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    assert [row[0] for row in rows] == [repr(float(t)) for t in BATCH]
+    for theta, row in zip(BATCH, rows):
+        argv = ["verify", "--suite", "all", f"--theta={theta}", "--nmax", "6", "--format", "csv"]
+        code, verify, _ = run_main(argv, capsys)
+        cells = [line.split(",") for line in verify.splitlines()[1:]]
+        cells = {cli._axis_free_name(name, "theta"): dev for name, dev, *_ in cells}
+        assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
+        assert row[-1] == str(1 - code)
+    assert rows[0] == rows[6] and rows[-1][-1] == "0"

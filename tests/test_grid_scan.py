@@ -1,9 +1,10 @@
 """The grid evaluation of coefficient symbols and the scan rules built on it.
 
-``scalar_reference`` evaluates a symbol at one index with Python
-complex arithmetic, as the closure-based symbols did; the grid
+``scalar_reference`` evaluates a symbol at one index and one theta with
+Python complex arithmetic, as the closure-based symbols did; the grid
 evaluation must agree with it bit for bit, singular indices included.
-The grid is the only way the package reads a symbol.
+The grid is the only way the package reads a symbol, and a grid with T
+theta rows must give each row what a grid of that row alone gives.
 """
 
 import ast
@@ -19,6 +20,8 @@ from fockbundle import cli, jc, symbols
 from fockbundle.operators import FockOperator, grid_deviation, op_equal
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import (
+    ROW_TOL,
+    THETA,
     adjoint,
     composed,
     const,
@@ -27,6 +30,7 @@ from fockbundle.symbols import (
     guarded_pow,
     guarded_sqrt,
     number,
+    sigma_tol,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
@@ -36,77 +40,96 @@ class Singular(Exception):
     """The reference hit a vanishing divisor or a root of a negative value."""
 
 
-def scalar_reference(node, n):
-    """One value of ``node`` at ``n`` in CPython complex arithmetic, or Singular."""
+def scalar_reference(node, n, theta):
+    """One value of ``node`` at ``n`` and ``theta`` in CPython complex arithmetic, or Singular."""
     op, args = node.op, node.args
     if op == "const":
         return args[0]
     if op == "index":
         return complex(n + args[0] + args[1])
+    if op == "theta":
+        return complex(theta)
     if op == "leaf":
         raise NotImplementedError
     if op in ("add", "mul"):
-        a, b = scalar_reference(args[0], n), scalar_reference(args[1], n)
+        a, b = scalar_reference(args[0], n, theta), scalar_reference(args[1], n, theta)
         return a + b if op == "add" else a * b
+    tol = sigma_tol(theta) if args[-1] is ROW_TOL else args[-1]
     if op == "div":
-        num, den, tol = args
-        d = scalar_reference(den, n)
+        d = scalar_reference(args[1], n, theta)
         if abs(d) < tol:
             raise Singular(n)
-        return scalar_reference(num, n) / d
+        return scalar_reference(args[0], n, theta) / d
     if op == "sqrt":
-        arg, tol = args
-        x = scalar_reference(arg, n).real
+        x = scalar_reference(args[0], n, theta).real
         if x < -tol:
             raise Singular(n)
         return complex(math.sqrt(max(x, 0.0)))
     if op == "pow":
-        arg, p, tol = args
-        x = scalar_reference(arg, n).real
+        x, p = scalar_reference(args[0], n, theta).real, args[1]
         if (abs(x) < tol and p < 0) or (x < -tol and not p.is_integer()):
             raise Singular(n)
         return complex((x if p.is_integer() else max(x, 0.0)) ** p)
     if op == "composed":
         ca, db, cb = args
-        right = scalar_reference(cb, n)
-        return 0j if n + db < 0 else scalar_reference(ca, n + db) * right
+        right = scalar_reference(cb, n, theta)
+        return 0j if n + db < 0 else scalar_reference(ca, n + db, theta) * right
     if op == "adjoint":
         c, d = args
-        return scalar_reference(c, n - d).conjugate() if n - d >= 0 else 0j
+        return scalar_reference(c, n - d, theta).conjugate() if n - d >= 0 else 0j
     raise AssertionError(op)
 
 
 def test_the_reference_covers_every_node_kind():
-    kinds = {"const", "index", "leaf", "add", "mul", "div", "sqrt", "pow", "composed", "adjoint"}
+    kinds = {"const", "index", "theta", "leaf", "add", "mul", "div", "sqrt", "pow", "composed", "adjoint"}
     assert set(symbols._EVAL) == kinds
 
 
-def random_symbol(rng, depth, real=False):
-    """A random expression over every node kind except leaves; divisors,
-    radicands and power bases are drawn real, as the guards require."""
+# rows on both sides of the band |theta| < sigma_tol(theta) of a theta divisor, both zeros, and a duplicate
+ROWS = [1.0, -1.0, 0.0, -0.0, 0.37, 1e-13, -7e-13, 2.5e-12, -3e-12, 1.0]
+
+
+def _theta_leaf(n, theta):
+    return n + theta, theta * n - 0.5
+
+
+def random_symbol(rng, depth, real=False, leaves=False):
+    """A random expression over every node kind, leaves only when asked;
+    divisors, radicands and power bases are drawn real, as the guards
+    require, and a guard's threshold is 0.3 or each row's sigma_tol(theta)."""
     if depth == 0:
-        pick = rng.integers(3)
+        pick = rng.integers(5 if leaves and not real else 4)
         if pick == 0:
             complex_value = not real and rng.random() < 0.5
             return const(complex(*rng.normal(size=2)) if complex_value else float(rng.normal()))
+        if pick == 1:
+            return THETA
+        if pick == 4:
+            return grid_leaf(_theta_leaf)
         return number(int(rng.integers(-1, 3)), float(rng.normal()))
     kind = rng.integers(8)
+    tol = 0.3 if rng.random() < 0.5 else ROW_TOL
+
+    def sub(real_sub=real):
+        return random_symbol(rng, depth - 1, real_sub, leaves)
+
     if kind == 0:
-        return random_symbol(rng, depth - 1, real) + random_symbol(rng, depth - 1, real)
+        return sub() + sub()
     if kind == 1:
-        return random_symbol(rng, depth - 1, real) + (-1.0) * random_symbol(rng, depth - 1, real)
+        return sub() + (-1.0) * sub()
     if kind == 2:
-        return random_symbol(rng, depth - 1, real) * random_symbol(rng, depth - 1, real)
-    if kind == 3:
-        return guarded_div(random_symbol(rng, depth - 1, real), random_symbol(rng, depth - 1, True), 0.3)
+        return sub() * sub()
+    if kind == 3:  # a theta divisor half the time: singular on the rows inside the band
+        return guarded_div(sub(), THETA if rng.random() < 0.5 else sub(True), tol)
     if kind == 4:
-        return guarded_sqrt(random_symbol(rng, depth - 1, True), 0.3)
+        return guarded_sqrt(sub(True), tol)
     if kind == 5:
-        return guarded_pow(random_symbol(rng, depth - 1, True), float(rng.choice([-2.0, -0.5, 1.5, 3.0])), 0.3)
+        base = THETA if rng.random() < 0.3 else sub(True)
+        return guarded_pow(base, float(rng.choice([-2.0, -0.5, 1.5, 3.0])), tol)
     if kind == 6:
-        a = random_symbol(rng, depth - 1, real)
-        return composed(a, int(rng.integers(-2, 3)), random_symbol(rng, depth - 1, real))
-    return adjoint(random_symbol(rng, depth - 1, real), int(rng.integers(-2, 3)))
+        a = sub()
+        return composed(a, int(rng.integers(-2, 3)), sub())
+    return adjoint(sub(), int(rng.integers(-2, 3)))
 
 
 def same(x: complex, y: complex) -> bool:
@@ -119,23 +142,53 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
     compared = singular = complex_compared = 0
     for _ in range(300):
         sym = random_symbol(rng, 4)
-        values = sym(grid)
-        for n in range(12):
-            try:
-                expected = scalar_reference(sym, n)
-            except (Singular, ValueError, OverflowError, ZeroDivisionError):
-                expected = None
-            if expected is None:
-                assert values.singular is not None and values.singular[n], (n, sym.op)
-                singular += 1
-                continue
-            assert values.singular is None or not values.singular[n]
-            got = complex(values.re[n], 0.0 if values.im is None else values.im[n])
-            assert same(got, expected), (n, sym.op)
-            compared += 1
-            complex_compared += not sym.real
-    assert compared > 1000 and singular > 100
-    assert complex_compared > 100
+        values = sym(grid, ROWS)
+        for r, theta in enumerate(ROWS):
+            for n in range(12):
+                try:
+                    expected = scalar_reference(sym, n, theta)
+                except (Singular, ValueError, OverflowError, ZeroDivisionError):
+                    expected = None
+                if expected is None:
+                    assert values.singular is not None and values.singular[r, n], (theta, n, sym.op)
+                    singular += 1
+                    continue
+                assert values.singular is None or not values.singular[r, n]
+                got = complex(values.re[r, n], 0.0 if values.im is None else values.im[r, n])
+                assert same(got, expected), (theta, n, sym.op)
+                compared += 1
+                complex_compared += not sym.real
+    assert compared > 10000 and singular > 1000
+    assert complex_compared > 1000
+
+
+def _bits(values):
+    """The bytes of values, imaginary part and singular mask; a missing mask is all False."""
+    re, im, singular = values
+    singular = np.zeros(re.shape, dtype=bool) if singular is None else singular
+    return [None if a is None else (a.shape, a.tobytes()) for a in (re, im, singular)]
+
+
+def test_a_grid_of_theta_rows_is_its_rows_alone_bit_for_bit():
+    rng = np.random.default_rng(12)
+    grid = np.arange(9, dtype=np.int64)
+    kinds, band = set(), {"inside": 0, "outside": 0}
+    for _ in range(300):
+        sym = random_symbol(rng, 4, leaves=True)
+        stack = [sym]
+        while stack:
+            node = stack.pop()
+            kinds.add(node.op)
+            stack += [a for a in node.args if isinstance(a, symbols.DiagonalSymbol)]
+            if node.op in ("div", "pow") and node.args[-1] is ROW_TOL and THETA in node.args[:2]:
+                for theta in ROWS:
+                    band["inside" if abs(theta) < sigma_tol(theta) else "outside"] += 1
+        rows = sym(grid, ROWS)
+        for r, theta in enumerate(ROWS):
+            alone = sym(grid, [theta])
+            assert _bits([v if v is None else v[r : r + 1] for v in rows]) == _bits(alone), (theta, sym.op)
+    assert kinds == set(symbols._EVAL)
+    assert min(band.values()) > 100
 
 
 def test_a_symbol_is_read_only_on_the_grid():
@@ -160,8 +213,8 @@ def test_nan_coefficient_counts_as_infinite_deviation():
 
 
 def test_propagator_with_nan_time_fails():
-    assert not jc.propagator_oracle_check(0.5, 1.0, float("nan"), 8, 1e-9).passed
-    assert not jc.propagator_semigroup_check(0.5, 1.0, float("nan"), 0.5, 8, 1e-9).passed
+    assert not jc.propagator_oracle_check([0.5], 1.0, float("nan"), 8, 1e-9)[0].passed
+    assert not jc.propagator_semigroup_check([0.5], 1.0, float("nan"), 0.5, 8, 1e-9)[0].passed
 
 
 def test_check_that_scans_no_state_fails():
@@ -197,10 +250,10 @@ def test_location_is_the_first_maximum_in_scan_order():
 
 
 def test_propagator_is_checked_on_the_full_grid():
-    for check in (
-        jc.propagator_oracle_check(0.5, 1.0, 1.0, 768, 1e-9),
-        jc.propagator_unitarity_check(0.5, 1.0, 1.0, 768, 1e-9),
-        jc.propagator_semigroup_check(0.5, 1.0, 1.0, 0.5, 768, 1e-9),
+    for (check,) in (
+        jc.propagator_oracle_check([0.5], 1.0, 1.0, 768, 1e-9),
+        jc.propagator_unitarity_check([0.5], 1.0, 1.0, 768, 1e-9),
+        jc.propagator_semigroup_check([0.5], 1.0, 1.0, 0.5, 768, 1e-9),
     ):
         assert check.passed, check.text_line()
         assert check.max_deviation < 1e-13
@@ -238,6 +291,54 @@ def test_only_the_grid_scan_decides_singular_states():
                 definitions.add(path.name)
     assert callers == {"opmatrix.py"}
     assert not definitions
+
+
+# the position of each guard's threshold among its positional arguments
+GUARDS = {"guarded_div": 2, "guarded_sqrt": 1, "guarded_pow": 2, "inverse": 0, "power": 1}
+BUILDERS = {"const", "scalar", "number", "diagonal", "grid_leaf", *GUARDS}
+
+
+def _numeric_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex))
+
+
+def theta_outside_the_theta_node(source: str) -> list:
+    """Calls that put a float theta into the DAG: a constant or an index
+    offset that is not a number literal, a guard threshold that is neither
+    a literal nor ROW_TOL, or a name theta / thetas among a builder's arguments."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        args = node.args + [k.value for k in node.keywords]
+        bad = called in ("const", "scalar") and not all(map(_numeric_literal, args))
+        bad |= called == "number" and (len(node.args) > 1 or any(k.arg == "add" for k in node.keywords))
+        if called in GUARDS:
+            tol = node.args[GUARDS[called] :] + [k.value for k in node.keywords if k.arg == "tol"]
+            bad |= not all(_numeric_literal(t) or getattr(t, "id", None) == "ROW_TOL" for t in tol)
+        if called in BUILDERS and called != "grid_leaf":
+            names = {getattr(n, "id", getattr(n, "attr", None)) for a in args for n in ast.walk(a)}
+            bad |= bool(names & {"theta", "thetas"})
+        if bad:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_theta_reaches_the_dag_only_through_the_theta_node():
+    # the theta-dependent builders: one build must serve every theta row
+    for name in ("jc.py", "veronese.py", "spinrep.py"):
+        assert theta_outside_the_theta_node((SRC / name).read_text()) == [], name
+    # the guard itself reads the old float paths
+    for call in ("number(0, theta * theta)", "number(1, add=t2)", "const(-theta)", "FockOperator.scalar(theta)"):
+        assert theta_outside_the_theta_node(call) != [], call
+    for call in ("guarded_div(1.0, r, sigma_tol(theta))", "x.inverse(level.tol)", "base.power(-1.5, tol=tol)"):
+        assert theta_outside_the_theta_node(call) != [], call
+    for call in ("guarded_div(1.0, r, ROW_TOL)", "x.inverse(ROW_TOL)", "number(offset)", "const(-1.0) * THETA"):
+        assert theta_outside_the_theta_node(call) == [], call
 
 
 def test_no_scalar_evaluation_path_is_defined():
@@ -315,7 +416,7 @@ def test_scans_across_grids_read_no_stale_values():
 def test_the_index_array_handed_to_a_leaf_is_read_only():
     seen = []
 
-    def record(n):
+    def record(n, theta):
         seen.append(n.flags.writeable)
         return n.astype(float), np.zeros(n.shape)
 
@@ -339,12 +440,14 @@ def test_a_repeated_scan_returns_the_same_result():
 
 
 def build_every_kind():
-    """Nine new nodes, one of each kind but leaf, on values no other test uses."""
+    """Ten nodes, one of each kind but leaf, on values no other test uses:
+    all new but the one theta node, which is built at import."""
     n = number(5, 0.125)
     c = const(3.25 - 1.5j)
     return {
         "const": c,
         "index": n,
+        "theta": symbols._node("theta", (), True),
         "add": n + c,
         "mul": n * c,
         "div": guarded_div(c, n, 0.375),
@@ -380,13 +483,13 @@ def test_a_node_is_initialised_only_when_new(monkeypatch):
 
     monkeypatch.setattr(symbols.DiagonalSymbol, "__init__", counted)
     first = build_every_kind()
-    assert sorted(kinds) == sorted(first)
+    assert sorted(kinds) == sorted(set(first) - {"theta"})
     second = build_every_kind()
-    assert sorted(kinds) == sorted(first) and second == first
+    assert sorted(kinds) == sorted(set(first) - {"theta"}) and second == first
 
 
 def test_two_leaf_functions_are_two_nodes():
-    leaves = [grid_leaf(lambda n, c=c: (n + c, np.zeros(n.shape))) for c in (1.0, 2.0)]
+    leaves = [grid_leaf(lambda n, theta, c=c: (n + c, np.zeros(n.shape))) for c in (1.0, 2.0)]
     assert leaves[0] is not leaves[1]
     grid = np.arange(4, dtype=np.int64)
     assert [leaf(grid).re.tolist() for leaf in leaves] == [[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0]]

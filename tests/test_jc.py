@@ -9,7 +9,7 @@ import pytest
 from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
-from fockbundle.symbols import DiagonalSymbol, guarded_div, guarded_sqrt, number
+from fockbundle.symbols import ROW_TOL, THETA, DiagonalSymbol, guarded_div, guarded_sqrt, number
 
 N_MAX = 32
 TOL = 1e-10
@@ -17,20 +17,21 @@ TOL = 1e-10
 THETAS = [2.0, 1.0, 0.5, 0.1, 0.0, -0.5, -1.0, -2.0]
 
 
-def element(op, d: int, n: int) -> complex:
-    """<n + d| op |n>, read from the grid values of op's degree-d term."""
-    values = dict(op.terms)[d](np.arange(n + 1))
-    assert values.singular is None or not values.singular[n]
-    return complex(values.re[n], 0.0 if values.im is None else values.im[n])
+def element(op, d: int, n: int, theta: float) -> complex:
+    """<n + d| op |n> at theta, read from the grid values of op's degree-d term."""
+    values = dict(op.terms)[d](np.arange(n + 1), [theta])
+    assert values.singular is None or not values.singular[0, n]
+    return complex(values.re[0, n], 0.0 if values.im is None else values.im[0, n])
 
 
 def projector_strings(theta):
-    return jc.projector_singular_map(jc.build_bundle(theta), N_MAX)
+    (found,) = jc.projector_singular_map(jc.build_bundle([theta]), N_MAX)
+    return found
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_qdm_reconstruction(theta):
-    res = jc.qdm_reconstruction_check(jc.build_bundle(theta), N_MAX, TOL)
+    (res,) = jc.qdm_reconstruction_check(jc.build_bundle([theta]), N_MAX, TOL)
     assert res.passed, res.text_line()
     assert res.excluded == {2: [0]}
 
@@ -38,46 +39,47 @@ def test_qdm_reconstruction(theta):
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_rebuilds_hamiltonian(theta, label):
-    chart = jc.build_bundle(theta).charts[label]
+    chart = jc.build_bundle([theta]).charts[label]
     rebuilt = chart.unitary @ chart.diagonal @ chart.unitary.dagger()
-    res = matrix_equal(rebuilt, jc.build_h_jc(theta), N_MAX, TOL)
+    (res,) = matrix_equal(rebuilt, jc.build_h_jc(), N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_orderings_agree(theta, label):
-    chart = jc.build_bundle(theta).charts[label]
-    res = matrix_equal(chart.unitary, chart.unitary_alt, N_MAX, TOL)
+    chart = jc.build_bundle([theta]).charts[label]
+    (res,) = matrix_equal(chart.unitary, chart.unitary_alt, N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_chart_unitary_off_strings(theta, label):
-    res = check_unitary(jc.build_bundle(theta).charts[label].unitary, N_MAX, TOL)
+    (res,) = check_unitary(jc.build_bundle([theta]).charts[label].unitary, N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("label", ["I", "II"])
 def test_dirac_strings_match_claims(theta, label):
-    rep = jc.dirac_string_map(jc.build_bundle(theta), label, N_MAX)
+    (rep,) = jc.dirac_string_map(jc.build_bundle([theta]), label, N_MAX)
     assert rep.passed, rep.text_line() + " " + rep.detail
 
 
 def test_string_jump_across_resonance():
     # the chart-I string exists only for theta <= 0 and disappears above it
-    assert jc.dirac_string_map(jc.build_bundle(-0.25), "I", N_MAX).excluded == {2: [0]}
-    assert jc.dirac_string_map(jc.build_bundle(0.25), "I", N_MAX).excluded == {}
+    below, above = jc.dirac_string_map(jc.build_bundle([-0.25, 0.25]), "I", N_MAX)
+    assert below.excluded == {2: [0]}
+    assert above.excluded == {}
 
 
 @pytest.mark.parametrize("theta", [1e-13, -1e-13])
 def test_resonance_band_has_the_resonant_strings(theta):
     assert jc.resonant(theta) and not jc.resonant(1e-11)
     for label in ("I", "II"):
-        rep = jc.dirac_string_map(jc.build_bundle(theta), label, N_MAX)
-        assert rep.excluded == jc.dirac_string_map(jc.build_bundle(0.0), label, N_MAX).excluded
+        rep, resonance = jc.dirac_string_map(jc.build_bundle([theta, 0.0]), label, N_MAX)
+        assert rep.excluded == resonance.excluded
         assert rep.passed, rep.text_line() + " " + rep.detail
     resonant = projector_strings(0.0)
     assert projector_strings(theta) == resonant
@@ -86,9 +88,9 @@ def test_resonance_band_has_the_resonant_strings(theta):
 @pytest.mark.parametrize("theta", THETAS)
 def test_gluing_relation(theta):
     glue = jc.transition_operator()
-    charts = jc.build_bundle(theta).charts
+    charts = jc.build_bundle([theta]).charts
     vi, vii = charts["I"].unitary, charts["II"].unitary
-    res = matrix_equal(vi @ glue, vii, N_MAX, TOL)
+    (res,) = matrix_equal(vi @ glue, vii, N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
     assert res.excluded.get(1) == [0]
 
@@ -131,45 +133,76 @@ def coefficient_nodes(*objects):
     return list(seen.values())
 
 
-def shared_r_nodes(theta, *objects):
-    """The R(N + c) nodes reachable from ``objects``, checking that each has
-    one R + theta node and one sqrt(2 R (R + theta)) node on it."""
+def shared_r_nodes(*objects):
+    """The R(N + c) = sqrt(N + c + theta theta) nodes reachable from
+    ``objects``, checking that each has one R + theta node and one
+    sqrt(2 R (R + theta)) node on it."""
     nodes = coefficient_nodes(*objects)
-    r_nodes = [n for n in nodes if n.op == "sqrt" and n.args[0].op == "index" and n.args[0].args[1] == theta * theta]
+    squares = [n for n in nodes if n.op == "mul" and n.args == (THETA, THETA)]
+    r_nodes = [n for n in nodes if n.op == "sqrt" and n.args[0].op == "add" and n.args[0].args[1] in squares]
     for r in r_nodes:
-        plus = [n for n in nodes if n.op == "add" and n.args[0] is r and n.args[1].args == (complex(theta),)]
+        plus = [n for n in nodes if n.op == "add" and n.args == (r, THETA)]
         assert len(plus) <= 1
         roots = [n for n in nodes if n.op == "sqrt" and n.args[0].op == "mul" and n.args[0].args[1] in plus]
         assert len(roots) <= 1
     return r_nodes
 
 
-@pytest.mark.parametrize("theta", [2.0, 0.5, -1.0])  # at theta = 0 the ladder's sqrt(N) reads like R(N)
+@pytest.mark.parametrize("theta", [2.0, 0.5, -1.0])
 def test_bundle_and_family_share_one_r_node_per_offset(theta):
-    bundle = jc.build_bundle(theta)
+    # theta is a node, so the R nodes are the same at every theta, 0 included
+    bundle = jc.build_bundle([theta, 0.0])
     objects = [bundle.h, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, bundle.z]
     for chart in bundle.charts.values():
         objects += [chart.unitary, chart.unitary_alt, chart.adjoint, chart.diagonal]
-    assert {id(r) for r in shared_r_nodes(theta, *objects)} == {id(bundle.r0.r), id(bundle.r1.r)}
-    family = veronese.build_family(theta, 4)
-    r_nodes = shared_r_nodes(theta, *family.x, *family.y, *family.z)
-    assert sorted(r.args[0].args[0] for r in r_nodes) == list(range(-4, 2))  # offsets -n .. 1, once each
+    assert {id(r) for r in shared_r_nodes(*objects)} == {id(bundle.r0.r), id(bundle.r1.r)}
+    family = veronese.build_family([theta], 4)
+    r_nodes = shared_r_nodes(*family.x, *family.y, *family.z)
+    assert sorted(r.args[0].args[0].args[0] for r in r_nodes) == list(range(-4, 2))  # offsets -n .. 1, once each
+
+
+def test_one_build_serves_every_theta():
+    # theta enters the DAG as the THETA node only, so builds for two theta lists are one set of nodes
+    first, second = jc.build_bundle([0.3]), jc.build_bundle([-2.0, 0.0, 1e4])
+    for a, b in ((first.h, second.h), (first.projector, second.projector), (first.z, second.z)):
+        assert [id(n) for n in coefficient_nodes(a)] == [id(n) for n in coefficient_nodes(b)]
+    for label in ("I", "II"):
+        assert coefficient_nodes(first.charts[label].unitary) == coefficient_nodes(second.charts[label].unitary)
+    low, high = veronese.build_family([0.3], 3), veronese.build_family([-2.0, 1e4], 3)
+    assert coefficient_nodes(*low.x, *low.y, *low.z) == coefficient_nodes(*high.x, *high.y, *high.z)
+    assert any(n is jc.THETA for n in coefficient_nodes(first.h))
+
+
+def test_two_propagators_at_one_gt_are_built_on_the_same_leaves():
+    def leaves(u):
+        return [n for n in coefficient_nodes(u) if n.op == "leaf"]
+
+    first, second = jc.propagator_closed_form(1.0, 0.5), jc.propagator_closed_form(1.0, 0.5)
+    same_gt = jc.propagator_closed_form(2.0, 0.25)
+    assert len(leaves(first)) == 4
+    assert all(a is b is c for a, b, c in zip(leaves(first), leaves(second), leaves(same_gt)))
+    # the node of each coefficient too, while both are alive
+    entries = zip(first.entries[0] + first.entries[1], second.entries[0] + second.entries[1])
+    assert all(a.terms[0][1] is b.terms[0][1] for a, b in entries)
+    # +0.0 and -0.0 compare equal but are two products g t
+    plus, minus = jc.propagator_closed_form(1.0, 0.0), jc.propagator_closed_form(-1.0, 0.0)
+    assert not set(map(id, leaves(plus))) & set(map(id, leaves(minus)))
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_projector_orderings_agree(theta):
-    bundle = jc.build_bundle(theta)
-    res = matrix_equal(bundle.projector, bundle.projector_alt, N_MAX, TOL)
+    bundle = jc.build_bundle([theta])
+    (res,) = matrix_equal(bundle.projector, bundle.projector_alt, N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_projector_idempotent_hermitian(theta):
-    projector = jc.build_bundle(theta).projector
-    res = check_idempotent_hermitian(projector, N_MAX, TOL)
+    projector = jc.build_bundle([theta]).projector
+    (res,) = check_idempotent_hermitian(projector, N_MAX, TOL, thetas=[theta])
     assert res.passed, res.text_line()
     # the detail names a location only where there is a deviation; at theta = 0 the short grid has none
-    short = check_idempotent_hermitian(projector, 8, TOL)
+    (short,) = check_idempotent_hermitian(projector, 8, TOL, thetas=[theta])
     assert short.max_deviation == 0.0 or theta != 0.0
     assert (short.detail == "") == (short.max_deviation == 0.0)
     assert short.detail == "" or short.detail.startswith("max at (slot")
@@ -183,47 +216,47 @@ def test_projector_string_only_at_resonance(theta):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_spectral_decomposition(theta):
-    assert jc.spectral_decomposition_check(jc.build_bundle(theta), N_MAX, TOL).passed
+    assert jc.spectral_decomposition_check(jc.build_bundle([theta]), N_MAX, TOL)[0].passed
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("gt", [0.5, 1.0, math.pi])
 def test_propagator_against_block_oracle(theta, gt):
-    res = jc.propagator_oracle_check(theta, 1.0, gt, N_MAX, 1e-9)
+    (res,) = jc.propagator_oracle_check([theta], 1.0, gt, N_MAX, 1e-9)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_propagator_unitary_and_semigroup(theta):
-    assert jc.propagator_unitarity_check(theta, 1.0, 1.3, N_MAX, 1e-9).passed
-    assert jc.propagator_semigroup_check(theta, 1.0, 0.7, 0.9, N_MAX, 1e-9).passed
+    assert jc.propagator_unitarity_check([theta], 1.0, 1.3, N_MAX, 1e-9)[0].passed
+    assert jc.propagator_semigroup_check([theta], 1.0, 0.7, 0.9, N_MAX, 1e-9)[0].passed
 
 
 def test_rabi_cosine_at_resonance():
     # <slot1,0| U |slot1,0> at theta=0 is cos(g t)
     for gt in (0.3, 1.0, 2.5):
-        u = jc.propagator_closed_form(0.0, 1.0, gt)
-        assert element(u.entry(0, 0), 0, 0) == pytest.approx(math.cos(gt), abs=1e-14)
+        u = jc.propagator_closed_form(1.0, gt)
+        assert element(u.entry(0, 0), 0, 0, 0.0) == pytest.approx(math.cos(gt), abs=1e-14)
 
 
 def test_uncoupled_ground_state_phase():
-    u = jc.propagator_closed_form(0.7, 1.0, 2.0)
-    assert element(u.entry(1, 1), 0, 0) == pytest.approx(np.exp(1j * 2.0 * 0.7), abs=1e-14)
+    u = jc.propagator_closed_form(1.0, 2.0)
+    assert element(u.entry(1, 1), 0, 0, 0.7) == pytest.approx(np.exp(1j * 2.0 * 0.7), abs=1e-14)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, -1.0])
 def test_local_coordinate_forms_agree(theta):
-    lhs = jc.build_bundle(theta).z
+    lhs = jc.build_bundle([theta]).z
     # the prefactor written to the right of a-dagger, at N + 1
-    post = guarded_div(1.0, jc.r_symbol(theta, 1) + theta, jc.sigma_tol(theta))
+    post = guarded_div(1.0, jc.r_symbol(1) + THETA, ROW_TOL)
     rhs = FockOperator.creation() * FockOperator.diagonal(post)
-    dev, _, _ = matrix_grid_deviation(OpMatrix.build([[lhs - rhs]]), N_MAX)
+    ((dev, _, _),) = matrix_grid_deviation(OpMatrix.build([[lhs - rhs]]), N_MAX, thetas=[theta])
     assert dev <= TOL
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.0])
 def test_z_identity(theta):
-    assert jc.z_identity_check(jc.build_bundle(theta), N_MAX, TOL).passed
+    assert jc.z_identity_check(jc.build_bundle([theta]), N_MAX, TOL)[0].passed
 
 
 def test_coherent_expectation_matches_direct_sum():
@@ -233,9 +266,9 @@ def test_coherent_expectation_matches_direct_sum():
     amps = np.array(
         [alpha**n * math.exp(-abs(alpha) ** 2 / 2) / math.sqrt(math.factorial(n)) for n in range(n_top + 1)]
     )
-    z = jc.build_bundle(theta).z
+    z = jc.build_bundle([theta]).z
     direct = sum(
-        amps[n + 1] * element(z, 1, n) * amps[n] for n in range(n_top)
+        amps[n + 1] * element(z, 1, n, theta) * amps[n] for n in range(n_top)
     )
     assert jc.coherent_expectation_z(theta, alpha) == pytest.approx(direct, rel=1e-12)
 

@@ -25,12 +25,13 @@ def _n_max(j):
 
 
 def _unitarity(theta, j):
-    family = build_family(theta, 5)
-    return spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), _n_max(j), NC_TOL)
+    family = build_family([theta], 5)
+    (res,) = spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), _n_max(j), NC_TOL)
+    return res
 
 
 def _rep_and_lift(theta, j):
-    family = build_family(theta, 5)
+    family = build_family([theta], 5)
     return spinrep.nc_spin_rep(family, j), lift(family, int(2 * j))
 
 
@@ -102,9 +103,10 @@ def _spin_generators(j):
 
 
 def _breakdown(theta, floor):
-    family = build_family(theta, 3)
+    family = build_family([theta], 3)
     v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
-    return spinrep.tensor_breakdown_check(theta, v, phi1, N_MAX, floor)
+    (res,) = spinrep.tensor_breakdown_check([theta], v, phi1, N_MAX, [floor])
+    return res
 
 
 def test_su2_element_validation():
@@ -170,11 +172,11 @@ def test_spin_must_be_a_positive_half_integer(j):
     with pytest.raises(ValueError):
         spinrep.spin_rep(spinrep.SU2Element(1.0, 0.0), j)
     with pytest.raises(ValueError):
-        spinrep.nc_spin_rep(build_family(1.0, 3), j)
+        spinrep.nc_spin_rep(build_family([1.0], 3), j)
 
 
 def test_operator_spin_needs_a_family_of_degree_2j():
-    family = build_family(1.0, 3)
+    family = build_family([1.0], 3)
     assert spinrep.nc_spin_rep(family, 1.5).rows == 4
     with pytest.raises(ValueError):
         spinrep.nc_spin_rep(family, 2.0)
@@ -183,9 +185,9 @@ def test_operator_spin_needs_a_family_of_degree_2j():
 @pytest.mark.parametrize("theta", [1.0, -1.0, 0.37, 0.0])
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
 def test_nc_spin_rep_matches_the_hand_expanded_matrices(theta, j):
-    family = build_family(theta, 3)
+    family = build_family([theta], 3)
     reference = _hand_expanded_nc_spin_rep(family, j)
-    res = matrix_equal(spinrep.nc_spin_rep(family, j), reference, N_MAX, 1e-12)
+    (res,) = matrix_equal(spinrep.nc_spin_rep(family, j), reference, N_MAX, 1e-12, thetas=[theta])
     assert res.passed, res.text_line()
 
 
@@ -206,8 +208,8 @@ def test_triple_decomposition():
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_chart_matrix_unitary_half_spin(theta):
-    family = build_family(theta, 1)
-    assert spinrep.nc_unitarity_check(family, spinrep.chart_matrix(family), N_MAX, NC_TOL).passed
+    family = build_family([theta], 1)
+    assert spinrep.nc_unitarity_check(family, spinrep.chart_matrix(family), N_MAX, NC_TOL)[0].passed
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -220,20 +222,20 @@ def test_nc_rep_unitary_off_strings(theta, j):
 def test_family_string_map_covers_partner_singularities():
     # at theta=2 the slot-3 diagonal factor is regular at |0> (theta^2 > 1)
     # but its sum-rule partner is not, so the state stays excluded
-    assert 0 in spinrep.family_string_map(build_family(2.0, 3), 3, N_MAX)[3]
+    assert 0 in spinrep.family_string_map(build_family([2.0], 3), 3, N_MAX)[0][3]
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5, 2.0, 2.5])
 def test_first_column_is_lifted_column(theta, j):
-    res = spinrep.first_column_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
+    (res,) = spinrep.first_column_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5, 2.0, 2.5])
 def test_projector_relation(theta, j):
-    res = spinrep.projector_relation_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
+    (res,) = spinrep.projector_relation_check(*_rep_and_lift(theta, j), _n_max(j), NC_TOL)
     assert res.passed, res.text_line()
 
 
@@ -258,7 +260,9 @@ def test_tensor_square_recovers_block_form_at_resonance():
 def test_family_string_map_is_the_union_of_generator_supports(theta, n):
     union = {}
     for k in range(n + 1):
-        bad = x_operator(Radius(theta, 1 - k)).singular_support(24) | y_operator(Radius(theta, -k)).singular_support(24)
-        if bad:
-            union[k + 1] = bad
-    assert {k: set(v) for k, v in spinrep.family_string_map(build_family(theta, 3), n, 24).items()} == union
+        generators = (x_operator(Radius(1 - k)), y_operator(Radius(-k)))
+        (x_bad,), (y_bad,) = (op.singular_support(24, [theta]) for op in generators)
+        if x_bad | y_bad:
+            union[k + 1] = x_bad | y_bad
+    (found,) = spinrep.family_string_map(build_family([theta], 3), n, 24)
+    assert {k: set(v) for k, v in found.items()} == union

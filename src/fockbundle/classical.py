@@ -1,10 +1,12 @@
 """Commutative counterparts on the two-sphere.
 
-Everything here is plain 2x2 / (n+1)x(n+1) numpy linear algebra at a
-point (x, y, z) with r = sqrt(x^2+y^2+z^2) > 0: the linear Hamiltonian,
-its two diagonalizing unitaries with their axis singularities, the
-transition function, the global projector, the degree-n coordinate lift
-of CP^1 into CP^n, and the projective-chart projectors.
+Everything here is plain 2x2 / (n+1)x(n+1) numpy linear algebra at points
+(x, y, z) with r = sqrt(x^2+y^2+z^2) > 0: the linear Hamiltonian, its two
+diagonalizing unitaries with their axis singularities, the transition
+function, the global projector, the degree-n coordinate lift of CP^1 into
+CP^n, and the projective-chart projectors.  A ``SpherePoint`` is one point
+or a batch of them, and every map returns its matrices stacked along the
+batch's shape, so a whole sample is checked in a few array operations.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -20,106 +22,165 @@ from .symbols import sigma_tol
 
 
 class AxisSingular(Exception):
-    """The requested chart is undefined at (or too near) this point."""
+    """The requested chart is undefined at (or too near) a requested point."""
+
+
+def _square(v):
+    # pow(v, 2) from the C library, as Python's float ** 2 computes it; numpy's v**2 is v * v,
+    # which rounds differently about once in a thousand and would move the recorded sample values
+    return np.float_power(v, 2)
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i im, built without complex arithmetic (which would turn an infinite part into NaN)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _matrices(rows) -> np.ndarray:
+    """Entries (numbers, or arrays of one batch shape) stacked into complex
+    matrices of shape batch + (len(rows), len(rows[0]))."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for row in rows for e in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
+
+
+def _per_matrix(a) -> np.ndarray:
+    """A value per point, shaped to scale that point's matrix."""
+    return np.expand_dims(a, (-2, -1))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _deviation(a: np.ndarray, b) -> np.ndarray:
+    """Largest entry of |a - b| per matrix; NaN wherever an entry is NaN."""
+    return np.max(np.abs(a - b), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class SpherePoint:
-    x: float
-    y: float
-    z: float
+    """A point off the origin, or a batch of them: x, y and z are floats
+    or arrays of one shape."""
+
+    x: float | np.ndarray
+    y: float | np.ndarray
+    z: float | np.ndarray
 
     @property
-    def r(self) -> float:
-        return math.sqrt(self.x**2 + self.y**2 + self.z**2)
+    def shape(self) -> Tuple[int, ...]:
+        return np.shape(self.x)
+
+    def __getitem__(self, lanes) -> SpherePoint:
+        """The points of a batch that an index or a boolean mask picks."""
+        return SpherePoint(*(np.asarray(c)[lanes] for c in (self.x, self.y, self.z)))
+
+    @functools.cached_property
+    def r(self):
+        return np.sqrt(_square(self.x) + _square(self.y) + _square(self.z))
 
     @property
-    def w(self) -> complex:
+    def w(self):
         """x + iy."""
-        return complex(self.x, self.y)
+        return _complex(self.x, self.y)
 
-    def r_plus_minus_z(self) -> Tuple[float, float]:
+    def r_plus_minus_z(self):
         """(r + z, r - z).  The smaller one is computed as (x^2 + y^2)
         divided by the larger, which avoids the cancellation of r - z
         near the +z axis (and of r + z near the -z axis)."""
-        r, z = self.r, self.z
-        rho2 = self.x**2 + self.y**2
-        if z >= 0:
-            plus = r + z
-            return plus, rho2 / plus
-        minus = r - z
-        return rho2 / minus, minus
+        r, z, upper = self.r, self.z, self.z >= 0
+        larger = np.where(upper, r + z, r - z)
+        smaller = (_square(self.x) + _square(self.y)) / larger
+        return np.where(upper, larger, smaller), np.where(upper, smaller, larger)
 
 
-def sample_points(count: int, seed: int) -> List[SpherePoint]:
-    """Deterministic off-origin points: random direction, radius
-    log-uniform in [0.1, 10]."""
+def sample_points(count: int, seed: int) -> SpherePoint:
+    """A batch of deterministic off-origin points: random direction,
+    radius log-uniform in [0.1, 10]."""
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
+    directions, norms, exponents = [], [], []
+    while len(directions) < count:
         v = rng.normal(size=3)
         norm = np.linalg.norm(v)
         if norm < 1e-8:
             continue
-        radius = 10.0 ** rng.uniform(-1.0, 1.0)
-        v = v / norm * radius
-        pts.append(SpherePoint(float(v[0]), float(v[1]), float(v[2])))
-    return pts
+        directions.append(v)
+        norms.append(norm)
+        exponents.append(rng.uniform(-1.0, 1.0))
+    radii = np.float_power(10.0, exponents)
+    x, y, z = (np.array(directions).reshape(count, 3) / np.array(norms)[:, None] * radii[:, None]).T
+    return SpherePoint(x, y, z)
+
+
+def axis_masks(p: SpherePoint) -> Dict[str, np.ndarray]:
+    """Where each axis-singular map is defined, as a boolean array of the
+    batch's shape: chart "I" (undefined on the -z axis), chart "II" (on
+    the +z axis), the "transition" function (on the whole z axis) and the
+    stereographic coordinate "zeta" (on the -z axis).  A size below
+    sigma_tol(r) r counts as zero; a NaN size does not, so a NaN point
+    reaches the checks."""
+    r = p.r
+    plus, minus = p.r_plus_minus_z()
+    sizes = {"I": 2.0 * r * plus, "II": 2.0 * r * minus, "transition": np.hypot(p.x, p.y), "zeta": abs(plus)}
+    floor = sigma_tol(r) * r
+    return {name: ~(size < floor) for name, size in sizes.items()}
+
+
+def _require(p: SpherePoint, name: str) -> None:
+    if not np.all(axis_masks(p)[name]):
+        raise AxisSingular(f"{name} undefined at {p}")
 
 
 def berry_h(p: SpherePoint) -> np.ndarray:
     """[[z, x-iy], [x+iy, -z]], eigenvalues +-r."""
-    return np.array([[p.z, np.conj(p.w)], [p.w, -p.z]], dtype=complex)
+    return _matrices([[p.z, np.conj(p.w)], [p.w, -p.z]])
 
 
 def chart_unitary(p: SpherePoint, label: str) -> np.ndarray:
     """Diagonalizing unitary on chart I (bad on the -z axis) or II (bad
     on the +z axis)."""
+    if label not in ("I", "II"):
+        raise ValueError(f"unknown chart {label!r}")
+    _require(p, label)
     r, w = p.r, p.w
     plus, minus = p.r_plus_minus_z()
     if label == "I":
-        denom = 2.0 * r * plus
-    elif label == "II":
-        denom = 2.0 * r * minus
+        s, m = 1.0 / np.sqrt(2.0 * r * plus), _matrices([[plus, -np.conj(w)], [w, plus]])
     else:
-        raise ValueError(f"unknown chart {label!r}")
-    if denom < sigma_tol(r) * r:
-        raise AxisSingular(f"chart {label} undefined at {p}")
-    s = 1.0 / math.sqrt(denom)
-    if label == "I":
-        return s * np.array([[plus, -np.conj(w)], [w, plus]], dtype=complex)
-    return s * np.array([[np.conj(w), -minus], [minus, w]], dtype=complex)
+        s, m = 1.0 / np.sqrt(2.0 * r * minus), _matrices([[np.conj(w), -minus], [minus, w]])
+    return _per_matrix(s) * m
 
 
 def transition_fn(p: SpherePoint) -> np.ndarray:
     """diag(conj(w), w)/|w|, relating the two charts off both poles."""
-    rho = abs(p.w)
-    if rho < sigma_tol(p.r) * p.r:
-        raise AxisSingular(f"transition undefined on the z-axis at {p}")
-    return np.diag([np.conj(p.w), p.w]) / rho
+    _require(p, "transition")
+    w = p.w
+    return _matrices([[np.conj(w), 0.0], [0.0, w]]) / _per_matrix(np.hypot(p.x, p.y))
 
 
 def hopf_projector(p: SpherePoint) -> np.ndarray:
     """(1/2r) [[r+z, x-iy], [x+iy, r-z]] -- defined everywhere off the origin."""
     plus, minus = p.r_plus_minus_z()
-    return np.array([[plus, np.conj(p.w)], [p.w, minus]], dtype=complex) / (2.0 * p.r)
+    return _matrices([[plus, np.conj(p.w)], [p.w, minus]]) / _per_matrix(2.0 * p.r)
 
 
-def classical_local_z(p: SpherePoint) -> complex:
+def classical_local_z(p: SpherePoint):
     """(x+iy)/(r+z), the stereographic chart coordinate."""
-    denom = p.r_plus_minus_z()[0]
-    if abs(denom) < sigma_tol(p.r) * p.r:
-        raise AxisSingular(f"stereographic coordinate undefined at {p}")
-    return p.w / denom
+    _require(p, "zeta")
+    plus = p.r_plus_minus_z()[0]
+    # each part divided by the float, as Python divides a complex by a float (numpy would
+    # multiply by the reciprocal)
+    return _complex(p.x / plus, p.y / plus)
 
 
 def cp_projector(zeta: np.ndarray) -> np.ndarray:
-    """|zeta><zeta| / |zeta|^2 for a nonzero column in C^{n+1}."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    norm2 = float(np.vdot(zeta, zeta).real)
-    if norm2 == 0.0:
+    """|zeta><zeta| / |zeta|^2 for nonzero columns in C^{n+1}, the last axis."""
+    zeta = np.asarray(zeta, dtype=complex)
+    norm2 = (np.conj(zeta)[..., None, :] @ zeta[..., :, None])[..., 0, 0].real
+    if np.any(norm2 == 0.0):
         raise ValueError("zero column has no projective class")
-    return np.outer(zeta, zeta.conj()) / norm2
+    return zeta[..., :, None] * np.conj(zeta)[..., None, :] / _per_matrix(norm2)
 
 
 def cp1_chart_projector(z: complex, chart: int = 0) -> np.ndarray:
@@ -158,9 +219,12 @@ def chart_projector_deviation() -> float:
     return max(float(np.max(np.abs(form - cp_projector(np.array(col))))) for form, col in pairs)
 
 
-def veronese_column(zc: complex, n: int) -> np.ndarray:
-    """Chart column (1, sqrt(nC1) Zc, ..., sqrt(nCn) Zc^n)."""
-    return np.array([math.sqrt(math.comb(n, k)) * zc**k for k in range(n + 1)], dtype=complex)
+def veronese_column(zc, n: int) -> np.ndarray:
+    """Chart columns (1, sqrt(nC1) Zc, ..., sqrt(nCn) Zc^n), along a last axis."""
+    # np.power multiplies out small integer powers as Python's complex ** does; zc**2 would
+    # square with another rounding
+    zc = np.asarray(zc, dtype=complex)
+    return np.stack([math.sqrt(math.comb(n, k)) * np.power(zc, k) for k in range(n + 1)], axis=-1)
 
 
 def lifted_projector(p: SpherePoint, n: int) -> np.ndarray:
@@ -170,68 +234,64 @@ def lifted_projector(p: SpherePoint, n: int) -> np.ndarray:
 N_LIFT = 3  # degree of the Veronese lift checked at every point
 
 
-def verify_point(p: SpherePoint) -> float:
-    """All classical identities at one point; returns the worst deviation.
+def verify_points(p: SpherePoint) -> np.ndarray:
+    """All classical identities at every point of a batch; returns the
+    worst deviation per point, an array of the batch's shape.
 
     Covers: both chart unitaries diagonalize H to diag(r, -r), the
     transition function relates them, the projector is the upper
     spectral projector and is rank-1 idempotent Hermitian, and the
     degree-n lift reproduces the CP^n projector of the chart column.
+    An identity whose chart, transition function or coordinate is
+    undefined at a point (``axis_masks``) is skipped there.  A NaN
+    deviation is kept, so a non-finite point gives NaN.
     """
-    h = berry_h(p)
-    r = p.r
-    target = np.diag([r, -r])
-    worst = 0.0
+    worst = np.zeros(p.shape)
 
+    def fold(lanes, deviation):
+        worst[lanes] = np.maximum(worst[lanes], deviation)
+
+    h, r, masks = berry_h(p), p.r, axis_masks(p)
+    target = _matrices([[r, 0.0], [0.0, -r]])
     charts = {}
     for label in ("I", "II"):
-        try:
-            u = chart_unitary(p, label)
-        except AxisSingular:
-            continue
-        charts[label] = u
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(2)))))
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ h @ u - target))))
+        lanes = masks[label]
+        u = charts[label] = chart_unitary(p[lanes], label)
+        fold(lanes, _deviation(_dagger(u) @ u, np.eye(2)))
+        fold(lanes, _deviation(_dagger(u) @ h[lanes] @ u, target[lanes]))
 
-    if len(charts) == 2:
-        try:
-            phi = transition_fn(p)
-            worst = max(worst, float(np.max(np.abs(charts["I"] @ phi - charts["II"]))))
-        except AxisSingular:
-            pass
+    # a lane of both charts sits at index both[masks[label]] of that chart's unitaries
+    both = masks["I"] & masks["II"] & masks["transition"]
+    u1, u2 = (charts[label][both[masks[label]]] for label in ("I", "II"))
+    fold(both, _deviation(u1 @ transition_fn(p[both]), u2))
 
     proj = hopf_projector(p)
-    worst = max(worst, float(np.max(np.abs(proj @ proj - proj))))
-    worst = max(worst, float(np.max(np.abs(proj.conj().T - proj))))
-    worst = max(worst, float(np.max(np.abs(h @ proj - r * proj))))
-    worst = max(worst, abs(np.trace(proj).real - 1.0))
-    if "I" in charts:
-        u = charts["I"]
-        worst = max(worst, float(np.max(np.abs(u @ np.diag([1.0, 0.0]) @ u.conj().T - proj))))
-        try:
-            zc = classical_local_z(p)
-            col = np.array([1.0, zc], dtype=complex)
-            worst = max(worst, float(np.max(np.abs(cp_projector(col) - proj))))
-            big = lifted_projector(p, N_LIFT)
-            worst = max(
-                worst,
-                float(np.max(np.abs(big @ big - big))),
-            )
-            col_n = veronese_column(zc, N_LIFT)
-            worst = max(
-                worst,
-                float(np.max(np.abs(big @ col_n - col_n))) / float(np.linalg.norm(col_n)),
-            )
-        except AxisSingular:
-            pass
+    fold(..., _deviation(proj @ proj, proj))
+    fold(..., _deviation(_dagger(proj), proj))
+    fold(..., _deviation(h @ proj, _per_matrix(r) * proj))
+    fold(..., abs((proj[..., 0, 0] + proj[..., 1, 1]).real - 1.0))
+    lanes, u = masks["I"], charts["I"]
+    fold(lanes, _deviation(u @ np.diag([1.0, 0.0]) @ _dagger(u), proj[lanes]))
+
+    lanes = masks["I"] & masks["zeta"]
+    zc = classical_local_z(p[lanes])
+    fold(lanes, _deviation(cp_projector(veronese_column(zc, 1)), proj[lanes]))
+    col = veronese_column(zc, N_LIFT)
+    big = cp_projector(col)
+    fold(lanes, _deviation(big @ big, big))
+    # np.linalg.norm of each column: sqrt(re . re + im . im), each product a dot
+    re, im = col.real[..., None, :], col.imag[..., None, :]
+    norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    fold(lanes, _deviation(big @ col[..., None], col[..., None]) / norm)
     return worst
 
 
 @functools.lru_cache(maxsize=None)
 def verify_sample(count: int, seed: int) -> float:
-    """Worst deviation of verify_point over a seeded sample.
+    """Worst deviation of verify_points over a seeded sample; NaN if any
+    point's is.
 
     A pure function of its arguments, so it is cached: a sweep computes
     it once per process, whatever axis it varies.
     """
-    return max(verify_point(p) for p in sample_points(count, seed))
+    return float(np.max(verify_points(sample_points(count, seed))))

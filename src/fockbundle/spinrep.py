@@ -57,25 +57,42 @@ T8 = np.array(
 
 @dataclass(frozen=True)
 class SU2Element:
-    """2x2 special unitary matrix parametrised by its first column."""
+    """2x2 special unitary matrix parametrised by its first column; or a
+    batch of them, with alpha and beta arrays of one shape.  Every map
+    below returns its matrices stacked along the batch's shape."""
 
-    alpha: complex
-    beta: complex
+    alpha: complex | np.ndarray
+    beta: complex | np.ndarray
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm is rejected too
+        if not np.asarray(abs(norm - 1.0) <= 1e-12).all():  # a NaN norm is rejected too
             raise ValueError(f"column norm {norm} is not 1 within 1e-12")
 
     def matrix(self) -> np.ndarray:
-        a, b = self.alpha, self.beta
-        return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+        a, b = np.asarray(self.alpha, dtype=complex), np.asarray(self.beta, dtype=complex)
+        return np.stack([np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)], axis=-2)
 
 
 def random_su2(rng: np.random.Generator) -> SU2Element:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return SU2Element(alpha=complex(v[0], v[1]), beta=complex(v[2], v[3]))
+
+
+def sample_pairs(count: int, seed: int) -> Tuple[SU2Element, SU2Element, SU2Element]:
+    """Seeded pairs (g1, g2) of SU(2) elements and their products g1 g2,
+    as three batches of ``count``."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in range(count):
+        g1, g2 = random_su2(rng), random_su2(rng)
+        # each product in scalar complex arithmetic: numpy's array multiply rounds differently
+        a12 = g1.alpha * g2.alpha - np.conj(g1.beta) * g2.beta
+        b12 = g1.beta * g2.alpha + np.conj(g1.alpha) * g2.beta
+        columns.append((g1.alpha, g1.beta, g2.alpha, g2.beta, a12, b12))
+    a1, b1, a2, b2, a12, b12 = np.array(columns, dtype=complex).reshape(count, 6).T
+    return SU2Element(a1, b1), SU2Element(a2, b2), SU2Element(a12, b12)
 
 
 def _degree(j: float) -> int:
@@ -118,37 +135,50 @@ def spin_rep(g: SU2Element, j: float) -> np.ndarray:
     """Spin-j matrix of g, its 2j-th symmetric power, for any positive half-integer j."""
     n = _degree(j)
     rows, cols, weights, exponents = _exponent_table(n)
-    blocks = np.array([g.alpha, g.beta, np.conj(g.beta), np.conj(g.alpha)], dtype=complex)
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    np.add.at(out, (rows, cols), weights * np.prod(blocks**exponents, axis=1))
+    a, b = np.asarray(g.alpha, dtype=complex), np.asarray(g.beta, dtype=complex)
+    blocks = np.stack([a, b, np.conj(b), np.conj(a)], axis=-1)[..., None, :]
+    out = np.zeros(a.shape + (n + 1, n + 1), dtype=complex)
+    # the terms of one entry add up in table order, for every element of a batch
+    np.add.at(out, (..., rows, cols), weights * np.prod(blocks**exponents, axis=-1))
     return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, for every element of a batch."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (m * p, n * q))
 
 
 def cg_decompose_pair(g: SU2Element) -> np.ndarray:
     """T4† (g (x) g) T4, which equals diag(1, spin_rep(g, 1))."""
     m = g.matrix()
-    return T4.conj().T @ np.kron(m, m) @ T4
+    return T4.conj().T @ _kron(m, m) @ T4
 
 
 def cg_decompose_triple(g: SU2Element) -> np.ndarray:
     """T8† (g (x) g (x) g) T8 = diag(g, g, spin_rep(g, 3/2))."""
     m = g.matrix()
-    return T8.conj().T @ np.kron(np.kron(m, m), m) @ T8
+    return T8.conj().T @ _kron(_kron(m, m), m) @ T8
 
 
 def pair_block_target(g: SU2Element) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = 1.0
-    out[1:, 1:] = spin_rep(g, 1)
+    out = np.zeros(np.shape(g.alpha) + (4, 4), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = spin_rep(g, 1)
     return out
 
 
 def triple_block_target(g: SU2Element) -> np.ndarray:
-    out = np.zeros((8, 8), dtype=complex)
-    out[0:2, 0:2] = g.matrix()
-    out[2:4, 2:4] = g.matrix()
-    out[4:, 4:] = spin_rep(g, 1.5)
+    out = np.zeros(np.shape(g.alpha) + (8, 8), dtype=complex)
+    out[..., 0:2, 0:2] = g.matrix()
+    out[..., 2:4, 2:4] = g.matrix()
+    out[..., 4:, 4:] = spin_rep(g, 1.5)
     return out
+
+
+def _deviation(a: np.ndarray, b) -> np.ndarray:
+    """Largest entry of |a - b| per matrix; NaN wherever an entry is NaN."""
+    return np.max(np.abs(a - b), axis=(-2, -1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,31 +187,23 @@ def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
     (g1, g2) of SU(2) elements: unitarity of spin_rep(g1, j), the
     homomorphism spin_rep(g1, j) spin_rep(g2, j) = spin_rep(g1 g2, j) for
     j in {1/2, 1, 3/2}, and the Clebsch-Gordan blocks of g1 (x) g1 and
-    g1 (x) g1 (x) g1.
+    g1 (x) g1 (x) g1.  Each is evaluated on all 50 pairs at once, and is
+    NaN if any pair's deviation is.
 
     A pure function of the seed, so it is cached: a sweep computes it
     once per process, whatever axis it varies.
     """
-    rng = np.random.default_rng(seed)
-    worst_u, worst_h, worst_cg = 0.0, 0.0, 0.0
-    for _ in range(50):
-        g1 = random_su2(rng)
-        g2 = random_su2(rng)
-        prod = SU2Element(
-            alpha=g1.alpha * g2.alpha - np.conj(g1.beta) * g2.beta,
-            beta=g1.beta * g2.alpha + np.conj(g1.alpha) * g2.beta,
-        )
-        for j in (0.5, 1.0, 1.5):
-            m1, m2 = spin_rep(g1, j), spin_rep(g2, j)
-            k = m1.shape[0]
-            worst_u = max(worst_u, float(np.max(np.abs(m1.conj().T @ m1 - np.eye(k)))))
-            worst_h = max(worst_h, float(np.max(np.abs(m1 @ m2 - spin_rep(prod, j)))))
-        worst_cg = max(
-            worst_cg,
-            float(np.max(np.abs(cg_decompose_pair(g1) - pair_block_target(g1)))),
-            float(np.max(np.abs(cg_decompose_triple(g1) - triple_block_target(g1)))),
-        )
-    return worst_u, worst_h, worst_cg
+    g1, g2, prod = sample_pairs(50, seed)
+    unitary, homomorphism = [], []
+    for j in (0.5, 1.0, 1.5):
+        m1, m2 = spin_rep(g1, j), spin_rep(g2, j)
+        unitary.append(_deviation(np.conj(m1).swapaxes(-1, -2) @ m1, np.eye(m1.shape[-1])))
+        homomorphism.append(_deviation(m1 @ m2, spin_rep(prod, j)))
+    blocks = [
+        _deviation(cg_decompose_pair(g1), pair_block_target(g1)),
+        _deviation(cg_decompose_triple(g1), triple_block_target(g1)),
+    ]
+    return tuple(float(np.max(devs)) for devs in (unitary, homomorphism, blocks))
 
 
 # -- operator-valued analogues ---------------------------------------------

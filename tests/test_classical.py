@@ -1,12 +1,15 @@
 """Tests for the commutative counterparts on the sphere: chart unitaries,
 the transition function, the spectral projector, and projective lifts."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fockbundle import classical
+from fockbundle.report import upper_bound_check
+from fockbundle.symbols import sigma_tol
 
 TOL = 1e-12
 
@@ -120,3 +123,162 @@ def test_r_plus_minus_z_near_the_pole():
     assert plus * minus == pytest.approx(1e-12, rel=1e-15)
     q = classical.SpherePoint(1e-6, 0.0, -1.0)
     assert q.r_plus_minus_z() == pytest.approx((minus, plus), rel=1e-15)
+
+
+# -- the batch against a per-point reference ----------------------------------
+#
+# The evaluation of one point at a time in plain Python and 2x2 numpy, with
+# Python's max() fold (which is only right for finite points).
+
+
+class _Singular(Exception):
+    pass
+
+
+def _ref_sides(x, y, z):
+    r = math.sqrt(x**2 + y**2 + z**2)
+    rho2 = x**2 + y**2
+    if z >= 0:
+        plus = r + z
+        return r, plus, rho2 / plus
+    minus = r - z
+    return r, rho2 / minus, minus
+
+
+def _ref_chart(x, y, z, label):
+    r, plus, minus = _ref_sides(x, y, z)
+    w = complex(x, y)
+    denom = 2.0 * r * (plus if label == "I" else minus)
+    if denom < sigma_tol(r) * r:
+        raise _Singular
+    s = 1.0 / math.sqrt(denom)
+    if label == "I":
+        return s * np.array([[plus, -np.conj(w)], [w, plus]], dtype=complex)
+    return s * np.array([[np.conj(w), -minus], [minus, w]], dtype=complex)
+
+
+def _ref_transition(x, y, z):
+    r, w = _ref_sides(x, y, z)[0], complex(x, y)
+    if abs(w) < sigma_tol(r) * r:
+        raise _Singular
+    return np.diag([np.conj(w), w]) / abs(w)
+
+
+def _ref_zeta(x, y, z):
+    r, plus, _ = _ref_sides(x, y, z)
+    if abs(plus) < sigma_tol(r) * r:
+        raise _Singular
+    return complex(x, y) / plus
+
+
+def _ref_defined(x, y, z):
+    """The reference's decision, per axis-singular map, at one point."""
+    maps = {
+        "I": lambda: _ref_chart(x, y, z, "I"),
+        "II": lambda: _ref_chart(x, y, z, "II"),
+        "transition": lambda: _ref_transition(x, y, z),
+        "zeta": lambda: _ref_zeta(x, y, z),
+    }
+    found = {}
+    for name, build in maps.items():
+        try:
+            build()
+            found[name] = True
+        except _Singular:
+            found[name] = False
+    return found
+
+
+def _ref_cp(col):
+    col = np.asarray(col, dtype=complex)
+    return np.outer(col, col.conj()) / float(np.vdot(col, col).real)
+
+
+def _ref_verify_point(x, y, z):
+    r, plus, minus = _ref_sides(x, y, z)
+    w = complex(x, y)
+    h = np.array([[z, np.conj(w)], [w, -z]], dtype=complex)
+    terms, charts = [], {}
+    for label in ("I", "II"):
+        try:
+            u = charts[label] = _ref_chart(x, y, z, label)
+        except _Singular:
+            continue
+        terms += [u.conj().T @ u - np.eye(2), u.conj().T @ h @ u - np.diag([r, -r])]
+    if len(charts) == 2:
+        try:
+            terms.append(charts["I"] @ _ref_transition(x, y, z) - charts["II"])
+        except _Singular:
+            pass
+    proj = np.array([[plus, np.conj(w)], [w, minus]], dtype=complex) / (2.0 * r)
+    terms += [proj @ proj - proj, proj.conj().T - proj, h @ proj - r * proj, np.trace(proj).real - 1.0]
+    worst = max(float(np.max(np.abs(t))) for t in terms)
+    if "I" in charts:
+        u = charts["I"]
+        worst = max(worst, _dev(u @ np.diag([1.0, 0.0]) @ u.conj().T, proj))
+        try:
+            zc = _ref_zeta(x, y, z)
+        except _Singular:
+            return worst
+        col = np.array([math.sqrt(math.comb(3, k)) * zc**k for k in range(4)], dtype=complex)
+        big = _ref_cp(col)
+        worst = max(worst, _dev(_ref_cp([1.0, zc]), proj), _dev(big @ big, big))
+        worst = max(worst, _dev(big @ col, col) / float(np.linalg.norm(col)))
+    return worst
+
+
+# on both poles, next to them, and on the z axis at other radii
+POLE_POINTS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1e-7, 0.0, 1.0), (1e-7, 0.0, -1.0)]
+POLE_POINTS += [(0.0, 0.0, 0.1), (0.0, 0.0, -0.1), (0.0, 0.0, 10.0), (0.0, 0.0, -10.0)]
+
+
+def _batch(points):
+    return classical.SpherePoint(*np.array(points, dtype=float).T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [None, 0, 10, 235])
+def test_batch_matches_the_per_point_reference(seed):
+    # seed None is the batch of POLE_POINTS
+    p = _batch(POLE_POINTS) if seed is None else classical.sample_points(200, seed)
+    masks = classical.axis_masks(p)
+    values = classical.verify_points(p)
+    assert np.all(np.isfinite(values))
+    for i, point in enumerate(zip(p.x.tolist(), p.y.tolist(), p.z.tolist())):
+        assert {name: bool(mask[i]) for name, mask in masks.items()} == _ref_defined(*point), point
+        assert abs(values[i] - _ref_verify_point(*point)) <= 1e-14, point
+    if seed is None:
+        # every map is left out somewhere, and chart II with the transition next to the +z pole
+        assert not any(mask.all() for mask in masks.values())
+        assert masks["transition"][2] and not masks["II"][2]
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0, 1.0), (0.3, math.nan, 0.5), (0.3, 0.2, math.inf)])
+def test_a_non_finite_point_fails_the_sample(monkeypatch, bad):
+    good = classical.sample_points(5, seed=1)
+    p = classical.SpherePoint(*(np.append(c, v) for c, v in zip((good.x, good.y, good.z), bad)))
+    # an infinite coordinate reaches NaN through inf * 0 and inf - inf
+    with np.errstate(invalid="ignore"):
+        values = classical.verify_points(p)
+        monkeypatch.setattr(classical, "sample_points", lambda count, seed: p)
+        value = classical.verify_sample.__wrapped__(6, 1)
+    assert np.all(np.isfinite(values[:-1])) and np.isnan(values[-1])
+    assert math.isnan(value)
+    assert not upper_bound_check("sphere_identities_sample", value, TOL).passed
+
+
+# SHA-256 of the little-endian float64 rows (x, y, z) of sample_points(200, seed),
+# recorded from the sampler that built its points one at a time.  A batched draw
+# such as rng.normal(size=(count, 3)) reads the stream in another order.
+SAMPLE_SHA256 = {
+    0: "2b55b8821a1ecc23070b16d1e03618b17b4f29850c462110aba45bf4fb52637a",
+    1: "b0a8319fdc8f27c999c0b1181125b5f67136598c7f2118cf9cbea2b340234b27",
+    10: "ea1905463d6b7715d2f0f20ecc900532556e9db0579fb98a971839e1ba82bb10",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_SHA256))
+def test_sample_draws_are_pinned(seed):
+    p = classical.sample_points(200, seed)
+    rows = np.stack([p.x, p.y, p.z], axis=-1).astype("<f8")
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == SAMPLE_SHA256[seed]

@@ -1,10 +1,14 @@
 """Tests for SU(2) irreps, Clebsch-Gordan block decompositions, and their
 operator-entried counterparts built from the chart matrix."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from fockbundle import spinrep
+from fockbundle.report import upper_bound_check
 from fockbundle.jc import Radius
 from fockbundle.opmatrix import OpMatrix, matrix_equal
 from fockbundle.veronese import build_family, lift, x_operator, y_operator
@@ -204,6 +208,65 @@ def test_triple_decomposition():
     for _ in range(25):
         g = spinrep.random_su2(rng)
         assert _dev(spinrep.cg_decompose_triple(g), spinrep.triple_block_target(g)) < TOL
+
+
+def _one(batch, i):
+    return spinrep.SU2Element(batch.alpha[i], batch.beta[i])
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
+def test_a_batch_is_its_elements_one_at_a_time(j):
+    g, _, _ = spinrep.sample_pairs(12, seed=3)
+    reps = spinrep.spin_rep(g, j)
+    assert reps.shape == (12, int(2 * j) + 1, int(2 * j) + 1)
+    for i in range(12):
+        assert _dev(reps[i], spinrep.spin_rep(_one(g, i), j)) <= 1e-15
+
+
+def test_batched_clebsch_gordan_blocks_match_np_kron():
+    g, _, _ = spinrep.sample_pairs(12, seed=4)
+    pair, triple = spinrep.cg_decompose_pair(g), spinrep.cg_decompose_triple(g)
+    pair_target, triple_target = spinrep.pair_block_target(g), spinrep.triple_block_target(g)
+    for i in range(12):
+        m = _one(g, i).matrix()
+        assert _dev(pair[i], spinrep.T4.conj().T @ np.kron(m, m) @ spinrep.T4) <= 1e-15
+        assert _dev(triple[i], spinrep.T8.conj().T @ np.kron(np.kron(m, m), m) @ spinrep.T8) <= 1e-15
+        assert _dev(pair_target[i], spinrep.pair_block_target(_one(g, i))) == 0.0
+        assert _dev(triple_target[i], spinrep.triple_block_target(_one(g, i))) == 0.0
+
+
+def test_sample_pairs_multiply_each_pair():
+    g1, g2, prod = spinrep.sample_pairs(20, seed=5)
+    assert _dev(prod.matrix(), g1.matrix() @ g2.matrix()) < 1e-15
+
+
+def test_a_nan_pair_fails_the_group_sample(monkeypatch):
+    g1, g2, prod = spinrep.sample_pairs(50, seed=0)
+    alpha = g1.alpha.copy()
+    alpha[7] = complex(math.nan, 0.0)
+    object.__setattr__(g1, "alpha", alpha)  # past the constructor, which rejects a NaN column
+    monkeypatch.setattr(spinrep, "sample_pairs", lambda count, seed: (g1, g2, prod))
+    values = spinrep.group_sample_deviations.__wrapped__(0)
+    assert all(math.isnan(v) for v in values)
+    for name, value in zip(("su2_rep_unitary", "su2_rep_homomorphism", "su2_cg_blocks"), values):
+        assert not upper_bound_check(name, value, 1e-12).passed
+
+
+# SHA-256 of the little-endian complex128 rows (g1.alpha, g1.beta, g2.alpha,
+# g2.beta) of the 50 seeded pairs, recorded from the loop that drew one pair
+# at a time with random_su2.  A batched draw reads the stream in another order.
+PAIRS_SHA256 = {
+    0: "69234d3bc8ea8551c4c923f690c664615caa47bb44bc92dd91c9854a4d37acd4",
+    1: "caf2d932ad15f8b8516230298cfc6ba2411e494e558e5417e2daa4e58c3c5677",
+    10: "c54b8afde48f2751e97e829d996fd560a36c5824c489ab5c6e29726ab7047e31",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAIRS_SHA256))
+def test_pair_draws_are_pinned(seed):
+    g1, g2, _ = spinrep.sample_pairs(50, seed)
+    rows = np.stack([g1.alpha, g1.beta, g2.alpha, g2.beta], axis=-1).astype("<c16")
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == PAIRS_SHA256[seed]
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])

@@ -99,7 +99,7 @@ def sample_points(count: int, seed: int) -> SpherePoint:
     """A batch of deterministic off-origin points: random direction,
     radius log-uniform in [0.1, 10]."""
     rng = np.random.default_rng(seed)
-    directions, norms, exponents = [], [], []
+    directions, norms, radii = [], [], []
     while len(directions) < count:
         v = rng.normal(size=3)
         norm = np.linalg.norm(v)
@@ -107,10 +107,9 @@ def sample_points(count: int, seed: int) -> SpherePoint:
             continue
         directions.append(v)
         norms.append(norm)
-        exponents.append(rng.uniform(-1.0, 1.0))
-    radii = np.float_power(10.0, exponents)
-    x, y, z = (np.array(directions).reshape(count, 3) / np.array(norms)[:, None] * radii[:, None]).T
-    return SpherePoint(x, y, z)
+        radii.append(10.0 ** rng.uniform(-1.0, 1.0))
+    xyz = np.array(directions).reshape(count, 3) / np.array(norms)[:, None] * np.array(radii)[:, None]
+    return SpherePoint(*xyz.T)
 
 
 def axis_masks(p: SpherePoint) -> Dict[str, np.ndarray]:

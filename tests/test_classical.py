@@ -182,7 +182,8 @@ def _ref_defined(x, y, z):
     found = {}
     for name, build in maps.items():
         try:
-            build()
+            with np.errstate(invalid="ignore"):  # a NaN point passes every guard and divides by NaN
+                build()
             found[name] = True
         except _Singular:
             found[name] = False
@@ -263,6 +264,9 @@ def test_a_non_finite_point_fails_the_sample(monkeypatch, bad):
         monkeypatch.setattr(classical, "sample_points", lambda count, seed: p)
         value = classical.verify_sample.__wrapped__(6, 1)
     assert np.all(np.isfinite(values[:-1])) and np.isnan(values[-1])
+    if not math.isinf(bad[2]):
+        # a NaN size is not below the floor: the point is not masked out, as a single point never raised
+        assert {name: bool(mask[-1]) for name, mask in classical.axis_masks(p).items()} == _ref_defined(*bad)
     assert math.isnan(value)
     assert not upper_bound_check("sphere_identities_sample", value, TOL).passed
 

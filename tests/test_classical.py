@@ -258,15 +258,16 @@ def test_batch_matches_the_per_point_reference(seed):
 def test_a_non_finite_point_fails_the_sample(monkeypatch, bad):
     good = classical.sample_points(5, seed=1)
     p = classical.SpherePoint(*(np.append(c, v) for c, v in zip((good.x, good.y, good.z), bad)))
-    # an infinite coordinate reaches NaN through inf * 0 and inf - inf
+    # an infinite coordinate reaches NaN through inf * 0 and inf - inf, which warn
     with np.errstate(invalid="ignore"):
         values = classical.verify_points(p)
+        masks = classical.axis_masks(p)
         monkeypatch.setattr(classical, "sample_points", lambda count, seed: p)
         value = classical.verify_sample.__wrapped__(6, 1)
     assert np.all(np.isfinite(values[:-1])) and np.isnan(values[-1])
     if not math.isinf(bad[2]):
         # a NaN size is not below the floor: the point is not masked out, as a single point never raised
-        assert {name: bool(mask[-1]) for name, mask in classical.axis_masks(p).items()} == _ref_defined(*bad)
+        assert {name: bool(mask[-1]) for name, mask in masks.items()} == _ref_defined(*bad)
     assert math.isnan(value)
     assert not upper_bound_check("sphere_identities_sample", value, TOL).passed
 

@@ -246,7 +246,8 @@ def test_a_nan_pair_fails_the_group_sample(monkeypatch):
     alpha[7] = complex(math.nan, 0.0)
     object.__setattr__(g1, "alpha", alpha)  # past the constructor, which rejects a NaN column
     monkeypatch.setattr(spinrep, "sample_pairs", lambda count, seed: (g1, g2, prod))
-    values = spinrep.group_sample_deviations.__wrapped__(0)
+    with np.errstate(invalid="ignore"):  # some numpy builds warn when a reduction meets NaN
+        values = spinrep.group_sample_deviations.__wrapped__(0)
     assert all(math.isnan(v) for v in values)
     for name, value in zip(("su2_rep_unitary", "su2_rep_homomorphism", "su2_cg_blocks"), values):
         assert not upper_bound_check(name, value, 1e-12).passed

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -95,20 +96,38 @@ class SpherePoint:
         return np.where(upper, larger, smaller), np.where(upper, smaller, larger)
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """The standard library's generator for a nonnegative seed.  Random(-s)
+    would draw the same stream as Random(s), so a negative seed is refused."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return random.Random(seed)
+
+
+def random_direction(rng: random.Random, dim: int) -> List[float]:
+    """A unit vector of R^dim, uniform on the sphere: a point of the unit
+    ball drawn by rejection from the cube [-1, 1]^dim, then normalised.
+    Only random() and correctly rounded arithmetic are used, so the
+    direction is the same on every platform and Python release."""
+    while True:
+        v = [2.0 * rng.random() - 1.0 for _ in range(dim)]
+        norm2 = 0.0
+        for c in v:  # left to right: sum() of floats is compensated from Python 3.12 on
+            norm2 += c * c
+        if 1e-16 <= norm2 <= 1.0:
+            norm = math.sqrt(norm2)
+            return [c / norm for c in v]
+
+
 def sample_points(count: int, seed: int) -> SpherePoint:
     """A batch of deterministic off-origin points: random direction,
     radius log-uniform in [0.1, 10]."""
-    rng = np.random.default_rng(seed)
-    directions, norms, radii = [], [], []
-    while len(directions) < count:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        directions.append(v)
-        norms.append(norm)
+    rng = seeded_rng(seed)
+    directions, radii = [], []
+    for _ in range(count):
+        directions.append(random_direction(rng, 3))
         radii.append(10.0 ** rng.uniform(-1.0, 1.0))
-    xyz = np.array(directions).reshape(count, 3) / np.array(norms)[:, None] * np.array(radii)[:, None]
+    xyz = np.array(directions).reshape(count, 3) * np.array(radii)[:, None]
     return SpherePoint(*xyz.T)
 
 

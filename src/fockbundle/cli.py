@@ -198,7 +198,8 @@ def run_classical(cfg: SuiteConfig) -> Parts:
         upper_bound_check("sphere_identities_sample", classical.verify_sample(200, cfg.seed), 1e-12),
         upper_bound_check("cp_chart_projectors", classical.chart_projector_deviation(), 1e-12),
     ]
-    return free, [[jc.classical_limit_check(theta)] if theta >= 0 else [] for theta in cfg.theta_list]
+    limits = iter(jc.classical_limit_check([theta for theta in cfg.theta_list if theta >= 0]))
+    return free, [[next(limits)] if theta >= 0 else [] for theta in cfg.theta_list]
 
 
 _RUNNERS = {

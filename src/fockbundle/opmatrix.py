@@ -13,7 +13,7 @@ or ``detail`` is then one value for every row or a list of one per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -13,12 +13,14 @@ by the Clebsch-Gordan matrix does NOT block-diagonalize it.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from math import comb, sqrt
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .classical import random_direction, seeded_rng
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
 from .report import CheckResult, lower_bound_check
@@ -74,22 +76,22 @@ class SU2Element:
         return np.stack([np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)], axis=-2)
 
 
-def random_su2(rng: np.random.Generator) -> SU2Element:
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return SU2Element(alpha=complex(v[0], v[1]), beta=complex(v[2], v[3]))
+def random_su2(rng: random.Random) -> SU2Element:
+    """A Haar-random element: its first column is a uniform direction of C^2 = R^4."""
+    re_a, im_a, re_b, im_b = random_direction(rng, 4)
+    return SU2Element(alpha=complex(re_a, im_a), beta=complex(re_b, im_b))
 
 
 def sample_pairs(count: int, seed: int) -> Tuple[SU2Element, SU2Element, SU2Element]:
     """Seeded pairs (g1, g2) of SU(2) elements and their products g1 g2,
     as three batches of ``count``."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     columns = []
     for _ in range(count):
         g1, g2 = random_su2(rng), random_su2(rng)
         # each product in scalar complex arithmetic: numpy's array multiply rounds differently
-        a12 = g1.alpha * g2.alpha - np.conj(g1.beta) * g2.beta
-        b12 = g1.beta * g2.alpha + np.conj(g1.alpha) * g2.beta
+        a12 = g1.alpha * g2.alpha - g1.beta.conjugate() * g2.beta
+        b12 = g1.beta * g2.alpha + g1.alpha.conjugate() * g2.beta
         columns.append((g1.alpha, g1.beta, g2.alpha, g2.beta, a12, b12))
     a1, b1, a2, b2, a12, b12 = np.array(columns, dtype=complex).reshape(count, 6).T
     return SU2Element(a1, b1), SU2Element(a2, b2), SU2Element(a12, b12)

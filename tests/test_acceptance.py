@@ -156,7 +156,7 @@ def test_acceptance_projective_spot_values():
 # 9. coherent expectations approach the classical coordinate monotonically
 
 def test_acceptance_classical_limit():
-    errs = jc.classical_limit_errors(1.0)
+    (errs,) = jc.classical_limit_errors([1.0])
     assert errs[0] > errs[1] > errs[2] > 0.0
 
 

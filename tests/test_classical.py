@@ -273,12 +273,13 @@ def test_a_non_finite_point_fails_the_sample(monkeypatch, bad):
 
 
 # SHA-256 of the little-endian float64 rows (x, y, z) of sample_points(200, seed),
-# recorded from the sampler that built its points one at a time.  A batched draw
-# such as rng.normal(size=(count, 3)) reads the stream in another order.
+# drawn from random.Random(seed).random(): per point a direction by rejection from
+# the cube [-1, 1]^3, then its radius 10 ** uniform(-1, 1).  Python keeps that
+# stream across releases; a change of draw order or arithmetic moves these pins.
 SAMPLE_SHA256 = {
-    0: "2b55b8821a1ecc23070b16d1e03618b17b4f29850c462110aba45bf4fb52637a",
-    1: "b0a8319fdc8f27c999c0b1181125b5f67136598c7f2118cf9cbea2b340234b27",
-    10: "ea1905463d6b7715d2f0f20ecc900532556e9db0579fb98a971839e1ba82bb10",
+    0: "2f9b2848fec2a4aa746f94fd27598bf78520f5406ad6a22d12b6cf73fe5b1726",
+    1: "b9f1a1573929a506fe05a966644b61fb61956454eef1a583f97ce3515362a927",
+    10: "fa5797779687ac8c8e0ee04b1b13732d02dd7fc4494a2ee789356c1a25213754",
 }
 
 
@@ -287,3 +288,36 @@ def test_sample_draws_are_pinned(seed):
     p = classical.sample_points(200, seed)
     rows = np.stack([p.x, p.y, p.z], axis=-1).astype("<f8")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == SAMPLE_SHA256[seed]
+
+
+def test_same_seed_gives_the_same_bytes():
+    first, again = classical.sample_points(200, 42), classical.sample_points(200, 42)
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(
+        (first.x, first.y, first.z), (again.x, again.y, again.z)))
+    assert np.asarray(first.x).tobytes() != np.asarray(classical.sample_points(200, 43).x).tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_random_directions_have_unit_norm(dim):
+    rng = classical.seeded_rng(9)
+    for _ in range(500):
+        v = np.array(classical.random_direction(rng, dim))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+
+def test_sample_radii_are_log_uniform_in_range():
+    radii = classical.sample_points(1000, 2).r
+    assert np.all((radii >= 0.1) & (radii <= 10.0))
+    # log-uniform: about half of the points lie inside the unit sphere
+    assert 0.4 < np.mean(radii < 1.0) < 0.6
+
+
+@pytest.mark.parametrize("seed", [-1, -10])
+def test_negative_seed_is_refused(seed):
+    with pytest.raises(ValueError, match="nonnegative"):
+        classical.sample_points(10, seed)
+
+
+def test_every_seed_below_100_passes_the_sample_check():
+    failing = [seed for seed in range(100) if not classical.verify_sample(200, seed) <= TOL]
+    assert failing == []

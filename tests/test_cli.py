@@ -3,6 +3,9 @@ sweep tables, and configuration validation."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,3 +415,20 @@ def test_theta_rows_are_independent(capsys):
         assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
         assert row[-1] == str(1 - code)
     assert rows[0] == rows[6] and rows[-1][-1] == "0"
+
+
+def test_no_call_imports_numpy_random():
+    # the seeded samples come from the standard library's random; numpy.random
+    # costs ~13 ms and ~6 MiB to import and is never needed by a run
+    script = (
+        "import contextlib, io, sys\n"
+        "from fockbundle import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'all', '--nmax', '6']) == 0\n"
+        "    assert cli.main(['sweep', '--suite', 'all', '--axis', 'theta', '--values', '-1', '0', '1', '--nmax', '6']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -270,18 +270,40 @@ def test_coherent_expectation_matches_direct_sum():
     direct = sum(
         amps[n + 1] * element(z, 1, n, theta) * amps[n] for n in range(n_top)
     )
-    assert jc.coherent_expectation_z(theta, alpha) == pytest.approx(direct, rel=1e-12)
+    assert jc.coherent_expectation_z([theta], alpha)[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_coherent_expectation_rejects_negative_theta():
     with pytest.raises(ValueError):
-        jc.coherent_expectation_z(-1.0, 2.0)
+        jc.coherent_expectation_z([1.0, -1.0], 2.0)
 
 
 def test_classical_limit_errors_decay():
-    errs = jc.classical_limit_errors(1.0)
+    (errs,) = jc.classical_limit_errors([1.0])
     assert errs[0] > errs[1] > errs[2]
-    assert jc.classical_limit_check(1.0).passed
+    assert jc.classical_limit_check([1.0])[0].passed
+
+
+def _looped_expectation_z(theta, alpha):
+    # the sum one theta at a time, in Python floats, as the check was first written
+    a2, total, log_p = abs(alpha) ** 2, 0.0, -abs(alpha) ** 2
+    for n in range(jc.coherent_support(alpha) + 1):
+        total += math.exp(log_p) / (math.sqrt(n + 1 + theta * theta) + theta)
+        log_p += math.log(a2) - math.log(n + 1)
+    return complex(np.conj(alpha)) * total
+
+
+def test_batched_coherent_sums_equal_the_scalar_loop_bit_for_bit():
+    thetas = [0.0, -0.0, 1e-13, 0.37, 1.0, 2.5, 100.0, 1e4, 1e155, 1e300]
+    for alpha in jc.CLASSICAL_ALPHAS:
+        assert jc.coherent_expectation_z(thetas, alpha) == [_looped_expectation_z(t, alpha) for t in thetas]
+
+
+def test_classical_limit_records_one_per_theta_in_order():
+    records = jc.classical_limit_check([2.0, 0.0, 2.0])
+    assert [r.name for r in records] == [f"z_classical_limit_decay_theta{t}" for t in (2.0, 0.0, 2.0)]
+    assert records[0] == records[2]
+    assert jc.classical_limit_check([]) == []
 
 
 @pytest.mark.parametrize("theta", THETAS + [1e-13, -1e-13])

@@ -1,8 +1,14 @@
 """Tests for operator-valued matrices: products, kron, grid checks."""
 
+import dataclasses
+import importlib
+import pkgutil
+import typing
+
 import numpy as np
 import pytest
 
+import fockbundle
 from fockbundle.opmatrix import (
     OpMatrix,
     check_idempotent_hermitian,
@@ -104,3 +110,18 @@ def test_check_unitary_builds_the_adjoint_once(monkeypatch, skip):
     x = _pauli_x()
     assert check_unitary(x, N_MAX, TOL, skip=skip).passed
     assert calls == [x]
+
+
+def test_type_hints_of_every_record_class_resolve():
+    # string annotations are only evaluated on request: a name a module never
+    # imported (OpMatrix.entries once named Tuple) fails here rather than in a user's tool
+    classes = []
+    for info in pkgutil.iter_modules(fockbundle.__path__):
+        module = importlib.import_module(f"fockbundle.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                if dataclasses.is_dataclass(obj) or (issubclass(obj, tuple) and hasattr(obj, "_fields")):
+                    classes.append(obj)
+    assert OpMatrix in classes and len(classes) >= 10
+    for cls in classes:
+        assert typing.get_type_hints(cls), cls

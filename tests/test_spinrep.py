@@ -3,6 +3,7 @@ operator-entried counterparts built from the chart matrix."""
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_cg_matrices_are_unitary():
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 2.5])
 def test_irrep_unitary_and_homomorphism(j):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(25):
         g, h = spinrep.random_su2(rng), spinrep.random_su2(rng)
         dj = spinrep.spin_rep(g, j)
@@ -147,13 +148,13 @@ def test_identity_maps_to_identity():
 
 
 def test_half_spin_is_the_element_itself():
-    g = spinrep.random_su2(np.random.default_rng(5))
+    g = spinrep.random_su2(random.Random(5))
     assert np.array_equal(spinrep.spin_rep(g, 0.5), g.matrix())
 
 
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_spin_rep_matches_the_hand_expanded_matrices(j):
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(25):
         g = spinrep.random_su2(rng)
         assert _dev(spinrep.spin_rep(g, j), _hand_expanded_spin_rep(g, j)) <= 1e-15
@@ -197,14 +198,14 @@ def test_nc_spin_rep_matches_the_hand_expanded_matrices(theta, j):
 
 
 def test_pair_decomposition():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(25):
         g = spinrep.random_su2(rng)
         assert _dev(spinrep.cg_decompose_pair(g), spinrep.pair_block_target(g)) < TOL
 
 
 def test_triple_decomposition():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(25):
         g = spinrep.random_su2(rng)
         assert _dev(spinrep.cg_decompose_triple(g), spinrep.triple_block_target(g)) < TOL
@@ -254,12 +255,14 @@ def test_a_nan_pair_fails_the_group_sample(monkeypatch):
 
 
 # SHA-256 of the little-endian complex128 rows (g1.alpha, g1.beta, g2.alpha,
-# g2.beta) of the 50 seeded pairs, recorded from the loop that drew one pair
-# at a time with random_su2.  A batched draw reads the stream in another order.
+# g2.beta) of the 50 seeded pairs, drawn from random.Random(seed).random(): per
+# element, with random_su2, a column (Re alpha, Im alpha, Re beta, Im beta) by
+# rejection from the cube [-1, 1]^4, g1 before g2.  Python keeps that stream
+# across releases; a change of draw order or arithmetic moves these pins.
 PAIRS_SHA256 = {
-    0: "69234d3bc8ea8551c4c923f690c664615caa47bb44bc92dd91c9854a4d37acd4",
-    1: "caf2d932ad15f8b8516230298cfc6ba2411e494e558e5417e2daa4e58c3c5677",
-    10: "c54b8afde48f2751e97e829d996fd560a36c5824c489ab5c6e29726ab7047e31",
+    0: "0ea882448b2fd13e20f651baddc11bb0a369be7a25ac38b3abd7ce2efe8c08d3",
+    1: "2a4bc23639a413a530e3759099325788b3da378e78d9f98e72e5b51be73aa17c",
+    10: "c3c4dba2b885d0437cf99f163d4e951617ffc5d87d745f38f9bf2dc7944518d8",
 }
 
 
@@ -268,6 +271,29 @@ def test_pair_draws_are_pinned(seed):
     g1, g2, _ = spinrep.sample_pairs(50, seed)
     rows = np.stack([g1.alpha, g1.beta, g2.alpha, g2.beta], axis=-1).astype("<c16")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == PAIRS_SHA256[seed]
+
+
+def test_same_seed_gives_the_same_pairs():
+    first, again = spinrep.sample_pairs(50, 42), spinrep.sample_pairs(50, 42)
+    for a, b in zip(first, again):
+        assert a.alpha.tobytes() == b.alpha.tobytes() and a.beta.tobytes() == b.beta.tobytes()
+    assert first[0].alpha.tobytes() != spinrep.sample_pairs(50, 43)[0].alpha.tobytes()
+
+
+def test_sampled_columns_have_unit_norm():
+    for g in spinrep.sample_pairs(200, 8)[:2]:
+        assert np.all(np.abs(np.sqrt(np.abs(g.alpha) ** 2 + np.abs(g.beta) ** 2) - 1.0) <= 1e-15)
+
+
+@pytest.mark.parametrize("seed", [-1, -10])
+def test_negative_seed_is_refused(seed):
+    with pytest.raises(ValueError, match="nonnegative"):
+        spinrep.sample_pairs(10, seed)
+
+
+def test_every_seed_below_100_passes_the_group_sample():
+    failing = [seed for seed in range(100) if not max(spinrep.group_sample_deviations(seed)) <= TOL]
+    assert failing == []
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])

@@ -419,7 +419,7 @@ def test_theta_rows_are_independent(capsys):
 
 def test_no_call_imports_numpy_random():
     # the seeded samples come from the standard library's random; numpy.random
-    # costs ~13 ms and ~6 MiB to import and is never needed by a run
+    # takes 10-15 ms and ~6 MiB to import and is never needed by a run
     script = (
         "import contextlib, io, sys\n"
         "from fockbundle import cli\n"

@@ -121,7 +121,9 @@ def random_direction(rng: random.Random, dim: int) -> List[float]:
 
 def sample_points(count: int, seed: int) -> SpherePoint:
     """A batch of deterministic off-origin points: random direction,
-    radius log-uniform in [0.1, 10]."""
+    radius log-uniform in [0.1, 10].  The radius goes through the C
+    library's pow, which need not round correctly, so the points are the
+    same only where pow is."""
     rng = seeded_rng(seed)
     directions, radii = [], []
     for _ in range(count):

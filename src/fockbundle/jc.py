@@ -392,7 +392,6 @@ def coherent_support(alpha: complex) -> int:
     return n_top
 
 
-@functools.lru_cache(maxsize=None)
 def poisson_weights(alpha: complex) -> np.ndarray:
     """The Poisson weights e^{-|alpha|^2} |alpha|^{2n} / n! for n up to coherent_support(alpha)."""
     a2 = abs(alpha) ** 2
@@ -401,9 +400,7 @@ def poisson_weights(alpha: complex) -> np.ndarray:
     for n in range(coherent_support(alpha) + 1):
         weights.append(math.exp(log_p))
         log_p += math.log(a2) - math.log(n + 1)
-    out = np.array(weights)
-    out.flags.writeable = False  # one cached array serves every caller
-    return out
+    return np.array(weights)
 
 
 def coherent_expectation_z(thetas: Sequence[float], alpha: complex) -> List[complex]:

@@ -419,14 +419,20 @@ def test_theta_rows_are_independent(capsys):
 
 def test_no_call_imports_numpy_random():
     # the seeded samples come from the standard library's random; numpy.random
-    # takes 10-15 ms and ~6 MiB to import and is never needed by a run
+    # takes 10-15 ms and ~6 MiB to import and is never needed by a run.  Only
+    # modules beyond those of `import numpy` count: numpy 1.x imports
+    # numpy.random with numpy itself, numpy 2.x on first use.
     script = (
         "import contextlib, io, sys\n"
+        "import numpy\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith('numpy.random')}\n"
+        "before = loaded()\n"
         "from fockbundle import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', '--suite', 'all', '--nmax', '6']) == 0\n"
         "    assert cli.main(['sweep', '--suite', 'all', '--axis', 'theta', '--values', '-1', '0', '1', '--nmax', '6']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        "print(sorted(loaded() - before))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -314,6 +314,7 @@ def _axis_free_name(name: str, axis: str) -> str:
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=None)  # one per process: parsing leaves it unchanged, even when it exits 2
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fockbundle")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -335,11 +335,11 @@ def propagator_oracle_check(thetas: Sequence[float], g: float, t: float, n_max: 
     The entries are scanned one at a time in row order, so a tied maximum
     is reported at its first occurrence in (1,1), (1,2), (2,1), (2,2).
     """
-    diff = propagator_closed_form(g, t) - propagator_block_oracle(thetas, g, t, n_max)
+    closed, oracle = propagator_closed_form(g, t), propagator_block_oracle(thetas, g, t, n_max)
     rows = [(0.0, "", {}) for _ in thetas]
     for si in (1, 2):
         for sj in (1, 2):
-            found = scan_rows([[diff.entry(si - 1, sj - 1)]], n_max, thetas)
+            found = scan_rows([[closed.entry(si - 1, sj - 1)]], n_max, thetas, right=[[oracle.entry(si - 1, sj - 1)]])
             for r, (dev, at, singular) in enumerate(found):
                 max_dev, where, excluded = rows[r]
                 excluded = merge_excluded(excluded, {sj: singular.get(1, set())})

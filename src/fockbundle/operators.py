@@ -25,6 +25,7 @@ from .symbols import (
     adjoint,
     composed,
     const,
+    difference,
     guarded_div,
     guarded_pow,
     guarded_sqrt,
@@ -89,6 +90,8 @@ class FockOperator:
     def scale(self, z: complex) -> "FockOperator":
         if z == 0:
             return FockOperator.zero()
+        if z == 1:  # an identity factor: const(1) * c would be a new node with the values of c
+            return self
         return FockOperator.from_terms({d: const(z) * c for d, c in self.terms})
 
     def __mul__(self, other):
@@ -215,8 +218,11 @@ def scan_rows(
     n_max: int,
     thetas: Optional[Sequence[float]] = None,
     skip: Exclusions | Sequence[Exclusions] | None = None,
+    right: Optional[Sequence[Sequence[FockOperator]]] = None,
 ) -> List[ScanRow]:
-    """``grid_deviation`` as a list of one result per row, one row without ``thetas``."""
+    """``grid_deviation`` as a list of one result per row, one row without ``thetas``.  Given
+    ``right``, columns of the same shape, each shift degree of either side is read on both and
+    subtracted on the grid (``symbols.difference``): no operator is built for the difference."""
     grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
     skips = [s or {} for s in per_row(skip, thetas)]
     rows, shape = len(skips), (len(skips), n_max + 1)
@@ -233,8 +239,10 @@ def scan_rows(
         found = None
         devs, labels = [], []
         for i, op in enumerate(col):
-            for d, c in op.terms:
-                v = c(grid)
+            left, other = dict(op.terms), {} if right is None else dict(right[j][i].terms)
+            for d in sorted(left.keys() | other.keys()):
+                x, y = left.get(d), other.get(d)
+                v = (x or y)(grid) if x is None or y is None else difference(x(grid), y(grid))  # |-y| = |y|
                 if v.singular is not None:  # a node's cached mask: never written to
                     found = v.singular if found is None else found | v.singular
                 dev = v.magnitude().reshape(shape)  # a new array: a row of the grid or (rows, n)
@@ -276,7 +284,7 @@ def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[
 def _op_rows(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]]) -> list:
     return [
         (dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})")
-        for dev, where, excluded in scan_rows([[a - b]], n_max, thetas)
+        for dev, where, excluded in scan_rows([[a]], n_max, thetas, right=[[b]])
     ]
 
 

@@ -79,8 +79,8 @@ class OpMatrix:
         for i in range(self.rows):
             row = []
             for k in range(other.cols):
-                acc = FockOperator.zero()
-                for j in range(self.cols):
+                acc = self.entries[i][0] * other.entries[0][k]  # not zero + ...: that would only copy it
+                for j in range(1, self.cols):
                     acc = acc + self.entries[i][j] * other.entries[j][k]
                 row.append(acc)
             rows.append(row)
@@ -122,16 +122,20 @@ def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None):
     return one_or_rows([merge_excluded(*row) for row in zip(*maps)], thetas)
 
 
-def matrix_grid_deviation(diff: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None):
-    """Max |coefficient| of ``diff`` over non-excluded grid states.
+def matrix_grid_deviation(
+    left: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None, right: OpMatrix | None = None
+):
+    """Max |coefficient| of ``left``, or of ``left`` - ``right`` subtracted
+    on the grid, over non-excluded grid states.
 
     Returns (max deviation, location string, exclusion map); states in
     ``skip`` and states found singular during the scan are excluded (see
     ``operators.grid_deviation`` for the rules).
     """
+    scanned = scan_rows(left.columns(), n_max, thetas, skip, None if right is None else right.columns())
     rows = [
         (dev, "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})", excluded)
-        for dev, at, excluded in scan_rows(diff.columns(), n_max, thetas, skip)
+        for dev, at, excluded in scanned
     ]
     return one_or_rows(rows, thetas)
 
@@ -150,7 +154,7 @@ def matrix_equal(
     A ``detail`` replaces the default one, the location of the maximum."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    found = as_rows(matrix_grid_deviation(a - b, n_max, skip, thetas), thetas)
+    found = as_rows(matrix_grid_deviation(a, n_max, skip, thetas, right=b), thetas)
     records = [
         upper_bound_check(row, dev, tol, excl, a.cols * (n_max + 1), text or (f"max at {where}" if where else ""))
         for row, text, (dev, where, excl) in zip(row_names(name, thetas), per_row(detail, thetas), found)
@@ -160,28 +164,28 @@ def matrix_equal(
 
 def pair_check(
     name: str,
-    first: OpMatrix,
-    second: OpMatrix,
+    first: Tuple[OpMatrix, OpMatrix],
+    second: Tuple[OpMatrix, OpMatrix],
     n_max: int,
     tol: float,
     skip: Skip,
     detail: str | Sequence[str] = "",
     thetas: Thetas = None,
 ):
-    """The larger of two grid deviations (each against zero) with the
-    union of their exclusions; the default detail is the location, the
-    first one's on a tie, and empty when both are 0."""
+    """The larger of two grid deviations, each of a (left, right) pair of
+    sides, with the union of their exclusions; the default detail is the
+    location, the first one's on a tie, and empty when both are 0."""
     rows = zip(
         row_names(name, thetas),
         per_row(detail, thetas),
-        as_rows(matrix_grid_deviation(first, n_max, skip, thetas), thetas),
-        as_rows(matrix_grid_deviation(second, n_max, skip, thetas), thetas),
+        as_rows(matrix_grid_deviation(first[0], n_max, skip, thetas, right=first[1]), thetas),
+        as_rows(matrix_grid_deviation(second[0], n_max, skip, thetas, right=second[1]), thetas),
     )
     records: List[CheckResult] = []
     for row, text, (dev1, w1, e1), (dev2, w2, e2) in rows:
         where = w1 if dev1 >= dev2 else w2
         text = text or (f"max at {where}" if where else "")
-        excluded, grid_states = merge_excluded(e1, e2), first.cols * (n_max + 1)
+        excluded, grid_states = merge_excluded(e1, e2), first[0].cols * (n_max + 1)
         records.append(upper_bound_check(row, max(dev1, dev2), tol, excluded, grid_states, text))
     return one_or_rows(records, thetas)
 
@@ -205,7 +209,7 @@ def check_unitary(
         raise ValueError("unitarity check needs a square matrix")
     ident, adjoint = OpMatrix.identity(m.rows), m.dagger()
     skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
-    return pair_check(name, adjoint @ m - ident, m @ adjoint - ident, n_max, tol, skip, detail, thetas)
+    return pair_check(name, (adjoint @ m, ident), (m @ adjoint, ident), n_max, tol, skip, detail, thetas)
 
 
 def check_idempotent_hermitian(
@@ -217,11 +221,11 @@ def check_idempotent_hermitian(
     adjoint: OpMatrix | None = None,
     thetas: Thetas = None,
 ):
-    """Deviations of M@M - M and M† - M on the grid off ``skip``, by
+    """Deviations of M@M from M and of M† from M on the grid off ``skip``, by
     default the strings of M and M†.  ``adjoint`` is M† when the caller
     has built it already."""
     if m.rows != m.cols:
         raise ValueError("projector check needs a square matrix")
     adjoint = m.dagger() if adjoint is None else adjoint
     skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
-    return pair_check(name, m @ m - m, adjoint - m, n_max, tol, skip, thetas=thetas)
+    return pair_check(name, (m @ m, m), (adjoint, m), n_max, tol, skip, thetas=thetas)

@@ -293,7 +293,7 @@ def tensor_breakdown_check(
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
     records = []
     for name, floor, (dev, where, excluded) in zip(
-        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj - target, n_max, thetas=thetas)
+        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj, n_max, thetas=thetas, right=target)
     ):
         detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
         records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))

@@ -241,14 +241,16 @@ def sinc(x):
     Takes a float or a float array.
     """
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 7):
-        term = term * (-x2 / ((2 * k) * (2 * k + 1)))
-        total = total + term
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(np.abs(x) >= 1e-2, np.sin(x) / x, total)
+        out = np.asarray(np.sin(x) / x)  # a new array, or a 0-d one for a scalar x
+    small = ~(np.abs(x) >= 1e-2)  # a NaN takes the series too, keeping its sign bit
+    if small.any():
+        x2 = x[small] * x[small]
+        term = total = np.ones_like(x2)
+        for k in range(1, 7):
+            term = term * (-x2 / ((2 * k) * (2 * k + 1)))
+            total = total + term
+        out[small] = total
     return float(out) if out.ndim == 0 else out
 
 
@@ -353,6 +355,15 @@ def _eval_add(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     if not node.real:  # a missing imaginary part is an exact 0
         im = (np.zeros_like(a.re) if a.im is None else a.im) + (np.zeros_like(b.re) if b.im is None else b.im)
     return GridValues(a.re + b.re, im, _either(a.singular, b.singular))
+
+
+def difference(a: GridValues, b: GridValues) -> GridValues:
+    """a - b with the bits of the ``add`` node a + (-1) b: a missing imaginary part is 0, masks are OR-ed."""
+    with np.errstate(all="ignore"):  # inf - inf is a NaN, which a scan counts as an infinite deviation
+        im = None
+        if a.im is not None or b.im is not None:
+            im = (0.0 if a.im is None else a.im) - (0.0 if b.im is None else b.im)
+        return GridValues(a.re - b.re, im, _either(a.singular, b.singular))
 
 
 def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndarray]]:

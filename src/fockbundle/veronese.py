@@ -10,6 +10,7 @@ and each check returns one record per theta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -99,10 +100,8 @@ def commutation_check(family: VeroneseFamily, j: int, k: int, n_max: int, tol: f
 
 
 def _ordered_product(ops: List[FockOperator]) -> FockOperator:
-    acc = FockOperator.identity()
-    for op in ops:
-        acc = acc * op
-    return acc
+    # from the first factor, not the identity: composing with it would only add nodes
+    return functools.reduce(lambda acc, op: acc * op, ops)
 
 
 def op_power(op: FockOperator, k: int) -> FockOperator:
@@ -120,6 +119,16 @@ class LiftedColumn:
         """The name stem of a check of this column; each theta row adds its tag."""
         return f"{stem}_n{self.n}"
 
+    @functools.cached_property
+    def projector(self) -> OpMatrix:
+        """P_n = A_n A_n†, built once for every check that reads it."""
+        return self.a_col @ self.a_col.dagger()
+
+    @functools.cached_property
+    def one_plus_ztz(self) -> FockOperator:
+        """1 + Zcol† Zcol, built once for every check that reads it."""
+        return sum((z.dagger() * z for (z,) in self.z_col.entries), FockOperator.identity())
+
 
 def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     """The degree-n column with entries sqrt(nCj) Y_{-(j-1)}...Y_0 X_0^{n-j},
@@ -129,7 +138,8 @@ def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     for j in range(1, n + 1):
         w = math.sqrt(math.comb(n, j))
         # the reversed slices put Y_{-(j-1)} and Z_{-(j-1)} leftmost
-        a_entries.append(w * (_ordered_product(family.y[j - 1 :: -1]) * op_power(x0, n - j)))
+        ys = _ordered_product(family.y[j - 1 :: -1])
+        a_entries.append(w * (ys * op_power(x0, n - j) if j < n else ys))
         z_entries.append(w * _ordered_product(family.z[j - 1 :: -1]))
     return LiftedColumn(
         family=family,
@@ -146,21 +156,13 @@ def lift_norm_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckR
     return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name, thetas=thetas)
 
 
-def _one_plus_ztz(lifted: LiftedColumn) -> FockOperator:
-    acc = FockOperator.identity()
-    zc = lifted.z_col
-    for i in range(zc.rows):
-        acc = acc + zc.entry(i, 0).dagger() * zc.entry(i, 0)
-    return acc
-
-
 def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """A_n = (1; Z-column) (1 + Z_0† Z_0)^{-n/2} entrywise."""
     fam = lifted.family
     z0 = fam.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
     scale = base.power(-lifted.n / 2.0, ROW_TOL)
-    stacked = [[FockOperator.identity() * scale]]
+    stacked = [[scale]]
     for i in range(lifted.z_col.rows):
         stacked.append([lifted.z_col.entry(i, 0) * scale])
     name = lifted.check_name("factored_form")
@@ -172,18 +174,17 @@ def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[C
     z0 = lifted.family.z[0]
     base = FockOperator.identity() + z0.dagger() * z0
     name, thetas = lifted.check_name("binomial_power"), lifted.family.thetas
-    return op_equal(_one_plus_ztz(lifted), op_power(base, lifted.n), n_max, tol, name, thetas=thetas)
+    return op_equal(lifted.one_plus_ztz, op_power(base, lifted.n), n_max, tol, name, thetas=thetas)
 
 
 def projector_pn(lifted: LiftedColumn) -> OpMatrix:
-    col = lifted.a_col
-    return col @ col.dagger()
+    return lifted.projector
 
 
 def oike_layout(lifted: LiftedColumn) -> OpMatrix:
     """The projector written through the coordinate column: blocks of
     (1+Z†Z)^{-1} against Z entries."""
-    s_inv = _one_plus_ztz(lifted).inverse(ROW_TOL)
+    s_inv = lifted.one_plus_ztz.inverse(ROW_TOL)
     zc = lifted.z_col
     n = zc.rows
     rows = [[s_inv] + [s_inv * zc.entry(k, 0).dagger() for k in range(n)]]

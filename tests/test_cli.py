@@ -438,3 +438,31 @@ def test_no_call_imports_numpy_random():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_calls_in_one_process_print_what_fresh_runs_print(capsys, monkeypatch):
+    # the parser is built once per process; an argv that exits 2 must leave it usable
+    argvs = [
+        ["verify", "--suite", "fock", "--nmax", "8"],
+        ["verify", "--suite", "fock", "--nmax", "abc"],
+        ["verify", "--suite", "charts", "--nmax", "8", "--theta", "-1", "--theta", "0", "--format", "text"],
+        ["verify", "--suite", "nonsense"],
+        ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "6", "8", "--nmax", "6"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line of an error is wrapped to the terminal width
+    in_process = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys\nfrom fockbundle import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    for argv, seen in zip(argvs, in_process):
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == seen, argv

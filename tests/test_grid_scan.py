@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fockbundle import cli, jc, symbols
-from fockbundle.operators import FockOperator, grid_deviation, op_equal
+from fockbundle.operators import FockOperator, grid_deviation, op_equal, scan_rows
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import (
     ROW_TOL,
@@ -542,3 +542,95 @@ def test_only_the_interning_constructor_builds_nodes():
             if (builds or fills) and id(node) not in inside:
                 outside.append(f"{path.name}:{node.lineno}")
     assert outside == []
+
+
+# -- the two sides of a check, subtracted on the grid ---------------------------------
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, complex(0.0, -0.0), complex(math.inf, 1.0), 2.5 - 1.5j]
+
+
+def reads_no_theta(sym) -> bool:
+    """Whether ``sym`` evaluates on a grid without theta rows: no theta, leaf or per-row threshold in it."""
+    stack = [sym]
+    while stack:
+        node = stack.pop()
+        if node.op in ("theta", "leaf") or ROW_TOL in node.args:
+            return False
+        stack += [a for a in node.args if isinstance(a, symbols.DiagonalSymbol)]
+    return True
+
+
+def random_side(rng, with_theta):
+    """An operator with random shift degrees in [-2, 2], each coefficient a
+    random symbol, a special constant (NaN, inf, a zero of either sign, a
+    complex value) or their sum or product; none reads theta without theta rows."""
+    terms = {}
+    for d in range(-2, 3):
+        if rng.random() < 0.5:
+            continue
+        sym = random_symbol(rng, 3, leaves=True)
+        while not (with_theta or reads_no_theta(sym)):
+            sym = random_symbol(rng, 2)
+        special = const(SPECIAL[rng.integers(len(SPECIAL))])
+        terms[d] = [sym, special, sym + special, sym * special][rng.integers(4)]
+    return FockOperator.from_terms(terms)
+
+
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_a_two_sided_scan_is_the_scan_of_the_difference_bit_for_bit(thetas):
+    rng = np.random.default_rng(21)
+    one_sided = nonfinite = 0
+    for _ in range(150):
+        shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))  # (columns, operators per column)
+        left = [[random_side(rng, thetas is not None) for _ in range(shape[1])] for _ in range(shape[0])]
+        right = [[random_side(rng, thetas is not None) for _ in range(shape[1])] for _ in range(shape[0])]
+        skip = {1: [2, 5]} if rng.random() < 0.3 else None
+        diff = [[a - b for a, b in zip(*pair)] for pair in zip(left, right)]
+        expected = scan_rows(diff, 7, thetas, skip)
+        assert scan_rows(left, 7, thetas, skip, right=right) == expected
+        nonfinite += sum(dev == math.inf for dev, _, _ in expected)
+        for pair in zip(left, right):
+            for a, b in zip(*pair):
+                one_sided += len({d for d, _ in a.terms} ^ {d for d, _ in b.terms})
+                # each degree alone, so a deviation below another degree's maximum shows too
+                for d in {d for d, _ in a.terms + b.terms}:
+                    x, y = (FockOperator.from_terms({k: c for k, c in op.terms if k == d}) for op in (a, b))
+                    assert scan_rows([[x]], 7, thetas, right=[[y]]) == scan_rows([[x - y]], 7, thetas)
+    assert one_sided > 200 and nonfinite > 20
+    # a tie is reported at the first degree in sorted order, from either side
+    inf, one = const(math.inf), const(1.0)
+    a = FockOperator.from_terms({0: one, 1: const(math.nan)})
+    b = FockOperator.from_terms({-1: inf, 0: inf})
+    expected = scan_rows([[a - b]], 7, thetas)
+    assert scan_rows([[a]], 7, thetas, right=[[b]]) == expected
+    assert {where for _, where, _ in expected} == {(0, 0, 0, 0)}
+
+
+def test_equality_checks_build_no_node_for_the_difference(monkeypatch):
+    # degrees on one side only and shared ones: a - b would need new add and mul nodes
+    a = FockOperator.creation() * FockOperator.diagonal(guarded_div(1.0, number(-2))) + FockOperator.number_op()
+    b = FockOperator.annihilation() * 0.5 + FockOperator.scalar(2.0)
+    built = []
+    init = symbols.DiagonalSymbol.__init__
+
+    def counted(self, op, *args):
+        built.append(op)
+        init(self, op, *args)
+
+    monkeypatch.setattr(symbols.DiagonalSymbol, "__init__", counted)
+    op_equal(a, b, 8, 1e-10)
+    matrix_equal(OpMatrix.diag(a, b), OpMatrix.diag(b, a), 8, 1e-10, thetas=[1.0, -1.0])
+    assert built == []
+    assert (a - b).terms and built  # the difference as an operator does build nodes
+
+
+@pytest.mark.parametrize("suite", ["veronese", "spinrep", "propagator"])
+def test_no_check_subtracts_operators(suite, monkeypatch, capsys):
+    # these suites build no side by subtraction, so any call would be a check's difference
+    def refuse(self, other):
+        raise AssertionError("a check built its difference as an operator")
+
+    monkeypatch.setattr(FockOperator, "__sub__", refuse)
+    monkeypatch.setattr(OpMatrix, "__sub__", refuse)
+    assert cli.main(["verify", "--suite", suite, "--nmax", "8", "--theta", "1", "--theta", "-1", "--theta", "0"]) == 0
+    capsys.readouterr()

@@ -159,6 +159,14 @@ def test_zero_times_singular_is_still_singular():
     assert (zero_at_0 * singular_at_0).singular_support(4) == {0}
 
 
+def test_a_unit_scale_is_the_operator_itself():
+    a = FockOperator.annihilation()
+    assert a.scale(1) is a and 1.0 * a is a and a * (1 + 0j) is a
+    assert a.scale(0) == FockOperator.zero()
+    ((_, c),) = a.scale(2.0).terms
+    assert c.op == "mul"
+
+
 def test_diagonal_inverse_and_power():
     op = FockOperator.diagonal(number() + 1.0)
     res = op_equal(op * op.inverse(), FockOperator.identity(), N_MAX, TOL)
@@ -181,3 +189,30 @@ def test_only_operators_builds_the_ladder_operators():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("annihilation", "creation"):
                 callers.add(path.name)
     assert callers == {"operators.py"}
+
+
+def _sinc_series_everywhere(x):
+    # the earlier form: the 7-term series over the whole array (an infinite x
+    # makes it inf - inf there), kept where |x| < 1e-2
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x2 = x * x
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for k in range(1, 7):
+            term = term * (-x2 / ((2 * k) * (2 * k + 1)))
+            total = total + term
+        return np.where(np.abs(x) >= 1e-2, np.sin(x) / x, total)
+
+
+def test_sinc_keeps_the_bits_of_the_series_everywhere_form():
+    points = [0.0, -0.0, 1e-3, -1e-3, 9.99e-3, -9.99e-3, 1e-2, -1e-2, 0.5, math.nan, -math.nan, math.inf, -math.inf]
+    x = np.array(points + list(np.linspace(-0.05, 0.05, 101)))
+    got, expected = sinc(x), _sinc_series_everywhere(x)
+    assert got.tobytes() == expected.tobytes()  # NaN sign bits included
+    for p in points:
+        one = sinc(p)
+        assert type(one) is float
+        assert np.array(one).tobytes() == _sinc_series_everywhere(p).tobytes()
+    assert sinc(0.0) == 1.0
+    assert sinc(np.zeros((3, 4))).shape == (3, 4)

@@ -112,6 +112,26 @@ def test_check_unitary_builds_the_adjoint_once(monkeypatch, skip):
     assert calls == [x]
 
 
+def test_a_product_sums_only_the_products_of_its_entries(monkeypatch):
+    # each entry starts from its first product, not from the zero operator
+    adds = []
+    add = FockOperator.__add__
+
+    def counted(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    a, adag = FockOperator.annihilation(), FockOperator.creation()
+    column, row = OpMatrix.build([[a], [adag]]), OpMatrix.build([[adag, a]])
+    monkeypatch.setattr(FockOperator, "__add__", counted)
+    outer = column @ row
+    assert adds == []
+    assert outer.entry(0, 0).terms == (a * adag).terms and outer.entry(1, 1).terms == (adag * a).terms
+    inner = row @ column
+    assert len(adds) == 1
+    assert inner.entry(0, 0).terms == add(adag * a, a * adag).terms
+
+
 def test_type_hints_of_every_record_class_resolve():
     # string annotations are only evaluated on request: a name a module never
     # imported (OpMatrix.entries once named Tuple) fails here rather than in a user's tool

@@ -146,3 +146,31 @@ def test_y_and_z_of_a_level_share_one_level_ratio_node():
         ratio = veronese._level_ratio(jc.Radius(-j))
         assert y.args[0].args[0] is ratio
         assert z.args[0].args[0] is ratio
+
+
+def test_the_lifted_projector_and_normaliser_are_built_once():
+    lifted = veronese.lift(veronese.build_family([0.5, -0.5], 3), 3)
+    p, s = lifted.projector, lifted.one_plus_ztz
+    assert veronese.projector_pn(lifted) is p is lifted.projector
+    assert lifted.one_plus_ztz is s
+    assert all(res.passed for res in veronese.eigencolumn_check(lifted, N_MAX, TOL))
+    assert all(res.passed for res in veronese.oike_layout_check(lifted, N_MAX, TOL))
+    assert all(res.passed for res in veronese.binomial_power_check(lifted, N_MAX, TOL))
+    assert lifted.projector is p and lifted.one_plus_ztz is s
+
+
+def test_ordered_products_compose_no_identity():
+    family = veronese.build_family([0.5], 3)
+    op = family.y[1]
+    assert veronese._ordered_product([op]) is op
+    assert veronese.op_power(op, 0) == FockOperator.identity()
+    assert veronese.op_power(op, 1) is op
+    assert veronese.op_power(op, 3) == op * op * op
+    # no coefficient of the lifted column composes or multiplies the constant 1 with another factor
+    one = FockOperator.identity().terms[0][1]
+    lifted = veronese.lift(family, 3)
+    stack = [c for (entry,) in lifted.a_col.entries + lifted.z_col.entries for _, c in entry.terms]
+    while stack:
+        node = stack.pop()
+        assert not (node.op in ("composed", "mul") and one in node.args), node.args
+        stack += [a for a in node.args if isinstance(a, type(one))]

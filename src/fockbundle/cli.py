@@ -149,20 +149,23 @@ def run_propagator(cfg: SuiteConfig) -> Parts:
     return [], _by_theta(checks)
 
 
+FAMILY_DEGREE = 4  # of the one family both suites read: veronese checks levels 0-4, spinrep (j <= 3/2) 0-3
+
+
 def run_veronese(cfg: SuiteConfig) -> Parts:
-    nm, tol = cfg.n_max, cfg.tol
-    family = veronese.build_family(cfg.theta_list, 4)
-    checks = [veronese.sum_rule_check(family, j, nm, tol) for j in range(5)]
-    checks += [veronese.shift_rule_check(family, j, nm, tol) for j in range(1, 5)]
-    checks.append(veronese.commutation_check(family, 0, 0, nm, tol))
-    checks.append(veronese.commutation_check(family, 1, 0, nm, tol))
+    nm, tol, thetas = cfg.n_max, cfg.tol, cfg.theta_list
+    family = veronese.build_family(FAMILY_DEGREE)
+    checks = [veronese.sum_rule_check(thetas, family, j, nm, tol) for j in range(5)]
+    checks += [veronese.shift_rule_check(thetas, family, j, nm, tol) for j in range(1, 5)]
+    checks.append(veronese.commutation_check(thetas, family, 0, 0, nm, tol))
+    checks.append(veronese.commutation_check(thetas, family, 1, 0, nm, tol))
     for n in (2, 3):
         lifted = veronese.lift(family, n)
-        checks.append(veronese.lift_norm_check(lifted, nm, tol))
-        checks.append(veronese.binomial_power_check(lifted, nm, tol))
-        checks.append(veronese.factored_form_check(lifted, nm, tol))
-        checks.append(veronese.oike_layout_check(lifted, nm, tol))
-        checks.append(veronese.eigencolumn_check(lifted, nm, tol))
+        checks.append(veronese.lift_norm_check(thetas, lifted, nm, tol))
+        checks.append(veronese.binomial_power_check(thetas, lifted, nm, tol))
+        checks.append(veronese.factored_form_check(thetas, lifted, nm, tol))
+        checks.append(veronese.oike_layout_check(thetas, lifted, nm, tol))
+        checks.append(veronese.eigencolumn_check(thetas, lifted, nm, tol))
     return [], _by_theta(checks)
 
 
@@ -174,13 +177,13 @@ def run_spinrep(cfg: SuiteConfig) -> Parts:
         upper_bound_check("su2_cg_blocks", worst_cg, 1e-12),
     ]
     nm, tol, thetas = cfg.n_max, cfg.tol, cfg.theta_list
-    family = veronese.build_family(thetas, 3)
+    family = veronese.build_family(FAMILY_DEGREE)  # the veronese suite's, with its cached values
     reps = {j: spinrep.nc_spin_rep(family, j) for j in (0.5, 1.0, 1.5)}
-    checks = [spinrep.nc_unitarity_check(family, m, nm, tol) for m in reps.values()]
+    checks = [spinrep.nc_unitarity_check(thetas, family, m, nm, tol) for m in reps.values()]
     for j in (1.0, 1.5):
         lifted = veronese.lift(family, int(2 * j))
-        checks.append(spinrep.first_column_check(reps[j], lifted, nm, tol))
-        checks.append(spinrep.projector_relation_check(reps[j], lifted, nm, tol))
+        checks.append(spinrep.first_column_check(thetas, reps[j], lifted, nm, tol))
+        checks.append(spinrep.projector_relation_check(thetas, reps[j], lifted, nm, tol))
     # for small negative theta the mismatch is about 0.146 |theta|, so the floor scales with it
     floors = [min(1e-8, 1e-2 * abs(theta)) for theta in thetas]
     breakdown = spinrep.tensor_breakdown_check(thetas, reps[0.5], reps[1.0], nm, floors)

@@ -225,52 +225,51 @@ def scan_rows(
     subtracted on the grid (``symbols.difference``): no operator is built for the difference."""
     grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
     skips = [s or {} for s in per_row(skip, thetas)]
-    rows, shape = len(skips), (len(skips), n_max + 1)
+    rows, size, slots = len(skips), n_max + 1, len(columns)
     excluded = [{s: set(v) for s, v in sk.items()} for sk in skips]
-    best, where = np.zeros(rows), [None] * rows
-    for j, col in enumerate(columns):
-        # both masks stay None, unallocated, while the column has nothing to drop
-        skipped = None
-        for r, sk in enumerate(skips):
-            states = [m for m in sk.get(j + 1, ()) if 0 <= m <= n_max]
-            if states:
-                skipped = np.zeros(shape, dtype=bool) if skipped is None else skipped
-                skipped[r, states] = True
-        found = None
-        devs, labels = [], []
-        for i, op in enumerate(col):
-            left, other = dict(op.terms), {} if right is None else dict(right[j][i].terms)
-            for d in sorted(left.keys() | other.keys()):
-                x, y = left.get(d), other.get(d)
-                v = (x or y)(grid) if x is None or y is None else difference(x(grid), y(grid))  # |-y| = |y|
-                if v.singular is not None:  # a node's cached mask: never written to
-                    found = v.singular if found is None else found | v.singular
-                dev = v.magnitude().reshape(shape)  # a new array: a row of the grid or (rows, n)
+    # the states each row drops, per slot: skipped ones, then those singular wherever their terms map them
+    dropped = np.zeros((rows, slots, size), dtype=bool)
+    for r, sk in enumerate(skips):
+        for s, states in sk.items():
+            if 1 <= s <= slots:
+                dropped[r, s - 1, [m for m in states if 0 <= m <= n_max]] = True
+    # row 0 is the starting maximum 0, so the first maximum of a row is the first column above 0
+    tops, ats, labels = np.zeros((slots + 1, rows)), np.zeros((slots + 1, rows), dtype=np.intp), [None]
+    with np.errstate(all="ignore"):  # no value warns, whatever its guards let through
+        for j, col in enumerate(columns):
+            sides = [(dict(op.terms), {} if right is None else dict(right[j][i].terms)) for i, op in enumerate(col)]
+            labels.append([(i, d) for i, (x, y) in enumerate(sides) for d in sorted(x.keys() | y.keys())])
+            if not labels[-1]:
+                continue
+            table = np.empty((rows, size, len(labels[-1])))  # |value| per row, state and term
+            for t, (i, d) in enumerate(labels[-1]):
+                x, y = sides[i][0].get(d), sides[i][1].get(d)
+                if x is None or y is None:
+                    v = (x or y)(grid, raw=True)
+                else:
+                    v = difference(x(grid, raw=True), y(grid, raw=True))
+                dev = v.magnitude(out=table[:, :, t])  # |-y| = |y|
+                if v.singular is not None:  # a node's cached mask: only read
+                    dropped[:, j] |= v.singular
                 if d > 0:
-                    dev[:, max(n_max + 1 - d, 0) :] = -1.0  # maps above n_max
+                    dev[:, max(size - d, 0) :] = -1.0  # maps above n_max
                 else:
                     dev[:, : -d] = -1.0  # maps below the vacuum
-                devs.append(dev)
-                labels.append((i, d))
-        if found is not None:
-            found = found.reshape(shape) if skipped is None else found.reshape(shape) & ~skipped
-            for r in np.flatnonzero(found.any(axis=1)).tolist():
-                excluded[r].setdefault(j + 1, set()).update(np.flatnonzero(found[r]).tolist())
-        if not devs:
-            continue
-        table = np.stack(devs, axis=-1)
-        table[np.isnan(table)] = np.inf
-        for drop in (skipped, found):
-            if drop is not None:
-                table[drop] = -1.0
-        table = table.reshape(rows, -1)
-        at = table.argmax(axis=1)
-        top = table[np.arange(rows), at]
-        for r in np.flatnonzero(top > best).tolist():
-            best[r] = top[r]
-            n, t = divmod(int(at[r]), len(devs))
-            where[r] = (labels[t][0], j, n, labels[t][1])
-    return [(float(best[r]), where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
+            table[np.isnan(table)] = np.inf
+            table[dropped[:, j]] = -1.0
+            flat = table.reshape(rows, -1)
+            ats[j + 1] = flat.argmax(axis=1)
+            tops[j + 1] = flat[np.arange(rows), ats[j + 1]]
+    best = tops.argmax(axis=0)
+    where: List[Optional[Location]] = [None] * rows
+    for r, j in enumerate(best.tolist()):
+        if j:
+            n, t = divmod(int(ats[j, r]), len(labels[j]))
+            where[r] = (labels[j][t][0], j - 1, n, labels[j][t][1])
+    for r, s, n in zip(*(axis.tolist() for axis in np.nonzero(dropped))):  # a skipped state is already listed
+        excluded[r].setdefault(s + 1, set()).add(n)
+    top = tops[best, np.arange(rows)].tolist()
+    return [(top[r], where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
 
 
 def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None):

@@ -223,31 +223,34 @@ def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
     if len(family.x) <= n:
         raise ValueError(f"spin {j} needs a family of degree at least {n}, got {len(family.x) - 1}")
     x, y = family.x, family.y
-
-    @functools.lru_cache(maxsize=None)
-    def chain(factors: tuple) -> FockOperator:
-        # factor 0 acts first, so a chain composes leftward; a prefix shared by terms is one operator
-        if len(factors) > 1:
-            return chain(factors[-1:]) * chain(factors[:-1])
-        # the blocks (0, 0), (1, 0), (0, 1), (1, 1) at level l are X_{-l}, Y_{-l}, Y_{-l}†, X_{-(l+1)}
-        out_bit, in_bit, level = factors[0]
-        return (x[level + 1] if out_bit else y[level].dagger()) if in_bit else (y if out_bit else x)[level]
-
+    chains: Dict[tuple, FockOperator] = {}  # a local memo, no closure: nothing keeps it after the return
     entries = [[FockOperator.zero()] * (n + 1) for _ in range(n + 1)]
     for i, k, weight, factors in _symmetric_power(n):
-        term = chain(factors)
+        for m, factor in enumerate(factors):
+            if factors[: m + 1] in chains:  # a prefix shared by terms is one operator
+                continue
+            if (factor,) not in chains:  # a one-factor chain is its block, built once
+                out_bit, in_bit, level = factor
+                # the blocks (0, 0), (1, 0), (0, 1), (1, 1) at level l are X_{-l}, Y_{-l}, Y_{-l}†, X_{-(l+1)}
+                block = (x[level + 1] if out_bit else y[level].dagger()) if in_bit else (y if out_bit else x)[level]
+                chains[(factor,)] = block
+            if m:  # factor 0 acts first, so a chain composes leftward
+                chains[factors[: m + 1]] = chains[(factor,)] * chains[factors[:m]]
+        term = chains[factors]
         entries[i][k] = entries[i][k] + (term if weight == 1 else weight * term)
     return OpMatrix.build(entries)
 
 
-def family_string_map(family: VeroneseFamily, n: int, n_max: int) -> List[Dict[int, List[int]]]:
+def family_string_map(
+    thetas: Sequence[float], family: VeroneseFamily, n: int, n_max: int
+) -> List[Dict[int, List[int]]]:
     """The level strings, per theta: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
 
     Column k of the operator spin matrices is normalized through the
     level-k sum rule, so its domain excludes the singular states of both
     level-k generators even when only one of them appears in the column.
     """
-    return strings(n_max, OpMatrix.build([family.x[: n + 1], family.y[: n + 1]]), thetas=family.thetas)
+    return strings(n_max, OpMatrix.build([family.x[: n + 1], family.y[: n + 1]]), thetas=thetas)
 
 
 def _spin(m: OpMatrix) -> float:
@@ -258,25 +261,31 @@ def _first_column(m: OpMatrix) -> OpMatrix:
     return OpMatrix.build([[m.entry(i, 0)] for i in range(m.rows)])
 
 
-def nc_unitarity_check(family: VeroneseFamily, m: OpMatrix, n_max: int, tol: float) -> List[CheckResult]:
+def nc_unitarity_check(
+    thetas: Sequence[float], family: VeroneseFamily, m: OpMatrix, n_max: int, tol: float
+) -> List[CheckResult]:
     """Unitarity of the operator spin matrix ``m`` off the level strings of
     the family it was read from."""
-    skip = family_string_map(family, m.rows - 1, n_max)
-    return check_unitary(m, n_max, tol, f"nc_spin_unitary_j{_spin(m)}", skip=skip, thetas=family.thetas)
+    skip = family_string_map(thetas, family, m.rows - 1, n_max)
+    return check_unitary(m, n_max, tol, f"nc_spin_unitary_j{_spin(m)}", skip=skip, thetas=thetas)
 
 
-def first_column_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def first_column_check(
+    thetas: Sequence[float], m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float
+) -> List[CheckResult]:
     """The first column of the operator spin-j matrix is the degree-2j
     lifted column."""
-    name, thetas = f"first_column_j{_spin(m)}", lifted.family.thetas
+    name = f"first_column_j{_spin(m)}"
     return matrix_equal(_first_column(m), lifted.a_col, n_max, tol, name, thetas=thetas)
 
 
-def projector_relation_check(m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def projector_relation_check(
+    thetas: Sequence[float], m: OpMatrix, lifted: LiftedColumn, n_max: int, tol: float
+) -> List[CheckResult]:
     """M e00 M†, the projector c c† on the first column c of M, equals the
     rank-1 projector of the degree-2j lifted column."""
     col = _first_column(m)
-    name, thetas = f"projector_relation_j{_spin(m)}", lifted.family.thetas
+    name = f"projector_relation_j{_spin(m)}"
     return matrix_equal(col @ col.dagger(), projector_pn(lifted), n_max, tol, name, thetas=thetas)
 
 

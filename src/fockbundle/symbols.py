@@ -77,9 +77,9 @@ class GridValues(NamedTuple):
     im: Optional[np.ndarray]
     singular: Optional[np.ndarray]
 
-    def magnitude(self) -> np.ndarray:
-        """|value| as CPython's abs computes it (hypot for complex values)."""
-        return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
+    def magnitude(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """|value| as CPython's abs computes it (hypot for complex values), written into ``out`` if given."""
+        return np.abs(self.re, out=out) if self.im is None else np.hypot(self.re, self.im, out=out)
 
 
 # (op, args, signs) -> weak reference to the one live node built from them
@@ -112,13 +112,17 @@ class DiagonalSymbol:
         if ref is not None and ref() in (None, self):
             del _nodes[self.key]
 
-    def __call__(self, grid, thetas: Optional[Sequence[float]] = None) -> GridValues:
+    def __call__(self, grid, thetas: Optional[Sequence[float]] = None, *, raw: bool = False) -> GridValues:
         """The values on ``grid``, broadcast to its shape: a Grid, or an
         int64 index array with the detunings ``thetas`` of the rows (none
         for a grid without them).  Calls on the same Grid object reuse the
-        values cached on every node they reach."""
+        values cached on every node they reach.  ``raw=True`` returns the
+        cached values themselves, unbroadcast (a node that reads no theta
+        holds one row), under the caller's ``np.errstate``, as a scan reads them."""
         if not isinstance(grid, Grid):
             grid = Grid(grid, thetas)
+        if raw:
+            return grid.values(self, 0)
         with np.errstate(all="ignore"):
             return grid.full(grid.values(self, 0))
 
@@ -358,12 +362,12 @@ def _eval_add(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
 
 
 def difference(a: GridValues, b: GridValues) -> GridValues:
-    """a - b with the bits of the ``add`` node a + (-1) b: a missing imaginary part is 0, masks are OR-ed."""
-    with np.errstate(all="ignore"):  # inf - inf is a NaN, which a scan counts as an infinite deviation
-        im = None
-        if a.im is not None or b.im is not None:
-            im = (0.0 if a.im is None else a.im) - (0.0 if b.im is None else b.im)
-        return GridValues(a.re - b.re, im, _either(a.singular, b.singular))
+    """a - b with the bits of the ``add`` node a + (-1) b: a missing imaginary part is 0, masks are OR-ed.
+    inf - inf is a NaN, which a scan counts as an infinite deviation; the scan silences the warning."""
+    im = None
+    if a.im is not None or b.im is not None:
+        im = (0.0 if a.im is None else a.im) - (0.0 if b.im is None else b.im)
+    return GridValues(a.re - b.re, im, _either(a.singular, b.singular))
 
 
 def _product(a: GridValues, b: GridValues) -> Tuple[np.ndarray, Optional[np.ndarray]]:

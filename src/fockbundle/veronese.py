@@ -3,9 +3,10 @@
 The classical degree-n lift of CP^1 into CP^n and its operator-valued
 counterpart: the diagonal/shift family X_{-j}, Y_{-j}, Z_{-j}, the lifted
 (n+1)x1 column with ordered entry products, the rank-1 projectors, and
-the single-coordinate block expression of those projectors.  A family is
-built once for every theta of a run (theta enters as ``symbols.THETA``),
-and each check returns one record per theta.
+the single-coordinate block expression of those projectors.  Theta enters
+only as ``symbols.THETA``, so a family and its lifted columns are built once
+per process and degree, and every check takes the detunings it scans and
+returns one record per theta.
 """
 
 from __future__ import annotations
@@ -53,53 +54,59 @@ def z_operator(level: Radius) -> FockOperator:
     return FockOperator.diagonal(_level_ratio(level) * pre) * CREATION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: the key of its lifts
 class VeroneseFamily:
-    """The chart entries up to degree n, and the detunings their checks
-    scan; a suite builds it once per run."""
+    """The chart entries up to degree n, for every theta."""
 
-    thetas: Tuple[float, ...]
-    x: List[FockOperator]  # X_0 .. X_{-n}
-    y: List[FockOperator]  # Y_0 .. Y_{-n}
-    z: List[FockOperator]  # Z_0 .. Z_{-n}
+    x: Tuple[FockOperator, ...]  # X_0 .. X_{-n}
+    y: Tuple[FockOperator, ...]  # Y_0 .. Y_{-n}
+    z: Tuple[FockOperator, ...]  # Z_0 .. Z_{-n}
 
 
-def build_family(thetas: Sequence[float], n: int) -> VeroneseFamily:
+@functools.lru_cache(maxsize=None)
+def build_family(n: int) -> VeroneseFamily:
+    """The family of degree n, one per process: its nodes, and those of its cached lifts, keep their
+    values on the last grid they were read on until ``cache_clear()``."""
     if n < 1:
         raise ValueError("target degree must be at least 1")
     levels = {offset: Radius(offset) for offset in range(1, -n - 1, -1)}  # X_{-j} at 1-j; Y_{-j}, Z_{-j} at -j
     return VeroneseFamily(
-        thetas=tuple(thetas),
-        x=[x_operator(levels[1 - j]) for j in range(n + 1)],
-        y=[y_operator(levels[-j]) for j in range(n + 1)],
-        z=[z_operator(levels[-j]) for j in range(n + 1)],
+        x=tuple(x_operator(levels[1 - j]) for j in range(n + 1)),
+        y=tuple(y_operator(levels[-j]) for j in range(n + 1)),
+        z=tuple(z_operator(levels[-j]) for j in range(n + 1)),
     )
 
 
-def sum_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> List[CheckResult]:
+def sum_rule_check(
+    thetas: Sequence[float], family: VeroneseFamily, j: int, n_max: int, tol: float
+) -> List[CheckResult]:
     """X_{-j}^2 + Y_{-j}† Y_{-j} = 1."""
     x, y = family.x[j], family.y[j]
     lhs = x * x + y.dagger() * y
-    return op_equal(lhs, FockOperator.identity(), n_max, tol, f"sum_rule_j{j}", thetas=family.thetas)
+    return op_equal(lhs, FockOperator.identity(), n_max, tol, f"sum_rule_j{j}", thetas=thetas)
 
 
-def shift_rule_check(family: VeroneseFamily, j: int, n_max: int, tol: float) -> List[CheckResult]:
+def shift_rule_check(
+    thetas: Sequence[float], family: VeroneseFamily, j: int, n_max: int, tol: float
+) -> List[CheckResult]:
     """Y_{-j}† Y_{-j} = Y_{-(j-1)} Y_{-(j-1)}† for j >= 1."""
     if j < 1:
         raise ValueError("shift rule needs j >= 1")
     yj, yp = family.y[j], family.y[j - 1]
-    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, f"shift_rule_j{j}", thetas=family.thetas)
+    return op_equal(yj.dagger() * yj, yp * yp.dagger(), n_max, tol, f"shift_rule_j{j}", thetas=thetas)
 
 
-def commutation_check(family: VeroneseFamily, j: int, k: int, n_max: int, tol: float) -> List[CheckResult]:
+def commutation_check(
+    thetas: Sequence[float], family: VeroneseFamily, j: int, k: int, n_max: int, tol: float
+) -> List[CheckResult]:
     """Y_{-j} X_{-k}^{-1} = X_{-(k+1)}^{-1} Y_{-j} (shift-through of the creation factor)."""
     y = family.y[j]
     xk_inv = family.x[k].inverse(ROW_TOL)
     xk1_inv = family.x[k + 1].inverse(ROW_TOL)
-    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, f"commutation_j{j}_k{k}", thetas=family.thetas)
+    return op_equal(y * xk_inv, xk1_inv * y, n_max, tol, f"commutation_j{j}_k{k}", thetas=thetas)
 
 
-def _ordered_product(ops: List[FockOperator]) -> FockOperator:
+def _ordered_product(ops: Sequence[FockOperator]) -> FockOperator:
     # from the first factor, not the identity: composing with it would only add nodes
     return functools.reduce(lambda acc, op: acc * op, ops)
 
@@ -130,6 +137,7 @@ class LiftedColumn:
         return sum((z.dagger() * z for (z,) in self.z_col.entries), FockOperator.identity())
 
 
+@functools.lru_cache(maxsize=None)  # so its projector and normaliser are built once per process
 def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     """The degree-n column with entries sqrt(nCj) Y_{-(j-1)}...Y_0 X_0^{n-j},
     read from a family of degree at least n."""
@@ -149,32 +157,37 @@ def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     )
 
 
-def lift_norm_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def cache_clear() -> None:
+    """Drop the cached families and lifts, and with them the values their nodes hold."""
+    build_family.cache_clear()
+    lift.cache_clear()
+
+
+def _base(lifted: LiftedColumn) -> FockOperator:
+    """1 + Z_0† Z_0, the normaliser of degree 1: built once per family, not once per check."""
+    return lift(lifted.family, 1).one_plus_ztz
+
+
+def lift_norm_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     col = lifted.a_col
     prod = col.dagger() @ col
-    name, thetas = lifted.check_name("lift_norm"), lifted.family.thetas
-    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, name, thetas=thetas)
+    return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, lifted.check_name("lift_norm"), thetas=thetas)
 
 
-def factored_form_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def factored_form_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """A_n = (1; Z-column) (1 + Z_0† Z_0)^{-n/2} entrywise."""
-    fam = lifted.family
-    z0 = fam.z[0]
-    base = FockOperator.identity() + z0.dagger() * z0
-    scale = base.power(-lifted.n / 2.0, ROW_TOL)
+    scale = _base(lifted).power(-lifted.n / 2.0, ROW_TOL)
     stacked = [[scale]]
     for i in range(lifted.z_col.rows):
         stacked.append([lifted.z_col.entry(i, 0) * scale])
     name = lifted.check_name("factored_form")
-    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name, thetas=fam.thetas)
+    return matrix_equal(lifted.a_col, OpMatrix.build(stacked), n_max, tol, name, thetas=thetas)
 
 
-def binomial_power_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def binomial_power_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """1 + Zcol† Zcol = (1 + Z_0† Z_0)^n."""
-    z0 = lifted.family.z[0]
-    base = FockOperator.identity() + z0.dagger() * z0
-    name, thetas = lifted.check_name("binomial_power"), lifted.family.thetas
-    return op_equal(lifted.one_plus_ztz, op_power(base, lifted.n), n_max, tol, name, thetas=thetas)
+    name = lifted.check_name("binomial_power")
+    return op_equal(lifted.one_plus_ztz, op_power(_base(lifted), lifted.n), n_max, tol, name, thetas=thetas)
 
 
 def projector_pn(lifted: LiftedColumn) -> OpMatrix:
@@ -195,13 +208,13 @@ def oike_layout(lifted: LiftedColumn) -> OpMatrix:
     return OpMatrix.build(rows)
 
 
-def oike_layout_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
-    name, thetas = lifted.check_name("oike_layout"), lifted.family.thetas
+def oike_layout_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+    name = lifted.check_name("oike_layout")
     return matrix_equal(projector_pn(lifted), oike_layout(lifted), n_max, tol, name, thetas=thetas)
 
 
-def eigencolumn_check(lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
+def eigencolumn_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     """P_n A_n = A_n."""
     p = projector_pn(lifted)
-    name, thetas = lifted.check_name("eigencolumn"), lifted.family.thetas
+    name = lifted.check_name("eigencolumn")
     return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name, thetas=thetas)

@@ -72,24 +72,24 @@ def test_acceptance_spectral_decomposition(theta):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_acceptance_lift_identities(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
-    assert veronese.lift_norm_check(lifted, 48, 1e-9)[0].passed
-    assert veronese.binomial_power_check(lifted, 48, 1e-9)[0].passed
+    lifted = veronese.lift(veronese.build_family(n), n)
+    assert veronese.lift_norm_check([theta], lifted, 48, 1e-9)[0].passed
+    assert veronese.binomial_power_check([theta], lifted, 48, 1e-9)[0].passed
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
 def test_acceptance_family_rules(theta, j):
-    assert veronese.sum_rule_check(veronese.build_family([theta], 4), j, 48, 1e-9)[0].passed
+    assert veronese.sum_rule_check([theta], veronese.build_family(4), j, 48, 1e-9)[0].passed
     if j >= 1:
-        assert veronese.shift_rule_check(veronese.build_family([theta], 4), j, 48, 1e-9)[0].passed
+        assert veronese.shift_rule_check([theta], veronese.build_family(4), j, 48, 1e-9)[0].passed
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_acceptance_oike_layout(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
-    (res,) = veronese.oike_layout_check(lifted, 48, 1e-10)
+    lifted = veronese.lift(veronese.build_family(n), n)
+    (res,) = veronese.oike_layout_check([theta], lifted, 48, 1e-10)
     assert res.passed, res.text_line()
 
 
@@ -112,18 +112,18 @@ def test_acceptance_su2_reps_random_pairs():
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("j", [1.0, 1.5])
 def test_acceptance_nc_spin_reps(theta, j):
-    family = veronese.build_family([theta], 3)
+    family = veronese.build_family(3)
     m, lifted = spinrep.nc_spin_rep(family, j), veronese.lift(family, int(2 * j))
-    assert spinrep.nc_unitarity_check(family, m, 48, 1e-10)[0].passed
-    assert spinrep.first_column_check(m, lifted, 48, 1e-10)[0].passed
-    assert spinrep.projector_relation_check(m, lifted, 48, 1e-10)[0].passed
+    assert spinrep.nc_unitarity_check([theta], family, m, 48, 1e-10)[0].passed
+    assert spinrep.first_column_check([theta], m, lifted, 48, 1e-10)[0].passed
+    assert spinrep.projector_relation_check([theta], m, lifted, 48, 1e-10)[0].passed
 
 
 # 7. the tensor square does not block-decompose off resonance
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_acceptance_tensor_obstruction(theta):
-    family = veronese.build_family([theta], 3)
+    family = veronese.build_family(3)
     v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
     (res,) = spinrep.tensor_breakdown_check([theta], v, phi1, 48, [1e-8])
     assert res.passed, res.text_line()
@@ -172,13 +172,13 @@ def _representative_deviations(n_max):
         devs[f"chart_{theta}"] = matrix_equal(rebuilt, bundle.h, n_max, 1e-10, thetas=[theta])[0].max_deviation
         (spectral,) = jc.spectral_decomposition_check(bundle, n_max, 1e-10)
         devs[f"spectral_{theta}"] = spectral.max_deviation
-        lifted = veronese.lift(veronese.build_family([theta], 3), 3) if theta > 0 else None
+        lifted = veronese.lift(veronese.build_family(3), 3) if theta > 0 else None
         if lifted is not None:
-            devs[f"lift_{theta}"] = veronese.lift_norm_check(lifted, n_max, 1e-9)[0].max_deviation
+            devs[f"lift_{theta}"] = veronese.lift_norm_check([theta], lifted, n_max, 1e-9)[0].max_deviation
     projector = jc.build_bundle([1.0]).projector
     devs["projector"] = check_idempotent_hermitian(projector, n_max, 1e-10, thetas=[1.0])[0].max_deviation
-    family = veronese.build_family([1.0], 3)
-    (unitarity,) = spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, 1.5), n_max, 1e-10)
+    family = veronese.build_family(3)
+    (unitarity,) = spinrep.nc_unitarity_check([1.0], family, spinrep.nc_spin_rep(family, 1.5), n_max, 1e-10)
     devs["nc_unitary"] = unitarity.max_deviation
     return devs
 

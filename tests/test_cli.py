@@ -1,15 +1,20 @@
 """Command-line interface tests: exit codes, output formats, determinism,
 sweep tables, and configuration validation."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fockbundle import cli
+from fockbundle import cli, operators, symbols
 
 FAST = ["--nmax", "16", "--theta", "1.0"]
 
@@ -347,6 +352,8 @@ def test_charts_suite_builds_each_object_once_per_run(monkeypatch):
 
 
 def test_spin_and_veronese_suites_build_one_family_per_run(monkeypatch):
+    # one degree-4 family per process: both suites ask for it, and spinrep reads spins 1/2 to 3/2 from it
+    family = cli.veronese.build_family(4)
     calls = []
     for module, name in ((cli.veronese, "build_family"), (cli.spinrep, "nc_spin_rep")):
 
@@ -355,13 +362,125 @@ def test_spin_and_veronese_suites_build_one_family_per_run(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    thetas = [1.0, -0.5]
-    for suite, degree, spins in (("veronese", 4, []), ("spinrep", 3, [0.5, 1.0, 1.5])):
+    for suite, spins in (("veronese", []), ("spinrep", [0.5, 1.0, 1.5])):
         calls.clear()
-        cfg = cli.SuiteConfig(suite=suite, theta_list=thetas, n_max=8)
+        cfg = cli.SuiteConfig(suite=suite, theta_list=[1.0, -0.5], n_max=8)
         assert all(c.passed for c in cli.run_suite(cfg).checks)
-        assert [c for c in calls if c[0] == "build_family"] == [("build_family", thetas, degree)]
-        assert [c[2] for c in calls if c[0] == "nc_spin_rep" and c[1].thetas == tuple(thetas)] == spins
+        assert [c for c in calls if c[0] == "build_family"] == [("build_family", 4)]
+        assert [c[2] for c in calls if c[0] == "nc_spin_rep" and c[1] is family] == spins
+
+
+def _suite_evaluations(argvs, collect, counts):
+    """The (node, offset) evaluations of each CLI call, from the state of a
+    fresh process, with the cyclic collector off or run only between the
+    calls; ``counts`` is the list the counting evaluators add to."""
+    cli.veronese.cache_clear()
+    gc.collect()
+    operators._grid.cache_clear()  # no node holds values on the grid of the calls yet
+    gc.disable()
+    try:
+        for argv in argvs:
+            if collect:
+                gc.collect()
+            counts.append(0)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+    finally:
+        gc.enable()
+    return counts[-len(argvs) :]
+
+
+def test_the_veronese_suite_reads_the_values_spinrep_left_whenever_garbage_is_collected(monkeypatch):
+    # the family and its lifts live for the process, and spinrep leaves no cycle that would keep
+    # more alive until the collector runs: the work of the second call does not depend on it
+    counts = []
+    for op, fn in list(symbols._EVAL.items()):
+
+        def counted(grid, node, k, fn=fn):
+            counts[-1] += 1
+            return fn(grid, node, k)
+
+        monkeypatch.setitem(symbols._EVAL, op, counted)
+    argvs = [
+        ["verify", "--suite", suite, "--nmax", "48", "--theta", "1", "--theta=-1", "--theta", "0"]
+        for suite in ("spinrep", "veronese")
+    ]
+    spinrep, veronese = _suite_evaluations(argvs, False, counts)
+    assert _suite_evaluations(argvs, True, counts) == [spinrep, veronese]
+    assert veronese <= 330
+
+
+def test_the_spinrep_suite_scans_the_family_and_lifts_the_veronese_suite_built(monkeypatch, capsys):
+    got = {}
+    for module, name, key, at in (
+        (cli.veronese, "sum_rule_check", "veronese family", 1),
+        (cli.veronese, "lift_norm_check", "veronese lift", 1),
+        (cli.spinrep, "nc_unitarity_check", "spinrep family", 1),
+        (cli.spinrep, "first_column_check", "spinrep lift", 2),
+        (cli.spinrep, "projector_relation_check", "spinrep lift", 2),
+    ):
+
+        def recorded(*args, _fn=getattr(module, name), _key=key, _at=at):
+            got.setdefault(_key, []).append(args[_at])
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    assert cli.main(["verify", "--suite", "all", "--nmax", "8", "--theta", "1", "--theta", "0.5"]) == 0
+    capsys.readouterr()
+    family = got["veronese family"][0]
+    assert len(got["veronese family"]) == 5 and len(got["spinrep family"]) == 3
+    assert all(f is family for f in got["veronese family"] + got["spinrep family"])
+    lifts = {lifted.n: lifted for lifted in got["veronese lift"]}
+    assert sorted(lifts) == [2, 3] and all(lifted.family is family for lifted in lifts.values())
+    assert [lifted.n for lifted in got["spinrep lift"]] == [2, 2, 3, 3]
+    assert all(lifted is lifts[lifted.n] for lifted in got["spinrep lift"])
+
+
+def _cached_veronese_nodes():
+    """By id, every node the coefficients of the cached degree-4 family and its lifts reach."""
+    assert cli.veronese.lift.cache_info().currsize == 3  # degrees 1, 2 and 3; asking again builds none
+    family = cli.veronese.build_family(cli.FAMILY_DEGREE)
+    ops = [*family.x, *family.y, *family.z]
+    for n in (1, 2, 3):
+        lifted = cli.veronese.lift(family, n)
+        built = vars(lifted)  # the projector and normaliser, once a check has read them
+        for m in (lifted.a_col, lifted.z_col, built.get("projector")):
+            ops += [] if m is None else [op for row in m.entries for op in row]
+        ops += [built["one_plus_ztz"]] if "one_plus_ztz" in built else []
+    nodes, stack = {}, [c for op in ops for _, c in op.terms]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(a for a in node.args if isinstance(a, symbols.DiagonalSymbol))
+    return nodes
+
+
+def _held_after(argv, alive):
+    """Weak references to the nodes that outlive ``cli.main(argv)`` and were not in ``alive``."""
+    assert cli.main(argv) == 0
+    gc.collect()
+    held = [ref() for ref in symbols._NODES.values() if id(ref()) not in alive]
+    assert held and set(map(id, held)) <= set(_cached_veronese_nodes())
+    # each keeps its values on the run's grid alone: at most one (theta, n) array per part and offset
+    grid = operators._grid(48, np.array([1.0, -1.0, 0.0]).tobytes())
+    for node in held:
+        if node.cache is not None:
+            assert node.cache[0] is grid
+            assert all(a is None or a.size <= 3 * 49 for v in node.cache[1].values() for a in v)
+    return [weakref.ref(node) for node in held]
+
+
+def test_a_run_leaves_held_only_the_cached_family_and_lifts_with_the_values_of_its_grid(capsys):
+    cli.veronese.cache_clear()
+    gc.collect()
+    alive = {id(ref()) for ref in symbols._NODES.values()}
+    argv = ["verify", "--suite", "all", "--nmax", "48", "--theta", "1", "--theta=-1", "--theta", "0"]
+    held = _held_after(argv, alive)
+    capsys.readouterr()
+    cli.veronese.cache_clear()
+    gc.collect()
+    assert [ref for ref in held if ref() is not None] == []
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbundle import cli, jc, symbols
-from fockbundle.operators import FockOperator, grid_deviation, op_equal, scan_rows
+from fockbundle import cli, jc, operators, symbols, veronese
+from fockbundle.operators import FockOperator, grid_deviation, op_equal, per_row, scan_rows
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import (
     ROW_TOL,
@@ -514,13 +514,19 @@ def test_a_nan_constant_is_an_infinite_deviation_however_often_built():
         assert res.max_deviation == math.inf and not res.passed
 
 
-def test_the_interning_table_keeps_no_node_alive(capsys):
+def _collect_all_but_interned():
+    """Collect every node that only the per-process Veronese caches keep alive."""
+    veronese.cache_clear()
     gc.collect()
+
+
+def test_the_interning_table_keeps_no_node_alive(capsys):
+    _collect_all_but_interned()
     before = len(symbols._NODES)
     argv = ["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "6"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.count("\n") == 4
-    gc.collect()
+    _collect_all_but_interned()
     assert len(symbols._NODES) == before
     # every entry is a live node that knows its own key
     for key, ref in symbols._NODES.items():
@@ -634,3 +640,97 @@ def test_no_check_subtracts_operators(suite, monkeypatch, capsys):
     monkeypatch.setattr(OpMatrix, "__sub__", refuse)
     assert cli.main(["verify", "--suite", suite, "--nmax", "8", "--theta", "1", "--theta", "-1", "--theta", "0"]) == 0
     capsys.readouterr()
+
+
+# -- the scan against the one it replaced ------------------------------------------
+
+
+def reference_scan(columns, n_max, thetas=None, skip=None, right=None):
+    """The scan as it was before it wrote cached values in place: every term
+    read through ``DiagonalSymbol.__call__`` (broadcast to the grid), the
+    terms of a column stacked into one table, and each column's maxima kept
+    row by row with a strict > from 0."""
+    grid = operators._grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
+    skips = [s or {} for s in per_row(skip, thetas)]
+    rows, shape = len(skips), (len(skips), n_max + 1)
+    excluded = [{s: set(v) for s, v in sk.items()} for sk in skips]
+    best, where = np.zeros(rows), [None] * rows
+    for j, col in enumerate(columns):
+        skipped = np.zeros(shape, dtype=bool)
+        for r, sk in enumerate(skips):
+            skipped[r, [m for m in sk.get(j + 1, ()) if 0 <= m <= n_max]] = True
+        found = np.zeros(shape, dtype=bool)
+        devs, labels = [], []
+        for i, op in enumerate(col):
+            left, other = dict(op.terms), {} if right is None else dict(right[j][i].terms)
+            for d in sorted(left.keys() | other.keys()):
+                x, y = left.get(d), other.get(d)
+                with np.errstate(all="ignore"):
+                    v = (x or y)(grid) if x is None or y is None else symbols.difference(x(grid), y(grid))
+                if v.singular is not None:
+                    found = found | v.singular.reshape(shape)
+                dev = v.magnitude().reshape(shape)
+                if d > 0:
+                    dev[:, max(n_max + 1 - d, 0) :] = -1.0
+                else:
+                    dev[:, : -d] = -1.0
+                devs.append(dev)
+                labels.append((i, d))
+        found &= ~skipped
+        for r in range(rows):
+            if found[r].any():
+                excluded[r].setdefault(j + 1, set()).update(np.flatnonzero(found[r]).tolist())
+        if not devs:
+            continue
+        table = np.stack(devs, axis=-1)
+        table[np.isnan(table)] = np.inf
+        table[skipped | found] = -1.0
+        for r in range(rows):
+            at = int(table[r].reshape(-1).argmax())
+            top = table[r].reshape(-1)[at]
+            if top > best[r]:
+                best[r] = top
+                n, t = divmod(at, len(devs))
+                where[r] = (labels[t][0], j, n, labels[t][1])
+    return [(float(best[r]), where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
+
+
+def _scan_bits(rows):
+    """A scan's results with each deviation as its bytes and each exclusion map in its order."""
+    return [(np.float64(dev).tobytes(), where, [(s, sorted(v)) for s, v in ex.items()]) for dev, where, ex in rows]
+
+
+def random_skip(rng, slots, n_max):
+    """A skip map with states off the grid (below 0, above n_max) and slots beyond the columns."""
+    return {
+        int(s): [int(m) for m in rng.integers(-2, n_max + 3, size=int(rng.integers(0, 4)))]
+        for s in rng.integers(1, slots + 2, size=int(rng.integers(1, 3)))
+    }
+
+
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_the_scan_is_the_reference_scan_bit_for_bit(thetas):
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    for _ in range(200):
+        slots, per = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        left = [[random_side(rng, thetas is not None) for _ in range(per)] for _ in range(slots)]
+        right = None
+        if rng.random() < 0.5:
+            right = [[random_side(rng, thetas is not None) for _ in range(per)] for _ in range(slots)]
+        skip = None
+        if rng.random() < 0.6:  # one map for every row, or one per row
+            rows = 1 if thetas is None or rng.random() < 0.5 else len(thetas)
+            skip = [random_skip(rng, slots, 7) for _ in range(rows)]
+            skip = skip[0] if rows == 1 else skip
+        expected = reference_scan(left, 7, thetas, skip, right)
+        assert _scan_bits(scan_rows(left, 7, thetas, skip, right)) == _scan_bits(expected)
+        seen["skip"] += skip is not None
+        seen["right"] += right is not None
+        for dev, where, excluded in expected:
+            seen["inf"] += dev == math.inf
+            seen["zero"] += where is None
+            seen["located"] += where is not None and where[1] > 0  # a maximum past the first column
+            seen["excluded"] += any(s <= slots and v - set(range(-2, 0)) for s, v in excluded.items())
+            seen["off grid"] += any(s > slots or min(v) < 0 or max(v) > 7 for s, v in excluded.items())
+    assert min(seen.values()) > 20, seen

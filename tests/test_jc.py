@@ -156,7 +156,7 @@ def test_bundle_and_family_share_one_r_node_per_offset(theta):
     for chart in bundle.charts.values():
         objects += [chart.unitary, chart.unitary_alt, chart.adjoint, chart.diagonal]
     assert {id(r) for r in shared_r_nodes(*objects)} == {id(bundle.r0.r), id(bundle.r1.r)}
-    family = veronese.build_family([theta], 4)
+    family = veronese.build_family(4)
     r_nodes = shared_r_nodes(*family.x, *family.y, *family.z)
     assert sorted(r.args[0].args[0].args[0] for r in r_nodes) == list(range(-4, 2))  # offsets -n .. 1, once each
 
@@ -168,8 +168,10 @@ def test_one_build_serves_every_theta():
         assert [id(n) for n in coefficient_nodes(a)] == [id(n) for n in coefficient_nodes(b)]
     for label in ("I", "II"):
         assert coefficient_nodes(first.charts[label].unitary) == coefficient_nodes(second.charts[label].unitary)
-    low, high = veronese.build_family([0.3], 3), veronese.build_family([-2.0, 1e4], 3)
-    assert coefficient_nodes(*low.x, *low.y, *low.z) == coefficient_nodes(*high.x, *high.y, *high.z)
+    # a family takes no theta at all: one per degree and process, its levels the nodes of any higher degree's
+    low, high = veronese.build_family(3), veronese.build_family(4)
+    assert veronese.build_family(3) is low
+    assert coefficient_nodes(*low.x, *low.y, *low.z) == coefficient_nodes(*high.x[:4], *high.y[:4], *high.z[:4])
     assert any(n is jc.THETA for n in coefficient_nodes(first.h))
 
 

@@ -46,9 +46,9 @@ def test_lower_bound_rule():
 
 
 def test_tensor_breakdown_fails_at_nan_theta():
-    family = build_family([float("nan")], 3)
+    family = build_family(3)
     v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
-    (res,) = spinrep.tensor_breakdown_check(family.thetas, v, phi1, 6, [1e-8])
+    (res,) = spinrep.tensor_breakdown_check([float("nan")], v, phi1, 6, [1e-8])
     assert not res.passed, res.text_line()
 
 

@@ -1,9 +1,11 @@
 """Tests for SU(2) irreps, Clebsch-Gordan block decompositions, and their
 operator-entried counterparts built from the chart matrix."""
 
+import gc
 import hashlib
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -30,14 +32,14 @@ def _n_max(j):
 
 
 def _unitarity(theta, j):
-    family = build_family([theta], 5)
-    (res,) = spinrep.nc_unitarity_check(family, spinrep.nc_spin_rep(family, j), _n_max(j), NC_TOL)
+    family = build_family(5)
+    (res,) = spinrep.nc_unitarity_check([theta], family, spinrep.nc_spin_rep(family, j), _n_max(j), NC_TOL)
     return res
 
 
 def _rep_and_lift(theta, j):
-    family = build_family([theta], 5)
-    return spinrep.nc_spin_rep(family, j), lift(family, int(2 * j))
+    family = build_family(5)
+    return [theta], spinrep.nc_spin_rep(family, j), lift(family, int(2 * j))
 
 
 def _hand_expanded_spin_rep(g, j):
@@ -108,7 +110,7 @@ def _spin_generators(j):
 
 
 def _breakdown(theta, floor):
-    family = build_family([theta], 3)
+    family = build_family(3)
     v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
     (res,) = spinrep.tensor_breakdown_check([theta], v, phi1, N_MAX, [floor])
     return res
@@ -177,11 +179,28 @@ def test_spin_must_be_a_positive_half_integer(j):
     with pytest.raises(ValueError):
         spinrep.spin_rep(spinrep.SU2Element(1.0, 0.0), j)
     with pytest.raises(ValueError):
-        spinrep.nc_spin_rep(build_family([1.0], 3), j)
+        spinrep.nc_spin_rep(build_family(3), j)
+
+
+def test_an_operator_spin_matrix_dies_with_its_last_reference():
+    # entry (0, 2) of spin 1 is the chain Y_l† Y_l'†, built only here (no lifted column holds a Y† factor):
+    # with no reference cycle around the builder's memo, it dies without the cyclic collector
+    family = build_family(3)
+    gc.collect()
+    gc.disable()
+    try:
+        m = spinrep.nc_spin_rep(family, 1.0)
+        ((_, chain),) = m.entry(0, 2).terms
+        assert chain.op == "composed" and {a.op for a in chain.args[::2]} == {"adjoint"}
+        ref = weakref.ref(chain)
+        del m, chain
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_operator_spin_needs_a_family_of_degree_2j():
-    family = build_family([1.0], 3)
+    family = build_family(3)
     assert spinrep.nc_spin_rep(family, 1.5).rows == 4
     with pytest.raises(ValueError):
         spinrep.nc_spin_rep(family, 2.0)
@@ -190,7 +209,7 @@ def test_operator_spin_needs_a_family_of_degree_2j():
 @pytest.mark.parametrize("theta", [1.0, -1.0, 0.37, 0.0])
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
 def test_nc_spin_rep_matches_the_hand_expanded_matrices(theta, j):
-    family = build_family([theta], 3)
+    family = build_family(3)
     reference = _hand_expanded_nc_spin_rep(family, j)
     (res,) = matrix_equal(spinrep.nc_spin_rep(family, j), reference, N_MAX, 1e-12, thetas=[theta])
     assert res.passed, res.text_line()
@@ -298,8 +317,8 @@ def test_every_seed_below_100_passes_the_group_sample():
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
 def test_chart_matrix_unitary_half_spin(theta):
-    family = build_family([theta], 1)
-    assert spinrep.nc_unitarity_check(family, spinrep.chart_matrix(family), N_MAX, NC_TOL)[0].passed
+    family = build_family(1)
+    assert spinrep.nc_unitarity_check([theta], family, spinrep.chart_matrix(family), N_MAX, NC_TOL)[0].passed
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -312,7 +331,7 @@ def test_nc_rep_unitary_off_strings(theta, j):
 def test_family_string_map_covers_partner_singularities():
     # at theta=2 the slot-3 diagonal factor is regular at |0> (theta^2 > 1)
     # but its sum-rule partner is not, so the state stays excluded
-    assert 0 in spinrep.family_string_map(build_family([2.0], 3), 3, N_MAX)[0][3]
+    assert 0 in spinrep.family_string_map([2.0], build_family(3), 3, N_MAX)[0][3]
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -354,5 +373,5 @@ def test_family_string_map_is_the_union_of_generator_supports(theta, n):
         (x_bad,), (y_bad,) = (op.singular_support(24, [theta]) for op in generators)
         if x_bad | y_bad:
             union[k + 1] = x_bad | y_bad
-    (found,) = spinrep.family_string_map(build_family([theta], 3), n, 24)
+    (found,) = spinrep.family_string_map([theta], build_family(3), n, 24)
     assert {k: set(v) for k, v in found.items()} == union

@@ -22,21 +22,21 @@ THETAS = [2.0, 1.0, 0.5, 0.0, -0.5]
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("j", range(5))
 def test_sum_rule(theta, j):
-    (res,) = veronese.sum_rule_check(veronese.build_family([theta], 4), j, N_MAX, TOL)
+    (res,) = veronese.sum_rule_check([theta], veronese.build_family(4), j, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("j", range(1, 5))
 def test_shift_rule(theta, j):
-    (res,) = veronese.shift_rule_check(veronese.build_family([theta], 4), j, N_MAX, TOL)
+    (res,) = veronese.shift_rule_check([theta], veronese.build_family(4), j, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5, -0.5])
 @pytest.mark.parametrize("k", range(4))
 def test_commutation_rule(theta, k):
-    (res,) = veronese.commutation_check(veronese.build_family([theta], 5), k, k + 1, N_MAX, TOL)
+    (res,) = veronese.commutation_check([theta], veronese.build_family(5), k, k + 1, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
@@ -72,39 +72,39 @@ def test_z_regular_at_vacuum_for_positive_theta():
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lift_is_isometric_column(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
-    (res,) = veronese.lift_norm_check(lifted, N_MAX, TOL)
+    lifted = veronese.lift(veronese.build_family(n), n)
+    (res,) = veronese.lift_norm_check([theta], lifted, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_factored_form_and_binomial_power(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
-    assert veronese.factored_form_check(lifted, N_MAX, TOL)[0].passed
-    assert veronese.binomial_power_check(lifted, N_MAX, TOL)[0].passed
+    lifted = veronese.lift(veronese.build_family(n), n)
+    assert veronese.factored_form_check([theta], lifted, N_MAX, TOL)[0].passed
+    assert veronese.binomial_power_check([theta], lifted, N_MAX, TOL)[0].passed
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_projector_and_eigencolumn(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
+    lifted = veronese.lift(veronese.build_family(n), n)
     p = veronese.projector_pn(lifted)
     assert check_idempotent_hermitian(p, N_MAX, TOL, thetas=[theta])[0].passed
-    assert veronese.eigencolumn_check(lifted, N_MAX, TOL)[0].passed
+    assert veronese.eigencolumn_check([theta], lifted, N_MAX, TOL)[0].passed
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_oike_layout(theta, n):
-    lifted = veronese.lift(veronese.build_family([theta], n), n)
-    (res,) = veronese.oike_layout_check(lifted, N_MAX, TOL)
+    lifted = veronese.lift(veronese.build_family(n), n)
+    (res,) = veronese.oike_layout_check([theta], lifted, N_MAX, TOL)
     assert res.passed, res.text_line()
 
 
 def test_lift_degree_one_matches_chart_column():
     # for n=1 the lifted column is just (X0; Y0)
-    lifted = veronese.lift(veronese.build_family([1.0], 1), 1)
+    lifted = veronese.lift(veronese.build_family(1), 1)
     col = veronese.OpMatrix.build([[veronese.x_operator(jc.Radius(1))], [veronese.y_operator(jc.Radius(0))]])
     assert matrix_equal(lifted.a_col, col, N_MAX, TOL, thetas=[1.0])[0].passed
 
@@ -121,6 +121,10 @@ def test_only_build_family_builds_the_operator_family():
                     if called in builders:
                         callers.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
     assert callers == {"veronese.py:build_family"}
+    # which builds one family of tuples per degree and process
+    family = veronese.build_family(2)
+    assert veronese.build_family(2) is family
+    assert all(isinstance(ops, tuple) for ops in (family.x, family.y, family.z))
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -132,14 +136,15 @@ def test_build_family_builds_one_r_node_per_offset(monkeypatch, n):
         return _fn(offset)
 
     monkeypatch.setattr(jc, "r_symbol", counted)
-    family = veronese.build_family([0.5, -0.5], n)
+    veronese.cache_clear()  # a family built earlier in the process would be returned as it is
+    family = veronese.build_family(n)
     # X_{-j} reads R(N+1-j), Y_{-j} and Z_{-j} read R(N-j), for every theta at once
     assert offsets == list(range(1, -n - 1, -1))
-    assert all(res.passed for res in veronese.sum_rule_check(family, n, N_MAX, TOL))
+    assert all(res.passed for res in veronese.sum_rule_check([0.5, -0.5], family, n, N_MAX, TOL))
 
 
 def test_y_and_z_of_a_level_share_one_level_ratio_node():
-    family = veronese.build_family([0.7], 3)
+    family = veronese.build_family(3)
     for j in range(4):
         # Y_{-j} and Z_{-j} are (ratio * prefactor) a-dagger: one composed term each
         ((_, y),), ((_, z),) = family.y[j].terms, family.z[j].terms
@@ -149,18 +154,18 @@ def test_y_and_z_of_a_level_share_one_level_ratio_node():
 
 
 def test_the_lifted_projector_and_normaliser_are_built_once():
-    lifted = veronese.lift(veronese.build_family([0.5, -0.5], 3), 3)
+    lifted, thetas = veronese.lift(veronese.build_family(3), 3), [0.5, -0.5]
     p, s = lifted.projector, lifted.one_plus_ztz
     assert veronese.projector_pn(lifted) is p is lifted.projector
     assert lifted.one_plus_ztz is s
-    assert all(res.passed for res in veronese.eigencolumn_check(lifted, N_MAX, TOL))
-    assert all(res.passed for res in veronese.oike_layout_check(lifted, N_MAX, TOL))
-    assert all(res.passed for res in veronese.binomial_power_check(lifted, N_MAX, TOL))
+    assert all(res.passed for res in veronese.eigencolumn_check(thetas, lifted, N_MAX, TOL))
+    assert all(res.passed for res in veronese.oike_layout_check(thetas, lifted, N_MAX, TOL))
+    assert all(res.passed for res in veronese.binomial_power_check(thetas, lifted, N_MAX, TOL))
     assert lifted.projector is p and lifted.one_plus_ztz is s
 
 
 def test_ordered_products_compose_no_identity():
-    family = veronese.build_family([0.5], 3)
+    family = veronese.build_family(3)
     op = family.y[1]
     assert veronese._ordered_product([op]) is op
     assert veronese.op_power(op, 0) == FockOperator.identity()

@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .report import Frozen
 from .symbols import sigma_tol
 
 
@@ -60,14 +60,19 @@ def _deviation(a: np.ndarray, b) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Frozen):
     """A point off the origin, or a batch of them: x, y and z are floats
     or arrays of one shape."""
 
     x: float | np.ndarray
     y: float | np.ndarray
     z: float | np.ndarray
+
+    def __init__(self, x: float | np.ndarray, y: float | np.ndarray, z: float | np.ndarray):
+        self.__dict__.update(x=x, y=y, z=z)
+
+    def __repr__(self) -> str:  # an AxisSingular message prints it
+        return f"SpherePoint(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def shape(self) -> Tuple[int, ...]:

@@ -21,7 +21,6 @@ import io
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,17 +37,18 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class SuiteConfig:
     suite: str
-    theta_list: List[float] = field(default_factory=lambda: [1.0])
-    n_max: int = 48
-    tol: float = 1e-10
-    g: float = 1.0
-    t: float = 1.0
-    seed: int = 0
+    theta_list: List[float]  # a copy of the argument
+    n_max: int
+    tol: float
+    g: float
+    t: float
+    seed: int
 
-    def __post_init__(self):
+    def __init__(self, suite, theta_list=(1.0,), n_max=48, tol=1e-10, g=1.0, t=1.0, seed=0):
+        self.suite, self.theta_list, self.n_max = suite, list(theta_list), n_max
+        self.tol, self.g, self.t, self.seed = tol, g, t, seed
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.n_max < 4:
@@ -65,6 +65,9 @@ class SuiteConfig:
             raise ConfigError("tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+    def replace(self, **changes) -> SuiteConfig:
+        return SuiteConfig(**{**vars(self), **changes})
 
 
 # -- suites ----------------------------------------------------------------
@@ -221,9 +224,9 @@ def run_parts(cfg: SuiteConfig) -> List[Parts]:
 
 
 def assemble(cfg: SuiteConfig, parts: List[Parts], rows: Sequence[int]) -> VerificationReport:
-    """The report of ``cfg`` from runner parts: per runner, its theta-free
-    checks and then the checks of each theta row in ``rows``."""
-    report = VerificationReport(suite=cfg.suite, config=asdict(cfg))
+    """The report of ``cfg`` from runner parts: per runner, its theta-free checks
+    and then the checks of each theta row in ``rows``; its config is a copy."""
+    report = VerificationReport(suite=cfg.suite, config={**vars(cfg), "theta_list": list(cfg.theta_list)})
     for free, per_theta in parts:
         report.checks.extend(free)
         for row in rows:
@@ -277,8 +280,7 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         raise ConfigError("nmax sweep values must be integers")
     # every row's configuration is checked before the first row runs
     subs = [
-        replace(
-            cfg,
+        cfg.replace(
             theta_list=[v] if axis == "theta" else cfg.theta_list,
             n_max=int(v) if axis == "nmax" else cfg.n_max,
             t=v if axis == "t" else cfg.t,
@@ -287,7 +289,7 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
     ]
     rows: List[Tuple[float, VerificationReport]] = []
     columns: Dict[str, None] = {}
-    parts = run_parts(replace(cfg, theta_list=list(values))) if axis == "theta" else None
+    parts = run_parts(cfg.replace(theta_list=values)) if axis == "theta" else None
     for i, (v, sub) in enumerate(zip(values, subs)):
         report = run_suite(sub) if parts is None else assemble(sub, parts, [i])
         columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)

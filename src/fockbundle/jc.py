@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
 from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names, scan_rows
-from .report import CheckResult, exact_set_check, merge_excluded, monotone_check, upper_bound_check
+from .report import CheckResult, Frozen, exact_set_check, merge_excluded, monotone_check, upper_bound_check
 from .symbols import (
     ROW_TOL,
     THETA,
@@ -142,12 +141,14 @@ def chart_diagonal(label: str, r0: Radius, r1: Radius) -> OpMatrix:
     return OpMatrix.diag(r_operator(upper), -r_operator(lower))
 
 
-@dataclass(frozen=True)
-class BundleChart:
+class BundleChart(Frozen):
     unitary: OpMatrix  # prefactors on the left
     unitary_alt: OpMatrix  # prefactors on the right
     adjoint: OpMatrix  # unitary.dagger()
     diagonal: OpMatrix
+
+    def __init__(self, unitary: OpMatrix, unitary_alt: OpMatrix, adjoint: OpMatrix, diagonal: OpMatrix):
+        self.__dict__.update(unitary=unitary, unitary_alt=unitary_alt, adjoint=adjoint, diagonal=diagonal)
 
 
 def build_chart(label: str, r0: Radius, r1: Radius) -> BundleChart:
@@ -207,8 +208,7 @@ def local_coordinate_z(r0: Radius) -> FockOperator:
     return FockOperator.diagonal(guarded_div(1.0, r0.plus, ROW_TOL)) * CREATION
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Frozen):
     """Everything the charts suite reads, built once on one R(N) and one
     R(N+1), with the detunings its checks scan."""
 
@@ -221,6 +221,10 @@ class Bundle:
     projector_alt: OpMatrix  # prefactors on the right
     projector_adjoint: OpMatrix  # projector.dagger()
     z: FockOperator
+
+    def __init__(self, thetas, r0, r1, h, charts, projector, projector_alt, projector_adjoint, z):
+        self.__dict__.update(thetas=thetas, r0=r0, r1=r1, h=h, charts=charts, projector=projector)
+        self.__dict__.update(projector_alt=projector_alt, projector_adjoint=projector_adjoint, z=z)
 
 
 def build_bundle(thetas: Sequence[float]) -> Bundle:

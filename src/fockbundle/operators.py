@@ -12,12 +12,11 @@ grid, never in the operator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .report import Exclusions, upper_bound_check
+from .report import Exclusions, Frozen, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
@@ -35,11 +34,19 @@ from .symbols import (
 Scalar = (int, float, complex)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Normal-form finite sum of shift terms, at most one per shift degree."""
+class FockOperator(Frozen):
+    """Normal-form finite sum of shift terms, at most one per shift degree; equal when the terms are."""
 
     terms: Tuple[Tuple[int, DiagonalSymbol], ...]
+
+    def __init__(self, terms: Tuple[Tuple[int, DiagonalSymbol], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        return type(other) is FockOperator and other.terms == self.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @staticmethod
     def from_terms(mapping: Mapping[int, DiagonalSymbol]) -> "FockOperator":

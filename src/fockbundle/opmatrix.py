@@ -12,28 +12,33 @@ or ``detail`` is then one value for every row or a list of one per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .operators import FockOperator, as_rows, one_or_rows, per_row, row_names, scan_rows
-from .report import CheckResult, Exclusions, merge_excluded, upper_bound_check
+from .report import CheckResult, Exclusions, Frozen, merge_excluded, upper_bound_check
 
 Thetas = Optional[Sequence[float]]
 Skip = Exclusions | Sequence[Exclusions] | None
 
 
-@dataclass(frozen=True)
-class OpMatrix:
+class OpMatrix(Frozen):
     entries: Tuple[Tuple[FockOperator, ...], ...]
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: Tuple[Tuple[FockOperator, ...], ...]):
+        if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
-        cols = len(self.entries[0])
-        if any(len(row) != cols for row in self.entries):
+        cols = len(entries[0])
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        return type(other) is OpMatrix and other.entries == self.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def rows(self) -> int:

@@ -1,16 +1,23 @@
-"""Structured pass/fail records and deterministic report serialization."""
+"""Structured pass/fail records, the base of the immutable records and deterministic report serialization."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 Exclusions = Mapping[int, Iterable[int]]  # 1-based slot -> excluded basis states
 
 
-@dataclass
+class Frozen:
+    """Base of the immutable records: ``__init__`` sets the fields, any later assignment or deletion raises."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 class CheckResult:
     """Outcome of one numerical identity check on a basis grid, built only
     by the constructor of its assertion kind below, which decides ``passed``.
@@ -25,8 +32,15 @@ class CheckResult:
     max_deviation: float
     tol: float
     passed: bool
-    excluded: Dict[int, List[int]] = field(default_factory=dict)
-    detail: str = ""
+    excluded: Dict[int, List[int]]
+    detail: str
+
+    def __init__(self, name: str, max_deviation: float, tol: float, passed: bool, excluded=None, detail: str = ""):
+        self.name, self.max_deviation, self.tol, self.passed = name, max_deviation, tol, passed
+        self.excluded, self.detail = {} if excluded is None else excluded, detail
+
+    def __eq__(self, other):  # by value, like the records of a rerun; unhashable, as it is mutable
+        return type(other) is CheckResult and vars(other) == vars(self)
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +128,15 @@ def merge_excluded(*maps: Exclusions) -> Dict[int, List[int]]:
     return {slot: sorted(out[slot]) for slot in sorted(out)}
 
 
-@dataclass
 class VerificationReport:
     """A suite run: configuration, per-check records, and an overall verdict."""
 
     suite: str
     config: dict
-    checks: List[CheckResult] = field(default_factory=list)
+    checks: List[CheckResult]
+
+    def __init__(self, suite: str, config: dict, checks: List[CheckResult] | None = None):
+        self.suite, self.config, self.checks = suite, config, [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from math import comb, sqrt
 from typing import Dict, List, Sequence, Tuple
 
@@ -23,7 +22,7 @@ import numpy as np
 from .classical import random_direction, seeded_rng
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
-from .report import CheckResult, lower_bound_check
+from .report import CheckResult, Frozen, lower_bound_check
 from .veronese import LiftedColumn, VeroneseFamily, projector_pn
 
 _S2 = np.sqrt(2.0)
@@ -57,8 +56,7 @@ T8 = np.array(
 )
 
 
-@dataclass(frozen=True)
-class SU2Element:
+class SU2Element(Frozen):
     """2x2 special unitary matrix parametrised by its first column; or a
     batch of them, with alpha and beta arrays of one shape.  Every map
     below returns its matrices stacked along the batch's shape."""
@@ -66,10 +64,11 @@ class SU2Element:
     alpha: complex | np.ndarray
     beta: complex | np.ndarray
 
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+    def __init__(self, alpha: complex | np.ndarray, beta: complex | np.ndarray):
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
         if not np.asarray(abs(norm - 1.0) <= 1e-12).all():  # a NaN norm is rejected too
             raise ValueError(f"column norm {norm} is not 1 within 1e-12")
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     def matrix(self) -> np.ndarray:
         a, b = np.asarray(self.alpha, dtype=complex), np.asarray(self.beta, dtype=complex)

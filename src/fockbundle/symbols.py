@@ -264,13 +264,13 @@ def sinc(x):
 def _either(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
     if a is None:
         return b
-    if b is None:
+    if b is None or b is a:  # a scan only reads the cached masks, so the one array may serve
         return a
     return a | b
 
 
 def _flag(mask: np.ndarray) -> Optional[np.ndarray]:
-    return mask if mask.any() else None
+    return mask if np.count_nonzero(mask) else None  # on a scan's small masks, a third of the time of mask.any()
 
 
 class Grid:

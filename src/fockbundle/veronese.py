@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .jc import Radius, chart_prefactor
 from .opmatrix import OpMatrix, matrix_equal
 from .operators import CREATION, FockOperator, op_equal
-from .report import CheckResult
+from .report import CheckResult, Frozen
 from .symbols import ROW_TOL, DiagonalSymbol, guarded_div, guarded_sqrt, number
 
 
@@ -54,13 +53,15 @@ def z_operator(level: Radius) -> FockOperator:
     return FockOperator.diagonal(_level_ratio(level) * pre) * CREATION
 
 
-@dataclass(frozen=True, eq=False)  # compared and hashed by identity: the key of its lifts
-class VeroneseFamily:
-    """The chart entries up to degree n, for every theta."""
+class VeroneseFamily(Frozen):
+    """The chart entries up to degree n, for every theta; compared by identity, as it keys its lifts."""
 
     x: Tuple[FockOperator, ...]  # X_0 .. X_{-n}
     y: Tuple[FockOperator, ...]  # Y_0 .. Y_{-n}
     z: Tuple[FockOperator, ...]  # Z_0 .. Z_{-n}
+
+    def __init__(self, x: Tuple[FockOperator, ...], y: Tuple[FockOperator, ...], z: Tuple[FockOperator, ...]):
+        self.__dict__.update(x=x, y=y, z=z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,12 +116,14 @@ def op_power(op: FockOperator, k: int) -> FockOperator:
     return _ordered_product([op] * k) if k > 0 else FockOperator.identity()
 
 
-@dataclass(frozen=True)
-class LiftedColumn:
+class LiftedColumn(Frozen):
     family: VeroneseFamily
     n: int  # the degree, at most the family's
     a_col: OpMatrix  # (n+1) x 1
     z_col: OpMatrix  # n x 1
+
+    def __init__(self, family: VeroneseFamily, n: int, a_col: OpMatrix, z_col: OpMatrix):
+        self.__dict__.update(family=family, n=n, a_col=a_col, z_col=z_col)
 
     def check_name(self, stem: str) -> str:
         """The name stem of a check of this column; each theta row adds its tag."""

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, output formats, determinism,
 sweep tables, and configuration validation."""
 
+import ast
 import contextlib
 import gc
 import io
@@ -557,6 +558,54 @@ def test_no_call_imports_numpy_random():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the record classes are written out: generating and compiling the code of
+    # @dataclass took 7-12 ms of every start.  Only modules beyond those of
+    # `import numpy` count, as a numpy release may import dataclasses itself.
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m == 'dataclasses' or m.startswith('dataclasses.')}\n"
+        "before = loaded()\n"
+        "import fockbundle.cli\n"
+        "print(sorted(loaded() - before))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(cli.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "dataclasses" for alias in node.names), path.name
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "dataclasses", path.name
+
+
+def test_the_report_config_is_a_copy_of_the_configuration():
+    cfg = cli.SuiteConfig(suite="fock", theta_list=[1.0, -0.5], n_max=6)
+    report = cli.assemble(cfg, cli.run_parts(cfg), range(2))
+    expected = {"suite": "fock", "theta_list": [1.0, -0.5], "n_max": 6, "tol": 1e-10, "g": 1.0, "t": 1.0, "seed": 0}
+    assert report.config == expected
+    cfg.theta_list.append(2.0)
+    cfg.theta_list[0] = 3.0
+    cfg.n_max = 8
+    assert report.config == expected
+    # a configuration holds a list of its own, and a replaced one is validated as a new one
+    thetas = [0.25]
+    other = cfg.replace(theta_list=thetas)
+    thetas.append(1.0)
+    assert other.theta_list == [0.25] and other.n_max == 8 and cfg.theta_list == [3.0, -0.5, 2.0]
+    with pytest.raises(cli.ConfigError):
+        cfg.replace(n_max=2)
+    assert cfg.n_max == 8
 
 
 def test_calls_in_one_process_print_what_fresh_runs_print(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for operator-valued matrices: products, kron, grid checks."""
 
-import dataclasses
+import copy
 import importlib
+import inspect
+import pickle
 import pkgutil
 import typing
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import fockbundle
+from fockbundle import classical, jc, spinrep, veronese
 from fockbundle.opmatrix import (
     OpMatrix,
     check_idempotent_hermitian,
@@ -16,7 +19,7 @@ from fockbundle.opmatrix import (
     matrix_equal,
     matrix_grid_deviation,
 )
-from fockbundle.operators import FockOperator
+from fockbundle.operators import ANNIHILATION, CREATION, FockOperator
 from fockbundle.symbols import guarded_div, number
 
 N_MAX = 24
@@ -139,9 +142,82 @@ def test_type_hints_of_every_record_class_resolve():
     for info in pkgutil.iter_modules(fockbundle.__path__):
         module = importlib.import_module(f"fockbundle.{info.name}")
         for obj in vars(module).values():
-            if isinstance(obj, type) and obj.__module__ == module.__name__:
-                if dataclasses.is_dataclass(obj) or (issubclass(obj, tuple) and hasattr(obj, "_fields")):
-                    classes.append(obj)
+            # a record class declares its fields as class-level annotations
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and inspect.get_annotations(obj):
+                classes.append(obj)
     assert OpMatrix in classes and len(classes) >= 10
     for cls in classes:
         assert typing.get_type_hints(cls), cls
+
+
+def _frozen_records():
+    """One instance of each immutable record class, with a field name of it."""
+    family = veronese.build_family(2)
+    bundle = jc.build_bundle([1.0])
+    return [
+        (FockOperator.annihilation(), "terms"),
+        (ANNIHILATION, "terms"),  # shared for the whole process
+        (OpMatrix.identity(2), "entries"),
+        (classical.SpherePoint(3.0, 4.0, 12.0), "x"),
+        (spinrep.SU2Element(1.0, 0.0), "alpha"),
+        (bundle, "h"),
+        (bundle.charts["I"], "unitary"),
+        (family, "x"),
+        (veronese.lift(family, 2), "a_col"),
+    ]
+
+
+def test_every_frozen_record_rejects_assignment_and_deletion():
+    for record, name in _frozen_records():
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.unknown = 1
+        assert getattr(record, name) is before
+
+
+def test_frozen_records_copy_and_pickle():
+    # copy and pickle restore the fields without assigning them
+    for record, name in _frozen_records():
+        assert getattr(copy.copy(record), name) is getattr(record, name)
+        assert type(copy.deepcopy(record)) is type(record)
+    m = OpMatrix.build([[FockOperator.annihilation(), FockOperator.identity()]])
+    back = pickle.loads(pickle.dumps(m))
+    assert [[dict(op.terms).keys() for op in row] for row in back.entries] == [[{-1}, {0}]]
+
+
+def test_cached_properties_of_frozen_records_are_computed_once():
+    p = classical.SpherePoint(3.0, 4.0, 12.0)
+    assert p.r == 13.0 and vars(p)["r"] == 13.0
+    assert repr(p) == "SpherePoint(x=3.0, y=4.0, z=12.0)"  # what an AxisSingular message prints
+    lifted = veronese.lift(veronese.build_family(2), 2)
+    assert lifted.projector is lifted.projector and lifted.one_plus_ztz is lifted.one_plus_ztz
+
+
+def test_operators_and_matrices_compare_and_hash_by_value():
+    a, adag = FockOperator.annihilation(), FockOperator.creation()
+    assert a == ANNIHILATION and a is not ANNIHILATION and hash(a) == hash(ANNIHILATION)
+    assert a * adag == FockOperator.from_terms(dict((a * adag).terms)) and a != adag
+    assert a.scale(0) == FockOperator.zero() and hash(a.scale(0)) == hash(FockOperator.zero())
+    assert len({a, ANNIHILATION, adag, CREATION}) == 2
+    m, n = OpMatrix.build([[a, adag]]), OpMatrix.build([[ANNIHILATION, CREATION]])
+    assert m == n and hash(m) == hash(n) and len({m, n}) == 1
+    assert m != OpMatrix.build([[adag, a]]) and m != a and a != m.entries
+    with pytest.raises(ValueError):
+        OpMatrix.build([])
+    with pytest.raises(ValueError):
+        OpMatrix.build([[a, adag], [a]])
+
+
+def test_a_veronese_family_equals_only_itself():
+    # it keys the cache of its lifts: a family with the same operators is another key
+    family = veronese.build_family(2)
+    twin = veronese.VeroneseFamily(family.x, family.y, family.z)
+    assert family == family and family != twin and len({family, twin}) == 2
+    try:
+        assert veronese.lift(twin, 1) is not veronese.lift(family, 1)
+    finally:
+        veronese.cache_clear()  # the twin's lift would stay cached for the process

@@ -5,21 +5,19 @@ detuning values and writes a deterministic report (json/text);
 ``fockbundle sweep`` runs a suite along one axis (theta, t, nmax) and
 writes one CSV row per axis value.
 
-Exit codes: 0 all checks pass, 1 some check failed (report still
-written; for ``sweep``, some row failed), 2 invalid configuration,
-including a NaN or infinite theta, t, g, tol or sweep value, a negative
-seed, a non-integral nmax sweep value and an nmax whose index grid numpy
-cannot hold.
+Exit codes: 0 all checks pass (or help was printed), 1 some check failed
+(report still written; for ``sweep``, some row failed), 2 invalid
+configuration: a malformed command line, a NaN or infinite theta, t, g, tol
+or sweep value, a negative seed, a non-integral nmax sweep value, an nmax
+whose index grid numpy cannot hold, or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import math
-import re
 import sys
 from typing import Dict, List, Sequence, Tuple
 
@@ -256,8 +254,11 @@ def render(report: VerificationReport, fmt: str) -> str:
 
 def emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write {out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -287,20 +288,20 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         )
         for v in values
     ]
-    rows: List[Tuple[float, VerificationReport]] = []
+    rows: List[Tuple[float, Dict[str, str], bool]] = []
     columns: Dict[str, None] = {}
     parts = run_parts(cfg.replace(theta_list=values)) if axis == "theta" else None
     for i, (v, sub) in enumerate(zip(values, subs)):
         report = run_suite(sub) if parts is None else assemble(sub, parts, [i])
-        columns.update((_axis_free_name(c.name, axis), None) for c in report.checks)
-        rows.append((v, report))
+        devs = {_axis_free_name(c.name, axis): repr(c.max_deviation) for c in report.checks}
+        columns.update(dict.fromkeys(devs))
+        rows.append((v, devs, report.passed))
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow([axis] + list(columns) + ["pass"])
-    for v, report in rows:
-        devs = {_axis_free_name(c.name, axis): repr(c.max_deviation) for c in report.checks}
-        writer.writerow([repr(v)] + [devs.get(name, "") for name in columns] + [int(report.passed)])
-    return buf.getvalue(), all(report.passed for _, report in rows)
+    for v, devs, passed in rows:
+        writer.writerow([repr(v)] + [devs.get(name, "") for name in columns] + [int(passed)])
+    return buf.getvalue(), all(passed for _, _, passed in rows)
 
 
 def _axis_free_name(name: str, axis: str) -> str:
@@ -313,58 +314,86 @@ def _axis_free_name(name: str, axis: str) -> str:
 # -- entry point -----------------------------------------------------------
 
 
-# argparse reads "-1e-13" or "-inf" as an option string because its
-# pattern for negative numbers has no exponent form and no infinity or NaN;
-# this one has them, so such values reach the finiteness check
-_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+# the options of each command: converter and default.  The token after an
+# option is always its value, so "--theta -1e-13" and "--values -inf 1" need no "="
+_COMMON = {
+    "--suite": (str, "all"),
+    "--theta": (float, None),  # repeatable; none given means [1.0]
+    "--nmax": (int, 48),
+    "--tol": (float, 1e-10),
+    "--g": (float, 1.0),
+    "--t": (float, 1.0),
+    "--seed": (int, 0),
+    "--out": (str, None),
+}
+OPTIONS = {
+    "verify": {**_COMMON, "--format": (str, "json")},
+    "sweep": {**_COMMON, "--axis": (str, None), "--values": (float, None)},
+}
+
+USAGE = f"""\
+usage: fockbundle verify [options] [--format json|csv|text]
+       fockbundle sweep [options] --axis theta|t|nmax --values V [V ...]
+options: --suite SUITE, --theta X (repeatable), --nmax N, --tol X, --g X,
+  --t X, --seed N, --out PATH, each as --name value or --name=value
+suites: {", ".join(SUITES)}
+"""
 
 
-@functools.lru_cache(maxsize=None)  # one per process: parsing leaves it unchanged, even when it exits 2
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fockbundle")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}")
-        p.add_argument("--theta", action="append", type=float, default=None)
-        p.add_argument("--nmax", type=int, default=48)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--g", type=float, default=1.0)
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-
-    pv = sub.add_parser("verify", help="run a suite and write a report")
-    common(pv)
-    pv.add_argument("--format", choices=("json", "csv", "text"), default="json")
-
-    ps = sub.add_parser("sweep", help="run a suite along one axis, emit CSV")
-    common(ps)
-    ps.add_argument("--axis", required=True, help="theta, t or nmax")
-    ps.add_argument("--values", type=float, nargs="+", required=True)
-    for p in (parser, pv, ps):
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+def parse_args(argv: Sequence[str]) -> Dict[str, object] | None:
+    """The command and option values of ``argv`` by name without dashes, or ``None`` for help."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    command = argv[0] if argv else None
+    if command not in OPTIONS:
+        raise ConfigError(f"expected a command, verify or sweep, got {command!r}")
+    table = OPTIONS[command]
+    args = {"command": command, **{name[2:]: default for name, (_, default) in table.items()}}
+    tokens = [part for token in argv[1:] for part in (token.split("=", 1) if token.startswith("--") else [token])]
+    i = 0
+    while i < len(tokens):
+        name = tokens[i]
+        if name not in table:
+            raise ConfigError(f"unknown {command} option {name}" if name[:1] == "-" else f"stray argument {name!r}")
+        end = i + 2
+        if name == "--values":
+            end = next((j for j in range(i + 1, len(tokens)) if tokens[j].startswith("--")), len(tokens))
+        raw, i = tokens[i + 1 : end], end
+        if not raw:
+            raise ConfigError(f"{name} needs a value")
+        try:
+            vals = [table[name][0](v) for v in raw]
+        except ValueError:
+            raise ConfigError(f"invalid {name} value {' '.join(raw)!r}") from None
+        args[name[2:]] = vals if name == "--values" else (args["theta"] or []) + vals if name == "--theta" else vals[0]
+    if command == "verify" and args["format"] not in ("json", "csv", "text"):
+        raise ConfigError(f"--format must be json, csv or text, got {args['format']!r}")
+    if command == "sweep" and (args["axis"] is None or args["values"] is None):
+        raise ConfigError("sweep needs --axis and --values")
+    return args
 
 
 def main(argv: List[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return 0
         cfg = SuiteConfig(
-            suite=args.suite,
-            theta_list=args.theta if args.theta is not None else [1.0],
-            n_max=args.nmax,
-            tol=args.tol,
-            g=args.g,
-            t=args.t,
-            seed=args.seed,
+            suite=args["suite"],
+            theta_list=args["theta"] or [1.0],
+            n_max=args["nmax"],
+            tol=args["tol"],
+            g=args["g"],
+            t=args["t"],
+            seed=args["seed"],
         )
-        if args.command == "verify":
+        if args["command"] == "verify":
             report = run_suite(cfg)
-            emit(render(report, args.format), args.out)
+            emit(render(report, args["format"]), args["out"])
             return 0 if report.passed else 1
-        text, passed = sweep(cfg, args.axis, list(args.values))
-        emit(text, args.out)
+        text, passed = sweep(cfg, args["axis"], args["values"])
+        emit(text, args["out"])
         return 0 if passed else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -92,6 +93,112 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["suite"] == "fock"
+
+
+# What the argparse parser of earlier versions gave for each argv, recorded
+# from it: the values that differ from the command's defaults.  The
+# CLI's own parser must give the same, in both forms of every option.
+DEFAULTS = {"suite": "all", "theta": None, "nmax": 48, "tol": 1e-10, "g": 1.0, "t": 1.0, "seed": 0, "out": None}
+PARSED = [
+    (["verify"], {}),
+    (["sweep", "--axis", "theta", "--values", "1"], {"axis": "theta", "values": [1.0]}),
+    (["verify", "--suite", "fock"], {"suite": "fock"}),
+    (["verify", "--suite=charts"], {"suite": "charts"}),
+    (["verify", "--theta", "0.5"], {"theta": [0.5]}),
+    (["verify", "--theta=0.5"], {"theta": [0.5]}),
+    (["verify", "--theta", "-1"], {"theta": [-1.0]}),
+    (["verify", "--theta=-1"], {"theta": [-1.0]}),
+    (["verify", "--theta", "-1e-13"], {"theta": [-1e-13]}),
+    (["verify", "--theta=-1e-13"], {"theta": [-1e-13]}),
+    (["verify", "--theta", "-inf"], {"theta": [-np.inf]}),
+    (["verify", "--theta=-inf"], {"theta": [-np.inf]}),
+    (["verify", "--theta", "1", "--theta=-1", "--theta", "0"], {"theta": [1.0, -1.0, 0.0]}),
+    (["verify", "--nmax", "6", "--nmax=+24"], {"nmax": 24}),
+    (["verify", "--tol", "1e-8", "--g=2.5", "--t", "-0.5"], {"tol": 1e-08, "g": 2.5, "t": -0.5}),
+    (["verify", "--tol=1e-12", "--g", "-1", "--t=3"], {"tol": 1e-12, "g": -1.0, "t": 3.0}),
+    (["verify", "--seed", "7", "--out", "report.json"], {"seed": 7, "out": "report.json"}),
+    (["verify", "--seed=-1", "--out=r.txt", "--format=text"], {"seed": -1, "out": "r.txt", "format": "text"}),
+    (
+        ["verify", "--format", "csv", "--suite", "spinrep", "--nmax", "8"],
+        {"suite": "spinrep", "nmax": 8, "format": "csv"},
+    ),
+    (
+        ["sweep", "--axis=nmax", "--values", "6", "24", "--suite", "fock"],
+        {"suite": "fock", "axis": "nmax", "values": [6.0, 24.0]},
+    ),
+    (
+        ["sweep", "--values", "-1", "-1e-13", "-inf", "0", "--axis", "theta", "--nmax", "6"],
+        {"nmax": 6, "axis": "theta", "values": [-1.0, -1e-13, -np.inf, 0.0]},
+    ),
+    (
+        ["sweep", "--axis", "t", "--values=-2", "--theta=-1e-13", "--seed", "3"],
+        {"theta": [-1e-13], "seed": 3, "axis": "t", "values": [-2.0]},
+    ),
+    (["sweep", "--values", "1", "--values", "2", "3", "--axis", "theta"], {"axis": "theta", "values": [2.0, 3.0]}),
+    (
+        ["sweep", "--axis", "theta", "--values", "-1", "0", "1", "--out", "sweep.csv", "--tol=1e-9"],
+        {"tol": 1e-09, "out": "sweep.csv", "axis": "theta", "values": [-1.0, 0.0, 1.0]},
+    ),
+    (
+        ["verify", "--theta", "1e155", "--nmax", "100000000000000000000"],
+        {"theta": [1e155], "nmax": 100000000000000000000},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, changed", PARSED)
+def test_the_parser_gives_what_argparse_gave(argv, changed):
+    defaults = {"command": argv[0], **DEFAULTS, **({"format": "json"} if argv[0] == "verify" else {})}
+    assert cli.parse_args(argv) == {**defaults, **changed}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["check"],
+        ["verify", "--bogus", "1"],
+        ["verify", "--nmax", "abc"],
+        ["verify", "--seed", "1.5"],
+        ["verify", "--format", "xml"],
+        ["sweep", "--values", "1"],
+        ["sweep", "--axis", "theta"],
+        ["sweep", "--axis", "theta", "--values"],
+        ["sweep", "--axis", "theta", "--values", "--nmax", "6"],
+        ["verify", "fock"],
+        ["verify", "--theta"],
+        ["verify", "--axis", "theta"],
+        ["sweep", "--axis", "t", "--values", "1", "--format", "csv"],
+        # argparse took a unique prefix for its option: only exact names are options now
+        ["verify", "--nm", "6"],
+    ],
+)
+def test_a_malformed_command_line_exits_two(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["sweep", "--suite", "fock", "-h"], None])
+def test_help_names_both_commands_and_every_option(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fockbundle", "--help"])  # what main(None) reads
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "fockbundle verify" in out and "fockbundle sweep" in out
+    named = set(re.findall(r"--[a-z]+", out))
+    assert set(cli.OPTIONS["verify"]) | set(cli.OPTIONS["sweep"]) <= named
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "fock", "--nmax", "4"], ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "4", "6"]],
+)
+def test_an_out_path_that_cannot_be_written_exits_two(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_main(argv + ["--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_sweep_theta(capsys):
@@ -539,14 +646,15 @@ def test_theta_rows_are_independent(capsys):
 
 def test_no_call_imports_numpy_random():
     # the seeded samples come from the standard library's random; numpy.random
-    # takes 10-15 ms and ~6 MiB to import and is never needed by a run.  Only
-    # modules beyond those of `import numpy` count: numpy 1.x imports
-    # numpy.random with numpy itself, numpy 2.x on first use.
+    # takes 10-15 ms and ~6 MiB to import and is never needed by a run.  Nor is
+    # gettext, which an argparse parser imports with locale to translate its
+    # texts.  Only modules beyond those of `import numpy` count: numpy 1.x
+    # imports numpy.random with numpy itself, numpy 2.x on first use.
     script = (
         "import contextlib, io, sys\n"
         "import numpy\n"
         "def loaded():\n"
-        "    return {m for m in sys.modules if m.startswith('numpy.random')}\n"
+        "    return {m for m in sys.modules if m.startswith('numpy.random') or m in ('gettext', 'locale')}\n"
         "before = loaded()\n"
         "from fockbundle import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -562,13 +670,14 @@ def test_no_call_imports_numpy_random():
 
 def test_importing_the_cli_loads_no_dataclasses():
     # the record classes are written out: generating and compiling the code of
-    # @dataclass took 7-12 ms of every start.  Only modules beyond those of
-    # `import numpy` count, as a numpy release may import dataclasses itself.
+    # @dataclass took 7-12 ms of every start; and the command line is parsed
+    # from the CLI's own table, not by argparse.  Only modules beyond those of
+    # `import numpy` count, as a numpy release may import either itself.
     script = (
         "import sys\n"
         "import numpy\n"
         "def loaded():\n"
-        "    return {m for m in sys.modules if m == 'dataclasses' or m.startswith('dataclasses.')}\n"
+        "    return {m for m in sys.modules if m.split('.')[0] in ('dataclasses', 'argparse')}\n"
         "before = loaded()\n"
         "import fockbundle.cli\n"
         "print(sorted(loaded() - before))\n"
@@ -581,12 +690,13 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 def test_no_module_imports_dataclasses():
     package = Path(cli.__file__).resolve().parent
+    banned = ("dataclasses", "argparse")
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                assert all(alias.name.split(".")[0] != "dataclasses" for alias in node.names), path.name
+                assert all(alias.name.split(".")[0] not in banned for alias in node.names), path.name
             if isinstance(node, ast.ImportFrom):
-                assert (node.module or "").split(".")[0] != "dataclasses", path.name
+                assert (node.module or "").split(".")[0] not in banned, path.name
 
 
 def test_the_report_config_is_a_copy_of_the_configuration():
@@ -608,8 +718,8 @@ def test_the_report_config_is_a_copy_of_the_configuration():
     assert cfg.n_max == 8
 
 
-def test_calls_in_one_process_print_what_fresh_runs_print(capsys, monkeypatch):
-    # the parser is built once per process; an argv that exits 2 must leave it usable
+def test_calls_in_one_process_print_what_fresh_runs_print(capsys):
+    # an argv that exits 2 leaves nothing behind that changes a later call
     argvs = [
         ["verify", "--suite", "fock", "--nmax", "8"],
         ["verify", "--suite", "fock", "--nmax", "abc"],
@@ -617,16 +727,11 @@ def test_calls_in_one_process_print_what_fresh_runs_print(capsys, monkeypatch):
         ["verify", "--suite", "nonsense"],
         ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "6", "8", "--nmax", "6"],
     ]
-    monkeypatch.setenv("COLUMNS", "80")  # the usage line of an error is wrapped to the terminal width
     in_process = []
     for argv in argvs:
-        try:
-            code = cli.main(argv)
-        except SystemExit as stop:
-            code = stop.code
+        code = cli.main(argv)
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
-    assert cli.build_parser() is cli.build_parser()
     assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0]
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -108,7 +108,7 @@ def _fock_deviations(n_max: int) -> Tuple[Tuple[str, float, tuple, str], ...]:
     }
     out = []
     for name, (lhs, rhs) in sides.items():
-        dev, excluded, detail = op_deviation(lhs, rhs, n_max)
+        ((dev, excluded, detail),) = op_deviation(lhs, rhs, n_max)
         out.append((name, dev, tuple((slot, frozenset(states)) for slot, states in excluded.items()), detail))
     return tuple(out)
 
@@ -252,10 +252,11 @@ def render(report: VerificationReport, fmt: str) -> str:
     return buf.getvalue()
 
 
-def emit(text: str, out: str | None) -> None:
+def emit(text: str, out: str | None, mode: str) -> None:
+    """Write ``text`` to stdout, or to the file ``out`` opened with ``mode``."""
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as err:
             raise ConfigError(f"cannot write {out}: {err.strerror or err}") from None
@@ -263,14 +264,8 @@ def emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
-    """One CSV row of maximum deviations per axis value, and whether every row passed.
-
-    The header holds every check name met along the sweep, in first-seen
-    order; a row leaves the cell empty for a check it did not run.  A theta
-    sweep runs every value in one batch and takes each row's report from it;
-    the t and nmax sweeps run row by row.
-    """
+def sweep_configs(cfg: SuiteConfig, axis: str, values: List[float]) -> List[SuiteConfig]:
+    """The configuration of each row of a sweep, every one checked before the first row runs."""
     if axis not in ("theta", "t", "nmax"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
@@ -279,8 +274,7 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         raise ConfigError("sweep values must be finite")
     if axis == "nmax" and not all(v == int(v) for v in values):
         raise ConfigError("nmax sweep values must be integers")
-    # every row's configuration is checked before the first row runs
-    subs = [
+    return [
         cfg.replace(
             theta_list=[v] if axis == "theta" else cfg.theta_list,
             n_max=int(v) if axis == "nmax" else cfg.n_max,
@@ -288,9 +282,19 @@ def sweep(cfg: SuiteConfig, axis: str, values: List[float]) -> Tuple[str, bool]:
         )
         for v in values
     ]
+
+
+def sweep(axis: str, values: List[float], subs: List[SuiteConfig]) -> Tuple[str, bool]:
+    """One CSV row of maximum deviations per axis value, run on its row of ``subs``, and whether every row passed.
+
+    The header holds every check name met along the sweep, in first-seen
+    order; a row leaves the cell empty for a check it did not run.  A theta
+    sweep runs every value in one batch and takes each row's report from it;
+    the t and nmax sweeps run row by row.
+    """
     rows: List[Tuple[float, Dict[str, str], bool]] = []
     columns: Dict[str, None] = {}
-    parts = run_parts(cfg.replace(theta_list=values)) if axis == "theta" else None
+    parts = run_parts(subs[0].replace(theta_list=values)) if axis == "theta" else None
     for i, (v, sub) in enumerate(zip(values, subs)):
         report = run_suite(sub) if parts is None else assemble(sub, parts, [i])
         devs = {_axis_free_name(c.name, axis): repr(c.max_deviation) for c in report.checks}
@@ -388,12 +392,14 @@ def main(argv: List[str] | None = None) -> int:
             t=args["t"],
             seed=args["seed"],
         )
-        if args["command"] == "verify":
+        subs = sweep_configs(cfg, args["axis"], args["values"]) if args["command"] == "sweep" else None
+        emit("", args["out"], "a")  # an --out that cannot be written fails here, before any check runs
+        if subs is None:
             report = run_suite(cfg)
-            emit(render(report, args["format"]), args["out"])
-            return 0 if report.passed else 1
-        text, passed = sweep(cfg, args["axis"], args["values"])
-        emit(text, args["out"])
+            text, passed = render(report, args["format"]), report.passed
+        else:
+            text, passed = sweep(args["axis"], args["values"], subs)
+        emit(text, args["out"], "w")
         return 0 if passed else 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

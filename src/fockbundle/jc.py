@@ -248,7 +248,7 @@ def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
 @functools.lru_cache(maxsize=None)
 def _transition_strings(n_max: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     # no theta enters them, so a sweep scans once per grid; frozen, as every caller gets them
-    return tuple((slot, tuple(states)) for slot, states in strings(n_max, transition_operator()).items())
+    return tuple((slot, tuple(states)) for slot, states in strings(n_max, transition_operator())[0].items())
 
 
 def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:

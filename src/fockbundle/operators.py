@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .report import Exclusions, Frozen, upper_bound_check
+from .report import CheckResult, Exclusions, Frozen, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
@@ -137,11 +137,11 @@ class FockOperator(Frozen):
 
     # -- evaluation -------------------------------------------------------
 
-    def singular_support(self, n_max: int, thetas: Optional[Sequence[float]] = None):
+    # no caller in the package: it stays only because perfbench/tracer.py times it (layer operators.support)
+    def singular_support(self, n_max: int, thetas: Optional[Sequence[float]] = None) -> List[Set[int]]:
         """Basis indices n <= n_max at which any coefficient evaluation is
-        singular; with ``thetas``, one set per theta row."""
-        rows = [excluded.get(1, set()) for _, _, excluded in scan_rows([[self]], n_max, thetas)]
-        return one_or_rows(rows, thetas)
+        singular, one set per theta row (one row without ``thetas``)."""
+        return [excluded.get(1, set()) for _, _, excluded in scan_rows([[self]], n_max, thetas)]
 
 
 # the ladder operators, built once: every builder composes these nodes
@@ -178,30 +178,24 @@ def per_row(value: Any, thetas: Optional[Sequence[float]]) -> list:
     return [value] * rows
 
 
-def one_or_rows(rows: list, thetas: Optional[Sequence[float]]):
-    """The scan convention: with ``thetas`` the list of one result per
-    theta row, without them the one result of the scan."""
-    return rows if thetas is not None else rows[0]
-
-
-def as_rows(result, thetas: Optional[Sequence[float]]) -> list:
-    """The inverse of ``one_or_rows``: a list of one result per row."""
-    return result if thetas is not None else [result]
-
-
-def grid_deviation(
+def scan_rows(
     columns: Sequence[Sequence[FockOperator]],
     n_max: int,
-    skip: Exclusions | Sequence[Exclusions] | None = None,
     thetas: Optional[Sequence[float]] = None,
-):
-    """Max |coefficient| over the grid states (slot j, n) with n <= n_max.
+    skip: Exclusions | Sequence[Exclusions] | None = None,
+    right: Optional[Sequence[Sequence[FockOperator]]] = None,
+) -> List[ScanRow]:
+    """Max |coefficient| over the grid states (slot j, n) with n <= n_max,
+    one result per theta row, one row without ``thetas``.
 
     This is the one grid scan.  ``columns[j]`` holds the operators (one
     per row of the matrix) acting on slot j + 1.  Each coefficient is
     evaluated once on the grid every scan at this n_max and ``thetas``
     shares, for all theta rows at once, so a subexpression is computed
-    once per node, index offset and grid.
+    once per node, index offset and grid.  Given ``right``, columns of the
+    same shape, each shift degree of either side is read on both and
+    subtracted on the grid (``symbols.difference``): no operator is built
+    for the difference.
 
     It is also the one rule for singular states, the Dirac strings: a
     state is excluded when ``skip`` lists it or when a coefficient
@@ -210,26 +204,12 @@ def grid_deviation(
     states add nothing, and a NaN or infinite coefficient counts as an
     infinite deviation.
 
-    Returns the maximum, the location of its first occurrence in slot,
-    n, row, term order (None when the maximum is 0), and the exclusions
-    per 1-based slot, ``skip`` included.  With ``thetas`` every theta row
-    is reduced by that rule on its own and the result is one such triple
-    per row (see ``one_or_rows``); ``skip`` is then one map for every row
-    or a sequence of one per row.
+    Each row is reduced by that rule on its own to the maximum, the
+    location of its first occurrence in slot, n, row, term order (None
+    when the maximum is 0), and the exclusions per 1-based slot, ``skip``
+    included.  ``skip`` is one map for every row or a sequence of one per
+    row.
     """
-    return one_or_rows(scan_rows(columns, n_max, thetas, skip), thetas)
-
-
-def scan_rows(
-    columns: Sequence[Sequence[FockOperator]],
-    n_max: int,
-    thetas: Optional[Sequence[float]] = None,
-    skip: Exclusions | Sequence[Exclusions] | None = None,
-    right: Optional[Sequence[Sequence[FockOperator]]] = None,
-) -> List[ScanRow]:
-    """``grid_deviation`` as a list of one result per row, one row without ``thetas``.  Given
-    ``right``, columns of the same shape, each shift degree of either side is read on both and
-    subtracted on the grid (``symbols.difference``): no operator is built for the difference."""
     grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
     skips = [s or {} for s in per_row(skip, thetas)]
     rows, size, slots = len(skips), n_max + 1, len(columns)
@@ -279,15 +259,11 @@ def scan_rows(
     return [(top[r], where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
 
 
-def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None):
+def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None) -> list:
     """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max, the
     singular points of either side (slot 1 by convention for scalar
-    operators) and the location of the maximum as a detail; with
-    ``thetas``, one such triple per theta row."""
-    return one_or_rows(_op_rows(a, b, n_max, thetas), thetas)
-
-
-def _op_rows(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]]) -> list:
+    operators) and the location of the maximum as a detail: one such
+    triple per theta row, one row without ``thetas``."""
     return [
         (dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})")
         for dev, where, excluded in scan_rows([[a]], n_max, thetas, right=[[b]])
@@ -301,12 +277,11 @@ def op_equal(
     tol: float,
     name: str = "op_equal",
     thetas: Optional[Sequence[float]] = None,
-):
+) -> List[CheckResult]:
     """The check of ``op_deviation``: singular points are excluded from the
     scan and listed in the result, and it fails when every grid state is
-    excluded.  With ``thetas``, one record per theta row (``row_names``)."""
-    records = [
+    excluded.  One record per theta row (``row_names``)."""
+    return [
         upper_bound_check(row, dev, tol, excluded, n_max + 1, detail)
-        for row, (dev, excluded, detail) in zip(row_names(name, thetas), _op_rows(a, b, n_max, thetas))
+        for row, (dev, excluded, detail) in zip(row_names(name, thetas), op_deviation(a, b, n_max, thetas))
     ]
-    return one_or_rows(records, thetas)

@@ -4,10 +4,10 @@ Multiplication uses ordered entry products (left factor composed on the
 left), so operator ordering inside every product is observable.  Grid
 checks run over all basis states (slot, |n>) with n <= n_max; states on
 which some coefficient is singular are excluded from the scan and
-reported per slot -- the exclusion sets are the Dirac strings.  Given
-``thetas``, a scan or check runs on every theta row at once and returns one
-result per row, in order, as ``operators.grid_deviation`` does; a ``skip``
-or ``detail`` is then one value for every row or a list of one per row.
+reported per slot -- the exclusion sets are the Dirac strings.  A scan or
+check runs on every theta row at once and returns a list of one result per
+row, in order, one row without ``thetas``, as ``operators.scan_rows`` does;
+a ``skip`` or ``detail`` is one value for every row or a list of one per row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import FockOperator, as_rows, one_or_rows, per_row, row_names, scan_rows
+from .operators import FockOperator, per_row, row_names, scan_rows
 from .report import CheckResult, Exclusions, Frozen, merge_excluded, upper_bound_check
 
 Thetas = Optional[Sequence[float]]
@@ -115,34 +115,33 @@ class OpMatrix(Frozen):
 
     # -- evaluation -------------------------------------------------------
 
-    def column_singular_map(self, n_max: int, thetas: Thetas = None):
-        """Per input slot, the basis states on which some column entry is singular."""
-        return one_or_rows([excluded for _, _, excluded in scan_rows(self.columns(), n_max, thetas)], thetas)
+    def column_singular_map(self, n_max: int, thetas: Thetas = None) -> List[Exclusions]:
+        """Per input slot, the basis states on which some column entry is singular, per theta row."""
+        return [excluded for _, _, excluded in scan_rows(self.columns(), n_max, thetas)]
 
 
-def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None):
+def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> List[Exclusions]:
     """The Dirac strings of an object displayed in several forms: the
-    union of the forms' column singular maps."""
-    maps = [as_rows(form.column_singular_map(n_max, thetas), thetas) for form in forms]
-    return one_or_rows([merge_excluded(*row) for row in zip(*maps)], thetas)
+    union of the forms' column singular maps, per theta row."""
+    maps = [form.column_singular_map(n_max, thetas) for form in forms]
+    return [merge_excluded(*row) for row in zip(*maps)]
 
 
 def matrix_grid_deviation(
     left: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None, right: OpMatrix | None = None
-):
+) -> list:
     """Max |coefficient| of ``left``, or of ``left`` - ``right`` subtracted
     on the grid, over non-excluded grid states.
 
-    Returns (max deviation, location string, exclusion map); states in
-    ``skip`` and states found singular during the scan are excluded (see
-    ``operators.grid_deviation`` for the rules).
+    Returns (max deviation, location string, exclusion map) per theta
+    row; states in ``skip`` and states found singular during the scan are
+    excluded (see ``operators.scan_rows`` for the rules).
     """
     scanned = scan_rows(left.columns(), n_max, thetas, skip, None if right is None else right.columns())
-    rows = [
+    return [
         (dev, "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})", excluded)
         for dev, at, excluded in scanned
     ]
-    return one_or_rows(rows, thetas)
 
 
 def matrix_equal(
@@ -154,17 +153,16 @@ def matrix_equal(
     skip: Skip = None,
     detail: str | Sequence[str] = "",
     thetas: Thetas = None,
-):
+) -> List[CheckResult]:
     """Max deviation of A - B on the grid; fails when every state is excluded.
     A ``detail`` replaces the default one, the location of the maximum."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    found = as_rows(matrix_grid_deviation(a, n_max, skip, thetas, right=b), thetas)
-    records = [
+    found = matrix_grid_deviation(a, n_max, skip, thetas, right=b)
+    return [
         upper_bound_check(row, dev, tol, excl, a.cols * (n_max + 1), text or (f"max at {where}" if where else ""))
         for row, text, (dev, where, excl) in zip(row_names(name, thetas), per_row(detail, thetas), found)
     ]
-    return one_or_rows(records, thetas)
 
 
 def pair_check(
@@ -176,15 +174,15 @@ def pair_check(
     skip: Skip,
     detail: str | Sequence[str] = "",
     thetas: Thetas = None,
-):
+) -> List[CheckResult]:
     """The larger of two grid deviations, each of a (left, right) pair of
     sides, with the union of their exclusions; the default detail is the
     location, the first one's on a tie, and empty when both are 0."""
     rows = zip(
         row_names(name, thetas),
         per_row(detail, thetas),
-        as_rows(matrix_grid_deviation(first[0], n_max, skip, thetas, right=first[1]), thetas),
-        as_rows(matrix_grid_deviation(second[0], n_max, skip, thetas, right=second[1]), thetas),
+        matrix_grid_deviation(first[0], n_max, skip, thetas, right=first[1]),
+        matrix_grid_deviation(second[0], n_max, skip, thetas, right=second[1]),
     )
     records: List[CheckResult] = []
     for row, text, (dev1, w1, e1), (dev2, w2, e2) in rows:
@@ -192,7 +190,7 @@ def pair_check(
         text = text or (f"max at {where}" if where else "")
         excluded, grid_states = merge_excluded(e1, e2), first[0].cols * (n_max + 1)
         records.append(upper_bound_check(row, max(dev1, dev2), tol, excluded, grid_states, text))
-    return one_or_rows(records, thetas)
+    return records
 
 
 def check_unitary(
@@ -203,7 +201,7 @@ def check_unitary(
     detail: str | Sequence[str] = "",
     skip: Skip = None,
     thetas: Thetas = None,
-):
+) -> List[CheckResult]:
     """Deviation of M†M and MM† from the identity on the grid off ``skip``.
 
     By default ``skip`` is the strings of M and M†, even where the
@@ -225,7 +223,7 @@ def check_idempotent_hermitian(
     skip: Skip = None,
     adjoint: OpMatrix | None = None,
     thetas: Thetas = None,
-):
+) -> List[CheckResult]:
     """Deviations of M@M from M and of M† from M on the grid off ``skip``, by
     default the strings of M and M†.  ``adjoint`` is M† when the caller
     has built it already."""

@@ -210,6 +210,7 @@ def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
 # -- operator-valued analogues ---------------------------------------------
 
 
+# no caller in the package: it stays only because perfbench/tracer.py times it (layer spinrep.build)
 def chart_matrix(family: VeroneseFamily) -> OpMatrix:
     """[[X_0, -Y_0†], [Y_0, X_{-1}]] -- the base unitary the higher maps lift."""
     return nc_spin_rep(family, 0.5)

@@ -201,6 +201,37 @@ def test_an_out_path_that_cannot_be_written_exits_two(argv, tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "all", "--nmax", "768"], ["sweep", "--suite", "all", "--axis", "nmax", "--values", "768", "1536"]],
+)
+def test_an_out_path_that_cannot_be_written_fails_before_any_check_runs(argv, monkeypatch, tmp_path, capsys):
+    ran = []
+
+    def refuse(cfg):
+        ran.append(cfg)
+        raise AssertionError("a runner was called")
+
+    monkeypatch.setattr(cli, "run_parts", refuse)
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_main(argv + ["--out", str(target)], capsys)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith(f"config error: cannot write {target}: ")
+
+
+def test_a_configuration_error_leaves_an_existing_out_file_untouched(tmp_path, capsys):
+    target = tmp_path / "report.csv"
+    target.write_text("an earlier report\n")
+    for argv in (
+        ["verify", "--suite", "fock", "--nmax", "2"],
+        ["sweep", "--suite", "fock", "--axis", "x", "--values", "6"],
+        ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "6", "2"],
+    ):
+        code, out, err = run_main(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (2, "") and "cannot write" not in err
+    assert target.read_text() == "an earlier report\n"
+
+
 def test_sweep_theta(capsys):
     code, out, _ = run_main(
         ["sweep", "--suite", "charts", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "16"],

@@ -17,8 +17,16 @@ import numpy as np
 import pytest
 
 from fockbundle import cli, jc, operators, symbols, veronese
-from fockbundle.operators import FockOperator, grid_deviation, op_equal, per_row, scan_rows
-from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
+from fockbundle.operators import FockOperator, op_deviation, op_equal, per_row, scan_rows
+from fockbundle.opmatrix import (
+    OpMatrix,
+    check_idempotent_hermitian,
+    check_unitary,
+    matrix_equal,
+    matrix_grid_deviation,
+    pair_check,
+    strings,
+)
 from fockbundle.symbols import (
     ROW_TOL,
     THETA,
@@ -203,11 +211,11 @@ def test_a_symbol_is_read_only_on_the_grid():
 
 def test_nan_coefficient_counts_as_infinite_deviation():
     nan_op = FockOperator.scalar(float("nan"))
-    res = op_equal(nan_op, FockOperator.identity(), 8, 1e-10)
+    (res,) = op_equal(nan_op, FockOperator.identity(), 8, 1e-10)
     assert res.max_deviation == math.inf
     assert not res.passed
     assert res.detail == "max at (m=0, n=0)"
-    res = matrix_equal(OpMatrix.diag(FockOperator.identity(), nan_op), OpMatrix.identity(2), 8, 1e-10)
+    (res,) = matrix_equal(OpMatrix.diag(FockOperator.identity(), nan_op), OpMatrix.identity(2), 8, 1e-10)
     assert res.max_deviation == math.inf and not res.passed
     assert "slot2,0 | slot2,0" in res.detail
 
@@ -220,11 +228,11 @@ def test_propagator_with_nan_time_fails():
 def test_check_that_scans_no_state_fails():
     # singular at every grid state: nothing is compared, so nothing is verified
     everywhere = FockOperator.diagonal(guarded_div(1.0, const(0.0)))
-    res = op_equal(everywhere, everywhere, 6, 1e-10)
+    (res,) = op_equal(everywhere, everywhere, 6, 1e-10)
     assert res.excluded == {1: list(range(7))}
     assert res.max_deviation == 0.0
     assert not res.passed
-    res = matrix_equal(OpMatrix.diag(everywhere), OpMatrix.diag(everywhere), 6, 1e-10)
+    (res,) = matrix_equal(OpMatrix.diag(everywhere), OpMatrix.diag(everywhere), 6, 1e-10)
     assert not res.passed
 
 
@@ -233,7 +241,7 @@ def test_excluded_state_adds_no_deviation():
     # state (slot 1, 0) is excluded and the maximum is found at n = 1
     bump = FockOperator.diagonal(guarded_div(5.0, number()))
     col = [FockOperator.scalar(5.0), bump - bump]
-    dev, where, excluded = grid_deviation([col], 4)
+    ((dev, where, excluded),) = scan_rows([col], 4)
     assert dev == 5.0
     assert where == (0, 0, 1, 0)
     assert excluded == {1: {0}}
@@ -242,9 +250,9 @@ def test_excluded_state_adds_no_deviation():
 def test_location_is_the_first_maximum_in_scan_order():
     # equal deviations everywhere: slot 1 before slot 2, lower n first
     two = FockOperator.scalar(2.0)
-    dev, where, _ = matrix_grid_deviation(OpMatrix.diag(two, two), 5)
+    ((dev, where, _),) = matrix_grid_deviation(OpMatrix.diag(two, two), 5)
     assert (dev, where) == (2.0, "(slot1,0 | slot1,0)")
-    res = op_equal(FockOperator.creation(), FockOperator.zero(), 5, 1e-10)
+    (res,) = op_equal(FockOperator.creation(), FockOperator.zero(), 5, 1e-10)
     # sqrt(n + 1) grows, but the largest one maps n = 5 above the grid
     assert res.detail == "max at (m=5, n=4)"
 
@@ -261,7 +269,7 @@ def test_propagator_is_checked_on_the_full_grid():
 
 def test_pow_overflow_is_the_signed_infinity():
     big = FockOperator.diagonal(guarded_pow(number(add=1e200), 3.0))
-    res = op_equal(big, FockOperator.identity(), 6, 1e-10)
+    (res,) = op_equal(big, FockOperator.identity(), 6, 1e-10)
     assert res.max_deviation == math.inf
     assert not res.passed
     grid = np.arange(7, dtype=np.int64)
@@ -276,8 +284,8 @@ def test_singular_state_counts_wherever_its_term_maps_it():
     # the term maps n = 6 to 8, above the grid, but its coefficient is
     # evaluated there and is singular: one rule for the check and the support
     op = FockOperator.from_terms({2: guarded_div(1.0, number(add=-6.0))})
-    res = op_equal(op, op, 6, 1e-10)
-    assert res.excluded == {1: [6]} == {1: sorted(op.singular_support(6))}
+    (res,) = op_equal(op, op, 6, 1e-10)
+    assert res.excluded == {1: [6]} == {1: sorted(op.singular_support(6)[0])}
     assert res.passed and res.max_deviation == 0.0
 
 
@@ -291,6 +299,55 @@ def test_only_the_grid_scan_decides_singular_states():
                 definitions.add(path.name)
     assert callers == {"opmatrix.py"}
     assert not definitions
+
+
+# -- one result shape: a list of one result per theta row ---------------------------
+
+# every scan and check, called on an operator and a matrix that read theta (or not) and on theta rows
+SHAPES = {
+    "scan_rows": lambda op, m, thetas: scan_rows(m.columns(), 6, thetas),
+    "op_deviation": lambda op, m, thetas: op_deviation(op, op.dagger(), 6, thetas),
+    "op_equal": lambda op, m, thetas: op_equal(op, op.dagger(), 6, 1e-10, thetas=thetas),
+    "singular_support": lambda op, m, thetas: op.singular_support(6, thetas),
+    "column_singular_map": lambda op, m, thetas: m.column_singular_map(6, thetas),
+    "strings": lambda op, m, thetas: strings(6, m, m.dagger(), thetas=thetas),
+    "matrix_grid_deviation": lambda op, m, thetas: matrix_grid_deviation(m, 6, thetas=thetas, right=m.dagger()),
+    "matrix_equal": lambda op, m, thetas: matrix_equal(m, OpMatrix.identity(2), 6, 1e-10, thetas=thetas),
+    "pair_check": lambda op, m, thetas: pair_check("pair", (m, m.dagger()), (m @ m, m), 6, 1e-10, None, thetas=thetas),
+    "check_unitary": lambda op, m, thetas: check_unitary(m, 6, 1e-10, thetas=thetas),
+    "check_idempotent_hermitian": lambda op, m, thetas: check_idempotent_hermitian(m, 6, 1e-10, thetas=thetas),
+}
+
+
+def shape_objects(shift):
+    """An operator whose diagonal reads ``shift`` and is singular where n = -shift, and a matrix of it."""
+    op = FockOperator.diagonal(guarded_div(1.0, number() + shift) + shift) + FockOperator.creation()
+    return op, OpMatrix.build([[op, FockOperator.annihilation()], [FockOperator.creation(), op.dagger()]])
+
+
+@pytest.mark.parametrize("scan", sorted(SHAPES))
+def test_every_scan_and_check_returns_one_result_per_theta_row(scan):
+    without = SHAPES[scan](*shape_objects(const(-2.0)), None)
+    assert type(without) is list and len(without) == 1
+    thetas = [1.0, -2.0, 0.0, -3.5]
+    op, m = shape_objects(THETA)
+    rows = SHAPES[scan](op, m, thetas)
+    assert type(rows) is list and len(rows) == len(thetas)
+    alone = [SHAPES[scan](op, m, [theta]) for theta in thetas]
+    assert all(type(row) is list and len(row) == 1 for row in alone)
+    assert rows == [row for (row,) in alone]
+    assert rows[1] != rows[2]  # the rows differ, so row order is checked too
+
+
+def test_no_module_converts_between_result_shapes():
+    gone = {"one_or_rows", "as_rows", "grid_deviation", "_op_rows"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in gone:
+                found.add(f"{path.name}: {name}")
+    assert not found
 
 
 # the position of each guard's threshold among its positional arguments
@@ -383,9 +440,9 @@ def test_a_node_shared_by_two_scans_is_evaluated_once_per_offset(monkeypatch):
     shared = guarded_div(1.0, number(-2))
     first = FockOperator.from_terms({0: shared * 2.0, 1: composed(shared, 1, shared)})
     second = FockOperator.from_terms({-1: adjoint(shared, 1)}) * FockOperator.creation()
-    grid_deviation([[first]], 10)
+    scan_rows([[first]], 10)
     assert sorted(k for node, k in calls if node is shared) == [0, 1]
-    grid_deviation([[second]], 10)  # reads shared at offset 0 again, through the adjoint
+    scan_rows([[second]], 10)  # reads shared at offset 0 again, through the adjoint
     assert sorted(k for node, k in calls if node is shared) == [0, 1]
     assert max(calls.values()) == 1
 
@@ -397,14 +454,14 @@ def uncached_deviation(columns, n_max):
         node = ref()
         if node is not None:
             node.cache = None
-    return grid_deviation(columns, n_max)
+    return scan_rows(columns, n_max)
 
 
 def test_scans_across_grids_read_no_stale_values():
     op = singular_mix()
     expected = {n_max: uncached_deviation([[op]], n_max) for n_max in (6, 24)}
     for n_max in (6, 24, 6):
-        assert grid_deviation([[op]], n_max) == expected[n_max]
+        assert scan_rows([[op]], n_max) == expected[n_max]
     # two arrays of one size: the cache follows the array object, not its size
     sym = guarded_div(1.0, number(-3))
     low, high = np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 4
@@ -420,7 +477,7 @@ def test_the_index_array_handed_to_a_leaf_is_read_only():
         seen.append(n.flags.writeable)
         return n.astype(float), np.zeros(n.shape)
 
-    grid_deviation([[FockOperator.diagonal(grid_leaf(record))]], 6)
+    scan_rows([[FockOperator.diagonal(grid_leaf(record))]], 6)
     assert seen == [False]
 
 
@@ -430,10 +487,10 @@ def test_a_repeated_scan_returns_the_same_result():
     x, y = guarded_div(1.0, number(-9)), guarded_div(1.0, number(-7))
     op = singular_mix()
     columns = [[op, op.dagger(), FockOperator.diagonal(x)], [op * op, FockOperator.diagonal(x + y)]]
-    first = grid_deviation(columns, 12)
+    (first,) = scan_rows(columns, 12)
     assert first[0] > 0 and first[2] == {1: {2, 3, 9}, 2: {0, 1, 2, 3, 7, 9}}
-    assert grid_deviation(columns, 12) == first
-    assert uncached_deviation(columns, 12) == first
+    assert scan_rows(columns, 12) == [first]
+    assert uncached_deviation(columns, 12) == [first]
 
 
 # -- interning ------------------------------------------------------------------
@@ -509,8 +566,8 @@ def test_a_zero_of_either_sign_is_its_own_constant():
 def test_a_nan_constant_is_an_infinite_deviation_however_often_built():
     nan = float("nan")
     for _ in range(2):
-        assert grid_deviation([[FockOperator.scalar(nan)]], 4)[0] == math.inf
-        res = op_equal(FockOperator.scalar(nan), FockOperator.scalar(nan), 4, 1e-10)
+        assert scan_rows([[FockOperator.scalar(nan)]], 4)[0][0] == math.inf
+        (res,) = op_equal(FockOperator.scalar(nan), FockOperator.scalar(nan), 4, 1e-10)
         assert res.max_deviation == math.inf and not res.passed
 
 

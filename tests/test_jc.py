@@ -109,14 +109,14 @@ def test_transition_forms_and_strings():
     # the equivalent 1/sqrt(N+1) writing, regular everywhere
     inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number(1))))
     shifted = OpMatrix.diag(inv_sqrt_np1 * FockOperator.annihilation(), FockOperator.creation() * inv_sqrt_np1)
-    assert shifted.column_singular_map(N_MAX) == {}
-    res = matrix_equal(ground, shifted, N_MAX, TOL)
+    assert shifted.column_singular_map(N_MAX) == [{}]
+    (res,) = matrix_equal(ground, shifted, N_MAX, TOL)
     assert res.passed
     assert jc.transition_singular_map(N_MAX) == {1: [0]}
     # the gluing operator is a shift: an isometry whose range misses
     # slot2 |0>, so only the one-sided product is the identity
     ident = jc.OpMatrix.identity(2)
-    assert matrix_equal(ground.dagger() @ ground, ident, N_MAX, TOL).passed
+    assert matrix_equal(ground.dagger() @ ground, ident, N_MAX, TOL)[0].passed
 
 
 def coefficient_nodes(*objects):

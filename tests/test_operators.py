@@ -106,22 +106,22 @@ def test_ladder_action_on_basis():
 def test_commutator_is_identity():
     a = FockOperator.annihilation()
     adag = FockOperator.creation()
-    res = op_equal(a * adag - adag * a, FockOperator.identity(), N_MAX, TOL)
+    (res,) = op_equal(a * adag - adag * a, FockOperator.identity(), N_MAX, TOL)
     assert res.passed
 
 
 def test_number_operator_from_ladders():
     a = FockOperator.annihilation()
     adag = FockOperator.creation()
-    res = op_equal(adag * a, FockOperator.number_op(), N_MAX, TOL)
+    (res,) = op_equal(adag * a, FockOperator.number_op(), N_MAX, TOL)
     assert res.passed
 
 
 def test_adjoint_is_involutive_and_antihomomorphic():
     a = FockOperator.annihilation()
     adag = FockOperator.creation()
-    assert op_equal(a.dagger().dagger(), a, N_MAX, TOL).passed
-    assert op_equal((a * adag).dagger(), adag.dagger() * a.dagger(), N_MAX, TOL).passed
+    assert op_equal(a.dagger().dagger(), a, N_MAX, TOL)[0].passed
+    assert op_equal((a * adag).dagger(), adag.dagger() * a.dagger(), N_MAX, TOL)[0].passed
 
 
 def test_composition_is_associative_including_guards():
@@ -129,14 +129,14 @@ def test_composition_is_associative_including_guards():
     d = FockOperator.diagonal(guarded_div(1.0, number()))
     left = (d * a) * a
     right = d * (a * a)
-    assert op_equal(left, right, N_MAX, TOL).passed
+    assert op_equal(left, right, N_MAX, TOL)[0].passed
 
 
 def test_singular_support_of_composed_operator():
     # a (1/sqrt(N)) annihilates nothing gracefully: the divisor blows up at |0>
     inv_sqrt_n = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number())))
     op = FockOperator.annihilation() * inv_sqrt_n
-    assert op.singular_support(N_MAX) == {0}
+    assert op.singular_support(N_MAX) == [{0}]
     assert singular(coefficient(op, -1)) == [0]
     assert singular(coefficient(inv_sqrt_n, 0)) == [0]
 
@@ -146,7 +146,7 @@ def test_term_below_the_vacuum_still_evaluates_its_coefficient():
     # evaluated there and is singular, so the scan flags |0>
     inv_sqrt_n = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number())))
     op = FockOperator.annihilation() * inv_sqrt_n
-    assert op.singular_support(4) == {0}
+    assert op.singular_support(4) == [{0}]
     assert singular(coefficient(op, -1), 4) == [0]
     assert on_grid(coefficient(op, -1), 4).re[1] == 1.0
     assert singular(coefficient(FockOperator.annihilation(), -1), 4) == []
@@ -156,7 +156,7 @@ def test_zero_times_singular_is_still_singular():
     # a vanishing left factor does not repair a singular right factor
     zero_at_0 = FockOperator.diagonal(number())
     singular_at_0 = FockOperator.diagonal(guarded_div(1.0, number()))
-    assert (zero_at_0 * singular_at_0).singular_support(4) == {0}
+    assert (zero_at_0 * singular_at_0).singular_support(4) == [{0}]
 
 
 def test_a_unit_scale_is_the_operator_itself():
@@ -169,14 +169,14 @@ def test_a_unit_scale_is_the_operator_itself():
 
 def test_diagonal_inverse_and_power():
     op = FockOperator.diagonal(number() + 1.0)
-    res = op_equal(op * op.inverse(), FockOperator.identity(), N_MAX, TOL)
+    (res,) = op_equal(op * op.inverse(), FockOperator.identity(), N_MAX, TOL)
     assert res.passed
-    assert op_equal(op.power(0.5) * op.power(0.5), op, N_MAX, 1e-13).passed
+    assert op_equal(op.power(0.5) * op.power(0.5), op, N_MAX, 1e-13)[0].passed
 
 
 def test_op_equal_reports_exclusions():
     inv = FockOperator.diagonal(guarded_div(1.0, number()))
-    res = op_equal(inv, inv, 8, TOL)
+    (res,) = op_equal(inv, inv, 8, TOL)
     assert res.passed
     assert res.excluded == {1: [0]}
 

@@ -35,7 +35,7 @@ def _pauli_x():
 def test_shapes_and_identity():
     m = OpMatrix.identity(3)
     assert m.rows == m.cols == 3
-    assert matrix_equal(m @ m, m, N_MAX, TOL).passed
+    assert matrix_equal(m @ m, m, N_MAX, TOL)[0].passed
     with pytest.raises(ValueError):
         OpMatrix.build([[FockOperator.identity()], []])
 
@@ -50,33 +50,33 @@ def test_matmul_keeps_operator_ordering():
     expected = FockOperator.number_op() + FockOperator.identity()
     assert matrix_equal(
         OpMatrix.diag(expected, FockOperator.number_op()), prod, N_MAX, TOL
-    ).passed
+    )[0].passed
 
 
 def test_dagger_reverses_and_conjugates():
     a = FockOperator.annihilation()
     m = OpMatrix.build([[a.scale(1j), FockOperator.zero()], [FockOperator.identity(), a.dagger()]])
     md = m.dagger()
-    assert matrix_equal(md.dagger(), m, N_MAX, TOL).passed
-    assert matrix_equal((m @ m).dagger(), md @ md, N_MAX, TOL).passed
+    assert matrix_equal(md.dagger(), m, N_MAX, TOL)[0].passed
+    assert matrix_equal((m @ m).dagger(), md @ md, N_MAX, TOL)[0].passed
 
 
 def test_kron_block_structure():
     x = _pauli_x()
     k = x.kron(OpMatrix.identity(2))
     assert k.rows == 4
-    assert matrix_equal(k @ k, OpMatrix.identity(4), N_MAX, TOL).passed
+    assert matrix_equal(k @ k, OpMatrix.identity(4), N_MAX, TOL)[0].passed
 
 
 def test_from_scalars_embeds_numeric_matrix():
     arr = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert matrix_equal(OpMatrix.from_scalars(arr), _pauli_x(), N_MAX, TOL).passed
+    assert matrix_equal(OpMatrix.from_scalars(arr), _pauli_x(), N_MAX, TOL)[0].passed
 
 
 def test_grid_deviation_reports_location_and_exclusions():
     inv = FockOperator.diagonal(guarded_div(1.0, number()))
     diff = OpMatrix.diag(inv - inv, FockOperator.identity())
-    dev, where, excl = matrix_grid_deviation(diff, 8)
+    ((dev, where, excl),) = matrix_grid_deviation(diff, 8)
     assert dev == 1.0
     assert "slot2" in where
     assert excl == {1: {0}}
@@ -84,20 +84,20 @@ def test_grid_deviation_reports_location_and_exclusions():
 
 def test_check_unitary_and_projector_helpers():
     x = _pauli_x()
-    unitary = check_unitary(x, N_MAX, TOL)
+    (unitary,) = check_unitary(x, N_MAX, TOL)
     assert unitary.passed and unitary.detail == ""  # no deviation, so no location
     p = OpMatrix.diag(FockOperator.identity(), FockOperator.zero())
-    projector = check_idempotent_hermitian(p, N_MAX, TOL)
+    (projector,) = check_idempotent_hermitian(p, N_MAX, TOL)
     assert projector.passed and projector.detail == ""
     not_p = OpMatrix.diag(FockOperator.identity().scale(0.5), FockOperator.zero())
-    res = check_idempotent_hermitian(not_p, N_MAX, TOL)
+    (res,) = check_idempotent_hermitian(not_p, N_MAX, TOL)
     assert not res.passed and res.detail == "max at (slot1,0 | slot1,0)"
 
 
 def test_column_singular_map():
     inv = FockOperator.diagonal(guarded_div(1.0, number(-2)))
     m = OpMatrix.build([[FockOperator.identity(), inv], [FockOperator.zero(), FockOperator.identity()]])
-    assert m.column_singular_map(8) == {2: {2}}
+    assert m.column_singular_map(8) == [{2: {2}}]
 
 
 @pytest.mark.parametrize("skip", [None, {1: {0}}])
@@ -111,7 +111,7 @@ def test_check_unitary_builds_the_adjoint_once(monkeypatch, skip):
 
     monkeypatch.setattr(OpMatrix, "dagger", counted)
     x = _pauli_x()
-    assert check_unitary(x, N_MAX, TOL, skip=skip).passed
+    assert check_unitary(x, N_MAX, TOL, skip=skip)[0].passed
     assert calls == [x]
 
 

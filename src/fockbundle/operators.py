@@ -141,7 +141,7 @@ class FockOperator(Frozen):
     def singular_support(self, n_max: int, thetas: Optional[Sequence[float]] = None) -> List[Set[int]]:
         """Basis indices n <= n_max at which any coefficient evaluation is
         singular, one set per theta row (one row without ``thetas``)."""
-        return [excluded.get(1, set()) for _, _, excluded in scan_rows([[self]], n_max, thetas)]
+        return [excluded.get(1, set()) for excluded in singular_rows([[self]], n_max, thetas)]
 
 
 # the ladder operators, built once: every builder composes these nodes
@@ -178,6 +178,21 @@ def per_row(value: Any, thetas: Optional[Sequence[float]]) -> list:
     return [value] * rows
 
 
+def _read_column(col: Sequence[FockOperator], right_col: Optional[Sequence[FockOperator]], grid: Grid, out):
+    """A column's term labels (row, shift degree) and the values read for each, less ``right_col``'s if given,
+    with their singular masks OR-ed into ``out``: the one read of a term's mask, where singular states are found."""
+    sides = [(dict(op.terms), {} if right_col is None else dict(right_col[i].terms)) for i, op in enumerate(col)]
+    labels = [(i, d) for i, (x, y) in enumerate(sides) for d in sorted(x.keys() | y.keys())]
+    values = [
+        (x or y)(grid, raw=True) if x is None or y is None else difference(x(grid, raw=True), y(grid, raw=True))
+        for x, y in ((sides[i][0].get(d), sides[i][1].get(d)) for i, d in labels)
+    ]
+    for v in values:
+        if v.singular is not None:  # a node's cached mask: only read
+            out |= v.singular
+    return labels, values
+
+
 def scan_rows(
     columns: Sequence[Sequence[FockOperator]],
     n_max: int,
@@ -197,12 +212,11 @@ def scan_rows(
     subtracted on the grid (``symbols.difference``): no operator is built
     for the difference.
 
-    It is also the one rule for singular states, the Dirac strings: a
-    state is excluded when ``skip`` lists it or when a coefficient
-    evaluated on it is singular, wherever its term maps it.  A term that
-    maps it above n_max or below the vacuum adds no deviation.  Excluded
-    states add nothing, and a NaN or infinite coefficient counts as an
-    infinite deviation.
+    It applies the one rule for singular states, the Dirac strings, that
+    ``_read_column`` holds: a state is excluded when ``skip`` lists it or a
+    coefficient evaluated on it is singular, wherever its term maps it.  A
+    term mapping it above n_max or below the vacuum adds no deviation, nor
+    does an excluded state; a NaN or infinite coefficient counts as infinite.
 
     Each row is reduced by that rule on its own to the maximum, the
     location of its first occurrence in slot, n, row, term order (None
@@ -224,20 +238,13 @@ def scan_rows(
     tops, ats, labels = np.zeros((slots + 1, rows)), np.zeros((slots + 1, rows), dtype=np.intp), [None]
     with np.errstate(all="ignore"):  # no value warns, whatever its guards let through
         for j, col in enumerate(columns):
-            sides = [(dict(op.terms), {} if right is None else dict(right[j][i].terms)) for i, op in enumerate(col)]
-            labels.append([(i, d) for i, (x, y) in enumerate(sides) for d in sorted(x.keys() | y.keys())])
-            if not labels[-1]:
+            column, values = _read_column(col, None if right is None else right[j], grid, dropped[:, j])
+            labels.append(column)
+            if not column:
                 continue
-            table = np.empty((rows, size, len(labels[-1])))  # |value| per row, state and term
-            for t, (i, d) in enumerate(labels[-1]):
-                x, y = sides[i][0].get(d), sides[i][1].get(d)
-                if x is None or y is None:
-                    v = (x or y)(grid, raw=True)
-                else:
-                    v = difference(x(grid, raw=True), y(grid, raw=True))
+            table = np.empty((rows, size, len(column)))  # |value| per row, state and term
+            for t, ((_, d), v) in enumerate(zip(column, values)):
                 dev = v.magnitude(out=table[:, :, t])  # |-y| = |y|
-                if v.singular is not None:  # a node's cached mask: only read
-                    dropped[:, j] |= v.singular
                 if d > 0:
                     dev[:, max(size - d, 0) :] = -1.0  # maps above n_max
                 else:
@@ -257,6 +264,19 @@ def scan_rows(
         excluded[r].setdefault(s + 1, set()).add(n)
     top = tops[best, np.arange(rows)].tolist()
     return [(top[r], where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
+
+
+def singular_rows(columns: Sequence[Sequence[FockOperator]], n_max: int, thetas: Optional[Sequence[float]] = None):
+    """The exclusions ``scan_rows`` finds with no ``skip``, per theta row, from the masks alone: no deviation."""
+    grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
+    dropped = np.zeros((len(per_row(None, thetas)), len(columns), n_max + 1), dtype=bool)
+    with np.errstate(all="ignore"):
+        for j, col in enumerate(columns):
+            _read_column(col, None, grid, dropped[:, j])
+    excluded: List[Exclusions] = [{} for _ in dropped]
+    for k in np.flatnonzero(dropped).tolist():  # in row, slot, n order, as scan_rows lists them
+        excluded[k // dropped[0].size].setdefault(k // (n_max + 1) % len(columns) + 1, set()).add(k % (n_max + 1))
+    return excluded
 
 
 def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None) -> list:

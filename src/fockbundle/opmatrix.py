@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import FockOperator, per_row, row_names, scan_rows
+from .operators import FockOperator, per_row, row_names, scan_rows, singular_rows
 from .report import CheckResult, Exclusions, Frozen, merge_excluded, upper_bound_check
 
 Thetas = Optional[Sequence[float]]
@@ -117,7 +117,7 @@ class OpMatrix(Frozen):
 
     def column_singular_map(self, n_max: int, thetas: Thetas = None) -> List[Exclusions]:
         """Per input slot, the basis states on which some column entry is singular, per theta row."""
-        return [excluded for _, _, excluded in scan_rows(self.columns(), n_max, thetas)]
+        return singular_rows(self.columns(), n_max, thetas)
 
 
 def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> List[Exclusions]:

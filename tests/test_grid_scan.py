@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbundle import cli, jc, operators, symbols, veronese
+from fockbundle import cli, jc, operators, spinrep, symbols, veronese
 from fockbundle.operators import FockOperator, op_deviation, op_equal, per_row, scan_rows
 from fockbundle.opmatrix import (
     OpMatrix,
@@ -27,6 +27,7 @@ from fockbundle.opmatrix import (
     pair_check,
     strings,
 )
+from fockbundle.report import merge_excluded
 from fockbundle.symbols import (
     ROW_TOL,
     THETA,
@@ -289,6 +290,22 @@ def test_singular_state_counts_wherever_its_term_maps_it():
     assert res.passed and res.max_deviation == 0.0
 
 
+def functions_reading(source: str, attr: str) -> set:
+    """The innermost function around each read of ``.{attr}`` in ``source`` (None at module level)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_only_the_grid_scan_decides_singular_states():
     callers, definitions = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -299,6 +316,8 @@ def test_only_the_grid_scan_decides_singular_states():
                 definitions.add(path.name)
     assert callers == {"opmatrix.py"}
     assert not definitions
+    # the rule for singular states lives in the one column read that the scan and the mask pass share
+    assert functions_reading((SRC / "operators.py").read_text(), "singular") == {"_read_column"}
 
 
 # -- one result shape: a list of one result per theta row ---------------------------
@@ -791,3 +810,77 @@ def test_the_scan_is_the_reference_scan_bit_for_bit(thetas):
             seen["excluded"] += any(s <= slots and v - set(range(-2, 0)) for s, v in excluded.items())
             seen["off grid"] += any(s > slots or min(v) < 0 or max(v) > 7 for s, v in excluded.items())
     assert min(seen.values()) > 20, seen
+
+
+def _map_bits(excluded):
+    """An exclusion map as (slot, sorted states) pairs in its own slot order."""
+    return [(s, sorted(v)) for s, v in excluded.items()]
+
+
+def random_matrix(rng, slots, per, with_theta):
+    """A matrix of ``per`` rows and ``slots`` columns of random sides."""
+    return OpMatrix.build([[random_side(rng, with_theta) for _ in range(slots)] for _ in range(per)])
+
+
+def maps_off_the_grid(m, excluded, n_max):
+    """Whether an excluded state of some slot has a term in its column that maps it above n_max or below 0."""
+    columns = m.columns()
+    return any(
+        n + d > n_max or n + d < 0
+        for s, states in excluded.items()
+        for n in states
+        for op in columns[s - 1]
+        for d, _ in op.terms
+    )
+
+
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_the_mask_pass_finds_the_exclusions_of_the_reference_scan(thetas):
+    rng = np.random.default_rng(37)
+    seen = Counter()
+    for _ in range(200):
+        slots, per = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        a = random_matrix(rng, slots, per, thetas is not None)
+        b = random_matrix(rng, slots % 3 + 1, per, thetas is not None)  # a different column count
+        expected_a = [excluded for _, _, excluded in reference_scan(a.columns(), 7, thetas)]
+        expected_b = [excluded for _, _, excluded in reference_scan(b.columns(), 7, thetas)]
+        found = a.column_singular_map(7, thetas)
+        assert [_map_bits(row) for row in found] == [_map_bits(row) for row in expected_a]
+        assert strings(7, a, b, thetas=thetas) == [merge_excluded(x, y) for x, y in zip(expected_a, expected_b)]
+        for excluded in expected_a:
+            seen["excluded"] += bool(excluded)
+            seen["clean"] += not excluded
+            seen["several slots"] += len(excluded) > 1
+            seen["mapped off the grid"] += maps_off_the_grid(a, excluded, 7)
+    assert min(seen.values()) > 20, seen
+
+
+def string_maps(thetas):
+    """Every string map of the package, on objects that read theta and some that do not."""
+    op, m = shape_objects(THETA)
+    bundle, family = jc.build_bundle(thetas), veronese.build_family(4)
+    return {
+        "strings": strings(12, m, m.dagger(), thetas=thetas),
+        "column_singular_map": m.column_singular_map(12, thetas),
+        "singular_support": op.singular_support(12, thetas),
+        "transition": jc.transition_operator().column_singular_map(12),
+        "dirac_string_map": [jc.dirac_string_map(bundle, label, 12) for label in ("I", "II")],
+        "projector_singular_map": jc.projector_singular_map(bundle, 12),
+        "family_string_map": [spinrep.family_string_map(thetas, family, n, 12) for n in range(5)],
+    }
+
+
+def test_a_string_map_does_no_deviation_work(monkeypatch):
+    thetas = [1.0, -1.0, 0.0, -2.0, 1e-13]
+    expected = string_maps(thetas)
+    assert any(expected["singular_support"]) and any(expected["projector_singular_map"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a string map computed a deviation")
+
+    monkeypatch.setattr(symbols.GridValues, "magnitude", refuse)
+    monkeypatch.setattr(symbols, "difference", refuse)
+    monkeypatch.setattr(operators, "difference", refuse)
+    with pytest.raises(AssertionError, match="deviation"):  # the patch bites: a scan does compute deviations
+        scan_rows(shape_objects(THETA)[1].columns(), 12, thetas)
+    assert string_maps(thetas) == expected

@@ -15,7 +15,6 @@ whose index grid numpy cannot hold, or an ``--out`` that cannot be written.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import sys
@@ -24,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import classical, jc, spinrep, veronese
-from .operators import ANNIHILATION, CREATION, FockOperator, op_deviation, row_names
+from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names
 from .opmatrix import check_idempotent_hermitian, matrix_equal
 from .report import CheckResult, VerificationReport, exact_set_check, format_excluded, upper_bound_check
 
@@ -82,20 +81,6 @@ def _by_theta(checks: List[List[CheckResult]]) -> List[List[CheckResult]]:
 
 
 def run_fock(cfg: SuiteConfig) -> Parts:
-    free = [
-        upper_bound_check(name, dev, cfg.tol, dict(excluded), cfg.n_max + 1, detail)
-        for name, dev, excluded, detail in _fock_deviations(cfg.n_max)
-    ]
-    return free, [[] for _ in cfg.theta_list]
-
-
-@functools.lru_cache(maxsize=None)
-def _fock_deviations(n_max: int) -> Tuple[Tuple[str, float, tuple, str], ...]:
-    """Name, deviation, ((slot, states), ...) and detail of each fock check.
-
-    Neither theta nor tol enters them, so a sweep scans once per grid;
-    ``run_fock`` builds fresh records from them for every report.
-    """
     a, adag = ANNIHILATION, CREATION
     num = FockOperator.number_op()
     ident = FockOperator.identity()
@@ -106,17 +91,14 @@ def _fock_deviations(n_max: int) -> Tuple[Tuple[str, float, tuple, str], ...]:
         "composition_associativity": ((a * adag) * a, a * (adag * a)),
         "number_shift_relation": (num * a, a * (num - ident)),
     }
-    out = []
-    for name, (lhs, rhs) in sides.items():
-        ((dev, excluded, detail),) = op_deviation(lhs, rhs, n_max)
-        out.append((name, dev, tuple((slot, frozenset(states)) for slot, states in excluded.items()), detail))
-    return tuple(out)
+    free = [op_equal(lhs, rhs, cfg.n_max, cfg.tol, name)[0] for name, (lhs, rhs) in sides.items()]
+    return free, [[] for _ in cfg.theta_list]
 
 
 def run_charts(cfg: SuiteConfig) -> Parts:
     nm, tol, thetas = cfg.n_max, cfg.tol, cfg.theta_list
     glue = jc.transition_operator()
-    transition = jc.transition_singular_map(nm)  # cached: the same at every theta
+    transition = jc.transition_singular_map(nm)  # the same at every theta
     bundle = jc.build_bundle(thetas)
     checks = [jc.qdm_reconstruction_check(bundle, nm, tol)]
     for label, chart in bundle.charts.items():

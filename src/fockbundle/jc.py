@@ -241,14 +241,8 @@ def projector_singular_map(bundle: Bundle, n_max: int) -> List[Dict[int, List[in
 
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
-    """Strings of the gluing operator in its defining form."""
-    return {slot: list(states) for slot, states in _transition_strings(n_max)}
-
-
-@functools.lru_cache(maxsize=None)
-def _transition_strings(n_max: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    # no theta enters them, so a sweep scans once per grid; frozen, as every caller gets them
-    return tuple((slot, tuple(states)) for slot, states in strings(n_max, transition_operator())[0].items())
+    """Strings of the gluing operator in its defining form, each slot's states in order."""
+    return {slot: sorted(states) for slot, states in strings(n_max, transition_operator())[0].items()}
 
 
 def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:

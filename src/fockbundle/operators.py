@@ -184,7 +184,7 @@ def _read_column(col: Sequence[FockOperator], right_col: Optional[Sequence[FockO
     sides = [(dict(op.terms), {} if right_col is None else dict(right_col[i].terms)) for i, op in enumerate(col)]
     labels = [(i, d) for i, (x, y) in enumerate(sides) for d in sorted(x.keys() | y.keys())]
     values = [
-        (x or y)(grid, raw=True) if x is None or y is None else difference(x(grid, raw=True), y(grid, raw=True))
+        (x or y)(grid) if x is None or y is None else difference(x(grid), y(grid))
         for x, y in ((sides[i][0].get(d), sides[i][1].get(d)) for i, d in labels)
     ]
     for v in values:
@@ -260,8 +260,7 @@ def scan_rows(
         if j:
             n, t = divmod(int(ats[j, r]), len(labels[j]))
             where[r] = (labels[j][t][0], j - 1, n, labels[j][t][1])
-    for r, s, n in zip(*(axis.tolist() for axis in np.nonzero(dropped))):  # a skipped state is already listed
-        excluded[r].setdefault(s + 1, set()).add(n)
+    _list_dropped(dropped, excluded)  # a skipped state is already listed
     top = tops[best, np.arange(rows)].tolist()
     return [(top[r], where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
 
@@ -273,21 +272,16 @@ def singular_rows(columns: Sequence[Sequence[FockOperator]], n_max: int, thetas:
     with np.errstate(all="ignore"):
         for j, col in enumerate(columns):
             _read_column(col, None, grid, dropped[:, j])
-    excluded: List[Exclusions] = [{} for _ in dropped]
-    for k in np.flatnonzero(dropped).tolist():  # in row, slot, n order, as scan_rows lists them
-        excluded[k // dropped[0].size].setdefault(k // (n_max + 1) % len(columns) + 1, set()).add(k % (n_max + 1))
+    return _list_dropped(dropped, [{} for _ in dropped])
+
+
+def _list_dropped(dropped: np.ndarray, excluded: List[Dict[int, Set[int]]]) -> List[Dict[int, Set[int]]]:
+    """``excluded``, one map per row, with the states of the (rows, slots, n_max + 1) mask ``dropped``
+    added under their 1-based slots, in row, slot, n order: the one listing of both scanners' masks."""
+    _, slots, size = dropped.shape
+    for k in np.flatnonzero(dropped).tolist():
+        excluded[k // (slots * size)].setdefault(k // size % slots + 1, set()).add(k % size)
     return excluded
-
-
-def op_deviation(a: FockOperator, b: FockOperator, n_max: int, thetas: Optional[Sequence[float]] = None) -> list:
-    """Max |<m|A-B|n>| over the non-singular grid m, n <= n_max, the
-    singular points of either side (slot 1 by convention for scalar
-    operators) and the location of the maximum as a detail: one such
-    triple per theta row, one row without ``thetas``."""
-    return [
-        (dev, excluded, "" if where is None else f"max at (m={where[2] + where[3]}, n={where[2]})")
-        for dev, where, excluded in scan_rows([[a]], n_max, thetas, right=[[b]])
-    ]
 
 
 def op_equal(
@@ -298,10 +292,13 @@ def op_equal(
     name: str = "op_equal",
     thetas: Optional[Sequence[float]] = None,
 ) -> List[CheckResult]:
-    """The check of ``op_deviation``: singular points are excluded from the
-    scan and listed in the result, and it fails when every grid state is
-    excluded.  One record per theta row (``row_names``)."""
-    return [
-        upper_bound_check(row, dev, tol, excluded, n_max + 1, detail)
-        for row, (dev, excluded, detail) in zip(row_names(name, thetas), op_deviation(a, b, n_max, thetas))
-    ]
+    """Max |<m|A-B|n>| over the grid m, n <= n_max as a check: the singular
+    points of either side (slot 1 by convention for scalar operators) are
+    excluded from the scan and listed in the result, the location of the
+    maximum is its detail, and it fails when every grid state is excluded.
+    One record per theta row (``row_names``)."""
+    checks = []
+    for row, (dev, at, excluded) in zip(row_names(name, thetas), scan_rows([[a]], n_max, thetas, right=[[b]])):
+        detail = "" if at is None else f"max at (m={at[2] + at[3]}, n={at[2]})"
+        checks.append(upper_bound_check(row, dev, tol, excluded, n_max + 1, detail))
+    return checks

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .classical import random_direction, seeded_rng
+from .classical import _deviation, random_direction, seeded_rng
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
 from .report import CheckResult, Frozen, lower_bound_check
@@ -175,11 +175,6 @@ def triple_block_target(g: SU2Element) -> np.ndarray:
     out[..., 2:4, 2:4] = g.matrix()
     out[..., 4:, 4:] = spin_rep(g, 1.5)
     return out
-
-
-def _deviation(a: np.ndarray, b) -> np.ndarray:
-    """Largest entry of |a - b| per matrix; NaN wherever an entry is NaN."""
-    return np.max(np.abs(a - b), axis=(-2, -1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ mask: a vanishing divisor, or a square root of a negative value, marks the
 state singular instead of producing NaN/Inf.
 
 A ``Grid`` is an int64 index row n of N states and, when the detuning is
-an evaluation axis, a column of T detunings: its values have shape (T, N),
+an evaluation axis, a column of T detunings: its values broadcast to (T, N),
 one row per theta.  Without detunings the shape is (N,), and reading the
 ``theta`` node is a TypeError.  Nodes are evaluated with numpy's
 broadcasting, so a node that reads no theta holds one row (N,) and the
@@ -24,9 +24,10 @@ a complex one real and imaginary float64 arrays combined with CPython's
 formulas for complex ``*`` and ``abs`` (hypot), and ``pow`` is CPython's
 float ``**`` element by element.  numpy's complex128 ``*``, ``np.abs``
 and ``np.power`` round differently on some machines.
-The grid is the only way to read a symbol: calling one on anything but
-a Grid or an int64 index array is a TypeError.  A node caches its values
-on the last grid it was read on, per offset, for the node's lifetime.
+The grid is the only way to read a symbol: calling one on a Grid returns
+the node's cached values, unbroadcast, and calling it on anything else is
+a TypeError.  A node caches its values on the last grid it was read on,
+per offset, for the node's lifetime.
 
 Nodes are hash-consed: every builder goes through ``_node``, which returns
 the live node of the same kind and arguments if there is one (children
@@ -70,7 +71,7 @@ class SingularPoint(Exception):
 
 
 class GridValues(NamedTuple):
-    """A symbol on an index array: real part, imaginary part (None while
+    """A symbol's values on a grid: real part, imaginary part (None while
     the symbol is real) and singular mask (None where nothing is singular)."""
 
     re: np.ndarray
@@ -112,19 +113,14 @@ class DiagonalSymbol:
         if ref is not None and ref() in (None, self):
             del _nodes[self.key]
 
-    def __call__(self, grid, thetas: Optional[Sequence[float]] = None, *, raw: bool = False) -> GridValues:
-        """The values on ``grid``, broadcast to its shape: a Grid, or an
-        int64 index array with the detunings ``thetas`` of the rows (none
-        for a grid without them).  Calls on the same Grid object reuse the
-        values cached on every node they reach.  ``raw=True`` returns the
-        cached values themselves, unbroadcast (a node that reads no theta
-        holds one row), under the caller's ``np.errstate``, as a scan reads them."""
+    def __call__(self, grid: "Grid") -> GridValues:
+        """The values on ``grid``, as cached on this node: unbroadcast (a
+        node that reads no theta holds one row (N,)) and computed under the
+        caller's ``np.errstate``.  Calls on the same Grid object reuse the
+        values cached on every node they reach."""
         if not isinstance(grid, Grid):
-            grid = Grid(grid, thetas)
-        if raw:
-            return grid.values(self, 0)
-        with np.errstate(all="ignore"):
-            return grid.full(grid.values(self, 0))
+            raise TypeError(f"a symbol is read on a Grid, not on {type(grid).__name__}")
+        return grid.values(self, 0)
 
     def __add__(self, other) -> "DiagonalSymbol":
         other = _coerce(other)
@@ -284,7 +280,7 @@ class Grid:
     node that reads a child there (composed, adjoint) masks them out.
     """
 
-    __slots__ = ("n", "lo", "theta", "tol", "shape")
+    __slots__ = ("n", "lo", "theta", "tol")
 
     def __init__(self, n: np.ndarray, thetas: Optional[Sequence[float]] = None):
         if not (isinstance(n, np.ndarray) and n.dtype == np.int64 and n.ndim == 1):
@@ -292,13 +288,11 @@ class Grid:
         self.n = n
         self.lo = int(n.min()) if n.size else 0
         self.theta = self.tol = None
-        self.shape: Tuple[int, ...] = n.shape
         if thetas is not None:
             thetas = [float(t) for t in thetas]
             self.theta = np.array(thetas).reshape(-1, 1)
             self.tol = np.array([sigma_tol(t) for t in thetas]).reshape(-1, 1)
             self.theta.flags.writeable = self.tol.flags.writeable = False
-            self.shape = (len(thetas), n.size)
 
     def index(self, k: int) -> np.ndarray:
         return self.n + k if k else self.n
@@ -318,16 +312,6 @@ class Grid:
         if found is None:
             found = cache[1][k] = _EVAL[node.op](self, node, k)
         return found
-
-    def full(self, v: GridValues) -> GridValues:
-        """``v`` broadcast to the grid's shape, as read-only views."""
-        shape = self.shape
-        re, im, singular = v
-        return GridValues(
-            re if re.shape == shape else np.broadcast_to(re, shape),
-            im if im is None or im.shape == shape else np.broadcast_to(im, shape),
-            singular if singular is None or singular.shape == shape else np.broadcast_to(singular, shape),
-        )
 
 
 def _eval_const(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:

@@ -326,6 +326,17 @@ def test_sweep_rows_match_verify_alone_and_follow_the_seed(capsys):
         by_seed[seed] = dict(zip(header, rows[0]))
     for name in ("su2_rep_unitary", "su2_rep_homomorphism", "su2_cg_blocks", "sphere_identities_sample"):
         assert by_seed["3"][name] != by_seed["4"][name], name
+    # a t sweep runs row by row: each row is what verify at that t gives alone
+    values = ["0.5", "2"]
+    code, out, _ = run_main(["sweep", "--suite", "all", "--axis", "t", "--values", *values, "--nmax", "4"], capsys)
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    assert [row[0] for row in rows] == ["0.5", "2.0"] and rows[0][1:-1] != rows[1][1:-1]
+    for t, row in zip(values, rows):
+        code, alone, _ = run_main(["verify", "--suite", "all", "--t", t, "--nmax", "4", "--format", "csv"], capsys)
+        cells = {line.split(",")[0]: line.split(",")[1] for line in alone.splitlines()[1:]}
+        assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
+        assert row[-1] == str(1 - code)
 
 
 def test_an_nmax_sweep_back_to_a_grid_reads_no_stale_node_values(capsys):
@@ -354,19 +365,11 @@ def test_the_chart_projector_check_is_computed_once_per_sweep(capsys):
     assert {line.split(",")[column] for line in out.strip().splitlines()[1:]} == {repr(cache())}
 
 
-def test_theta_free_scans_are_computed_once_per_sweep(capsys):
-    fock, transition = cli._fock_deviations, cli.jc._transition_strings
-    fock.cache_clear()
-    transition.cache_clear()
+def test_theta_free_checks_are_equal_across_a_sweep_and_fresh_for_every_caller(capsys):
     code, out, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "1", "--nmax", "6"], capsys)
     assert code == 0
-    # one batch for the three rows; a second sweep at this n_max reads the caches
-    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 0)
-    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 0)
     code, again, _ = run_main(["sweep", "--suite", "all", "--axis", "theta", "--values", "1", "--nmax", "6"], capsys)
     assert code == 0 and again.splitlines()[1] == out.splitlines()[3]
-    assert (fock.cache_info().misses, fock.cache_info().hits) == (1, 1)
-    assert (transition.cache_info().misses, transition.cache_info().hits) == (1, 1)
     header, *rows = [line.split(",") for line in out.strip().splitlines()]
     for name in ("ladder_commutator", "strings_transition"):
         assert len({row[header.index(name)] for row in rows}) == 1
@@ -380,7 +383,6 @@ def test_theta_free_scans_are_computed_once_per_sweep(capsys):
     second = cli.run_suite(cfg).checks
     assert second[0].excluded == {} and second[0].passed
     assert [c.to_dict() for c in second[1:]] == [c.to_dict() for c in first[1:]]
-    assert fock.cache_info().misses == 1
 
 
 def test_sweep_with_a_failed_row_exits_one(capsys):

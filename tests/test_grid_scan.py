@@ -9,6 +9,7 @@ theta rows must give each row what a grid of that row alone gives.
 
 import ast
 import gc
+import inspect
 import math
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from fockbundle import cli, jc, operators, spinrep, symbols, veronese
-from fockbundle.operators import FockOperator, op_deviation, op_equal, per_row, scan_rows
+from fockbundle.operators import FockOperator, op_equal, per_row, scan_rows
 from fockbundle.opmatrix import (
     OpMatrix,
     check_idempotent_hermitian,
@@ -41,6 +42,7 @@ from fockbundle.symbols import (
     number,
     sigma_tol,
 )
+from symbol_reader import read_symbol
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
@@ -151,7 +153,7 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
     compared = singular = complex_compared = 0
     for _ in range(300):
         sym = random_symbol(rng, 4)
-        values = sym(grid, ROWS)
+        values = read_symbol(sym, grid, ROWS)
         for r, theta in enumerate(ROWS):
             for n in range(12):
                 try:
@@ -192,9 +194,9 @@ def test_a_grid_of_theta_rows_is_its_rows_alone_bit_for_bit():
             if node.op in ("div", "pow") and node.args[-1] is ROW_TOL and THETA in node.args[:2]:
                 for theta in ROWS:
                     band["inside" if abs(theta) < sigma_tol(theta) else "outside"] += 1
-        rows = sym(grid, ROWS)
+        rows = read_symbol(sym, grid, ROWS)
         for r, theta in enumerate(ROWS):
-            alone = sym(grid, [theta])
+            alone = read_symbol(sym, grid, [theta])
             assert _bits([v if v is None else v[r : r + 1] for v in rows]) == _bits(alone), (theta, sym.op)
     assert kinds == set(symbols._EVAL)
     assert min(band.values()) > 100
@@ -202,12 +204,25 @@ def test_a_grid_of_theta_rows_is_its_rows_alone_bit_for_bit():
 
 def test_a_symbol_is_read_only_on_the_grid():
     sym = guarded_div(1.0, number(-3))
-    for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int32), np.arange(6.0)):
-        with pytest.raises(TypeError):
+    # a grid is built only on a one-dimensional int64 index array ...
+    for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int32), np.arange(6.0), np.zeros((2, 3), np.int64)):
+        with pytest.raises(TypeError, match="one-dimensional int64 index array"):
+            symbols.Grid(index)
+    # ... and a symbol is read only on a grid, never on an index array
+    for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int64), np.arange(6.0)):
+        with pytest.raises(TypeError, match="read on a Grid"):
             sym(index)
-    values = sym(np.arange(6, dtype=np.int64))
+    grid = symbols.Grid(np.arange(6, dtype=np.int64))
+    with np.errstate(divide="ignore"):
+        values = sym(grid)
     assert values.singular.tolist() == [False, False, False, True, False, False]
     assert (values.re[5], values.im) == (0.5, None)
+    assert sym(grid) is values  # the node's cached values themselves
+    # unbroadcast: a node that reads no theta holds one row on a grid of theta rows
+    rows = symbols.Grid(np.arange(6, dtype=np.int64), [1.0, -2.0])
+    with np.errstate(divide="ignore"):
+        assert sym(rows).re.shape == (6,)
+    assert (THETA + sym)(rows).re.shape == (2, 6)
 
 
 def test_nan_coefficient_counts_as_infinite_deviation():
@@ -275,10 +290,10 @@ def test_pow_overflow_is_the_signed_infinity():
     assert not res.passed
     grid = np.arange(7, dtype=np.int64)
     x = number(add=-1e200)
-    cube = guarded_pow(x, 3.0)(grid)
+    cube = read_symbol(guarded_pow(x, 3.0), grid)
     assert cube.singular is None
-    assert cube.re.tolist() == (x * x * x)(grid).re.tolist() == [-math.inf] * 7
-    assert guarded_pow(x, 2.0)(grid).re.tolist() == [math.inf] * 7
+    assert cube.re.tolist() == read_symbol(x * x * x, grid).re.tolist() == [-math.inf] * 7
+    assert read_symbol(guarded_pow(x, 2.0), grid).re.tolist() == [math.inf] * 7
 
 
 def test_singular_state_counts_wherever_its_term_maps_it():
@@ -325,7 +340,6 @@ def test_only_the_grid_scan_decides_singular_states():
 # every scan and check, called on an operator and a matrix that read theta (or not) and on theta rows
 SHAPES = {
     "scan_rows": lambda op, m, thetas: scan_rows(m.columns(), 6, thetas),
-    "op_deviation": lambda op, m, thetas: op_deviation(op, op.dagger(), 6, thetas),
     "op_equal": lambda op, m, thetas: op_equal(op, op.dagger(), 6, 1e-10, thetas=thetas),
     "singular_support": lambda op, m, thetas: op.singular_support(6, thetas),
     "column_singular_map": lambda op, m, thetas: m.column_singular_map(6, thetas),
@@ -367,6 +381,26 @@ def test_no_module_converts_between_result_shapes():
             if name in gone:
                 found.add(f"{path.name}: {name}")
     assert not found
+
+
+def test_no_theta_free_scan_cache_or_second_way_to_read_a_symbol_comes_back():
+    # the fock checks and the gluing strings are scanned by each run, not cached per process, and
+    # a symbol is read one way: called on a Grid, unbroadcast, with no index-array or raw mode
+    gone = {"op_deviation", "_fock_deviations", "_transition_strings"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in gone:
+                found.add(f"{path.name}: {name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "full":
+                found.add(f"{path.name}: def full")
+            if isinstance(node, ast.Attribute) and node.attr == "full" and getattr(node.value, "id", None) != "np":
+                found.add(f"{path.name}: .full")
+            if isinstance(node, ast.keyword) and node.arg == "raw":
+                found.add(f"{path.name}: raw=")
+    assert not found
+    assert list(inspect.signature(symbols.DiagonalSymbol.__call__).parameters) == ["self", "grid"]
 
 
 # the position of each guard's threshold among its positional arguments
@@ -484,9 +518,9 @@ def test_scans_across_grids_read_no_stale_values():
     # two arrays of one size: the cache follows the array object, not its size
     sym = guarded_div(1.0, number(-3))
     low, high = np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 4
-    assert sym(low).singular.tolist() == [False, False, False, True, False, False]
-    assert sym(high).singular is None
-    assert sym(low).re.tolist() == guarded_div(1.0, number(-3))(low).re.tolist()
+    assert read_symbol(sym, low).singular.tolist() == [False, False, False, True, False, False]
+    assert read_symbol(sym, high).singular is None
+    assert read_symbol(sym, low).re.tolist() == read_symbol(guarded_div(1.0, number(-3)), low).re.tolist()
 
 
 def test_the_index_array_handed_to_a_leaf_is_read_only():
@@ -568,7 +602,7 @@ def test_two_leaf_functions_are_two_nodes():
     leaves = [grid_leaf(lambda n, theta, c=c: (n + c, np.zeros(n.shape))) for c in (1.0, 2.0)]
     assert leaves[0] is not leaves[1]
     grid = np.arange(4, dtype=np.int64)
-    assert [leaf(grid).re.tolist() for leaf in leaves] == [[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0]]
+    assert [read_symbol(leaf, grid).re.tolist() for leaf in leaves] == [[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0]]
 
 
 def test_a_zero_of_either_sign_is_its_own_constant():
@@ -578,8 +612,8 @@ def test_a_zero_of_either_sign_is_its_own_constant():
     assert const(complex(1.0, 0.0)) is not const(complex(1.0, -0.0))
     assert const(-0.0) is const(-0.0) and const(complex(1.0, -0.0)) is const(complex(1.0, -0.0))
     grid = np.arange(3, dtype=np.int64)
-    assert np.signbit((const(-0.0) * number(1))(grid).re).all()
-    assert not np.signbit((const(0.0) * number(1))(grid).re).any()
+    assert np.signbit(read_symbol(const(-0.0) * number(1), grid).re).all()
+    assert not np.signbit(read_symbol(const(0.0) * number(1), grid).re).any()
 
 
 def test_a_nan_constant_is_an_infinite_deviation_however_often_built():
@@ -723,7 +757,7 @@ def test_no_check_subtracts_operators(suite, monkeypatch, capsys):
 
 def reference_scan(columns, n_max, thetas=None, skip=None, right=None):
     """The scan as it was before it wrote cached values in place: every term
-    read through ``DiagonalSymbol.__call__`` (broadcast to the grid), the
+    read through ``read_symbol`` (broadcast to the grid), the
     terms of a column stacked into one table, and each column's maxima kept
     row by row with a strict > from 0."""
     grid = operators._grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
@@ -741,8 +775,9 @@ def reference_scan(columns, n_max, thetas=None, skip=None, right=None):
             left, other = dict(op.terms), {} if right is None else dict(right[j][i].terms)
             for d in sorted(left.keys() | other.keys()):
                 x, y = left.get(d), other.get(d)
+                x, y = (None if z is None else read_symbol(z, grid) for z in (x, y))
                 with np.errstate(all="ignore"):
-                    v = (x or y)(grid) if x is None or y is None else symbols.difference(x(grid), y(grid))
+                    v = (x or y) if x is None or y is None else symbols.difference(x, y)
                 if v.singular is not None:
                     found = found | v.singular.reshape(shape)
                 dev = v.magnitude().reshape(shape)

@@ -10,6 +10,7 @@ from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import ROW_TOL, THETA, DiagonalSymbol, guarded_div, guarded_sqrt, number
+from symbol_reader import read_symbol
 
 N_MAX = 32
 TOL = 1e-10
@@ -19,7 +20,7 @@ THETAS = [2.0, 1.0, 0.5, 0.1, 0.0, -0.5, -1.0, -2.0]
 
 def element(op, d: int, n: int, theta: float) -> complex:
     """<n + d| op |n> at theta, read from the grid values of op's degree-d term."""
-    values = dict(op.terms)[d](np.arange(n + 1), [theta])
+    values = read_symbol(dict(op.terms)[d], np.arange(n + 1), [theta])
     assert values.singular is None or not values.singular[0, n]
     return complex(values.re[0, n], 0.0 if values.im is None else values.im[0, n])
 

@@ -18,6 +18,7 @@ from fockbundle.symbols import (
     sigma_tol,
     sinc,
 )
+from symbol_reader import read_symbol
 
 N_MAX = 32
 TOL = 1e-12
@@ -27,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
 
 def on_grid(sym: DiagonalSymbol, n_max: int = 8):
     """The symbol's values on 0..n_max, as the grid scan reads them."""
-    return sym(np.arange(n_max + 1))
+    return read_symbol(sym, np.arange(n_max + 1))
 
 
 def singular(sym: DiagonalSymbol, n_max: int = 8):

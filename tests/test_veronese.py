@@ -11,6 +11,7 @@ import pytest
 from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
+from symbol_reader import read_symbol
 
 N_MAX = 32
 TOL = 1e-10
@@ -42,12 +43,12 @@ def test_commutation_rule(theta, k):
 
 def test_x_values_explicit():
     # at theta=0 every X collapses to 1/sqrt(2) wherever it is defined
-    x0 = veronese.x_symbol(jc.Radius(1))(np.arange(8), [0.0])
+    x0 = read_symbol(veronese.x_symbol(jc.Radius(1)), np.arange(8), [0.0])
     assert x0.singular is None and x0.im is None
     for n in (1, 2, 7):
         assert x0.re[0, n] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # large theta pushes X toward 1: the fibre aligns with the pole
-    assert veronese.x_symbol(jc.Radius(1))(np.arange(4), [50.0]).magnitude()[0, 3] > 0.999
+    assert read_symbol(veronese.x_symbol(jc.Radius(1)), np.arange(4), [50.0]).magnitude()[0, 3] > 0.999
 
 
 def test_y_index_structure():
@@ -56,7 +57,7 @@ def test_y_index_structure():
     y2 = veronese.y_operator(jc.Radius(-2))
     assert y2.singular_support(N_MAX, [1.0]) == [{0}]
     (d, c), = y2.terms
-    values = c(np.arange(N_MAX + 1), [1.0])
+    values = read_symbol(c, np.arange(N_MAX + 1), [1.0])
     assert d == 1
     assert values.magnitude()[0, 1] == 0.0
     assert values.magnitude()[0, 3] > 0.0
@@ -66,7 +67,7 @@ def test_z_regular_at_vacuum_for_positive_theta():
     z0 = veronese.z_operator(jc.Radius(0))
     assert z0.singular_support(N_MAX, [1.0]) == [set()]
     (d, c), = veronese.z_operator(jc.Radius(-2)).terms
-    assert d == 1 and c(np.arange(N_MAX + 1), [1.0]).singular[0, 0]
+    assert d == 1 and read_symbol(c, np.arange(N_MAX + 1), [1.0]).singular[0, 0]
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])

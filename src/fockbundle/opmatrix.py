@@ -65,9 +65,12 @@ class OpMatrix(Frozen):
 
     @staticmethod
     def from_scalars(values: np.ndarray) -> "OpMatrix":
-        """Numeric (classical) matrix, embedded as constant operators."""
+        """Numeric (classical) matrix, embedded as constant operators.  An entry
+        equal to 0 (0, -0.0 or 0j) is the zero operator, with no terms, so a
+        product with it builds nothing: a check that relied on such a product
+        to carry the singular marks of its other factor passes them as ``skip``."""
         arr = np.atleast_2d(np.asarray(values, dtype=complex))
-        return OpMatrix.build([[FockOperator.scalar(v) for v in row] for row in arr])
+        return OpMatrix.build([[FockOperator.scalar(v) if v != 0 else FockOperator.zero() for v in row] for row in arr])
 
     def entry(self, i: int, j: int) -> FockOperator:
         return self.entries[i][j]

@@ -290,14 +290,22 @@ def tensor_breakdown_check(
     """The operator analogue of the pair decomposition fails: conjugating
     V (x) V by T4 does not give diag(1, phi1), for the chart matrix V and
     its spin-1 matrix phi1.  Passes, per theta, when the deviation
-    genuinely exceeds that theta's floor."""
-    t4 = OpMatrix.from_scalars(T4)
-    conj = t4.dagger() @ v.kron(v) @ t4
+    genuinely exceeds that theta's floor.
+
+    Every slot excludes every string of V (x) V, the states where any of
+    its entries is singular, as conjugation by a generic unitary mixes
+    them all.  That rule is explicit: T4's zero entries build no product
+    (``OpMatrix.from_scalars``), so no string rides on a product with 0."""
+    t4, square = OpMatrix.from_scalars(T4), v.kron(v)
+    conj = t4.dagger() @ square @ t4
     zero = FockOperator.zero()
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
+    # one sorted list of the union per theta row, shared by the four slots
+    unions = [sorted(set().union(*row.values())) for row in strings(n_max, square, thetas=thetas)]
+    skip = [dict.fromkeys(range(1, 5), union) for union in unions]
     records = []
     for name, floor, (dev, where, excluded) in zip(
-        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj, n_max, thetas=thetas, right=target)
+        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj, n_max, skip, thetas, right=target)
     ):
         detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
         records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))

@@ -73,6 +73,14 @@ def test_from_scalars_embeds_numeric_matrix():
     assert matrix_equal(OpMatrix.from_scalars(arr), _pauli_x(), N_MAX, TOL)[0].passed
 
 
+def test_from_scalars_makes_a_numeric_zero_the_zero_operator():
+    values = np.array([[0.0, -0.0, 0j], [1.0, -1.0 / np.sqrt(2.0), 2j], [1e-300, -1e-300, 3.0 - 4.0j]])
+    m = OpMatrix.from_scalars(values)
+    assert m.entries[0] == (FockOperator.zero(),) * 3
+    for row, ops in zip(values[1:], m.entries[1:]):  # every other entry is its constant, as before
+        assert ops == tuple(FockOperator.scalar(x) for x in row)
+
+
 def test_grid_deviation_reports_location_and_exclusions():
     inv = FockOperator.diagonal(guarded_div(1.0, number()))
     diff = OpMatrix.diag(inv - inv, FockOperator.identity())

@@ -10,10 +10,12 @@ import weakref
 import numpy as np
 import pytest
 
-from fockbundle import spinrep
-from fockbundle.report import upper_bound_check
+from fockbundle import operators, spinrep
+from fockbundle.report import lower_bound_check, upper_bound_check
 from fockbundle.jc import Radius
-from fockbundle.opmatrix import OpMatrix, matrix_equal
+from fockbundle.operators import FockOperator, row_names
+from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
+from fockbundle.symbols import guarded_div, number
 from fockbundle.veronese import build_family, lift, x_operator, y_operator
 
 N_MAX = 32
@@ -362,6 +364,74 @@ def test_tensor_square_recovers_block_form_at_resonance():
     res = _breakdown(0.0, 1e-8)
     assert not res.passed
     assert res.max_deviation < 1e-12
+
+
+def _breakdown_with_zero_products(thetas, v, phi1, n_max, floors):
+    """The reference: tensor_breakdown_check with every T4 entry a constant,
+    zeros included, and no skip, so the exclusions ride on the products with 0."""
+    t4 = OpMatrix.build([[FockOperator.scalar(x) for x in row] for row in spinrep.T4])
+    conj = t4.dagger() @ v.kron(v) @ t4
+    zero = FockOperator.zero()
+    target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
+    found = matrix_grid_deviation(conj, n_max, thetas=thetas, right=target)
+    records = []
+    for name, floor, (dev, where, excluded) in zip(row_names("tensor_breakdown", thetas), floors, found):
+        detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
+        records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))
+    return records
+
+
+def _fields(record):
+    return record.name, record.max_deviation, record.detail, record.excluded, record.passed
+
+
+BREAKDOWN_THETAS = [1.0, -1.0, 0.37, -1.9, 2.5, -1e-9, 300.0]
+
+
+@pytest.mark.parametrize("n_max", [6, 24, 48])
+def test_tensor_breakdown_matches_the_construction_with_zero_products(n_max):
+    family = build_family(3)
+    v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
+    floors = [min(1e-8, 1e-2 * abs(theta)) for theta in BREAKDOWN_THETAS]
+    found = spinrep.tensor_breakdown_check(BREAKDOWN_THETAS, v, phi1, n_max, floors)
+    reference = _breakdown_with_zero_products(BREAKDOWN_THETAS, v, phi1, n_max, floors)
+    assert [_fields(r) for r in found] == [_fields(r) for r in reference]
+    assert any(r.excluded for r in found)  # the exclusions are compared, not only empty maps
+
+
+def test_every_slot_of_tensor_breakdown_excludes_every_string_of_the_square():
+    # column 2 alone is singular, at n = 3; T4's second column reads only the
+    # square's (0, 0) column, I I, so slot 2 excludes n = 3 only by the explicit rule
+    ident = FockOperator.identity()
+    v = OpMatrix.build([[ident, FockOperator.diagonal(guarded_div(1.0, number(-3)))], [ident, ident]])
+    phi1 = OpMatrix.identity(3)
+    (record,) = spinrep.tensor_breakdown_check([1.0], v, phi1, 8, [1e-8])
+    assert record.excluded == {slot: [3] for slot in (1, 2, 3, 4)}
+    (reference,) = _breakdown_with_zero_products([1.0], v, phi1, 8, [1e-8])
+    assert _fields(record) == _fields(reference)
+
+
+def _is_zero_constant(sym):
+    if sym.op == "adjoint":  # how T4's zeros appear in T4 dagger
+        sym = sym.args[0]
+    return sym.op == "const" and sym.args[0] == 0
+
+
+def test_tensor_breakdown_composes_no_constant_zero(monkeypatch):
+    family = build_family(3)
+    v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
+    with_zero = []
+    compose = operators.composed  # the name the shift algebra calls
+
+    def counted(ca, db, cb):
+        with_zero.append(_is_zero_constant(ca) or _is_zero_constant(cb))
+        return compose(ca, db, cb)
+
+    monkeypatch.setattr(operators, "composed", counted)
+    spinrep.tensor_breakdown_check([1.0, -1.0], v, phi1, 24, [1e-8, 1e-8])
+    assert with_zero and sum(with_zero) == 0
+    _breakdown_with_zero_products([1.0, -1.0], v, phi1, 24, [1e-8, 1e-8])
+    assert sum(with_zero) >= 24  # the counter sees the zero products where they are built
 
 
 @pytest.mark.parametrize("theta", [-1.9, -1.0, 0.0, 0.37, 1.0, 1.5, 2.5])

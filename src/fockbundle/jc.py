@@ -7,9 +7,9 @@ with an independent block oracle, and the local complex coordinate with
 its classical limit.  The detuning enters every coefficient as the node
 ``symbols.THETA`` and every guard as ``ROW_TOL``, so one build serves all
 theta: ``build_bundle`` builds the charts, the projector and the
-coordinate once, on one ``Radius`` each for R(N) and R(N+1) (one node per
-offset, with the sums and roots that several builders share), and its
-checks scan every theta of the run as one grid, one record per theta.
+coordinate once, and its checks scan every theta of the run as one grid,
+one record per theta.  Each builder writes R(N + c) and the nodes on it
+through functions of the offset c, and interning makes each one node.
 """
 
 from __future__ import annotations
@@ -58,25 +58,23 @@ def r_symbol(offset: int = 0) -> DiagonalSymbol:
     return guarded_sqrt(number(offset) + THETA * THETA, ROW_TOL)
 
 
-class Radius:
-    """R(N + offset) as one node, with the nodes on it that several builders share."""
-
-    def __init__(self, offset: int):
-        self.offset = offset
-        self.r = r_symbol(offset)
-        self.plus = self.r + THETA  # R + theta
-        self.minus = self.r + MINUS_THETA  # R - theta
-        self.root = guarded_sqrt(const(2.0) * self.r * self.plus, ROW_TOL)  # sqrt(2 R (R + theta))
+def r_theta(offset: int, sign: int) -> DiagonalSymbol:
+    """R(N + offset) + sign*theta."""
+    return r_symbol(offset) + (THETA if sign > 0 else MINUS_THETA)
 
 
-def r_operator(level: Radius) -> FockOperator:
-    return FockOperator.diagonal(level.r)
+def r_root(offset: int, sign: int) -> DiagonalSymbol:
+    """sqrt(2 R (R + sign*theta)) at R = R(N + offset)."""
+    return guarded_sqrt(const(2.0) * r_symbol(offset) * r_theta(offset, sign), ROW_TOL)
 
 
-def chart_prefactor(level: Radius, sign: int) -> DiagonalSymbol:
-    """1 / sqrt(2 R (R + sign*theta)) at the level's offset."""
-    root = level.root if sign > 0 else guarded_sqrt(const(2.0) * level.r * level.minus, ROW_TOL)
-    return guarded_div(1.0, root, ROW_TOL)
+def r_operator(offset: int) -> FockOperator:
+    return FockOperator.diagonal(r_symbol(offset))
+
+
+def chart_prefactor(offset: int, sign: int) -> DiagonalSymbol:
+    """1 / sqrt(2 R (R + sign*theta)) at R = R(N + offset)."""
+    return guarded_div(1.0, r_root(offset, sign), ROW_TOL)
 
 
 def build_h_jc() -> OpMatrix:
@@ -109,35 +107,35 @@ def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> List[Che
     return matrix_equal(product, bundle.h, n_max, tol, "qdm_factorization", skip={2: {0}}, thetas=bundle.thetas)
 
 
-def chart_core(label: str, r0: Radius, r1: Radius) -> OpMatrix:
+def chart_core(label: str) -> OpMatrix:
     if label == "I":
         return OpMatrix.build(
             [
-                [FockOperator.diagonal(r1.plus), -ANNIHILATION],
-                [CREATION, FockOperator.diagonal(r0.plus)],
+                [FockOperator.diagonal(r_theta(1, +1)), -ANNIHILATION],
+                [CREATION, FockOperator.diagonal(r_theta(0, +1))],
             ]
         )
     return OpMatrix.build(
         [
-            [ANNIHILATION, FockOperator.diagonal(THETA) - r_operator(r1)],
-            [FockOperator.diagonal(r0.minus), CREATION],
+            [ANNIHILATION, FockOperator.diagonal(THETA) - r_operator(1)],
+            [FockOperator.diagonal(r_theta(0, -1)), CREATION],
         ]
     )
 
 
-def chart_unitary(label: str, r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
+def chart_unitary(label: str) -> Tuple[OpMatrix, OpMatrix]:
     """V_I or V_II, one core with its scalar prefactors on the left and on the right."""
     sign = +1 if label == "I" else -1
-    p_upper = FockOperator.diagonal(chart_prefactor(r1, sign))
-    p_lower = FockOperator.diagonal(chart_prefactor(r0, sign))
-    core = chart_core(label, r0, r1)
+    p_upper = FockOperator.diagonal(chart_prefactor(1, sign))
+    p_lower = FockOperator.diagonal(chart_prefactor(0, sign))
+    core = chart_core(label)
     left = OpMatrix.diag(p_upper, p_lower)
     right = left if label == "I" else OpMatrix.diag(p_lower, p_upper)
     return left @ core, core @ right
 
 
-def chart_diagonal(label: str, r0: Radius, r1: Radius) -> OpMatrix:
-    upper, lower = (r1, r0) if label == "I" else (r0, r1)
+def chart_diagonal(label: str) -> OpMatrix:
+    upper, lower = (1, 0) if label == "I" else (0, 1)
     return OpMatrix.diag(r_operator(upper), -r_operator(lower))
 
 
@@ -151,9 +149,9 @@ class BundleChart(Frozen):
         self.__dict__.update(unitary=unitary, unitary_alt=unitary_alt, adjoint=adjoint, diagonal=diagonal)
 
 
-def build_chart(label: str, r0: Radius, r1: Radius) -> BundleChart:
-    unitary, unitary_alt = chart_unitary(label, r0, r1)
-    return BundleChart(unitary, unitary_alt, unitary.dagger(), chart_diagonal(label, r0, r1))
+def build_chart(label: str) -> BundleChart:
+    unitary, unitary_alt = chart_unitary(label)
+    return BundleChart(unitary, unitary_alt, unitary.dagger(), chart_diagonal(label))
 
 
 def claimed_strings(theta: float) -> Dict[str, Dict[int, Set[int]]]:
@@ -189,32 +187,29 @@ def transition_operator() -> OpMatrix:
     return OpMatrix.diag(ANNIHILATION * inv_sqrt_n, inv_sqrt_n * CREATION)
 
 
-def projector_pjc(r0: Radius, r1: Radius) -> Tuple[OpMatrix, OpMatrix]:
+def projector_pjc() -> Tuple[OpMatrix, OpMatrix]:
     """The rank-1 projector, one core with its 1/(2R) prefactors on the left and on the right."""
-    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r1.r, ROW_TOL))
-    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r0.r, ROW_TOL))
+    half_inv_r1 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r_symbol(1), ROW_TOL))
+    half_inv_r0 = FockOperator.diagonal(guarded_div(1.0, 2.0 * r_symbol(0), ROW_TOL))
     core = OpMatrix.build(
         [
-            [FockOperator.diagonal(r1.plus), ANNIHILATION],
-            [CREATION, FockOperator.diagonal(r0.minus)],
+            [FockOperator.diagonal(r_theta(1, +1)), ANNIHILATION],
+            [CREATION, FockOperator.diagonal(r_theta(0, -1))],
         ]
     )
     pre = OpMatrix.diag(half_inv_r1, half_inv_r0)
     return pre @ core, core @ pre
 
 
-def local_coordinate_z(r0: Radius) -> FockOperator:
+def local_coordinate_z() -> FockOperator:
     """The off-diagonal chart coordinate (1/(R(N)+theta)) a-dagger."""
-    return FockOperator.diagonal(guarded_div(1.0, r0.plus, ROW_TOL)) * CREATION
+    return FockOperator.diagonal(guarded_div(1.0, r_theta(0, +1), ROW_TOL)) * CREATION
 
 
 class Bundle(Frozen):
-    """Everything the charts suite reads, built once on one R(N) and one
-    R(N+1), with the detunings its checks scan."""
+    """Everything the charts suite reads, built once, with the detunings its checks scan."""
 
     thetas: Tuple[float, ...]
-    r0: Radius  # R(N)
-    r1: Radius  # R(N+1)
     h: OpMatrix
     charts: Dict[str, BundleChart]  # "I", "II"
     projector: OpMatrix  # prefactors on the left
@@ -222,17 +217,16 @@ class Bundle(Frozen):
     projector_adjoint: OpMatrix  # projector.dagger()
     z: FockOperator
 
-    def __init__(self, thetas, r0, r1, h, charts, projector, projector_alt, projector_adjoint, z):
-        self.__dict__.update(thetas=thetas, r0=r0, r1=r1, h=h, charts=charts, projector=projector)
+    def __init__(self, thetas, h, charts, projector, projector_alt, projector_adjoint, z):
+        self.__dict__.update(thetas=thetas, h=h, charts=charts, projector=projector)
         self.__dict__.update(projector_alt=projector_alt, projector_adjoint=projector_adjoint, z=z)
 
 
 def build_bundle(thetas: Sequence[float]) -> Bundle:
-    r0, r1 = Radius(0), Radius(1)
-    charts = {label: build_chart(label, r0, r1) for label in ("I", "II")}
-    projector, projector_alt = projector_pjc(r0, r1)
-    h, z = build_h_jc(), local_coordinate_z(r0)
-    return Bundle(tuple(thetas), r0, r1, h, charts, projector, projector_alt, projector.dagger(), z)
+    charts = {label: build_chart(label) for label in ("I", "II")}
+    projector, projector_alt = projector_pjc()
+    h, z = build_h_jc(), local_coordinate_z()
+    return Bundle(tuple(thetas), h, charts, projector, projector_alt, projector.dagger(), z)
 
 
 def projector_singular_map(bundle: Bundle, n_max: int) -> List[Dict[int, List[int]]]:
@@ -242,12 +236,12 @@ def projector_singular_map(bundle: Bundle, n_max: int) -> List[Dict[int, List[in
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     """Strings of the gluing operator in its defining form, each slot's states in order."""
-    return {slot: sorted(states) for slot, states in strings(n_max, transition_operator())[0].items()}
+    return strings(n_max, transition_operator())[0]
 
 
 def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
     """H_JC against diag(R(N+1), R(N)) (2 P - 1), for the bundle's projector P."""
-    d = OpMatrix.diag(r_operator(bundle.r1), r_operator(bundle.r0))
+    d = OpMatrix.diag(r_operator(1), r_operator(0))
     rebuilt = (d @ bundle.projector) - (d @ (OpMatrix.identity(2) - bundle.projector))
     return matrix_equal(bundle.h, rebuilt, n_max, tol, "spectral", thetas=bundle.thetas)
 
@@ -255,7 +249,7 @@ def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List
 def z_identity_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
     """1 + Z†Z against 2 R(N+1) / (R(N+1)+theta)."""
     lhs = FockOperator.identity() + bundle.z.dagger() * bundle.z
-    rhs = FockOperator.diagonal(guarded_div(2.0 * bundle.r1.r, bundle.r1.plus, ROW_TOL))
+    rhs = FockOperator.diagonal(guarded_div(2.0 * r_symbol(1), r_theta(1, +1), ROW_TOL))
     return op_equal(lhs, rhs, n_max, tol, "z_identity", thetas=bundle.thetas)
 
 

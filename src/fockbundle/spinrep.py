@@ -218,20 +218,12 @@ def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
     if len(family.x) <= n:
         raise ValueError(f"spin {j} needs a family of degree at least {n}, got {len(family.x) - 1}")
     x, y = family.x, family.y
-    chains: Dict[tuple, FockOperator] = {}  # a local memo, no closure: nothing keeps it after the return
     entries = [[FockOperator.zero()] * (n + 1) for _ in range(n + 1)]
     for i, k, weight, factors in _symmetric_power(n):
-        for m, factor in enumerate(factors):
-            if factors[: m + 1] in chains:  # a prefix shared by terms is one operator
-                continue
-            if (factor,) not in chains:  # a one-factor chain is its block, built once
-                out_bit, in_bit, level = factor
-                # the blocks (0, 0), (1, 0), (0, 1), (1, 1) at level l are X_{-l}, Y_{-l}, Y_{-l}†, X_{-(l+1)}
-                block = (x[level + 1] if out_bit else y[level].dagger()) if in_bit else (y if out_bit else x)[level]
-                chains[(factor,)] = block
-            if m:  # factor 0 acts first, so a chain composes leftward
-                chains[factors[: m + 1]] = chains[(factor,)] * chains[factors[:m]]
-        term = chains[factors]
+        # the blocks (0, 0), (1, 0), (0, 1), (1, 1) at level l are X_{-l}, Y_{-l}, Y_{-l}†, X_{-(l+1)}
+        blocks = [(x[lv + 1] if o else y[lv].dagger()) if t else (y if o else x)[lv] for o, t, lv in factors]
+        # block 0 acts first, so a term composes leftward; interning returns the prefixes other terms built
+        term = functools.reduce(lambda acc, block: block * acc, blocks[1:], blocks[0])
         entries[i][k] = entries[i][k] + (term if weight == 1 else weight * term)
     return OpMatrix.build(entries)
 

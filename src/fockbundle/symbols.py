@@ -391,12 +391,13 @@ def _eval_pow(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     arg, p, tol = node.args
     a = grid.values(arg, k)
     tol = grid.threshold(tol)
-    live = grid.index(k) >= 0
-    shape = np.broadcast_shapes(a.re.shape, live.shape, np.shape(tol), np.shape(a.singular))
+    inside = _inside(grid, k)
+    shape = np.broadcast_shapes(a.re.shape, grid.n.shape, np.shape(tol), np.shape(a.singular))
     integral = p.is_integer()
     re = [0.0] * math.prod(shape)
     singular = [False] * len(re) if a.singular is None else np.broadcast_to(a.singular, shape).ravel().tolist()
-    live, tol = np.broadcast_to(live, shape).ravel().tolist(), np.broadcast_to(tol, shape).ravel().tolist()
+    live = [True] * len(re) if inside is None else np.broadcast_to(inside, shape).ravel().tolist()
+    tol = np.broadcast_to(tol, shape).ravel().tolist()
     for i, x in enumerate(np.broadcast_to(a.re, shape).ravel().tolist()):
         if singular[i] or not live[i]:
             continue
@@ -411,32 +412,33 @@ def _eval_pow(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(np.array(re).reshape(shape), None, _flag(np.array(singular).reshape(shape)))
 
 
+def _inside(grid: Grid, k: int) -> Optional[np.ndarray]:
+    """Where the index n + k is a basis state, None if everywhere: the one copy of the vacuum rule."""
+    return None if grid.lo + k >= 0 else grid.index(k) >= 0
+
+
+def _zero_below_vacuum(grid: Grid, k: int, re, im, singular) -> tuple:
+    """``re``, ``im`` and ``singular``, read at the index n + k, with 0 and no singular state below the vacuum."""
+    inside = _inside(grid, k)
+    if inside is None:
+        return re, im, singular
+    im = None if im is None else np.where(inside, im, 0.0)
+    return np.where(inside, re, 0.0), im, None if singular is None else _flag(singular & inside)
+
+
 def _eval_composed(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     ca, db, cb = node.args
     right = grid.values(cb, k)
     left = grid.values(ca, k + db)
-    re, im = _product(left, right)
-    if grid.lo + k + db >= 0:
-        return GridValues(re, im, _either(right.singular, left.singular))
-    inside = grid.index(k + db) >= 0
-    re = np.where(inside, re, 0.0)
-    im = None if im is None else np.where(inside, im, 0.0)
-    left_singular = None if left.singular is None else _flag(left.singular & inside)
-    return GridValues(re, im, _either(right.singular, left_singular))
+    # the product is zeroed, not ca: 0 times a non-finite right value would be NaN
+    re, im, singular = _zero_below_vacuum(grid, k + db, *_product(left, right), left.singular)
+    return GridValues(re, im, _either(right.singular, singular))
 
 
 def _eval_adjoint(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     c, d = node.args
     a = grid.values(c, k - d)
-    im = None if a.im is None else -a.im
-    if grid.lo + k - d >= 0:
-        return GridValues(a.re, im, a.singular)
-    inside = grid.index(k - d) >= 0
-    return GridValues(
-        np.where(inside, a.re, 0.0),
-        None if im is None else np.where(inside, im, 0.0),
-        None if a.singular is None else _flag(a.singular & inside),
-    )
+    return GridValues(*_zero_below_vacuum(grid, k - d, a.re, None if a.im is None else -a.im, a.singular))
 
 
 _EVAL = {

@@ -15,42 +15,42 @@ import functools
 import math
 from typing import List, Sequence, Tuple
 
-from .jc import Radius, chart_prefactor
+from .jc import chart_prefactor, r_root, r_theta
 from .opmatrix import OpMatrix, matrix_equal
 from .operators import CREATION, FockOperator, op_equal
 from .report import CheckResult, Frozen
 from .symbols import ROW_TOL, DiagonalSymbol, guarded_div, guarded_sqrt, number
 
 
-def x_symbol(level: Radius) -> DiagonalSymbol:
-    """(R + theta) / sqrt(2 R (R + theta)) at R = R(N+1-j), the level's, for X_{-j}."""
-    return guarded_div(level.plus, level.root, ROW_TOL)
+def x_symbol(offset: int) -> DiagonalSymbol:
+    """(R + theta) / sqrt(2 R (R + theta)) at R = R(N + offset); X_{-j} reads offset 1-j."""
+    return guarded_div(r_theta(offset, +1), r_root(offset, +1), ROW_TOL)
 
 
-def x_operator(level: Radius) -> FockOperator:
-    return FockOperator.diagonal(x_symbol(level))
+def x_operator(offset: int) -> FockOperator:
+    return FockOperator.diagonal(x_symbol(offset))
 
 
-def _level_ratio(level: Radius) -> DiagonalSymbol:
-    """sqrt((N-j)/N) at the level's offset -j."""
-    return guarded_sqrt(guarded_div(number(level.offset), number(), ROW_TOL), ROW_TOL)
+def _level_ratio(offset: int) -> DiagonalSymbol:
+    """sqrt((N-j)/N) at offset -j."""
+    return guarded_sqrt(guarded_div(number(offset), number(), ROW_TOL), ROW_TOL)
 
 
-def y_operator(level: Radius) -> FockOperator:
-    """Y_{-j} at the level R(N-j): sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta))
+def y_operator(offset: int) -> FockOperator:
+    """Y_{-j} at offset -j: sqrt((N-j)/N) / sqrt(2 R(N-j)(R(N-j)+theta))
     a-dagger, the second factor being chart I's prefactor at N-j.
 
     The diagonal factor is only ever evaluated at N >= 1 because the
     shift acts first; states where N-j goes negative under the square
     root are singular and get reported, never regularized.
     """
-    return FockOperator.diagonal(_level_ratio(level) * chart_prefactor(level, +1)) * CREATION
+    return FockOperator.diagonal(_level_ratio(offset) * chart_prefactor(offset, +1)) * CREATION
 
 
-def z_operator(level: Radius) -> FockOperator:
-    """Z_{-j} at the level R(N-j): sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
-    pre = guarded_div(1.0, level.plus, ROW_TOL)
-    return FockOperator.diagonal(_level_ratio(level) * pre) * CREATION
+def z_operator(offset: int) -> FockOperator:
+    """Z_{-j} at offset -j: sqrt((N-j)/N) (1/(R(N-j)+theta)) a-dagger; Z_0 is the chart coordinate."""
+    pre = guarded_div(1.0, r_theta(offset, +1), ROW_TOL)
+    return FockOperator.diagonal(_level_ratio(offset) * pre) * CREATION
 
 
 class VeroneseFamily(Frozen):
@@ -70,11 +70,10 @@ def build_family(n: int) -> VeroneseFamily:
     values on the last grid they were read on until ``cache_clear()``."""
     if n < 1:
         raise ValueError("target degree must be at least 1")
-    levels = {offset: Radius(offset) for offset in range(1, -n - 1, -1)}  # X_{-j} at 1-j; Y_{-j}, Z_{-j} at -j
     return VeroneseFamily(
-        x=tuple(x_operator(levels[1 - j]) for j in range(n + 1)),
-        y=tuple(y_operator(levels[-j]) for j in range(n + 1)),
-        z=tuple(z_operator(levels[-j]) for j in range(n + 1)),
+        x=tuple(x_operator(1 - j) for j in range(n + 1)),
+        y=tuple(y_operator(-j) for j in range(n + 1)),
+        z=tuple(z_operator(-j) for j in range(n + 1)),
     )
 
 
@@ -118,7 +117,7 @@ def op_power(op: FockOperator, k: int) -> FockOperator:
 
 class LiftedColumn(Frozen):
     family: VeroneseFamily
-    n: int  # the degree, at most the family's
+    n: int  # the degree, at most one above the family's
     a_col: OpMatrix  # (n+1) x 1
     z_col: OpMatrix  # n x 1
 
@@ -143,7 +142,9 @@ class LiftedColumn(Frozen):
 @functools.lru_cache(maxsize=None)  # so its projector and normaliser are built once per process
 def lift(family: VeroneseFamily, n: int) -> LiftedColumn:
     """The degree-n column with entries sqrt(nCj) Y_{-(j-1)}...Y_0 X_0^{n-j},
-    read from a family of degree at least n."""
+    read from a family of degree at least n - 1, which holds Y_0 .. Y_{-(n-1)} and Z_0 .. Z_{-(n-1)}."""
+    if len(family.y) < n:
+        raise ValueError(f"a degree-{n} lift needs a family of degree at least {n - 1}, got {len(family.y) - 1}")
     x0 = family.x[0]
     a_entries, z_entries = [op_power(x0, n)], []
     for j in range(1, n + 1):

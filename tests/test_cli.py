@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fockbundle import cli, operators, symbols
+from symbol_reader import r_nodes
 
 FAST = ["--nmax", "16", "--theta", "1.0"]
 
@@ -474,12 +475,15 @@ def test_classical_limit_with_overflowing_theta_fails_with_a_report(capsys):
 
 
 def test_charts_suite_builds_each_object_once_per_run(monkeypatch):
-    calls = []
-    for name in ("build_bundle", "r_symbol", "transition_singular_map"):
+    calls, bundles = [], []
+    for name in ("build_bundle", "transition_singular_map"):
 
         def counted(*args, _name=name, _fn=getattr(cli.jc, name), **kwargs):
             calls.append((_name,) + args + tuple(kwargs.values()))
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name == "build_bundle":
+                bundles.append(out)
+            return out
 
         monkeypatch.setattr(cli.jc, name, counted)
     cfg = cli.SuiteConfig(suite="charts", theta_list=[1.0, -0.5], n_max=8)
@@ -488,7 +492,13 @@ def test_charts_suite_builds_each_object_once_per_run(monkeypatch):
     assert all(c.passed for row in rows for c in row)
     assert [c for c in calls if c[0] == "build_bundle"] == [("build_bundle", [1.0, -0.5])]
     # one R(N) and one R(N+1) node for every theta, shared by the charts, the projector and Z
-    assert sorted(c[1] for c in calls if c[0] == "r_symbol") == [0, 1]
+    (bundle,) = bundles
+    objects = [bundle.h, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, bundle.z]
+    for chart in bundle.charts.values():
+        objects += [chart.unitary, chart.unitary_alt, chart.adjoint, chart.diagonal]
+    found = r_nodes(*objects)
+    assert [offset for offset, _ in found] == [0, 1]
+    assert all(node is cli.jc.r_symbol(offset) for offset, node in found)
     assert [c[0] for c in calls].count("transition_singular_map") == 1
 
 

@@ -660,6 +660,22 @@ def test_only_the_interning_constructor_builds_nodes():
     assert outside == []
 
 
+def test_one_helper_decides_what_is_below_the_vacuum():
+    # the rule n + k >= 0 (on the index row, or on its lowest index) is written once, in the helper
+    # that composed, adjoint and pow read
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.GtE):
+                    reads = {getattr(n, "attr", None) for n in ast.walk(node.left)}
+                    if reads & {"index", "lo"}:
+                        writers.add(f"{path.name}:{fn.name}")
+    assert writers == {"symbols.py:_inside"}
+
+
 # -- the two sides of a check, subtracted on the grid ---------------------------------
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, complex(0.0, -0.0), complex(math.inf, 1.0), 2.5 - 1.5j]

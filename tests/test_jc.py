@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from fockbundle import jc, veronese
+from fockbundle import jc, spinrep, symbols, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import ROW_TOL, THETA, DiagonalSymbol, guarded_div, guarded_sqrt, number
-from symbol_reader import read_symbol
+from symbol_reader import coefficient_nodes, read_symbol
 
 N_MAX = 32
 TOL = 1e-10
@@ -120,20 +120,6 @@ def test_transition_forms_and_strings():
     assert matrix_equal(ground.dagger() @ ground, ident, N_MAX, TOL)[0].passed
 
 
-def coefficient_nodes(*objects):
-    """Every coefficient node reachable from the operators and operator matrices ``objects``."""
-    ops = []
-    for obj in objects:
-        ops += [e for row in obj.entries for e in row] if isinstance(obj, OpMatrix) else [obj]
-    stack, seen = [c for op in ops for _, c in op.terms], {}
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack += [arg for arg in node.args if isinstance(arg, DiagonalSymbol)]
-    return list(seen.values())
-
-
 def shared_r_nodes(*objects):
     """The R(N + c) = sqrt(N + c + theta theta) nodes reachable from
     ``objects``, checking that each has one R + theta node and one
@@ -156,10 +142,39 @@ def test_bundle_and_family_share_one_r_node_per_offset(theta):
     objects = [bundle.h, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, bundle.z]
     for chart in bundle.charts.values():
         objects += [chart.unitary, chart.unitary_alt, chart.adjoint, chart.diagonal]
-    assert {id(r) for r in shared_r_nodes(*objects)} == {id(bundle.r0.r), id(bundle.r1.r)}
+    assert {id(r) for r in shared_r_nodes(*objects)} == {id(jc.r_symbol(0)), id(jc.r_symbol(1))}
     family = veronese.build_family(4)
     r_nodes = shared_r_nodes(*family.x, *family.y, *family.z)
     assert sorted(r.args[0].args[0].args[0] for r in r_nodes) == list(range(-4, 2))  # offsets -n .. 1, once each
+
+
+@pytest.mark.parametrize("builder", ["build_bundle", "build_family", "nc_spin_rep"])
+def test_a_fresh_build_creates_each_node_once(monkeypatch, builder):
+    # every node a build creates is one it returns, created once: none is built and dropped, none twice
+    veronese.cache_clear()  # a family built earlier in the process would be returned as it is
+    family = veronese.build_family(4) if builder == "nc_spin_rep" else None  # what nc_spin_rep reads is not its own
+    before = [ref() for ref in list(symbols._NODES.values())]  # held, so that no new node takes an old one's id
+    created = []
+    init = DiagonalSymbol.__init__
+
+    def counted(self, *args):
+        created.append(None)  # no reference: a node the build drops still dies
+        init(self, *args)
+
+    monkeypatch.setattr(DiagonalSymbol, "__init__", counted)
+    if builder == "build_bundle":
+        bundle = jc.build_bundle([1.0, -0.5])
+        objects = [bundle.h, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, bundle.z]
+        objects += [m for chart in bundle.charts.values() for m in vars(chart).values()]
+    elif builder == "build_family":
+        family = veronese.build_family(4)
+        objects = [*family.x, *family.y, *family.z]
+    else:
+        objects = [spinrep.nc_spin_rep(family, 1.5)]
+    monkeypatch.undo()
+    old = {id(node) for node in before}
+    new = [node for node in coefficient_nodes(*objects) if id(node) not in old]
+    assert len(created) == len(new) > 0
 
 
 def test_one_build_serves_every_theta():

@@ -12,7 +12,6 @@ import pytest
 
 from fockbundle import operators, spinrep
 from fockbundle.report import lower_bound_check, upper_bound_check
-from fockbundle.jc import Radius
 from fockbundle.operators import FockOperator, row_names
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import guarded_div, number
@@ -186,7 +185,7 @@ def test_spin_must_be_a_positive_half_integer(j):
 
 def test_an_operator_spin_matrix_dies_with_its_last_reference():
     # entry (0, 2) of spin 1 is the chain Y_l† Y_l'†, built only here (no lifted column holds a Y† factor):
-    # with no reference cycle around the builder's memo, it dies without the cyclic collector
+    # with no reference cycle in the builder, it dies without the cyclic collector
     family = build_family(3)
     gc.collect()
     gc.disable()
@@ -439,7 +438,7 @@ def test_tensor_breakdown_composes_no_constant_zero(monkeypatch):
 def test_family_string_map_is_the_union_of_generator_supports(theta, n):
     union = {}
     for k in range(n + 1):
-        generators = (x_operator(Radius(1 - k)), y_operator(Radius(-k)))
+        generators = (x_operator(1 - k), y_operator(-k))
         (x_bad,), (y_bad,) = (op.singular_support(24, [theta]) for op in generators)
         if x_bad | y_bad:
             union[k + 1] = x_bad | y_bad

@@ -11,7 +11,7 @@ import pytest
 from fockbundle import jc, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
-from symbol_reader import read_symbol
+from symbol_reader import r_nodes, read_symbol
 
 N_MAX = 32
 TOL = 1e-10
@@ -43,18 +43,18 @@ def test_commutation_rule(theta, k):
 
 def test_x_values_explicit():
     # at theta=0 every X collapses to 1/sqrt(2) wherever it is defined
-    x0 = read_symbol(veronese.x_symbol(jc.Radius(1)), np.arange(8), [0.0])
+    x0 = read_symbol(veronese.x_symbol(1), np.arange(8), [0.0])
     assert x0.singular is None and x0.im is None
     for n in (1, 2, 7):
         assert x0.re[0, n] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     # large theta pushes X toward 1: the fibre aligns with the pole
-    assert read_symbol(veronese.x_symbol(jc.Radius(1)), np.arange(4), [50.0]).magnitude()[0, 3] > 0.999
+    assert read_symbol(veronese.x_symbol(1), np.arange(4), [50.0]).magnitude()[0, 3] > 0.999
 
 
 def test_y_index_structure():
     # the shift acts first, so the sqrt((N-2)/N) factor of Y_{-2} is read
     # at the raised index: negative under the root at |0>, zero at |1>
-    y2 = veronese.y_operator(jc.Radius(-2))
+    y2 = veronese.y_operator(-2)
     assert y2.singular_support(N_MAX, [1.0]) == [{0}]
     (d, c), = y2.terms
     values = read_symbol(c, np.arange(N_MAX + 1), [1.0])
@@ -64,9 +64,9 @@ def test_y_index_structure():
 
 
 def test_z_regular_at_vacuum_for_positive_theta():
-    z0 = veronese.z_operator(jc.Radius(0))
+    z0 = veronese.z_operator(0)
     assert z0.singular_support(N_MAX, [1.0]) == [set()]
-    (d, c), = veronese.z_operator(jc.Radius(-2)).terms
+    (d, c), = veronese.z_operator(-2).terms
     assert d == 1 and read_symbol(c, np.arange(N_MAX + 1), [1.0]).singular[0, 0]
 
 
@@ -103,10 +103,18 @@ def test_oike_layout(theta, n):
     assert res.passed, res.text_line()
 
 
+def test_lift_needs_a_family_of_degree_at_least_n_minus_one():
+    # a degree-n column reads Y_0 .. Y_{-(n-1)} and Z_0 .. Z_{-(n-1)}: a shorter family would truncate its entries
+    with pytest.raises(ValueError, match="needs a family of degree at least 2, got 1"):
+        veronese.lift(veronese.build_family(1), 3)
+    (res,) = veronese.lift_norm_check([1.0], veronese.lift(veronese.build_family(2), 3), N_MAX, TOL)
+    assert res.passed, res.text_line()
+
+
 def test_lift_degree_one_matches_chart_column():
     # for n=1 the lifted column is just (X0; Y0)
     lifted = veronese.lift(veronese.build_family(1), 1)
-    col = veronese.OpMatrix.build([[veronese.x_operator(jc.Radius(1))], [veronese.y_operator(jc.Radius(0))]])
+    col = veronese.OpMatrix.build([[veronese.x_operator(1)], [veronese.y_operator(0)]])
     assert matrix_equal(lifted.a_col, col, N_MAX, TOL, thetas=[1.0])[0].passed
 
 
@@ -129,18 +137,13 @@ def test_only_build_family_builds_the_operator_family():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
-def test_build_family_builds_one_r_node_per_offset(monkeypatch, n):
-    offsets = []
-
-    def counted(offset=0, _fn=jc.r_symbol):
-        offsets.append(offset)
-        return _fn(offset)
-
-    monkeypatch.setattr(jc, "r_symbol", counted)
+def test_build_family_builds_one_r_node_per_offset(n):
     veronese.cache_clear()  # a family built earlier in the process would be returned as it is
     family = veronese.build_family(n)
     # X_{-j} reads R(N+1-j), Y_{-j} and Z_{-j} read R(N-j), for every theta at once
-    assert offsets == list(range(1, -n - 1, -1))
+    found = r_nodes(*family.x, *family.y, *family.z)
+    assert [offset for offset, _ in found] == list(range(-n, 2))
+    assert all(node is jc.r_symbol(offset) for offset, node in found)
     assert all(res.passed for res in veronese.sum_rule_check([0.5, -0.5], family, n, N_MAX, TOL))
 
 
@@ -149,7 +152,7 @@ def test_y_and_z_of_a_level_share_one_level_ratio_node():
     for j in range(4):
         # Y_{-j} and Z_{-j} are (ratio * prefactor) a-dagger: one composed term each
         ((_, y),), ((_, z),) = family.y[j].terms, family.z[j].terms
-        ratio = veronese._level_ratio(jc.Radius(-j))
+        ratio = veronese._level_ratio(-j)
         assert y.args[0].args[0] is ratio
         assert z.args[0].args[0] is ratio
 

@@ -55,6 +55,12 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for every matrix of a stack, by einsum's own loops: small
+    matrices pay no BLAS call per matrix, and no run starts BLAS."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
 def _deviation(a: np.ndarray, b) -> np.ndarray:
     """Largest entry of |a - b| per matrix; NaN wherever an entry is NaN."""
     return np.max(np.abs(a - b), axis=(-2, -1))
@@ -202,7 +208,7 @@ def classical_local_z(p: SpherePoint):
 def cp_projector(zeta: np.ndarray) -> np.ndarray:
     """|zeta><zeta| / |zeta|^2 for nonzero columns in C^{n+1}, the last axis."""
     zeta = np.asarray(zeta, dtype=complex)
-    norm2 = (np.conj(zeta)[..., None, :] @ zeta[..., :, None])[..., 0, 0].real
+    norm2 = _matmul(np.conj(zeta)[..., None, :], zeta[..., :, None])[..., 0, 0].real
     if np.any(norm2 == 0.0):
         raise ValueError("zero column has no projective class")
     return zeta[..., :, None] * np.conj(zeta)[..., None, :] / _per_matrix(norm2)
@@ -282,32 +288,32 @@ def verify_points(p: SpherePoint) -> np.ndarray:
     for label in ("I", "II"):
         lanes = masks[label]
         u = charts[label] = chart_unitary(p[lanes], label)
-        fold(lanes, _deviation(_dagger(u) @ u, np.eye(2)))
-        fold(lanes, _deviation(_dagger(u) @ h[lanes] @ u, target[lanes]))
+        fold(lanes, _deviation(_matmul(_dagger(u), u), np.eye(2)))
+        fold(lanes, _deviation(_matmul(_matmul(_dagger(u), h[lanes]), u), target[lanes]))
 
     # a lane of both charts sits at index both[masks[label]] of that chart's unitaries
     both = masks["I"] & masks["II"] & masks["transition"]
     u1, u2 = (charts[label][both[masks[label]]] for label in ("I", "II"))
-    fold(both, _deviation(u1 @ transition_fn(p[both]), u2))
+    fold(both, _deviation(_matmul(u1, transition_fn(p[both])), u2))
 
     proj = hopf_projector(p)
-    fold(..., _deviation(proj @ proj, proj))
+    fold(..., _deviation(_matmul(proj, proj), proj))
     fold(..., _deviation(_dagger(proj), proj))
-    fold(..., _deviation(h @ proj, _per_matrix(r) * proj))
+    fold(..., _deviation(_matmul(h, proj), _per_matrix(r) * proj))
     fold(..., abs((proj[..., 0, 0] + proj[..., 1, 1]).real - 1.0))
     lanes, u = masks["I"], charts["I"]
-    fold(lanes, _deviation(u @ np.diag([1.0, 0.0]) @ _dagger(u), proj[lanes]))
+    fold(lanes, _deviation(_matmul(_matmul(u, np.diag([1.0, 0.0])), _dagger(u)), proj[lanes]))
 
     lanes = masks["I"] & masks["zeta"]
     zc = classical_local_z(p[lanes])
     fold(lanes, _deviation(cp_projector(veronese_column(zc, 1)), proj[lanes]))
     col = veronese_column(zc, N_LIFT)
     big = cp_projector(col)
-    fold(lanes, _deviation(big @ big, big))
-    # np.linalg.norm of each column: sqrt(re . re + im . im), each product a dot
+    fold(lanes, _deviation(_matmul(big, big), big))
+    # the norm of each column: sqrt(re . re + im . im), each product a sum over the column
     re, im = col.real[..., None, :], col.imag[..., None, :]
-    norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
-    fold(lanes, _deviation(big @ col[..., None], col[..., None]) / norm)
+    norm = np.sqrt((_matmul(re, re.swapaxes(-1, -2)) + _matmul(im, im.swapaxes(-1, -2)))[..., 0, 0])
+    fold(lanes, _deviation(_matmul(big, col[..., None]), col[..., None]) / norm)
     return worst
 
 

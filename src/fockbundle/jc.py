@@ -284,29 +284,53 @@ def _propagator_parts(gt: float, sign: float) -> Tuple[Callable, ...]:
     )
 
 
+def eigen_2x2(a, b, c) -> Tuple[np.ndarray, ...]:
+    """Eigensystem of the real symmetric [[a, b], [b, c]], elementwise over arrays.
+
+    LAPACK's dlaev2 written out over arrays, branch by branch: returns
+    rt1, the eigenvalue of larger magnitude, rt2, the other one, and the
+    unit eigenvector (cs, sn) of rt1; the eigenvector of rt2 is (-sn, cs).
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = np.abs(df), np.abs(tb)
+    a_larger = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(a_larger, a, c), np.where(a_larger, c, a)
+    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    # the branches not taken may divide by 0; ct * ct may overflow to inf, and 1 / sqrt(inf) is sn = 0
+    with np.errstate(all="ignore"):
+        rt = big * np.sqrt(1.0 + (small / np.where(big > 0, big, 1.0)) ** 2)  # sqrt(df^2 + tb^2)
+        sgn1 = np.where(sm < 0, -1.0, 1.0)
+        rt1 = 0.5 * (sm + sgn1 * rt)
+        rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+        sgn2 = np.where(df >= 0, 1.0, -1.0)
+        cs = df + sgn2 * rt
+        ct, tn = -tb / cs, -cs / tb
+        sn_ct, cs_tn = 1.0 / np.sqrt(1.0 + ct * ct), 1.0 / np.sqrt(1.0 + tn * tn)
+        steep, flat = np.abs(cs) > ab, ab == 0
+        cs1 = np.where(steep, ct * sn_ct, np.where(flat, 1.0, cs_tn))
+        sn1 = np.where(steep, sn_ct, np.where(flat, 0.0, tn * cs_tn))
+    swap = sgn1 == sgn2
+    return rt1, rt2, np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
+
+
 def propagator_block_oracle(thetas: Sequence[float], g: float, t: float, n_max: int) -> OpMatrix:
     """Exact propagator elements from the invariant two-dimensional subspaces.
 
     The Hamiltonian couples only (slot1,|n>) with (slot2,|n+1>), plus the
-    uncoupled (slot2,|0>).  Each 2x2 block is exponentiated through its
-    numpy eigendecomposition, one ``eigh`` per theta, which is independent
-    of the closed form.  Returns the propagator with those elements as
-    coefficients, one row per theta, valid on n = 0..n_max of the grid
-    with these ``thetas``.
+    uncoupled (slot2,|0>).  Each 2x2 block [[theta, sqrt(n+1)], [sqrt(n+1),
+    -theta]] is exponentiated through its eigensystem, solved by
+    ``eigen_2x2`` for every theta and n at once, which is independent of
+    the closed form: with e = exp(-i g t rt), U = e1 v1 v1^T + e2 v2 v2^T.
+    Returns the propagator with those elements as coefficients, one row
+    per theta, valid on n = 0..n_max of the grid with these ``thetas``.
     """
+    theta = np.array(thetas, dtype=float).reshape(-1, 1)
     coupling = np.sqrt(np.arange(1, n_max + 2, dtype=float))
-    blocks, ground = [], []
-    for theta in thetas:
-        h = np.zeros((n_max + 1, 2, 2), dtype=complex)
-        h[:, 0, 0], h[:, 1, 1] = theta, -theta
-        h[:, 0, 1] = h[:, 1, 0] = coupling
-        w, v = np.linalg.eigh(h)
-        phases = np.zeros_like(h)
-        phases[:, 0, 0], phases[:, 1, 1] = np.exp(-1j * g * t * w).T
-        blocks.append(v @ phases @ np.conj(np.swapaxes(v, 1, 2)))  # [n] is the block of (slot1,|n>), (slot2,|n+1>)
-        ground.append(np.exp(1j * g * t * theta))
-    u = np.array(blocks).reshape(len(blocks), n_max + 1, 2, 2)
-    below, ground = np.zeros((len(blocks), 1), dtype=complex), np.array(ground).reshape(-1, 1)
+    rt1, rt2, cs, sn = eigen_2x2(theta, coupling, -theta)  # [row, n] is the block of (slot1,|n>), (slot2,|n+1>)
+    e1, e2 = np.exp(-1j * g * t * rt1), np.exp(-1j * g * t * rt2)
+    u00, u11, u01 = e1 * cs * cs + e2 * sn * sn, e1 * sn * sn + e2 * cs * cs, (e1 - e2) * cs * sn
+    below, ground = np.zeros((len(theta), 1), dtype=complex), np.exp(1j * g * t * theta)
 
     def term(d: int, values: np.ndarray) -> FockOperator:
         # values[row, n] = <slot si, n + d| U |slot sj, n> at the row's theta
@@ -314,8 +338,8 @@ def propagator_block_oracle(thetas: Sequence[float], g: float, t: float, n_max: 
 
     return OpMatrix.build(
         [
-            [term(0, u[:, :, 0, 0]), term(-1, np.concatenate((below, u[:, :-1, 0, 1]), axis=1))],
-            [term(1, u[:, :, 1, 0]), term(0, np.concatenate((ground, u[:, :-1, 1, 1]), axis=1))],
+            [term(0, u00), term(-1, np.concatenate((below, u01[:, :-1]), axis=1))],
+            [term(1, u01), term(0, np.concatenate((ground, u11[:, :-1]), axis=1))],
         ]
     )
 
@@ -324,24 +348,27 @@ def propagator_oracle_check(thetas: Sequence[float], g: float, t: float, n_max: 
     """Closed form against the block oracle on every element <slot si, m|U|slot sj, n>
     with m in {n-1, n, n+1}, both indices within the grid, per theta.
 
-    The entries are scanned one at a time in row order, so a tied maximum
-    is reported at its first occurrence in (1,1), (1,2), (2,1), (2,2).
+    The four entries are one scan of four columns in row order, so a tied
+    maximum is reported at its first occurrence in (1,1), (1,2), (2,1), (2,2).
     """
     closed, oracle = propagator_closed_form(g, t), propagator_block_oracle(thetas, g, t, n_max)
-    rows = [(0.0, "", {}) for _ in thetas]
-    for si in (1, 2):
-        for sj in (1, 2):
-            found = scan_rows([[closed.entry(si - 1, sj - 1)]], n_max, thetas, right=[[oracle.entry(si - 1, sj - 1)]])
-            for r, (dev, at, singular) in enumerate(found):
-                max_dev, where, excluded = rows[r]
-                excluded = merge_excluded(excluded, {sj: singular.get(1, set())})
-                if dev > max_dev:
-                    max_dev, where = dev, f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
-                rows[r] = (max_dev, where, excluded)
-    return [
-        upper_bound_check(name, dev, tol, excluded, 2 * (n_max + 1), f"theta={theta}, gt={g * t}; max at {where}")
-        for name, theta, (dev, where, excluded) in zip(row_names("propagator_oracle", thetas), thetas, rows)
-    ]
+    entries = [(si, sj) for si in (1, 2) for sj in (1, 2)]
+    found = scan_rows(
+        [[closed.entry(si - 1, sj - 1)] for si, sj in entries],
+        n_max,
+        thetas,
+        right=[[oracle.entry(si - 1, sj - 1)] for si, sj in entries],
+    )
+    records = []
+    for name, theta, (dev, at, singular) in zip(row_names("propagator_oracle", thetas), thetas, found):
+        where = ""
+        if at is not None:  # column at[1] is entry (si, sj), and the state's slot is sj
+            si, sj = entries[at[1]]
+            where = f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
+        excluded = merge_excluded(*({entries[c - 1][1]: states} for c, states in singular.items()))
+        detail = f"theta={theta}, gt={g * t}; max at {where}"
+        records.append(upper_bound_check(name, dev, tol, excluded, 2 * (n_max + 1), detail))
+    return records
 
 
 def propagator_unitarity_check(

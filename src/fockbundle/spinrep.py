@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .classical import _deviation, random_direction, seeded_rng
+from .classical import _deviation, _matmul, random_direction, seeded_rng
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
 from .report import CheckResult, Frozen, lower_bound_check
@@ -153,13 +153,13 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cg_decompose_pair(g: SU2Element) -> np.ndarray:
     """T4† (g (x) g) T4, which equals diag(1, spin_rep(g, 1))."""
     m = g.matrix()
-    return T4.conj().T @ _kron(m, m) @ T4
+    return _matmul(_matmul(T4.conj().T, _kron(m, m)), T4)
 
 
 def cg_decompose_triple(g: SU2Element) -> np.ndarray:
     """T8† (g (x) g (x) g) T8 = diag(g, g, spin_rep(g, 3/2))."""
     m = g.matrix()
-    return T8.conj().T @ _kron(_kron(m, m), m) @ T8
+    return _matmul(_matmul(T8.conj().T, _kron(_kron(m, m), m)), T8)
 
 
 def pair_block_target(g: SU2Element) -> np.ndarray:
@@ -193,8 +193,8 @@ def group_sample_deviations(seed: int) -> Tuple[float, float, float]:
     unitary, homomorphism = [], []
     for j in (0.5, 1.0, 1.5):
         m1, m2 = spin_rep(g1, j), spin_rep(g2, j)
-        unitary.append(_deviation(np.conj(m1).swapaxes(-1, -2) @ m1, np.eye(m1.shape[-1])))
-        homomorphism.append(_deviation(m1 @ m2, spin_rep(prod, j)))
+        unitary.append(_deviation(_matmul(np.conj(m1).swapaxes(-1, -2), m1), np.eye(m1.shape[-1])))
+        homomorphism.append(_deviation(_matmul(m1, m2), spin_rep(prod, j)))
     blocks = [
         _deviation(cg_decompose_pair(g1), pair_block_target(g1)),
         _deviation(cg_decompose_triple(g1), triple_block_target(g1)),

@@ -400,6 +400,9 @@ def test_propagator_suite_scans_the_requested_grid(capsys):
     oracle = json.loads(out)["checks"][0]
     assert oracle["name"] == "propagator_oracle_theta0.5"
     # the largest deviation sits beyond n = 32, where the suite used to stop
+    m, n = map(int, re.search(r"max at \(slot\d,(\d+) \| slot\d,(\d+)\)$", oracle["detail"]).groups())
+    assert m > 32 and n > 32
+    # where exactly follows the float rounding of the two sides
     assert oracle["detail"].endswith("max at (slot1,57 | slot1,57)")
 
 

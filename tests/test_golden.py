@@ -30,6 +30,16 @@ written again when the samples came to be drawn from ``random.Random``
 instead of numpy's generator.  Only ``max_deviation`` of
 ``sphere_identities_sample``, ``su2_rep_unitary``, ``su2_rep_homomorphism``
 and ``su2_cg_blocks`` moved; each stays below 1e-14.
+
+The propagator and spinrep JSONs, ``classical-nmax6.json``, both
+``all-nmax6`` files, ``spinrep-theta1.5-2.5-nmax24.json`` and the sweep
+CSV were written again when the propagator's block oracle came to solve
+its 2x2 blocks elementwise (LAPACK's dlaev2 written over arrays) instead
+of by ``np.linalg.eigh``, and the sampled small matrices came to multiply
+through ``np.einsum`` instead of ``@``: both round differently from the
+BLAS and LAPACK calls they replace.  Only ``max_deviation`` and ``detail``
+of ``propagator_oracle_*``, ``su2_rep_homomorphism``, ``su2_cg_blocks``
+and ``sphere_identities_sample`` moved; each stays below 1e-14.
 """
 
 from pathlib import Path

@@ -403,6 +403,40 @@ def test_no_theta_free_scan_cache_or_second_way_to_read_a_symbol_comes_back():
     assert list(inspect.signature(symbols.DiagonalSymbol.__call__).parameters) == ["self", "grid"]
 
 
+def test_no_run_reaches_blas_or_lapack():
+    # the small matrices of a run go through elementwise numpy and einsum's own loops: a first
+    # BLAS or LAPACK call faults in workspace pages, and costs a call per 2x2 to 8x8 matrix
+    blas = {"linalg", "dot", "matmul", "vdot", "inner", "tensordot"}
+    no_matmul = {
+        "classical.py": None,  # the whole module
+        "jc.py": {"propagator_block_oracle"},
+        "spinrep.py": {"cg_decompose_pair", "cg_decompose_triple", "group_sample_deviations"},
+    }
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in blas and getattr(node.value, "id", None) == "np":
+                found.add(f"{path.name}: np.{node.attr}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(part in blas for name in names for part in name.split(".")):
+                    found.add(f"{path.name}: import {names}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+                found.update(f"{path.name}: einsum optimize=" for k in node.keywords if k.arg == "optimize")
+        if path.name not in no_matmul:
+            continue
+        scopes = [tree] if no_matmul[path.name] is None else [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in no_matmul[path.name]
+        ]
+        assert no_matmul[path.name] is None or len(scopes) == len(no_matmul[path.name])
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.add(f"{path.name}: @ in {getattr(scope, 'name', 'module')}")
+    assert not found
+
+
 # the position of each guard's threshold among its positional arguments
 GUARDS = {"guarded_div": 2, "guarded_sqrt": 1, "guarded_pow": 2, "inverse": 0, "power": 1}
 BUILDERS = {"const", "scalar", "number", "diagonal", "grid_leaf", *GUARDS}

@@ -262,6 +262,97 @@ def test_uncoupled_ground_state_phase():
     assert element(u.entry(1, 1), 0, 0, 0.7) == pytest.approx(np.exp(1j * 2.0 * 0.7), abs=1e-14)
 
 
+ORACLE_THETAS = [1.0, -1.0, 0.0, 0.37, -1.9, 2.5, 1e-13, -1e-13, 300.0, -300.0]
+ORACLE_GTS = [1.0, 1.61, -3.0]
+
+
+def oracle_blocks(thetas, gt, n_max):
+    """The oracle's 2x2 blocks on (slot1,|n>), (slot2,|n+1>) for n < n_max, shape (rows, n_max, 2, 2),
+    and its (slot2,|0>) phases, shape (rows,)."""
+    u = jc.propagator_block_oracle(thetas, 1.0, gt, n_max)
+
+    def read(i, j, d):
+        values = read_symbol(dict(u.entry(i, j).terms)[d], np.arange(n_max + 1), thetas)
+        return values.re + 1j * values.im
+
+    u00, u01, u10, u11 = read(0, 0, 0), read(0, 1, -1), read(1, 0, 1), read(1, 1, 0)
+    blocks = np.stack([np.stack([u00[:, :-1], u01[:, 1:]], -1), np.stack([u10[:, :-1], u11[:, 1:]], -1)], -2)
+    return blocks, u11[:, 0]
+
+
+def eigh_blocks(theta, gt, n_max):
+    # the blocks exponentiated through LAPACK's eigendecomposition, as the oracle once did
+    h = np.zeros((n_max, 2, 2))
+    h[:, 0, 0], h[:, 1, 1] = theta, -theta
+    h[:, 0, 1] = h[:, 1, 0] = np.sqrt(np.arange(1, n_max + 1))
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * gt * w)[:, None, :]) @ np.swapaxes(v, 1, 2)
+
+
+@pytest.mark.parametrize("gt", ORACLE_GTS)
+def test_block_oracle_agrees_with_an_eigh_reference_and_is_unitary(gt):
+    blocks, ground = oracle_blocks(ORACLE_THETAS, gt, 768)
+    for row, theta in enumerate(ORACLE_THETAS):
+        assert np.max(np.abs(blocks[row] - eigh_blocks(theta, gt, 768))) <= 1e-14
+        assert ground[row] == np.exp(1j * gt * theta)
+    gram = blocks @ np.conj(np.swapaxes(blocks, -1, -2))
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+
+def test_block_oracle_matches_scipy_expm():
+    expm = pytest.importorskip("scipy.linalg").expm
+    thetas = [0.37, -1.9, 300.0]
+    blocks, _ = oracle_blocks(thetas, 1.61, 12)
+    for row, theta in enumerate(thetas):
+        for n in (0, 5, 11):
+            h = np.array([[theta, math.sqrt(n + 1)], [math.sqrt(n + 1), -theta]])
+            assert np.max(np.abs(blocks[row, n] - expm(-1j * 1.61 * h))) <= 1e-13
+
+
+def test_block_oracle_warns_at_no_theta(recwarn):
+    # the CLI prints any numpy warning on stderr; at |theta| ~ 1e154 dlaev2's ct * ct overflows to inf, by design
+    jc.propagator_block_oracle([1e154, -1e200, 1e300, 0.0, -0.0, 1e-300], 1.0, 1.0, 6)
+    assert not recwarn.list
+
+
+def test_block_oracle_rows_are_computed_from_their_own_theta_bit_for_bit():
+    together, ground = oracle_blocks(ORACLE_THETAS, 1.61, 48)
+    for row, theta in enumerate(ORACLE_THETAS):
+        alone, alone_ground = oracle_blocks([theta], 1.61, 48)
+        assert np.array_equal(together[row], alone[0]) and ground[row] == alone_ground[0]
+
+
+# (a, b, c) of [[a, b], [b, c]], reaching each branch of dlaev2
+EIGEN_CASES = [
+    (3.0, 0.5, -1.0),  # |a - c| > |2b|, a + c > 0
+    (0.1, 2.0, 0.3),  # |a - c| < |2b|, a + c > 0
+    (1.0, 1.0, -1.0),  # |a - c| = |2b|, a + c = 0
+    (-3.0, 0.5, -1.0),  # a + c < 0, a - c < 0
+    (-1.0, 2.0, -0.5),  # a + c < 0, |a - c| < |2b|
+    (-1.0, 0.5, 2.0),  # a - c < 0, a + c > 0
+    (0.37, math.sqrt(5.0), -0.37),  # a + c = 0, the oracle's blocks
+    (-1.9, 1.0, 1.9),  # a + c = 0, a - c < 0
+    (2.0, 0.0, -1.0),  # b = 0
+    (-2.0, 0.0, 5.0),  # b = 0, a - c < 0
+    (-1.0, -1.0, -1.0),  # b < 0, a = c
+    (1e-13, 1.0, -1e-13),
+    (300.0, 27.7, -300.0),
+]
+
+
+def test_eigen_2x2_matches_eigh_on_every_branch():
+    a, b, c = (np.array(v) for v in zip(*EIGEN_CASES))
+    rt1, rt2, cs, sn = jc.eigen_2x2(a, b, c)
+    for k, (ak, bk, ck) in enumerate(EIGEN_CASES):
+        w, v = np.linalg.eigh(np.array([[ak, bk], [bk, ck]]))
+        scale = max(abs(w))
+        assert abs(rt1[k]) >= abs(rt2[k])
+        assert np.max(np.abs(np.sort([rt1[k], rt2[k]]) - w)) <= 2e-15 * scale
+        top = v[:, np.argmin(np.abs(w - rt1[k]))]  # the eigenvector of rt1, up to sign
+        assert min(np.max(np.abs([cs[k], sn[k]] - s * top)) for s in (1, -1)) <= 1e-15
+        assert abs(cs[k] ** 2 + sn[k] ** 2 - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, -1.0])
 def test_local_coordinate_forms_agree(theta):
     lhs = jc.build_bundle([theta]).z

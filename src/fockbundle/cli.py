@@ -10,11 +10,19 @@ Exit codes: 0 all checks pass (or help was printed), 1 some check failed
 configuration: a malformed command line, a NaN or infinite theta, t, g, tol
 or sweep value, a negative seed, a non-integral nmax sweep value, an nmax
 whose index grid numpy cannot hold, or an ``--out`` that cannot be written.
+
+``main`` runs with CPython's cyclic garbage collector paused, and on return
+re-enables it only if it was enabled.  A run makes no reference cycle: the
+coefficient DAG is acyclic, its nodes die by reference count, and the
+interning table (``symbols._NODES``) holds only weak references to them.
+Every collection a run triggered freed nothing.  The import is left alone,
+as it does make cycles.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import sys
@@ -360,6 +368,8 @@ def parse_args(argv: Sequence[str]) -> Dict[str, object] | None:
 
 
 def main(argv: List[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # a run makes no reference cycles: see the module docstring
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
@@ -386,6 +396,9 @@ def main(argv: List[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

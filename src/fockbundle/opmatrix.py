@@ -63,15 +63,6 @@ class OpMatrix(Frozen):
             [[ops[i] if i == j else FockOperator.zero() for j in range(k)] for i in range(k)]
         )
 
-    @staticmethod
-    def from_scalars(values: np.ndarray) -> "OpMatrix":
-        """Numeric (classical) matrix, embedded as constant operators.  An entry
-        equal to 0 (0, -0.0 or 0j) is the zero operator, with no terms, so a
-        product with it builds nothing: a check that relied on such a product
-        to carry the singular marks of its other factor passes them as ``skip``."""
-        arr = np.atleast_2d(np.asarray(values, dtype=complex))
-        return OpMatrix.build([[FockOperator.scalar(v) if v != 0 else FockOperator.zero() for v in row] for row in arr])
-
     def entry(self, i: int, j: int) -> FockOperator:
         return self.entries[i][j]
 
@@ -104,6 +95,17 @@ class OpMatrix(Frozen):
             [[self.entries[j][i].dagger() for j in range(self.rows)] for i in range(self.cols)]
         )
 
+    def conjugated(self, t: np.ndarray) -> "OpMatrix":
+        """t† M t for a numeric matrix t, associated as (t† M) t.  Each entry
+        sums its products in index order, each an entry of M scaled by a
+        number of t (``FockOperator.scale``).  A number equal to 0 (0, -0.0
+        or 0j) adds no product, so no singular mark of the entry it would
+        scale rides on it: a check that relies on those marks passes them as
+        ``skip``."""
+        t = np.asarray(t, dtype=complex)
+        left = [[_weighted_sum(np.conj(t[:, i]), col) for col in self.columns()] for i in range(t.shape[1])]
+        return OpMatrix.build([[_weighted_sum(t[:, k], row) for k in range(t.shape[1])] for row in left])
+
     def kron(self, other: "OpMatrix") -> "OpMatrix":
         """(A kron B)[(i,k)][(j,l)] = A[i][j] composed left of B[k][l]."""
         rows = []
@@ -121,6 +123,15 @@ class OpMatrix(Frozen):
     def column_singular_map(self, n_max: int, thetas: Thetas = None) -> List[Exclusions]:
         """Per input slot, the basis states on which some column entry is singular, per theta row."""
         return singular_rows(self.columns(), n_max, thetas)
+
+
+def _weighted_sum(weights: np.ndarray, ops: Sequence[FockOperator]) -> FockOperator:
+    """The sum of ``w * op`` in index order, with no term for a zero weight."""
+    total = FockOperator.zero()
+    for w, op in zip(weights.tolist(), ops):
+        if w != 0:
+            total = total + op.scale(w)
+    return total
 
 
 def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> List[Exclusions]:

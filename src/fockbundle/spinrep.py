@@ -83,15 +83,15 @@ def random_su2(rng: random.Random) -> SU2Element:
 
 def sample_pairs(count: int, seed: int) -> Tuple[SU2Element, SU2Element, SU2Element]:
     """Seeded pairs (g1, g2) of SU(2) elements and their products g1 g2,
-    as three batches of ``count``."""
+    as three batches of ``count``.  Each column is drawn as ``random_su2``
+    draws it, g1 before g2; the batches validate every norm at once."""
     rng = seeded_rng(seed)
     columns = []
     for _ in range(count):
-        g1, g2 = random_su2(rng), random_su2(rng)
+        (ra1, ia1, rb1, ib1), (ra2, ia2, rb2, ib2) = random_direction(rng, 4), random_direction(rng, 4)
+        a1, b1, a2, b2 = complex(ra1, ia1), complex(rb1, ib1), complex(ra2, ia2), complex(rb2, ib2)
         # each product in scalar complex arithmetic: numpy's array multiply rounds differently
-        a12 = g1.alpha * g2.alpha - g1.beta.conjugate() * g2.beta
-        b12 = g1.beta * g2.alpha + g1.alpha.conjugate() * g2.beta
-        columns.append((g1.alpha, g1.beta, g2.alpha, g2.beta, a12, b12))
+        columns.append((a1, b1, a2, b2, a1 * a2 - b1.conjugate() * b2, b1 * a2 + a1.conjugate() * b2))
     a1, b1, a2, b2, a12, b12 = np.array(columns, dtype=complex).reshape(count, 6).T
     return SU2Element(a1, b1), SU2Element(a2, b2), SU2Element(a12, b12)
 
@@ -287,9 +287,9 @@ def tensor_breakdown_check(
     Every slot excludes every string of V (x) V, the states where any of
     its entries is singular, as conjugation by a generic unitary mixes
     them all.  That rule is explicit: T4's zero entries build no product
-    (``OpMatrix.from_scalars``), so no string rides on a product with 0."""
-    t4, square = OpMatrix.from_scalars(T4), v.kron(v)
-    conj = t4.dagger() @ square @ t4
+    (``OpMatrix.conjugated``), so no string rides on a product with 0."""
+    square = v.kron(v)
+    conj = square.conjugated(T4)
     zero = FockOperator.zero()
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
     # one sorted list of the union per theta row, shared by the four slots

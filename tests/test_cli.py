@@ -564,6 +564,81 @@ def test_the_veronese_suite_reads_the_values_spinrep_left_whenever_garbage_is_co
     assert veronese <= 330
 
 
+# (exit code, argv) of every kind of run: each suite in each format, the three sweep axes, the
+# resonance band, a failing detuning, a configuration error and help
+ACYCLIC_RUNS = [
+    (0, ["verify", "--suite", suite, "--nmax", "8", "--theta", "1", "--theta=-1", "--theta", "0", "--format", fmt])
+    for suite in cli.SUITES
+    for fmt in ("json", "text", "csv")
+] + [
+    (0, ["sweep", "--suite", "all", "--axis", "theta", "--values", "-1", "0", "0.37", "--nmax", "6"]),
+    (0, ["sweep", "--suite", "all", "--axis", "t", "--values", "1", "2", "--nmax", "6"]),
+    (0, ["sweep", "--suite", "all", "--axis", "nmax", "--values", "6", "8", "6", "--nmax", "6"]),
+    (0, ["verify", "--suite", "all", "--theta", "1e-13", "--nmax", "8"]),
+    (1, ["verify", "--suite", "all", "--theta=-300", "--nmax", "8"]),
+    (2, ["verify", "--suite", "all", "--nmax", "abc"]),
+    (0, ["--help"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", ACYCLIC_RUNS, ids=[" ".join(argv) for _, argv in ACYCLIC_RUNS])
+def test_a_run_leaves_no_reference_cycle(code, argv, capsys):
+    # cli.main pauses the cyclic collector, which is safe only while a run makes no cycle: every
+    # object of a run dies by reference count, the DAG's nodes (interned by weak references) too
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(argv) == code
+        gc.collect()
+        garbage = sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, monkeypatch, capsys):
+    seen = []
+
+    def failing(cfg):
+        seen.append(gc.isenabled())
+        raise RuntimeError("runner failed")
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(["verify", "--suite", "fock", "--nmax", "6"]) == 0
+        assert gc.isenabled() is enabled
+        assert cli.main(["verify", "--nmax", "abc"]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setitem(cli._RUNNERS, "fock", failing)
+        with pytest.raises(RuntimeError, match="runner failed"):
+            cli.main(["verify", "--suite", "fock", "--nmax", "6"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == [False]  # paused during the run
+
+
+def test_only_the_cli_touches_the_collector():
+    # the pause is one decision, taken around a whole run: no module below the CLI imports gc
+    package = Path(cli.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
+                found.add(f"{path.name}: import gc")
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.add(f"{path.name}: from gc import")
+            if isinstance(node, ast.Name) and node.id == "gc":
+                found.add(f"{path.name}: gc")
+    assert not found
+
+
 def test_the_spinrep_suite_scans_the_family_and_lifts_the_veronese_suite_built(monkeypatch, capsys):
     got = {}
     for module, name, key, at in (

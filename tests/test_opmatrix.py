@@ -68,17 +68,38 @@ def test_kron_block_structure():
     assert matrix_equal(k @ k, OpMatrix.identity(4), N_MAX, TOL)[0].passed
 
 
-def test_from_scalars_embeds_numeric_matrix():
-    arr = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert matrix_equal(OpMatrix.from_scalars(arr), _pauli_x(), N_MAX, TOL)[0].passed
+def test_conjugated_by_a_numeric_matrix():
+    a, adag = ANNIHILATION, CREATION
+    m = OpMatrix.build([[a, FockOperator.number_op()], [adag * a, a.scale(2j)]])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # X† M X swaps both the rows and the columns
+    swapped = OpMatrix.build([[m.entry(1, 1), m.entry(1, 0)], [m.entry(0, 1), m.entry(0, 0)]])
+    assert m.conjugated(x) == swapped
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    as_constants = OpMatrix.build([[FockOperator.scalar(v) for v in row] for row in h])
+    assert matrix_equal(m.conjugated(h), as_constants.dagger() @ m @ as_constants, N_MAX, TOL)[0].passed
 
 
-def test_from_scalars_makes_a_numeric_zero_the_zero_operator():
-    values = np.array([[0.0, -0.0, 0j], [1.0, -1.0 / np.sqrt(2.0), 2j], [1e-300, -1e-300, 3.0 - 4.0j]])
-    m = OpMatrix.from_scalars(values)
-    assert m.entries[0] == (FockOperator.zero(),) * 3
-    for row, ops in zip(values[1:], m.entries[1:]):  # every other entry is its constant, as before
-        assert ops == tuple(FockOperator.scalar(x) for x in row)
+def test_conjugated_makes_a_numeric_zero_add_no_product():
+    sing = FockOperator.diagonal(guarded_div(1.0, number()))  # singular at n = 0
+    num = FockOperator.number_op()
+    ops = [[sing, sing, sing], [CREATION, num, ANNIHILATION], [ANNIHILATION, CREATION, num]]
+    m = OpMatrix.build(ops)
+    t = np.array([[0.0, -0.0, 0j], [1.0, -1.0 / np.sqrt(2.0), 2j], [1e-300, -1e-300, 3.0 - 4.0j]])
+    left = [[FockOperator.zero() for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for k in range(3):
+            for j in (1, 2):  # row 0 of t is zero in every sign: it scales nothing
+                left[i][k] = left[i][k] + ops[j][k].scale(complex(np.conj(t[j, i])))
+    expected = [[FockOperator.zero() for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for l in range(3):
+            for k in (1, 2):
+                expected[i][l] = expected[i][l] + left[i][k].scale(complex(t[k, l]))
+    conj = m.conjugated(t)
+    assert conj == OpMatrix.build(expected)
+    # only products with t's zero row would have carried the singular row of M: none is built
+    assert conj.column_singular_map(N_MAX) == [{}]
 
 
 def test_grid_deviation_reports_location_and_exclusions():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fockbundle import operators, spinrep
+from fockbundle.classical import seeded_rng
 from fockbundle.report import lower_bound_check, upper_bound_check
 from fockbundle.operators import FockOperator, row_names
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
@@ -276,7 +277,7 @@ def test_a_nan_pair_fails_the_group_sample(monkeypatch):
 
 # SHA-256 of the little-endian complex128 rows (g1.alpha, g1.beta, g2.alpha,
 # g2.beta) of the 50 seeded pairs, drawn from random.Random(seed).random(): per
-# element, with random_su2, a column (Re alpha, Im alpha, Re beta, Im beta) by
+# element, as random_su2 draws it, a column (Re alpha, Im alpha, Re beta, Im beta) by
 # rejection from the cube [-1, 1]^4, g1 before g2.  Python keeps that stream
 # across releases; a change of draw order or arithmetic moves these pins.
 PAIRS_SHA256 = {
@@ -291,6 +292,21 @@ def test_pair_draws_are_pinned(seed):
     g1, g2, _ = spinrep.sample_pairs(50, seed)
     rows = np.stack([g1.alpha, g1.beta, g2.alpha, g2.beta], axis=-1).astype("<c16")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == PAIRS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_pairs_are_random_su2_draws_and_their_scalar_products(seed):
+    rng = seeded_rng(seed)
+    rows = []
+    for _ in range(30):
+        g1, g2 = spinrep.random_su2(rng), spinrep.random_su2(rng)
+        a12 = g1.alpha * g2.alpha - g1.beta.conjugate() * g2.beta
+        b12 = g1.beta * g2.alpha + g1.alpha.conjugate() * g2.beta
+        rows.append((g1.alpha, g1.beta, g2.alpha, g2.beta, a12, b12))
+    expected = np.array(rows, dtype=complex).T
+    batches = spinrep.sample_pairs(30, seed)
+    found = np.array([part for g in batches for part in (g.alpha, g.beta)])
+    assert found.tobytes() == expected.tobytes()
 
 
 def test_same_seed_gives_the_same_pairs():
@@ -410,27 +426,31 @@ def test_every_slot_of_tensor_breakdown_excludes_every_string_of_the_square():
     assert _fields(record) == _fields(reference)
 
 
-def _is_zero_constant(sym):
-    if sym.op == "adjoint":  # how T4's zeros appear in T4 dagger
+def _constant(sym):
+    """The value of a constant operand, None for any other node."""
+    if sym.op == "adjoint":  # how T4's entries appear in T4 dagger when composed
         sym = sym.args[0]
-    return sym.op == "const" and sym.args[0] == 0
+    return sym.args[0] if sym.op == "const" else None
 
 
 def test_tensor_breakdown_composes_no_constant_zero(monkeypatch):
+    # nor any other constant: T4's numbers scale the square's entries, and a unit builds no node
     family = build_family(3)
     v, phi1 = spinrep.nc_spin_rep(family, 0.5), spinrep.nc_spin_rep(family, 1.0)
-    with_zero = []
+    calls, constants = [], []
     compose = operators.composed  # the name the shift algebra calls
 
     def counted(ca, db, cb):
-        with_zero.append(_is_zero_constant(ca) or _is_zero_constant(cb))
+        calls.append(db)
+        constants.extend(c for c in (_constant(ca), _constant(cb)) if c is not None)
         return compose(ca, db, cb)
 
     monkeypatch.setattr(operators, "composed", counted)
     spinrep.tensor_breakdown_check([1.0, -1.0], v, phi1, 24, [1e-8, 1e-8])
-    assert with_zero and sum(with_zero) == 0
+    assert calls and constants == []
     _breakdown_with_zero_products([1.0, -1.0], v, phi1, 24, [1e-8, 1e-8])
-    assert sum(with_zero) >= 24  # the counter sees the zero products where they are built
+    assert constants.count(0) >= 24  # the counter sees the constant products where they are built
+    assert {abs(c) for c in constants} == {0.0, 1.0, 1 / np.sqrt(2.0)}
 
 
 @pytest.mark.parametrize("theta", [-1.9, -1.0, 0.0, 0.37, 1.0, 1.5, 2.5])

@@ -33,7 +33,7 @@ import numpy as np
 from . import classical, jc, spinrep, veronese
 from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names
 from .opmatrix import check_idempotent_hermitian, matrix_equal
-from .report import CheckResult, VerificationReport, exact_set_check, format_excluded, upper_bound_check
+from .report import CheckResult, VerificationReport, exact_set_check, excluded_rows, format_excluded, upper_bound_check
 
 SUITES = ("fock", "charts", "propagator", "veronese", "spinrep", "classical", "all")
 
@@ -121,8 +121,8 @@ def run_charts(cfg: SuiteConfig) -> Parts:
     computed = jc.projector_singular_map(bundle, nm)
     p, p_adjoint = bundle.projector, bundle.projector_adjoint
     checks.append(check_idempotent_hermitian(p, nm, tol, "projector", skip=computed, adjoint=p_adjoint, thetas=thetas))
-    names = row_names("strings_projector", thetas)
-    checks.append([exact_set_check(n, found, c["projector"]) for n, found, c in zip(names, computed, claimed)])
+    rows = zip(row_names("strings_projector", thetas), excluded_rows(computed), claimed)
+    checks.append([exact_set_check(name, found, c["projector"]) for name, found, c in rows])
     checks.append(jc.spectral_decomposition_check(bundle, nm, tol))
     checks.append(jc.z_identity_check(bundle, nm, tol))
     return [], _by_theta(checks)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
 from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names, scan_rows
-from .report import CheckResult, Frozen, exact_set_check, merge_excluded, monotone_check, upper_bound_check
+from .report import CheckResult, Frozen, exact_set_check, excluded_rows, monotone_check, upper_bound_check
 from .symbols import (
     ROW_TOL,
     THETA,
@@ -104,7 +104,8 @@ def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> List[Che
     """
     left, middle, right = qdm_factorization()
     product = left @ middle @ right
-    return matrix_equal(product, bundle.h, n_max, tol, "qdm_factorization", skip={2: {0}}, thetas=bundle.thetas)
+    skip = np.array([[False], [True]]) & (np.arange(n_max + 1) == 0)  # (slot 2, |0>), for every theta row
+    return matrix_equal(product, bundle.h, n_max, tol, "qdm_factorization", skip=skip, thetas=bundle.thetas)
 
 
 def chart_core(label: str) -> OpMatrix:
@@ -172,7 +173,7 @@ def dirac_string_map(bundle: Bundle, label: str, n_max: int) -> List[CheckResult
     and of V†, as the chart map uses V with V† -- against the claimed ones,
     as the exact-set check ``strings_chart_{label}_theta{theta}``, per theta."""
     chart, thetas = bundle.charts[label], bundle.thetas
-    computed = strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint, thetas=thetas)
+    computed = excluded_rows(strings(n_max, chart.unitary, chart.unitary_alt, chart.adjoint, thetas=thetas))
     names = row_names(f"strings_chart_{label}", thetas)
     return [
         exact_set_check(name, found, claimed_strings(theta)[f"chart_{label}"])
@@ -229,14 +230,15 @@ def build_bundle(thetas: Sequence[float]) -> Bundle:
     return Bundle(tuple(thetas), h, charts, projector, projector_alt, projector.dagger(), z)
 
 
-def projector_singular_map(bundle: Bundle, n_max: int) -> List[Dict[int, List[int]]]:
-    """Strings of the bundle's projector, in both orderings, and of its adjoint, per theta."""
+def projector_singular_map(bundle: Bundle, n_max: int) -> np.ndarray:
+    """Strings of the bundle's projector, in both orderings, and of its adjoint, as the
+    (theta rows, slots, n_max + 1) mask that its checks skip and list."""
     return strings(n_max, bundle.projector, bundle.projector_alt, bundle.projector_adjoint, thetas=bundle.thetas)
 
 
 def transition_singular_map(n_max: int) -> Dict[int, List[int]]:
     """Strings of the gluing operator in its defining form, each slot's states in order."""
-    return strings(n_max, transition_operator())[0]
+    return excluded_rows(strings(n_max, transition_operator()))[0]
 
 
 def spectral_decomposition_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
@@ -353,19 +355,20 @@ def propagator_oracle_check(thetas: Sequence[float], g: float, t: float, n_max: 
     """
     closed, oracle = propagator_closed_form(g, t), propagator_block_oracle(thetas, g, t, n_max)
     entries = [(si, sj) for si in (1, 2) for sj in (1, 2)]
-    found = scan_rows(
+    top, at, dropped = scan_rows(
         [[closed.entry(si - 1, sj - 1)] for si, sj in entries],
         n_max,
         thetas,
         right=[[oracle.entry(si - 1, sj - 1)] for si, sj in entries],
     )
+    # the state of entry (si, sj) is in slot sj: (1,1) and (2,1) exclude from slot 1, (1,2) and (2,2) from slot 2
+    by_slot = excluded_rows(dropped[:, :2] | dropped[:, 2:])
     records = []
-    for name, theta, (dev, at, singular) in zip(row_names("propagator_oracle", thetas), thetas, found):
+    for name, theta, dev, at, excluded in zip(row_names("propagator_oracle", thetas), thetas, top, at, by_slot):
         where = ""
-        if at is not None:  # column at[1] is entry (si, sj), and the state's slot is sj
+        if at is not None:  # column at[1] is entry (si, sj)
             si, sj = entries[at[1]]
             where = f"(slot{si},{at[2] + at[3]} | slot{sj},{at[2]})"
-        excluded = merge_excluded(*({entries[c - 1][1]: states} for c, states in singular.items()))
         detail = f"theta={theta}, gt={g * t}; max at {where}"
         records.append(upper_bound_check(name, dev, tol, excluded, 2 * (n_max + 1), detail))
     return records

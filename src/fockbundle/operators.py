@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .report import CheckResult, Exclusions, Frozen, upper_bound_check
+from .report import CheckResult, Frozen, excluded_rows, upper_bound_check
 from .symbols import (
     DEFAULT_SIGMA_TOL,
     DiagonalSymbol,
@@ -141,7 +141,7 @@ class FockOperator(Frozen):
     def singular_support(self, n_max: int, thetas: Optional[Sequence[float]] = None) -> List[Set[int]]:
         """Basis indices n <= n_max at which any coefficient evaluation is
         singular, one set per theta row (one row without ``thetas``)."""
-        return [excluded.get(1, set()) for excluded in singular_rows([[self]], n_max, thetas)]
+        return [set(excluded.get(1, ())) for excluded in excluded_rows(singular_rows([[self]], n_max, thetas))]
 
 
 # the ladder operators, built once: every builder composes these nodes
@@ -152,7 +152,6 @@ CREATION = FockOperator.creation()
 # -- the grid scan -----------------------------------------------------------
 
 Location = Tuple[int, int, int, int]  # (row, column, n, d)
-ScanRow = Tuple[float, Optional[Location], Dict[int, Set[int]]]
 
 
 @functools.lru_cache(maxsize=2)  # the latest grids: a run holds one with theta rows and one without
@@ -197,9 +196,9 @@ def scan_rows(
     columns: Sequence[Sequence[FockOperator]],
     n_max: int,
     thetas: Optional[Sequence[float]] = None,
-    skip: Exclusions | Sequence[Exclusions] | None = None,
+    skip: Optional[np.ndarray] = None,
     right: Optional[Sequence[Sequence[FockOperator]]] = None,
-) -> List[ScanRow]:
+) -> Tuple[List[float], List[Optional[Location]], np.ndarray]:
     """Max |coefficient| over the grid states (slot j, n) with n <= n_max,
     one result per theta row, one row without ``thetas``.
 
@@ -213,27 +212,27 @@ def scan_rows(
     for the difference.
 
     It applies the one rule for singular states, the Dirac strings, that
-    ``_read_column`` holds: a state is excluded when ``skip`` lists it or a
+    ``_read_column`` holds: a state is excluded when ``skip`` marks it or a
     coefficient evaluated on it is singular, wherever its term maps it.  A
     term mapping it above n_max or below the vacuum adds no deviation, nor
     does an excluded state; a NaN or infinite coefficient counts as infinite.
 
-    Each row is reduced by that rule on its own to the maximum, the
+    Each row is reduced by that rule on its own to the maximum and the
     location of its first occurrence in slot, n, row, term order (None
-    when the maximum is 0), and the exclusions per 1-based slot, ``skip``
-    included.  ``skip`` is one map for every row or a sequence of one per
-    row.
+    when the maximum is 0).  Returns the maxima and the locations, one per
+    row, and the (rows, slots, n_max + 1) mask of the excluded states,
+    ``skip`` included.  ``skip`` is a boolean mask that broadcasts to that
+    shape, so it marks states on the grid only: anything else raises
+    ValueError.
     """
     grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
-    skips = [s or {} for s in per_row(skip, thetas)]
-    rows, size, slots = len(skips), n_max + 1, len(columns)
-    excluded = [{s: set(v) for s, v in sk.items()} for sk in skips]
+    rows, size, slots = 1 if thetas is None else len(thetas), n_max + 1, len(columns)
     # the states each row drops, per slot: skipped ones, then those singular wherever their terms map them
     dropped = np.zeros((rows, slots, size), dtype=bool)
-    for r, sk in enumerate(skips):
-        for s, states in sk.items():
-            if 1 <= s <= slots:
-                dropped[r, s - 1, [m for m in states if 0 <= m <= n_max]] = True
+    if skip is not None:
+        if np.asarray(skip).dtype != bool:
+            raise ValueError(f"skip must be a boolean mask of shape {dropped.shape}, got {type(skip).__name__}")
+        dropped |= skip  # a ValueError when it does not broadcast: a state off the grid or a slot past the columns
     # row 0 is the starting maximum 0, so the first maximum of a row is the first column above 0
     tops, ats, labels = np.zeros((slots + 1, rows)), np.zeros((slots + 1, rows), dtype=np.intp), [None]
     with np.errstate(all="ignore"):  # no value warns, whatever its guards let through
@@ -260,28 +259,17 @@ def scan_rows(
         if j:
             n, t = divmod(int(ats[j, r]), len(labels[j]))
             where[r] = (labels[j][t][0], j - 1, n, labels[j][t][1])
-    _list_dropped(dropped, excluded)  # a skipped state is already listed
-    top = tops[best, np.arange(rows)].tolist()
-    return [(top[r], where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
+    return tops[best, np.arange(rows)].tolist(), where, dropped
 
 
 def singular_rows(columns: Sequence[Sequence[FockOperator]], n_max: int, thetas: Optional[Sequence[float]] = None):
-    """The exclusions ``scan_rows`` finds with no ``skip``, per theta row, from the masks alone: no deviation."""
+    """The exclusion mask ``scan_rows`` finds with no ``skip``, from the masks alone: no deviation."""
     grid = _grid(n_max, None if thetas is None else np.array(thetas, dtype=float).tobytes())
-    dropped = np.zeros((len(per_row(None, thetas)), len(columns), n_max + 1), dtype=bool)
+    dropped = np.zeros((1 if thetas is None else len(thetas), len(columns), n_max + 1), dtype=bool)
     with np.errstate(all="ignore"):
         for j, col in enumerate(columns):
             _read_column(col, None, grid, dropped[:, j])
-    return _list_dropped(dropped, [{} for _ in dropped])
-
-
-def _list_dropped(dropped: np.ndarray, excluded: List[Dict[int, Set[int]]]) -> List[Dict[int, Set[int]]]:
-    """``excluded``, one map per row, with the states of the (rows, slots, n_max + 1) mask ``dropped``
-    added under their 1-based slots, in row, slot, n order: the one listing of both scanners' masks."""
-    _, slots, size = dropped.shape
-    for k in np.flatnonzero(dropped).tolist():
-        excluded[k // (slots * size)].setdefault(k // size % slots + 1, set()).add(k % size)
-    return excluded
+    return dropped
 
 
 def op_equal(
@@ -297,8 +285,9 @@ def op_equal(
     excluded from the scan and listed in the result, the location of the
     maximum is its detail, and it fails when every grid state is excluded.
     One record per theta row (``row_names``)."""
+    top, where, dropped = scan_rows([[a]], n_max, thetas, right=[[b]])
     checks = []
-    for row, (dev, at, excluded) in zip(row_names(name, thetas), scan_rows([[a]], n_max, thetas, right=[[b]])):
+    for row, dev, at, excluded in zip(row_names(name, thetas), top, where, excluded_rows(dropped)):
         detail = "" if at is None else f"max at (m={at[2] + at[3]}, n={at[2]})"
         checks.append(upper_bound_check(row, dev, tol, excluded, n_max + 1, detail))
     return checks

@@ -7,7 +7,8 @@ which some coefficient is singular are excluded from the scan and
 reported per slot -- the exclusion sets are the Dirac strings.  A scan or
 check runs on every theta row at once and returns a list of one result per
 row, in order, one row without ``thetas``, as ``operators.scan_rows`` does;
-a ``skip`` or ``detail`` is one value for every row or a list of one per row.
+a ``detail`` is one value for every row or a list of one per row, and a
+``skip`` one boolean (row, slot, state) mask, as the string maps return it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .operators import FockOperator, per_row, row_names, scan_rows, singular_rows
-from .report import CheckResult, Exclusions, Frozen, merge_excluded, upper_bound_check
+from .report import CheckResult, Frozen, excluded_rows, upper_bound_check
 
 Thetas = Optional[Sequence[float]]
-Skip = Exclusions | Sequence[Exclusions] | None
+Skip = Optional[np.ndarray]  # a boolean mask that broadcasts to (theta rows, slots, n_max + 1)
 
 
 class OpMatrix(Frozen):
@@ -120,8 +121,8 @@ class OpMatrix(Frozen):
 
     # -- evaluation -------------------------------------------------------
 
-    def column_singular_map(self, n_max: int, thetas: Thetas = None) -> List[Exclusions]:
-        """Per input slot, the basis states on which some column entry is singular, per theta row."""
+    def column_singular_map(self, n_max: int, thetas: Thetas = None) -> np.ndarray:
+        """The (theta rows, slots, n_max + 1) mask of the basis states on which some entry of a column is singular."""
         return singular_rows(self.columns(), n_max, thetas)
 
 
@@ -129,33 +130,33 @@ def _weighted_sum(weights: np.ndarray, ops: Sequence[FockOperator]) -> FockOpera
     """The sum of ``w * op`` in index order, with no term for a zero weight."""
     total = FockOperator.zero()
     for w, op in zip(weights.tolist(), ops):
-        if w != 0:
-            total = total + op.scale(w)
+        if w != 0:  # a real w scales as w.real: np.conj's -0.0 imaginary part would intern a second constant
+            total = total + op.scale(w.real if w.imag == 0 else w)
     return total
 
 
-def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> List[Exclusions]:
+def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> np.ndarray:
     """The Dirac strings of an object displayed in several forms: the
-    union of the forms' column singular maps, per theta row."""
-    maps = [form.column_singular_map(n_max, thetas) for form in forms]
-    return [merge_excluded(*row) for row in zip(*maps)]
+    union of the forms' column singular masks, as wide as the widest."""
+    union = np.zeros((1 if thetas is None else len(thetas), max(form.cols for form in forms), n_max + 1), dtype=bool)
+    for form in forms:
+        union[:, : form.cols] |= form.column_singular_map(n_max, thetas)
+    return union
 
 
 def matrix_grid_deviation(
     left: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None, right: OpMatrix | None = None
-) -> list:
+) -> Tuple[List[float], List[str], np.ndarray]:
     """Max |coefficient| of ``left``, or of ``left`` - ``right`` subtracted
     on the grid, over non-excluded grid states.
 
-    Returns (max deviation, location string, exclusion map) per theta
-    row; states in ``skip`` and states found singular during the scan are
-    excluded (see ``operators.scan_rows`` for the rules).
+    Returns the max deviations and their location strings, one per theta
+    row, and the mask of the excluded states: those in ``skip`` and those
+    found singular during the scan (see ``operators.scan_rows`` for the rules).
     """
-    scanned = scan_rows(left.columns(), n_max, thetas, skip, None if right is None else right.columns())
-    return [
-        (dev, "" if at is None else f"(slot{at[0] + 1},{at[2] + at[3]} | slot{at[1] + 1},{at[2]})", excluded)
-        for dev, at, excluded in scanned
-    ]
+    top, at, dropped = scan_rows(left.columns(), n_max, thetas, skip, None if right is None else right.columns())
+    where = ["" if a is None else f"(slot{a[0] + 1},{a[2] + a[3]} | slot{a[1] + 1},{a[2]})" for a in at]
+    return top, where, dropped
 
 
 def matrix_equal(
@@ -172,10 +173,11 @@ def matrix_equal(
     A ``detail`` replaces the default one, the location of the maximum."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    found = matrix_grid_deviation(a, n_max, skip, thetas, right=b)
+    top, at, dropped = matrix_grid_deviation(a, n_max, skip, thetas, right=b)
+    rows = zip(row_names(name, thetas), per_row(detail, thetas), top, at, excluded_rows(dropped))
     return [
         upper_bound_check(row, dev, tol, excl, a.cols * (n_max + 1), text or (f"max at {where}" if where else ""))
-        for row, text, (dev, where, excl) in zip(row_names(name, thetas), per_row(detail, thetas), found)
+        for row, text, dev, where, excl in rows
     ]
 
 
@@ -190,20 +192,16 @@ def pair_check(
     thetas: Thetas = None,
 ) -> List[CheckResult]:
     """The larger of two grid deviations, each of a (left, right) pair of
-    sides, with the union of their exclusions; the default detail is the
-    location, the first one's on a tie, and empty when both are 0."""
-    rows = zip(
-        row_names(name, thetas),
-        per_row(detail, thetas),
-        matrix_grid_deviation(first[0], n_max, skip, thetas, right=first[1]),
-        matrix_grid_deviation(second[0], n_max, skip, thetas, right=second[1]),
-    )
+    sides of one shape, with the union of their exclusions; the default
+    detail is the location, the first one's on a tie, and empty when both are 0."""
+    top1, at1, dropped1 = matrix_grid_deviation(first[0], n_max, skip, thetas, right=first[1])
+    top2, at2, dropped2 = matrix_grid_deviation(second[0], n_max, skip, thetas, right=second[1])
+    rows = zip(row_names(name, thetas), per_row(detail, thetas), top1, at1, top2, at2)
     records: List[CheckResult] = []
-    for row, text, (dev1, w1, e1), (dev2, w2, e2) in rows:
+    for (row, text, dev1, w1, dev2, w2), excluded in zip(rows, excluded_rows(dropped1 | dropped2)):
         where = w1 if dev1 >= dev2 else w2
         text = text or (f"max at {where}" if where else "")
-        excluded, grid_states = merge_excluded(e1, e2), first[0].cols * (n_max + 1)
-        records.append(upper_bound_check(row, max(dev1, dev2), tol, excluded, grid_states, text))
+        records.append(upper_bound_check(row, max(dev1, dev2), tol, excluded, first[0].cols * (n_max + 1), text))
     return records
 
 

@@ -6,6 +6,8 @@ import json
 import math
 from typing import Dict, Iterable, List, Mapping, Sequence
 
+import numpy as np
+
 Exclusions = Mapping[int, Iterable[int]]  # 1-based slot -> excluded basis states
 
 
@@ -72,12 +74,12 @@ def upper_bound_check(
 
     The defaults describe a check with nothing excluded from one state,
     such as a numeric check.  A NaN deviation never passes, and ``tol``
-    must be positive.
+    must be positive.  The record keeps ``excluded`` as given, as
+    ``excluded_rows`` lists a check's mask: no constructor sorts again.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    excluded = merge_excluded(excluded or {})
-    passed = grid_states > sum(map(len, excluded.values())) and max_deviation <= tol
+    passed = grid_states > sum(map(len, (excluded or {}).values())) and max_deviation <= tol
     return CheckResult(name, max_deviation, tol, passed, excluded, detail)
 
 
@@ -86,7 +88,6 @@ def lower_bound_check(
 ) -> CheckResult:
     """An identity that must break: passes when a non-empty scan finds a
     finite deviation above ``floor``."""
-    excluded = merge_excluded(excluded)
     passed = grid_states > sum(map(len, excluded.values())) and math.isfinite(max_deviation) and max_deviation > floor
     return CheckResult(name, max_deviation, floor, passed, excluded, detail)
 
@@ -118,8 +119,19 @@ def format_excluded(excluded: Exclusions) -> str:
     return ";".join(f"slot{k}:{sorted(v)}" for k, v in sorted(excluded.items()))
 
 
+def excluded_rows(mask: np.ndarray) -> List[Dict[int, List[int]]]:
+    """Per row of a (rows, slots, n_max + 1) exclusion mask, the map a record holds: the one
+    place a mask becomes states, for all rows at once.  Its flat indices come in row, slot, n
+    order, so the slots come in order and each one's states sorted."""
+    rows, slots, size = mask.shape
+    maps: List[Dict[int, List[int]]] = [{} for _ in range(rows)]
+    for k in np.flatnonzero(mask).tolist():
+        maps[k // (slots * size)].setdefault(k // size % slots + 1, []).append(k % size)
+    return maps
+
+
 def merge_excluded(*maps: Exclusions) -> Dict[int, List[int]]:
-    """The union of exclusion maps: sorted states per slot, in slot order, no empty slot."""
+    """The union of hand-written exclusion maps: sorted states per slot, in slot order, no empty slot."""
     out: Dict[int, set] = {}
     for m in maps:
         for slot, states in m.items():

@@ -15,14 +15,14 @@ from __future__ import annotations
 import functools
 import random
 from math import comb, sqrt
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .classical import _deviation, _matmul, random_direction, seeded_rng
 from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
-from .report import CheckResult, Frozen, lower_bound_check
+from .report import CheckResult, Frozen, excluded_rows, lower_bound_check
 from .veronese import LiftedColumn, VeroneseFamily, projector_pn
 
 _S2 = np.sqrt(2.0)
@@ -228,10 +228,8 @@ def nc_spin_rep(family: VeroneseFamily, j: float) -> OpMatrix:
     return OpMatrix.build(entries)
 
 
-def family_string_map(
-    thetas: Sequence[float], family: VeroneseFamily, n: int, n_max: int
-) -> List[Dict[int, List[int]]]:
-    """The level strings, per theta: slot k+1 excludes states where X_{-k} or Y_{-k} is singular.
+def family_string_map(thetas: Sequence[float], family: VeroneseFamily, n: int, n_max: int) -> np.ndarray:
+    """The level strings, a (theta rows, n + 1, n_max + 1) mask: slot k+1 excludes where X_{-k} or Y_{-k} is singular.
 
     Column k of the operator spin matrices is normalized through the
     level-k sum rule, so its domain excludes the singular states of both
@@ -292,13 +290,12 @@ def tensor_breakdown_check(
     conj = square.conjugated(T4)
     zero = FockOperator.zero()
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
-    # one sorted list of the union per theta row, shared by the four slots
-    unions = [sorted(set().union(*row.values())) for row in strings(n_max, square, thetas=thetas)]
-    skip = [dict.fromkeys(range(1, 5), union) for union in unions]
+    # the union per theta row, broadcast over the four slots
+    skip = strings(n_max, square, thetas=thetas).any(axis=1, keepdims=True)
+    top, at, dropped = matrix_grid_deviation(conj, n_max, skip, thetas, right=target)
     records = []
-    for name, floor, (dev, where, excluded) in zip(
-        row_names("tensor_breakdown", thetas), floors, matrix_grid_deviation(conj, n_max, skip, thetas, right=target)
-    ):
+    rows = zip(row_names("tensor_breakdown", thetas), floors, top, at, excluded_rows(dropped))
+    for name, floor, dev, where, excluded in rows:
         detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
         records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))
     return records

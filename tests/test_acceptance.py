@@ -12,6 +12,7 @@ import pytest
 
 from fockbundle import classical, jc, spinrep, veronese
 from fockbundle.opmatrix import check_idempotent_hermitian, matrix_equal
+from fockbundle.report import excluded_rows
 
 
 def _dev(a, b):
@@ -39,7 +40,7 @@ def test_acceptance_dirac_strings(theta):
         (rep,) = jc.dirac_string_map(bundle, label, 64)
         assert rep.passed, rep.text_line() + " " + rep.detail
     expected_proj = {2: [0]} if theta == 0 else {}
-    assert jc.projector_singular_map(bundle, 64) == [expected_proj]
+    assert excluded_rows(jc.projector_singular_map(bundle, 64)) == [expected_proj]
     assert jc.transition_singular_map(64) == {1: [0]}
 
 

@@ -28,7 +28,7 @@ from fockbundle.opmatrix import (
     pair_check,
     strings,
 )
-from fockbundle.report import merge_excluded
+from fockbundle.report import excluded_rows, merge_excluded
 from fockbundle.symbols import (
     ROW_TOL,
     THETA,
@@ -257,16 +257,16 @@ def test_excluded_state_adds_no_deviation():
     # state (slot 1, 0) is excluded and the maximum is found at n = 1
     bump = FockOperator.diagonal(guarded_div(5.0, number()))
     col = [FockOperator.scalar(5.0), bump - bump]
-    ((dev, where, excluded),) = scan_rows([col], 4)
+    ((dev, where, excluded),) = rows_of(scan_rows([col], 4))
     assert dev == 5.0
     assert where == (0, 0, 1, 0)
-    assert excluded == {1: {0}}
+    assert excluded == {1: [0]}
 
 
 def test_location_is_the_first_maximum_in_scan_order():
     # equal deviations everywhere: slot 1 before slot 2, lower n first
     two = FockOperator.scalar(2.0)
-    ((dev, where, _),) = matrix_grid_deviation(OpMatrix.diag(two, two), 5)
+    ((dev, where, _),) = rows_of(matrix_grid_deviation(OpMatrix.diag(two, two), 5))
     assert (dev, where) == (2.0, "(slot1,0 | slot1,0)")
     (res,) = op_equal(FockOperator.creation(), FockOperator.zero(), 5, 1e-10)
     # sqrt(n + 1) grows, but the largest one maps n = 5 above the grid
@@ -337,14 +337,22 @@ def test_only_the_grid_scan_decides_singular_states():
 
 # -- one result shape: a list of one result per theta row ---------------------------
 
-# every scan and check, called on an operator and a matrix that read theta (or not) and on theta rows
+def rows_of(scan):
+    """A scan's maxima, locations and exclusion mask as one (maximum, location, exclusions) triple per row."""
+    top, where, mask = scan
+    assert len(top) == len(where) == len(mask) and mask.dtype == bool
+    return list(zip(top, where, excluded_rows(mask)))
+
+
+# every scan and check, called on an operator and a matrix that read theta (or not) and on theta rows;
+# a scan or string map that returns a mask is read through the listing every record takes
 SHAPES = {
-    "scan_rows": lambda op, m, thetas: scan_rows(m.columns(), 6, thetas),
+    "scan_rows": lambda op, m, thetas: rows_of(scan_rows(m.columns(), 6, thetas)),
     "op_equal": lambda op, m, thetas: op_equal(op, op.dagger(), 6, 1e-10, thetas=thetas),
     "singular_support": lambda op, m, thetas: op.singular_support(6, thetas),
-    "column_singular_map": lambda op, m, thetas: m.column_singular_map(6, thetas),
-    "strings": lambda op, m, thetas: strings(6, m, m.dagger(), thetas=thetas),
-    "matrix_grid_deviation": lambda op, m, thetas: matrix_grid_deviation(m, 6, thetas=thetas, right=m.dagger()),
+    "column_singular_map": lambda op, m, thetas: excluded_rows(m.column_singular_map(6, thetas)),
+    "strings": lambda op, m, thetas: excluded_rows(strings(6, m, m.dagger(), thetas=thetas)),
+    "matrix_grid_deviation": lambda op, m, thetas: rows_of(matrix_grid_deviation(m, 6, thetas=thetas, right=m.dagger())),
     "matrix_equal": lambda op, m, thetas: matrix_equal(m, OpMatrix.identity(2), 6, 1e-10, thetas=thetas),
     "pair_check": lambda op, m, thetas: pair_check("pair", (m, m.dagger()), (m @ m, m), 6, 1e-10, None, thetas=thetas),
     "check_unitary": lambda op, m, thetas: check_unitary(m, 6, 1e-10, thetas=thetas),
@@ -541,14 +549,14 @@ def uncached_deviation(columns, n_max):
         node = ref()
         if node is not None:
             node.cache = None
-    return scan_rows(columns, n_max)
+    return rows_of(scan_rows(columns, n_max))
 
 
 def test_scans_across_grids_read_no_stale_values():
     op = singular_mix()
     expected = {n_max: uncached_deviation([[op]], n_max) for n_max in (6, 24)}
     for n_max in (6, 24, 6):
-        assert scan_rows([[op]], n_max) == expected[n_max]
+        assert rows_of(scan_rows([[op]], n_max)) == expected[n_max]
     # two arrays of one size: the cache follows the array object, not its size
     sym = guarded_div(1.0, number(-3))
     low, high = np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 4
@@ -574,9 +582,9 @@ def test_a_repeated_scan_returns_the_same_result():
     x, y = guarded_div(1.0, number(-9)), guarded_div(1.0, number(-7))
     op = singular_mix()
     columns = [[op, op.dagger(), FockOperator.diagonal(x)], [op * op, FockOperator.diagonal(x + y)]]
-    (first,) = scan_rows(columns, 12)
-    assert first[0] > 0 and first[2] == {1: {2, 3, 9}, 2: {0, 1, 2, 3, 7, 9}}
-    assert scan_rows(columns, 12) == [first]
+    (first,) = rows_of(scan_rows(columns, 12))
+    assert first[0] > 0 and first[2] == {1: [2, 3, 9], 2: [0, 1, 2, 3, 7, 9]}
+    assert rows_of(scan_rows(columns, 12)) == [first]
     assert uncached_deviation(columns, 12) == [first]
 
 
@@ -750,10 +758,10 @@ def test_a_two_sided_scan_is_the_scan_of_the_difference_bit_for_bit(thetas):
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))  # (columns, operators per column)
         left = [[random_side(rng, thetas is not None) for _ in range(shape[1])] for _ in range(shape[0])]
         right = [[random_side(rng, thetas is not None) for _ in range(shape[1])] for _ in range(shape[0])]
-        skip = {1: [2, 5]} if rng.random() < 0.3 else None
+        skip = as_mask({1: [2, 5]}, shape[0], 7) if rng.random() < 0.3 else None
         diff = [[a - b for a, b in zip(*pair)] for pair in zip(left, right)]
-        expected = scan_rows(diff, 7, thetas, skip)
-        assert scan_rows(left, 7, thetas, skip, right=right) == expected
+        expected = rows_of(scan_rows(diff, 7, thetas, skip))
+        assert rows_of(scan_rows(left, 7, thetas, skip, right=right)) == expected
         nonfinite += sum(dev == math.inf for dev, _, _ in expected)
         for pair in zip(left, right):
             for a, b in zip(*pair):
@@ -761,14 +769,14 @@ def test_a_two_sided_scan_is_the_scan_of_the_difference_bit_for_bit(thetas):
                 # each degree alone, so a deviation below another degree's maximum shows too
                 for d in {d for d, _ in a.terms + b.terms}:
                     x, y = (FockOperator.from_terms({k: c for k, c in op.terms if k == d}) for op in (a, b))
-                    assert scan_rows([[x]], 7, thetas, right=[[y]]) == scan_rows([[x - y]], 7, thetas)
+                    assert rows_of(scan_rows([[x]], 7, thetas, right=[[y]])) == rows_of(scan_rows([[x - y]], 7, thetas))
     assert one_sided > 200 and nonfinite > 20
     # a tie is reported at the first degree in sorted order, from either side
     inf, one = const(math.inf), const(1.0)
     a = FockOperator.from_terms({0: one, 1: const(math.nan)})
     b = FockOperator.from_terms({-1: inf, 0: inf})
-    expected = scan_rows([[a - b]], 7, thetas)
-    assert scan_rows([[a]], 7, thetas, right=[[b]]) == expected
+    expected = rows_of(scan_rows([[a - b]], 7, thetas))
+    assert rows_of(scan_rows([[a]], 7, thetas, right=[[b]])) == expected
     assert {where for _, where, _ in expected} == {(0, 0, 0, 0)}
 
 
@@ -853,7 +861,7 @@ def reference_scan(columns, n_max, thetas=None, skip=None, right=None):
                 best[r] = top
                 n, t = divmod(at, len(devs))
                 where[r] = (labels[t][0], j, n, labels[t][1])
-    return [(float(best[r]), where[r], {s: v for s, v in excluded[r].items() if v}) for r in range(rows)]
+    return [(float(best[r]), where[r], {s: ex[s] for s in sorted(ex) if ex[s]}) for r, ex in enumerate(excluded)]
 
 
 def _scan_bits(rows):
@@ -862,11 +870,21 @@ def _scan_bits(rows):
 
 
 def random_skip(rng, slots, n_max):
-    """A skip map with states off the grid (below 0, above n_max) and slots beyond the columns."""
+    """A skip map of grid states, some slots empty and some states repeated."""
     return {
-        int(s): [int(m) for m in rng.integers(-2, n_max + 3, size=int(rng.integers(0, 4)))]
-        for s in rng.integers(1, slots + 2, size=int(rng.integers(1, 3)))
+        int(s): [int(m) for m in rng.integers(0, n_max + 1, size=int(rng.integers(0, 4)))]
+        for s in rng.integers(1, slots + 1, size=int(rng.integers(1, 3)))
     }
+
+
+def as_mask(skip, slots, n_max):
+    """A skip map, or a list of one per row, as the boolean mask ``scan_rows`` takes; one map serves every row."""
+    maps = skip if isinstance(skip, list) else [skip]
+    mask = np.zeros((len(maps), slots, n_max + 1), dtype=bool)
+    for r, sk in enumerate(maps):
+        for s, states in sk.items():
+            mask[r, s - 1, states] = True
+    return mask
 
 
 @pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
@@ -885,16 +903,42 @@ def test_the_scan_is_the_reference_scan_bit_for_bit(thetas):
             skip = [random_skip(rng, slots, 7) for _ in range(rows)]
             skip = skip[0] if rows == 1 else skip
         expected = reference_scan(left, 7, thetas, skip, right)
-        assert _scan_bits(scan_rows(left, 7, thetas, skip, right)) == _scan_bits(expected)
+        mask = None if skip is None else as_mask(skip, slots, 7)
+        assert _scan_bits(rows_of(scan_rows(left, 7, thetas, mask, right))) == _scan_bits(expected)
         seen["skip"] += skip is not None
         seen["right"] += right is not None
         for dev, where, excluded in expected:
             seen["inf"] += dev == math.inf
             seen["zero"] += where is None
             seen["located"] += where is not None and where[1] > 0  # a maximum past the first column
-            seen["excluded"] += any(s <= slots and v - set(range(-2, 0)) for s, v in excluded.items())
-            seen["off grid"] += any(s > slots or min(v) < 0 or max(v) > 7 for s, v in excluded.items())
+            seen["excluded"] += bool(excluded)
+            seen["several slots"] += len(excluded) > 1
     assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_a_skip_off_the_grid_is_refused(thetas):
+    # a mask marks grid states of the scanned slots only; what cannot be one is refused, not dropped
+    columns = [[FockOperator.number_op()], [FockOperator.creation()]]
+    rows = 1 if thetas is None else len(thetas)
+    state_past_n_max = np.zeros((rows, 2, 9), dtype=bool)  # n_max = 7: the last entry is state 8
+    state_past_n_max[:, 0, 8] = True
+    slot_past_the_columns = np.zeros((1, 3, 8), dtype=bool)
+    slot_past_the_columns[0, 2, 0] = True
+    refused = {
+        "state n_max + 1": state_past_n_max,
+        "slot past the columns": slot_past_the_columns,
+        "state -1 as a map": {1: [-1]},
+        "states as indices": np.array([[[-1, 0]]]),
+        "a row too many": np.zeros((rows + 1, 2, 8), dtype=bool),
+    }
+    for what, skip in refused.items():
+        with pytest.raises(ValueError):
+            scan_rows(columns, 7, thetas, skip)
+            pytest.fail(f"{what} was accepted")
+    # the shapes that broadcast: one row for every row, one slot for every slot
+    (top, _, dropped) = scan_rows(columns, 7, thetas, np.arange(8) == 7)
+    assert dropped[:, :, 7].all() and not dropped[:, :, :7].any() and top == [6.0] * rows
 
 
 def _map_bits(excluded):
@@ -930,8 +974,11 @@ def test_the_mask_pass_finds_the_exclusions_of_the_reference_scan(thetas):
         expected_a = [excluded for _, _, excluded in reference_scan(a.columns(), 7, thetas)]
         expected_b = [excluded for _, _, excluded in reference_scan(b.columns(), 7, thetas)]
         found = a.column_singular_map(7, thetas)
-        assert [_map_bits(row) for row in found] == [_map_bits(row) for row in expected_a]
-        assert strings(7, a, b, thetas=thetas) == [merge_excluded(x, y) for x, y in zip(expected_a, expected_b)]
+        assert found.shape == (len(expected_a), a.cols, 8)
+        assert [_map_bits(row) for row in excluded_rows(found)] == [_map_bits(row) for row in expected_a]
+        union = strings(7, a, b, thetas=thetas)
+        assert union.shape == (len(expected_a), max(a.cols, b.cols), 8)
+        assert excluded_rows(union) == [merge_excluded(x, y) for x, y in zip(expected_a, expected_b)]
         for excluded in expected_a:
             seen["excluded"] += bool(excluded)
             seen["clean"] += not excluded
@@ -945,13 +992,13 @@ def string_maps(thetas):
     op, m = shape_objects(THETA)
     bundle, family = jc.build_bundle(thetas), veronese.build_family(4)
     return {
-        "strings": strings(12, m, m.dagger(), thetas=thetas),
-        "column_singular_map": m.column_singular_map(12, thetas),
+        "strings": excluded_rows(strings(12, m, m.dagger(), thetas=thetas)),
+        "column_singular_map": excluded_rows(m.column_singular_map(12, thetas)),
         "singular_support": op.singular_support(12, thetas),
-        "transition": jc.transition_operator().column_singular_map(12),
+        "transition": excluded_rows(jc.transition_operator().column_singular_map(12)),
         "dirac_string_map": [jc.dirac_string_map(bundle, label, 12) for label in ("I", "II")],
-        "projector_singular_map": jc.projector_singular_map(bundle, 12),
-        "family_string_map": [spinrep.family_string_map(thetas, family, n, 12) for n in range(5)],
+        "projector_singular_map": excluded_rows(jc.projector_singular_map(bundle, 12)),
+        "family_string_map": [excluded_rows(spinrep.family_string_map(thetas, family, n, 12)) for n in range(5)],
     }
 
 

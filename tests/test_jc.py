@@ -9,6 +9,7 @@ import pytest
 from fockbundle import jc, spinrep, symbols, veronese
 from fockbundle.operators import FockOperator
 from fockbundle.opmatrix import OpMatrix, check_idempotent_hermitian, check_unitary, matrix_equal, matrix_grid_deviation
+from fockbundle.report import excluded_rows
 from fockbundle.symbols import ROW_TOL, THETA, DiagonalSymbol, guarded_div, guarded_sqrt, number
 from symbol_reader import coefficient_nodes, read_symbol
 
@@ -26,7 +27,7 @@ def element(op, d: int, n: int, theta: float) -> complex:
 
 
 def projector_strings(theta):
-    (found,) = jc.projector_singular_map(jc.build_bundle([theta]), N_MAX)
+    (found,) = excluded_rows(jc.projector_singular_map(jc.build_bundle([theta]), N_MAX))
     return found
 
 
@@ -110,7 +111,7 @@ def test_transition_forms_and_strings():
     # the equivalent 1/sqrt(N+1) writing, regular everywhere
     inv_sqrt_np1 = FockOperator.diagonal(guarded_div(1.0, guarded_sqrt(number(1))))
     shifted = OpMatrix.diag(inv_sqrt_np1 * FockOperator.annihilation(), FockOperator.creation() * inv_sqrt_np1)
-    assert shifted.column_singular_map(N_MAX) == [{}]
+    assert not shifted.column_singular_map(N_MAX).any()
     (res,) = matrix_equal(ground, shifted, N_MAX, TOL)
     assert res.passed
     assert jc.transition_singular_map(N_MAX) == {1: [0]}
@@ -359,7 +360,7 @@ def test_local_coordinate_forms_agree(theta):
     # the prefactor written to the right of a-dagger, at N + 1
     post = guarded_div(1.0, jc.r_symbol(1) + THETA, ROW_TOL)
     rhs = FockOperator.creation() * FockOperator.diagonal(post)
-    ((dev, _, _),) = matrix_grid_deviation(OpMatrix.build([[lhs - rhs]]), N_MAX, thetas=[theta])
+    (dev,), _, _ = matrix_grid_deviation(OpMatrix.build([[lhs - rhs]]), N_MAX, thetas=[theta])
     assert dev <= TOL
 
 

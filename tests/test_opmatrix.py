@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fockbundle
-from fockbundle import classical, jc, spinrep, veronese
+from fockbundle import classical, jc, spinrep, symbols, veronese
 from fockbundle.opmatrix import (
     OpMatrix,
     check_idempotent_hermitian,
@@ -20,6 +20,7 @@ from fockbundle.opmatrix import (
     matrix_grid_deviation,
 )
 from fockbundle.operators import ANNIHILATION, CREATION, FockOperator
+from fockbundle.report import excluded_rows
 from fockbundle.symbols import guarded_div, number
 
 N_MAX = 24
@@ -90,25 +91,40 @@ def test_conjugated_makes_a_numeric_zero_add_no_product():
     for i in range(3):
         for k in range(3):
             for j in (1, 2):  # row 0 of t is zero in every sign: it scales nothing
-                left[i][k] = left[i][k] + ops[j][k].scale(complex(np.conj(t[j, i])))
+                w = complex(np.conj(t[j, i]))
+                left[i][k] = left[i][k] + ops[j][k].scale(w.real if w.imag == 0 else w)  # a real w as a float
     expected = [[FockOperator.zero() for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for l in range(3):
             for k in (1, 2):
-                expected[i][l] = expected[i][l] + left[i][k].scale(complex(t[k, l]))
+                w = complex(t[k, l])
+                expected[i][l] = expected[i][l] + left[i][k].scale(w.real if w.imag == 0 else w)
     conj = m.conjugated(t)
     assert conj == OpMatrix.build(expected)
     # only products with t's zero row would have carried the singular row of M: none is built
-    assert conj.column_singular_map(N_MAX) == [{}]
+    assert not conj.column_singular_map(N_MAX).any()
+
+
+def test_conjugation_builds_one_constant_per_value():
+    # np.conj gives T4's real numbers a -0.0 imaginary part, and constants are interned by the
+    # sign of their zeros: scaled as floats, +-1/sqrt(2) are one node each, as in T4 itself
+    v = spinrep.nc_spin_rep(veronese.build_family(1), 0.5)
+    conj = v.kron(v).conjugated(spinrep.T4)
+    live = [ref() for ref in list(symbols._NODES.values())]
+    values = [node.args[0] for node in live if node is not None and node.op == "const"]
+    halves = sorted((value for value in values if abs(value) == 1 / np.sqrt(2.0)), key=lambda value: value.real)
+    assert halves == [-1 / np.sqrt(2.0), 1 / np.sqrt(2.0)]
+    assert [np.copysign(1.0, value.imag) for value in halves] == [1.0, 1.0]
+    assert conj.rows == 4
 
 
 def test_grid_deviation_reports_location_and_exclusions():
     inv = FockOperator.diagonal(guarded_div(1.0, number()))
     diff = OpMatrix.diag(inv - inv, FockOperator.identity())
-    ((dev, where, excl),) = matrix_grid_deviation(diff, 8)
+    (dev,), (where,), dropped = matrix_grid_deviation(diff, 8)
     assert dev == 1.0
     assert "slot2" in where
-    assert excl == {1: {0}}
+    assert excluded_rows(dropped) == [{1: [0]}]
 
 
 def test_check_unitary_and_projector_helpers():
@@ -126,10 +142,11 @@ def test_check_unitary_and_projector_helpers():
 def test_column_singular_map():
     inv = FockOperator.diagonal(guarded_div(1.0, number(-2)))
     m = OpMatrix.build([[FockOperator.identity(), inv], [FockOperator.zero(), FockOperator.identity()]])
-    assert m.column_singular_map(8) == [{2: {2}}]
+    mask = m.column_singular_map(8)
+    assert mask.shape == (1, 2, 9) and excluded_rows(mask) == [{2: [2]}]
 
 
-@pytest.mark.parametrize("skip", [None, {1: {0}}])
+@pytest.mark.parametrize("skip", [None, np.arange(2 * (N_MAX + 1)).reshape(1, 2, -1) == 0])  # or (slot 1, |0>)
 def test_check_unitary_builds_the_adjoint_once(monkeypatch, skip):
     calls = []
     dagger = OpMatrix.dagger

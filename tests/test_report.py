@@ -7,13 +7,15 @@ one alone decides whether its kind of claim passed.
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockbundle import spinrep
 from fockbundle.opmatrix import OpMatrix, matrix_equal
-from fockbundle.report import exact_set_check, lower_bound_check, monotone_check, upper_bound_check
+from fockbundle.report import excluded_rows, exact_set_check, lower_bound_check, monotone_check, upper_bound_check
 from fockbundle.veronese import build_family
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fockbundle"
@@ -84,3 +86,64 @@ def test_only_report_builds_check_results():
                 if called == "CheckResult":
                     builders.append(path.name)
     assert builders and set(builders) == {"report.py"}
+
+
+def listed_by_hand(mask):
+    """Per row of an exclusion mask, each non-empty slot's states in a Python loop, and their count."""
+    rows, slots, size = mask.shape
+    maps = [{s + 1: [n for n in range(size) if mask[r, s, n]] for s in range(slots)} for r in range(rows)]
+    maps = [{s: states for s, states in row.items() if states} for row in maps]
+    return maps, [sum(map(len, row.values())) for row in maps]
+
+
+def test_the_listing_is_the_per_row_reference():
+    rng = np.random.default_rng(43)
+    seen = Counter()
+    for _ in range(300):
+        rows, slots, size = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+        # each row its own density: nothing excluded, some states, or every state
+        mask = rng.random((rows, slots, size)) < rng.choice([0.0, 0.3, 0.7, 1.0], size=(rows, 1, 1))
+        maps, counts = listed_by_hand(mask)
+        found = excluded_rows(mask)
+        # slots in order and states sorted, as Python ints: the maps a record holds and the report writes
+        assert [list(row.items()) for row in found] == [list(row.items()) for row in maps]
+        assert all(type(n) is int for row in found for states in row.values() for n in states)
+        for row, count in zip(found, counts):
+            dev = float(rng.choice([0.0, 0.5, 1e-12, math.inf, math.nan]))
+            everything = slots * size
+            upper = upper_bound_check("u", dev, 1e-10, row, everything)
+            lower = lower_bound_check("l", dev, 1e-8, row, everything, "")
+            assert upper.passed == (count < everything and dev <= 1e-10)
+            assert lower.passed == (count < everything and math.isfinite(dev) and dev > 1e-8)
+            assert upper.excluded is row and upper.to_dict()["excluded_states"] == {str(s): v for s, v in row.items()}
+            seen["nothing excluded"] += count == 0
+            seen["every state excluded"] += count == everything
+            seen["every state excluded, within tol"] += count == everything and dev <= 1e-10
+            seen["passed"] += upper.passed
+            seen["several slots"] += len(row) > 1
+        seen["one state"] += size == 1
+    assert min(seen.values()) > 20, seen
+    assert excluded_rows(np.zeros((3, 2, 0), dtype=bool)) == [{}, {}, {}]
+
+
+SCAN_PATH = {"operators.py", "opmatrix.py", "spinrep.py", "jc.py", "veronese.py"}
+
+
+def test_one_helper_lists_an_exclusion_mask():
+    # a mask becomes states in excluded_rows alone, and no module on the scan path merges maps again
+    listers, merged = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called in {"flatnonzero", "nonzero", "argwhere"} or (called == "where" and len(node.args) == 1):
+                        listers.add(f"{path.name}:{fn.name}")
+                if path.name in SCAN_PATH and "merge_excluded" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+                    merged.add(f"{path.name}:{fn.name}")
+    assert listers == {"report.py:excluded_rows"}
+    assert not merged
+    for name in SCAN_PATH:
+        assert "merge_excluded" not in (SRC / name).read_text()

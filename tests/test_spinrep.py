@@ -12,7 +12,7 @@ import pytest
 
 from fockbundle import operators, spinrep
 from fockbundle.classical import seeded_rng
-from fockbundle.report import lower_bound_check, upper_bound_check
+from fockbundle.report import excluded_rows, lower_bound_check, upper_bound_check
 from fockbundle.operators import FockOperator, row_names
 from fockbundle.opmatrix import OpMatrix, matrix_equal, matrix_grid_deviation
 from fockbundle.symbols import guarded_div, number
@@ -348,7 +348,7 @@ def test_nc_rep_unitary_off_strings(theta, j):
 def test_family_string_map_covers_partner_singularities():
     # at theta=2 the slot-3 diagonal factor is regular at |0> (theta^2 > 1)
     # but its sum-rule partner is not, so the state stays excluded
-    assert 0 in spinrep.family_string_map([2.0], build_family(3), 3, N_MAX)[0][3]
+    assert spinrep.family_string_map([2.0], build_family(3), 3, N_MAX)[0, 2, 0]
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
@@ -388,9 +388,10 @@ def _breakdown_with_zero_products(thetas, v, phi1, n_max, floors):
     conj = t4.dagger() @ v.kron(v) @ t4
     zero = FockOperator.zero()
     target = OpMatrix.build([[FockOperator.identity(), zero, zero, zero]] + [[zero, *row] for row in phi1.entries])
-    found = matrix_grid_deviation(conj, n_max, thetas=thetas, right=target)
+    top, at, dropped = matrix_grid_deviation(conj, n_max, thetas=thetas, right=target)
     records = []
-    for name, floor, (dev, where, excluded) in zip(row_names("tensor_breakdown", thetas), floors, found):
+    rows = zip(row_names("tensor_breakdown", thetas), floors, top, at, excluded_rows(dropped))
+    for name, floor, dev, where, excluded in rows:
         detail = f"largest mismatch {dev:.3e} at {where}; must exceed {floor:.0e}"
         records.append(lower_bound_check(name, dev, floor, excluded, 4 * (n_max + 1), detail))
     return records
@@ -462,5 +463,5 @@ def test_family_string_map_is_the_union_of_generator_supports(theta, n):
         (x_bad,), (y_bad,) = (op.singular_support(24, [theta]) for op in generators)
         if x_bad | y_bad:
             union[k + 1] = x_bad | y_bad
-    (found,) = spinrep.family_string_map([theta], build_family(3), n, 24)
+    (found,) = excluded_rows(spinrep.family_string_map([theta], build_family(3), n, 24))
     assert {k: set(v) for k, v in found.items()} == union

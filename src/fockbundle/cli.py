@@ -32,7 +32,7 @@ import numpy as np
 
 from . import classical, jc, spinrep, veronese
 from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names
-from .opmatrix import check_idempotent_hermitian, matrix_equal
+from .opmatrix import Product, check_idempotent_hermitian, matrix_equal
 from .report import CheckResult, VerificationReport, exact_set_check, excluded_rows, format_excluded, upper_bound_check
 
 SUITES = ("fock", "charts", "propagator", "veronese", "spinrep", "classical", "all")
@@ -110,10 +110,10 @@ def run_charts(cfg: SuiteConfig) -> Parts:
     bundle = jc.build_bundle(thetas)
     checks = [jc.qdm_reconstruction_check(bundle, nm, tol)]
     for label, chart in bundle.charts.items():
-        rebuilt = chart.unitary @ chart.diagonal @ chart.adjoint
+        rebuilt = Product(chart.unitary @ chart.diagonal, chart.adjoint)
         checks.append(matrix_equal(rebuilt, bundle.h, nm, tol, f"chart_{label}_rebuilds_h", thetas=thetas))
         checks.append(jc.dirac_string_map(bundle, label, nm))
-    gluing = bundle.charts["I"].unitary @ glue
+    gluing = Product(bundle.charts["I"].unitary, glue)
     checks.append(matrix_equal(gluing, bundle.charts["II"].unitary, nm, tol, "gluing_relation", thetas=thetas))
     claimed = [jc.claimed_strings(theta) for theta in thetas]
     names = row_names("strings_transition", thetas)
@@ -287,7 +287,8 @@ def sweep(axis: str, values: List[float], subs: List[SuiteConfig]) -> Tuple[str,
     parts = run_parts(subs[0].replace(theta_list=values)) if axis == "theta" else None
     for i, (v, sub) in enumerate(zip(values, subs)):
         report = run_suite(sub) if parts is None else assemble(sub, parts, [i])
-        devs = {_axis_free_name(c.name, axis): repr(c.max_deviation) for c in report.checks}
+        tag = f"_theta{v}" if axis == "theta" else ""  # each row's own theta tag: strip it so columns line up
+        devs = {c.name.removesuffix(tag): repr(c.max_deviation) for c in report.checks}
         columns.update(dict.fromkeys(devs))
         rows.append((v, devs, report.passed))
     buf = io.StringIO()
@@ -296,13 +297,6 @@ def sweep(axis: str, values: List[float], subs: List[SuiteConfig]) -> Tuple[str,
     for v, devs, passed in rows:
         writer.writerow([repr(v)] + [devs.get(name, "") for name in columns] + [int(passed)])
     return buf.getvalue(), all(passed for _, _, passed in rows)
-
-
-def _axis_free_name(name: str, axis: str) -> str:
-    # per-theta tags vary along a theta sweep; strip them so columns line up
-    if axis == "theta" and "_theta" in name:
-        return name[: name.rindex("_theta")]
-    return name
 
 
 # -- entry point -----------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .opmatrix import OpMatrix, check_unitary, matrix_equal, strings
+from .opmatrix import OpMatrix, Product, check_unitary, matrix_equal, strings
 from .operators import ANNIHILATION, CREATION, FockOperator, op_equal, row_names, scan_rows
 from .report import CheckResult, Frozen, exact_set_check, excluded_rows, monotone_check, upper_bound_check
 from .symbols import (
@@ -95,7 +95,7 @@ def qdm_factorization() -> Tuple[OpMatrix, OpMatrix, OpMatrix]:
 
 
 def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> List[CheckResult]:
-    """left @ middle @ right against H, away from the uncoupled state.
+    """(left @ middle) @ right against H, away from the uncoupled state.
 
     The right factor (1/sqrt(N+1)) a annihilates (slot2, |0>), while H
     acts on it as -theta; equivalently its alternate writing a (1/sqrt(N))
@@ -103,7 +103,7 @@ def qdm_reconstruction_check(bundle: Bundle, n_max: int, tol: float) -> List[Che
     excluded and reported.
     """
     left, middle, right = qdm_factorization()
-    product = left @ middle @ right
+    product = Product(left @ middle, right)
     skip = np.array([[False], [True]]) & (np.arange(n_max + 1) == 0)  # (slot 2, |0>), for every theta row
     return matrix_equal(product, bundle.h, n_max, tol, "qdm_factorization", skip=skip, thetas=bundle.thetas)
 
@@ -385,7 +385,7 @@ def propagator_semigroup_check(
     thetas: Sequence[float], g: float, t1: float, t2: float, n_max: int, tol: float
 ) -> List[CheckResult]:
     """U(t1) U(t2) against U(t1 + t2)."""
-    prod = propagator_closed_form(g, t1) @ propagator_closed_form(g, t2)
+    prod = Product(propagator_closed_form(g, t1), propagator_closed_form(g, t2))
     whole = propagator_closed_form(g, t1 + t2)
     details = [f"theta={theta}, g={g}, t1={t1}, t2={t2}" for theta in thetas]
     return matrix_equal(prod, whole, n_max, tol, "propagator_semigroup", detail=details, thetas=thetas)

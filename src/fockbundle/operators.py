@@ -23,12 +23,14 @@ from .symbols import (
     Grid,
     adjoint,
     composed,
+    composed_values,
     const,
     difference,
     guarded_div,
     guarded_pow,
     guarded_sqrt,
     number,
+    sum_values,
 )
 
 Scalar = (int, float, complex)
@@ -177,13 +179,31 @@ def per_row(value: Any, thetas: Optional[Sequence[float]]) -> list:
     return [value] * rows
 
 
-def _read_column(col: Sequence[FockOperator], right_col: Optional[Sequence[FockOperator]], grid: Grid, out):
+def _entry_values(entry, grid: Grid) -> dict:
+    """Shift degree -> values of an entry: an operator's terms, or those of an entry of A @ B given as its factor
+    pairs (A[i][l], B[l][k]), composed and added on the grid in the order ``@`` builds them, with their nodes' bits."""
+    if isinstance(entry, FockOperator):
+        return {d: c(grid) for d, c in entry.terms}
+    total = {}
+    for a, b in entry:
+        part = {}
+        for da, ca in a.terms:
+            for db, cb in b.terms:
+                v = composed_values(grid, grid.values(ca, db), cb(grid), db)
+                part[da + db] = sum_values(part[da + db], v) if da + db in part else v
+        for d, v in part.items():
+            total[d] = sum_values(total[d], v) if d in total else v
+    return total
+
+
+def _read_column(col: Sequence, right_col: Optional[Sequence], grid: Grid, out):
     """A column's term labels (row, shift degree) and the values read for each, less ``right_col``'s if given,
     with their singular masks OR-ed into ``out``: the one read of a term's mask, where singular states are found."""
-    sides = [(dict(op.terms), {} if right_col is None else dict(right_col[i].terms)) for i, op in enumerate(col)]
+    rights = [{}] * len(col) if right_col is None else [_entry_values(y, grid) for y in right_col]
+    sides = [(_entry_values(x, grid), y) for x, y in zip(col, rights)]
     labels = [(i, d) for i, (x, y) in enumerate(sides) for d in sorted(x.keys() | y.keys())]
     values = [
-        (x or y)(grid) if x is None or y is None else difference(x(grid), y(grid))
+        y if x is None else x if y is None else difference(x, y)
         for x, y in ((sides[i][0].get(d), sides[i][1].get(d)) for i, d in labels)
     ]
     for v in values:

@@ -13,7 +13,8 @@ a ``detail`` is one value for every row or a list of one per row, and a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .report import CheckResult, Frozen, excluded_rows, upper_bound_check
 
 Thetas = Optional[Sequence[float]]
 Skip = Optional[np.ndarray]  # a boolean mask that broadcasts to (theta rows, slots, n_max + 1)
+Side = Union["OpMatrix", "Product"]  # what a scan or check compares
 
 
 class OpMatrix(Frozen):
@@ -73,18 +75,9 @@ class OpMatrix(Frozen):
     # -- algebra ----------------------------------------------------------
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][k]  # not zero + ...: that would only copy it
-                for j in range(1, self.cols):
-                    acc = acc + self.entries[i][j] * other.entries[j][k]
-                row.append(acc)
-            rows.append(row)
-        return OpMatrix.build(rows)
+        # each entry sums its factor pairs' products in l order from the first: zero + ... would only copy it
+        rows = zip(*Product(self, other).columns())
+        return OpMatrix.build([[reduce(FockOperator.__add__, (a * b for a, b in pairs)) for pairs in row] for row in rows])
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix.build(
@@ -126,6 +119,21 @@ class OpMatrix(Frozen):
         return singular_rows(self.columns(), n_max, thetas)
 
 
+class Product:
+    """A @ B that a check only compares: each entry is its factor pairs (A[i][l], B[l][k]), l = 0, 1, ...,
+    which ``@`` composes and adds and a scan multiplies on the grid with the same bits
+    (``operators._entry_values``), so no node of the product is built.  It is not a matrix to compose."""
+
+    def __init__(self, a: OpMatrix, b: OpMatrix):
+        if a.cols != b.rows:
+            raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
+        self.rows, self.cols = a.rows, b.cols
+        self._pairs = [[tuple(zip(row, col)) for row in a.entries] for col in b.columns()]
+
+    def columns(self) -> List[List[tuple]]:
+        return self._pairs
+
+
 def _weighted_sum(weights: np.ndarray, ops: Sequence[FockOperator]) -> FockOperator:
     """The sum of ``w * op`` in index order, with no term for a zero weight."""
     total = FockOperator.zero()
@@ -145,7 +153,7 @@ def strings(n_max: int, *forms: OpMatrix, thetas: Thetas = None) -> np.ndarray:
 
 
 def matrix_grid_deviation(
-    left: OpMatrix, n_max: int, skip: Skip = None, thetas: Thetas = None, right: OpMatrix | None = None
+    left: Side, n_max: int, skip: Skip = None, thetas: Thetas = None, right: Side | None = None
 ) -> Tuple[List[float], List[str], np.ndarray]:
     """Max |coefficient| of ``left``, or of ``left`` - ``right`` subtracted
     on the grid, over non-excluded grid states.
@@ -160,8 +168,8 @@ def matrix_grid_deviation(
 
 
 def matrix_equal(
-    a: OpMatrix,
-    b: OpMatrix,
+    a: Side,
+    b: Side,
     n_max: int,
     tol: float,
     name: str = "matrix_equal",
@@ -183,8 +191,8 @@ def matrix_equal(
 
 def pair_check(
     name: str,
-    first: Tuple[OpMatrix, OpMatrix],
-    second: Tuple[OpMatrix, OpMatrix],
+    first: Tuple[Side, Side],
+    second: Tuple[Side, Side],
     n_max: int,
     tol: float,
     skip: Skip,
@@ -222,9 +230,9 @@ def check_unitary(
     """
     if m.rows != m.cols:
         raise ValueError("unitarity check needs a square matrix")
-    ident, adjoint = OpMatrix.identity(m.rows), m.dagger()
+    one, adjoint = OpMatrix.identity(m.rows), m.dagger()
     skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
-    return pair_check(name, (adjoint @ m, ident), (m @ adjoint, ident), n_max, tol, skip, detail, thetas)
+    return pair_check(name, (Product(adjoint, m), one), (Product(m, adjoint), one), n_max, tol, skip, detail, thetas)
 
 
 def check_idempotent_hermitian(
@@ -243,4 +251,4 @@ def check_idempotent_hermitian(
         raise ValueError("projector check needs a square matrix")
     adjoint = m.dagger() if adjoint is None else adjoint
     skip = strings(n_max, m, adjoint, thetas=thetas) if skip is None else skip
-    return pair_check(name, (m @ m, m), (adjoint, m), n_max, tol, skip, thetas=thetas)
+    return pair_check(name, (Product(m, m), m), (adjoint, m), n_max, tol, skip, thetas=thetas)

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .classical import _deviation, _matmul, random_direction, seeded_rng
-from .opmatrix import OpMatrix, check_unitary, matrix_equal, matrix_grid_deviation, strings
+from .opmatrix import OpMatrix, Product, check_unitary, matrix_equal, matrix_grid_deviation, strings
 from .operators import FockOperator, row_names
 from .report import CheckResult, Frozen, excluded_rows, lower_bound_check
 from .veronese import LiftedColumn, VeroneseFamily, projector_pn
@@ -271,7 +271,7 @@ def projector_relation_check(
     rank-1 projector of the degree-2j lifted column."""
     col = _first_column(m)
     name = f"projector_relation_j{_spin(m)}"
-    return matrix_equal(col @ col.dagger(), projector_pn(lifted), n_max, tol, name, thetas=thetas)
+    return matrix_equal(Product(col, col.dagger()), projector_pn(lifted), n_max, tol, name, thetas=thetas)
 
 
 def tensor_breakdown_check(

@@ -336,13 +336,18 @@ def _eval_leaf(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(np.asarray(re, dtype=float), np.asarray(im, dtype=float), None)
 
 
-def _eval_add(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
-    a, b = node.args
-    a, b = grid.values(a, k), grid.values(b, k)
+def sum_values(a: GridValues, b: GridValues) -> GridValues:
+    """a + b, the values of the ``add`` node: a missing imaginary part is an exact 0, masks are OR-ed.
+    A part is missing exactly when the node is real, so this decides as ``node.real`` would."""
     im = None
-    if not node.real:  # a missing imaginary part is an exact 0
+    if a.im is not None or b.im is not None:
         im = (np.zeros_like(a.re) if a.im is None else a.im) + (np.zeros_like(b.re) if b.im is None else b.im)
     return GridValues(a.re + b.re, im, _either(a.singular, b.singular))
+
+
+def _eval_add(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
+    a, b = node.args
+    return sum_values(grid.values(a, k), grid.values(b, k))
 
 
 def difference(a: GridValues, b: GridValues) -> GridValues:
@@ -426,13 +431,16 @@ def _zero_below_vacuum(grid: Grid, k: int, re, im, singular) -> tuple:
     return np.where(inside, re, 0.0), im, None if singular is None else _flag(singular & inside)
 
 
+def composed_values(grid: Grid, left: GridValues, right: GridValues, k: int) -> GridValues:
+    """The values of the ``composed`` node: ``left``, read at the index n + k, after ``right``."""
+    # the product is zeroed, not the left factor: 0 times a non-finite right value would be NaN
+    re, im, singular = _zero_below_vacuum(grid, k, *_product(left, right), left.singular)
+    return GridValues(re, im, _either(right.singular, singular))
+
+
 def _eval_composed(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     ca, db, cb = node.args
-    right = grid.values(cb, k)
-    left = grid.values(ca, k + db)
-    # the product is zeroed, not ca: 0 times a non-finite right value would be NaN
-    re, im, singular = _zero_below_vacuum(grid, k + db, *_product(left, right), left.singular)
-    return GridValues(re, im, _either(right.singular, singular))
+    return composed_values(grid, grid.values(ca, k + db), grid.values(cb, k), k + db)
 
 
 def _eval_adjoint(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:

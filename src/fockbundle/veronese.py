@@ -16,7 +16,7 @@ import math
 from typing import List, Sequence, Tuple
 
 from .jc import chart_prefactor, r_root, r_theta
-from .opmatrix import OpMatrix, matrix_equal
+from .opmatrix import OpMatrix, Product, matrix_equal
 from .operators import CREATION, FockOperator, op_equal
 from .report import CheckResult, Frozen
 from .symbols import ROW_TOL, DiagonalSymbol, guarded_div, guarded_sqrt, number
@@ -174,7 +174,7 @@ def _base(lifted: LiftedColumn) -> FockOperator:
 
 def lift_norm_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int, tol: float) -> List[CheckResult]:
     col = lifted.a_col
-    prod = col.dagger() @ col
+    prod = Product(col.dagger(), col)
     return matrix_equal(prod, OpMatrix.identity(1), n_max, tol, lifted.check_name("lift_norm"), thetas=thetas)
 
 
@@ -221,4 +221,4 @@ def eigencolumn_check(thetas: Sequence[float], lifted: LiftedColumn, n_max: int,
     """P_n A_n = A_n."""
     p = projector_pn(lifted)
     name = lifted.check_name("eigencolumn")
-    return matrix_equal(p @ lifted.a_col, lifted.a_col, n_max, tol, name, thetas=thetas)
+    return matrix_equal(Product(p, lifted.a_col), lifted.a_col, n_max, tol, name, thetas=thetas)

@@ -245,6 +245,19 @@ def test_sweep_theta(capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["-1.0", "0.0", "1.0"]
 
 
+def test_a_theta_sweep_strips_only_each_rows_own_tag(monkeypatch, capsys):
+    # a theta-free record whose name holds "_theta" keeps its column whole;
+    # a theta record loses its row's tag, so its rows share one column
+    def runner(cfg):
+        free = [cli.upper_bound_check("a_theta_free", 0.5, 1.0)]
+        return free, [[cli.upper_bound_check(f"b_theta{theta}", 0.25, 1.0)] for theta in cfg.theta_list]
+
+    monkeypatch.setitem(cli._RUNNERS, "fock", runner)
+    code, out, _ = run_main(["sweep", "--suite", "fock", "--axis", "theta", "--values", "-1", "-0.0", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["theta,a_theta_free,b,pass", "-1.0,0.5,0.25,1", "-0.0,0.5,0.25,1", "2.0,0.5,0.25,1"]
+
+
 def test_sweep_nmax(capsys):
     code, out, _ = run_main(
         ["sweep", "--suite", "fock", "--axis", "nmax", "--values", "8", "16"] + ["--theta", "1.0"],
@@ -321,7 +334,8 @@ def test_sweep_rows_match_verify_alone_and_follow_the_seed(capsys):
                 cache.cache_clear()
             argv = ["verify", "--suite", "all", f"--theta={theta}", "--nmax", "4", "--seed", seed, "--format", "csv"]
             code, alone, _ = run_main(argv, capsys)
-            cells = {cli._axis_free_name(line.split(",")[0], "theta"): line.split(",")[1] for line in alone.splitlines()[1:]}
+            tag = f"_theta{float(theta)}"
+            cells = {line.split(",")[0].removesuffix(tag): line.split(",")[1] for line in alone.splitlines()[1:]}
             assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
             assert row[-1] == str(1 - code)
         by_seed[seed] = dict(zip(header, rows[0]))
@@ -759,7 +773,7 @@ def test_theta_rows_are_independent(capsys):
         argv = ["verify", "--suite", "all", f"--theta={theta}", "--nmax", "6", "--format", "csv"]
         code, verify, _ = run_main(argv, capsys)
         cells = [line.split(",") for line in verify.splitlines()[1:]]
-        cells = {cli._axis_free_name(name, "theta"): dev for name, dev, *_ in cells}
+        cells = {name.removesuffix(f"_theta{float(theta)}"): dev for name, dev, *_ in cells}
         assert dict(zip(header[1:-1], row[1:-1])) == {name: cells.get(name, "") for name in header[1:-1]}
         assert row[-1] == str(1 - code)
     assert rows[0] == rows[6] and rows[-1][-1] == "0"

@@ -21,6 +21,7 @@ from fockbundle import cli, jc, operators, spinrep, symbols, veronese
 from fockbundle.operators import FockOperator, op_equal, per_row, scan_rows
 from fockbundle.opmatrix import (
     OpMatrix,
+    Product,
     check_idempotent_hermitian,
     check_unitary,
     matrix_equal,
@@ -796,6 +797,118 @@ def test_equality_checks_build_no_node_for_the_difference(monkeypatch):
     matrix_equal(OpMatrix.diag(a, b), OpMatrix.diag(b, a), 8, 1e-10, thetas=[1.0, -1.0])
     assert built == []
     assert (a - b).terms and built  # the difference as an operator does build nodes
+
+
+# -- a product that a check only compares, multiplied on the grid ---------------------------------
+
+
+def bits(scan):
+    """A scan's maxima as their bytes, its locations and its exclusion mask as bytes: equal only bit for bit."""
+    top, where, mask = scan
+    return np.array(top).tobytes(), where, mask.shape, mask.tobytes()
+
+
+def pooled_matrix(rng, rows, cols, pool):
+    """A matrix whose entries are drawn from ``pool`` (so products share factors and nodes) or are zero."""
+    zero = FockOperator.zero()
+    return OpMatrix.build([[pool[rng.integers(len(pool))] if rng.random() < 0.8 else zero for _ in range(cols)]
+                           for _ in range(rows)])
+
+
+def looped_product(a, b):
+    """A @ B as nested loops: each entry a[i][0] b[0][k] + a[i][1] b[1][k] + ..., summed from the first product."""
+    rows = []
+    for row in a.entries:
+        entries = []
+        for k in range(b.cols):
+            acc = row[0] * b.entries[0][k]
+            for j in range(1, a.cols):
+                acc = acc + row[j] * b.entries[j][k]
+            entries.append(acc)
+        rows.append(entries)
+    return OpMatrix.build(rows)
+
+
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_a_product_scan_is_the_scan_of_the_built_product_bit_for_bit(thetas):
+    rng = np.random.default_rng(41)
+    singular = below = nonfinite = zeros = complex_ = 0
+    for _ in range(100):
+        pool = [random_side(rng, thetas is not None) for _ in range(4)]
+        r, m, c = (int(x) for x in rng.integers(1, 5, size=3))
+        a, b, right = (pooled_matrix(rng, *shape, pool) for shape in ((r, m), (m, c), (r, c)))
+        skip = as_mask({1: [2, 5]}, c, 7) if rng.random() < 0.3 else None
+        lazy = Product(a, b)
+        assert (lazy.rows, lazy.cols) == (r, c)
+        # scanned before a @ b exists, so nothing of the built product can be read
+        scans = [
+            scan_rows(lazy.columns(), 7, thetas, skip),
+            scan_rows(lazy.columns(), 7, thetas, skip, right=right.columns()),
+            scan_rows(right.columns(), 7, thetas, skip, right=lazy.columns()),
+        ]
+        built = a @ b
+        assert built == looped_product(a, b)  # interned: the same nodes, so the same order of products and sums
+        expected = [
+            scan_rows(built.columns(), 7, thetas, skip),
+            scan_rows(built.columns(), 7, thetas, skip, right=right.columns()),
+            scan_rows(right.columns(), 7, thetas, skip, right=built.columns()),
+        ]
+        assert [bits(s) for s in scans] == [bits(s) for s in expected]
+        singular += bool(expected[0][2].any())
+        nonfinite += math.inf in expected[0][0]
+        zeros += any(not op.terms for row in a.entries + b.entries for op in row)
+        below += any(d < 0 for row in b.entries for op in row for d, _ in op.terms)
+        complex_ += any(not c.real for op in pool for _, c in op.terms)
+    assert min(singular, below, nonfinite, zeros, complex_) > 10, (singular, below, nonfinite, zeros, complex_)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+        Product(OpMatrix.identity(2), OpMatrix.identity(1))
+
+
+def test_a_node_has_an_imaginary_part_exactly_when_it_is_complex():
+    # symbols.sum_values decides the imaginary part of a sum from the values, as _eval_add did from node.real
+    rng = np.random.default_rng(43)
+    grid = operators._grid(7, np.array(ROWS).tobytes())
+    kinds = Counter()
+    for _ in range(200):
+        stack = [random_symbol(rng, 3, leaves=True)]
+        while stack:
+            node = stack.pop()
+            stack += [arg for arg in node.args if isinstance(arg, symbols.DiagonalSymbol)]
+            with np.errstate(all="ignore"):
+                values = grid.values(node, int(rng.integers(-2, 3)))
+            assert (values.im is None) == node.real, node.op
+            kinds[node.op, node.real] += 1
+    assert {op for op, _ in kinds} == set(symbols._EVAL)
+    assert all(kinds[op, False] for op in ("const", "leaf", "add", "mul", "div", "composed", "adjoint"))
+
+
+def counting_built(monkeypatch):
+    """The kind of every node built from now on, in order."""
+    built = []
+    init = symbols.DiagonalSymbol.__init__
+
+    def counted(self, op, *args):
+        built.append(op)
+        init(self, op, *args)
+
+    monkeypatch.setattr(symbols.DiagonalSymbol, "__init__", counted)
+    return built
+
+
+def test_the_product_checks_build_no_node_of_the_product(monkeypatch):
+    family = veronese.build_family(4)
+    spin = spinrep.nc_spin_rep(family, 1.5)
+    bundle = jc.build_bundle([1.0, -1.0, 0.0])
+    ident = FockOperator.identity()  # the identity's constant stays alive: only the check's own nodes count
+    built = counting_built(monkeypatch)
+    check_unitary(spin, 8, 1e-10, thetas=[1.0, -1.0])
+    assert set(built) <= {"adjoint"}  # M† only: no composed node of M†M or MM†, no add node of their sums
+    built.clear()
+    check_idempotent_hermitian(bundle.projector, 8, 1e-10, adjoint=bundle.projector_adjoint, thetas=bundle.thetas)
+    assert built == []
+    check_idempotent_hermitian(bundle.projector, 8, 1e-10, thetas=bundle.thetas)
+    assert set(built) <= {"adjoint"}
+    assert ident.terms
 
 
 @pytest.mark.parametrize("suite", ["veronese", "spinrep", "propagator"])

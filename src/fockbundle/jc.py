@@ -335,7 +335,8 @@ def propagator_block_oracle(thetas: Sequence[float], g: float, t: float, n_max: 
     below, ground = np.zeros((len(theta), 1), dtype=complex), np.exp(1j * g * t * theta)
 
     def term(d: int, values: np.ndarray) -> FockOperator:
-        # values[row, n] = <slot si, n + d| U |slot sj, n> at the row's theta
+        # values[row, n] = <slot si, n + d| U |slot sj, n> at the row's theta; a leaf reads no idx below 0,
+        # so none wraps round to the end of the row
         return FockOperator.from_terms({d: grid_leaf(lambda idx, theta: (values.real[:, idx], values.imag[:, idx]))})
 
     return OpMatrix.build(

@@ -9,8 +9,8 @@ evaluates on a whole grid at once and returns the values plus a singular
 mask: a vanishing divisor, or a square root of a negative value, marks the
 state singular instead of producing NaN/Inf.
 
-A ``Grid`` is an int64 index row n of N states and, when the detuning is
-an evaluation axis, a column of T detunings: its values broadcast to (T, N),
+A ``Grid`` is an int64 row of N consecutive indices n and, when the detuning
+is an evaluation axis, a column of T detunings: its values broadcast to (T, N),
 one row per theta.  Without detunings the shape is (N,), and reading the
 ``theta`` node is a TypeError.  Nodes are evaluated with numpy's
 broadcasting, so a node that reads no theta holds one row (N,) and the
@@ -27,7 +27,9 @@ and ``np.power`` round differently on some machines.
 The grid is the only way to read a symbol: calling one on a Grid returns
 the node's cached values, unbroadcast, and calling it on anything else is
 a TypeError.  A node caches its values on the last grid it was read on,
-per offset, for the node's lifetime.
+per offset, for the node's lifetime.  No node is evaluated below the
+vacuum: a read at an offset k whose first m states have n + k < 0 is the
+read at the vacuum's edge moved up by m, 0 and not singular on those m.
 
 Nodes are hash-consed: every builder goes through ``_node``, which returns
 the live node of the same kind and arguments if there is one (children
@@ -183,11 +185,8 @@ def number(shift: int = 0, add: float = 0.0) -> DiagonalSymbol:
 def grid_leaf(fn: Callable[[np.ndarray, Optional[np.ndarray]], Tuple[np.ndarray, np.ndarray]]) -> DiagonalSymbol:
     """A complex leaf: ``fn`` maps an int64 index row and the grid's
     column of detunings (None on a grid without them) to the real and
-    imaginary parts of the values there, as float64 arrays that broadcast
-    to the grid's shape.
-
-    The row may hold indices below the vacuum; what ``fn`` returns there
-    is never used.
+    imaginary parts of the values there, as float64 arrays of at least one
+    axis that broadcast to the grid's shape.  The row holds basis states only.
     """
     return _node("leaf", (fn,), False)
 
@@ -222,9 +221,10 @@ def composed(ca: DiagonalSymbol, db: int, cb: DiagonalSymbol) -> DiagonalSymbol:
     """Coefficient of the product of shift terms (da, ca) after (db, cb).
 
     cb acts first and is always evaluated, so its singularities count
-    everywhere.  ca is evaluated at the intermediate index n + db only
-    where that index is a basis state; below the vacuum the product is 0.
-    A vanishing right factor does not repair a singular ca.
+    everywhere.  ca is read at the intermediate index n + db, and is 0 and
+    not singular where that index is below the vacuum; so is the product,
+    however cb reads there.  A vanishing right factor does not repair a
+    singular ca.
     """
     return _node("composed", (ca, db, cb), ca.real and cb.real)
 
@@ -270,23 +270,23 @@ def _flag(mask: np.ndarray) -> Optional[np.ndarray]:
 
 
 class Grid:
-    """Where symbols are evaluated: the int64 index row ``n`` and, unless
-    None, one row per detuning in ``thetas``, with its threshold
-    ``sigma_tol(theta)``.
+    """Where symbols are evaluated: the int64 index row ``n``, a run of
+    consecutive indices from ``lo`` = n[0], and, unless None, one row per
+    detuning in ``thetas``, with its threshold ``sigma_tol(theta)``.
 
     A node's cache serves it only while it holds this very grid, which it
     keeps alive, so a reused id cannot match; otherwise it is replaced.
-    Positions whose index is below the vacuum may hold anything: every
-    node that reads a child there (composed, adjoint) masks them out.
+    A read at an offset k with lo + k < 0 is the read at the vacuum's edge
+    (offset -lo) moved up, so no evaluator sees an index below the vacuum.
     """
 
     __slots__ = ("n", "lo", "theta", "tol")
 
     def __init__(self, n: np.ndarray, thetas: Optional[Sequence[float]] = None):
-        if not (isinstance(n, np.ndarray) and n.dtype == np.int64 and n.ndim == 1):
-            raise TypeError("a symbol is evaluated on a one-dimensional int64 index array")
+        if not (isinstance(n, np.ndarray) and n.dtype == np.int64 and n.ndim == 1 and (np.diff(n) == 1).all()):
+            raise TypeError("a symbol is evaluated on a one-dimensional int64 index array of consecutive indices")
         self.n = n
-        self.lo = int(n.min()) if n.size else 0
+        self.lo = int(n[0]) if n.size else 0
         self.theta = self.tol = None
         if thetas is not None:
             thetas = [float(t) for t in thetas]
@@ -310,8 +310,29 @@ class Grid:
             cache = node.cache = (self, {})
         found = cache[1].get(k)
         if found is None:
-            found = cache[1][k] = _EVAL[node.op](self, node, k)
+            m = _below_vacuum(self, k)
+            found = _moved_up(self, self.values(node, -self.lo), m) if m else _EVAL[node.op](self, node, k)
+            cache[1][k] = found
         return found
+
+
+def _below_vacuum(grid: Grid, k: int) -> int:
+    """The number of leading states whose index n + k is below the vacuum: the one copy of the vacuum rule."""
+    return min(max(-(grid.lo + k), 0), grid.n.size)
+
+
+def _moved_up(grid: Grid, edge: GridValues, m: int) -> GridValues:
+    """``edge`` moved up by m states, with 0 and no singular state on the m it moves in."""
+
+    def move(part: np.ndarray) -> np.ndarray:
+        # a part without the index axis, such as theta's (T, 1), spreads over the states first
+        out = np.zeros(part.shape[:-1] + grid.n.shape, part.dtype)
+        out[..., m:] = part[..., : grid.n.size - m]
+        return out
+
+    im, singular = edge.im, edge.singular
+    im, singular = None if im is None else move(im), None if singular is None else _flag(move(singular))
+    return GridValues(move(edge.re), im, singular)
 
 
 def _eval_const(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
@@ -396,15 +417,13 @@ def _eval_pow(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     arg, p, tol = node.args
     a = grid.values(arg, k)
     tol = grid.threshold(tol)
-    inside = _inside(grid, k)
     shape = np.broadcast_shapes(a.re.shape, grid.n.shape, np.shape(tol), np.shape(a.singular))
     integral = p.is_integer()
     re = [0.0] * math.prod(shape)
     singular = [False] * len(re) if a.singular is None else np.broadcast_to(a.singular, shape).ravel().tolist()
-    live = [True] * len(re) if inside is None else np.broadcast_to(inside, shape).ravel().tolist()
     tol = np.broadcast_to(tol, shape).ravel().tolist()
     for i, x in enumerate(np.broadcast_to(a.re, shape).ravel().tolist()):
-        if singular[i] or not live[i]:
+        if singular[i]:
             continue
         if (abs(x) < tol[i] and p < 0) or (x < -tol[i] and not integral):
             singular[i] = True
@@ -417,25 +436,15 @@ def _eval_pow(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     return GridValues(np.array(re).reshape(shape), None, _flag(np.array(singular).reshape(shape)))
 
 
-def _inside(grid: Grid, k: int) -> Optional[np.ndarray]:
-    """Where the index n + k is a basis state, None if everywhere: the one copy of the vacuum rule."""
-    return None if grid.lo + k >= 0 else grid.index(k) >= 0
-
-
-def _zero_below_vacuum(grid: Grid, k: int, re, im, singular) -> tuple:
-    """``re``, ``im`` and ``singular``, read at the index n + k, with 0 and no singular state below the vacuum."""
-    inside = _inside(grid, k)
-    if inside is None:
-        return re, im, singular
-    im = None if im is None else np.where(inside, im, 0.0)
-    return np.where(inside, re, 0.0), im, None if singular is None else _flag(singular & inside)
-
-
 def composed_values(grid: Grid, left: GridValues, right: GridValues, k: int) -> GridValues:
     """The values of the ``composed`` node: ``left``, read at the index n + k, after ``right``."""
-    # the product is zeroed, not the left factor: 0 times a non-finite right value would be NaN
-    re, im, singular = _zero_below_vacuum(grid, k, *_product(left, right), left.singular)
-    return GridValues(re, im, _either(right.singular, singular))
+    re, im = _product(left, right)
+    m = _below_vacuum(grid, k)
+    if m:  # left is 0 there, but 0 times a non-finite right value is NaN: the product, a new array, is zeroed
+        re[..., :m] = 0.0
+        if im is not None:
+            im[..., :m] = 0.0
+    return GridValues(re, im, _either(right.singular, left.singular))
 
 
 def _eval_composed(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
@@ -446,7 +455,11 @@ def _eval_composed(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
 def _eval_adjoint(grid: Grid, node: DiagonalSymbol, k: int) -> GridValues:
     c, d = node.args
     a = grid.values(c, k - d)
-    return GridValues(*_zero_below_vacuum(grid, k - d, a.re, None if a.im is None else -a.im, a.singular))
+    if a.im is None:
+        return a
+    im = -a.im
+    im[..., : _below_vacuum(grid, k - d)] = 0.0  # the conjugate of a moved-in 0 is +0.0, not -0.0
+    return GridValues(a.re, im, a.singular)
 
 
 _EVAL = {

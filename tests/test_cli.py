@@ -575,7 +575,27 @@ def test_the_veronese_suite_reads_the_values_spinrep_left_whenever_garbage_is_co
     ]
     spinrep, veronese = _suite_evaluations(argvs, False, counts)
     assert _suite_evaluations(argvs, True, counts) == [spinrep, veronese]
-    assert veronese <= 330
+    assert veronese <= 159
+
+
+def test_no_run_evaluates_a_coefficient_below_the_vacuum(monkeypatch):
+    # a read at an offset that puts states below the vacuum is the read at the vacuum's edge moved up
+    counts, below = [], []
+    for op, fn in list(symbols._EVAL.items()):
+
+        def counted(grid, node, k, fn=fn):
+            counts[-1] += 1
+            if grid.lo + k < 0:
+                below.append((node.op, k))
+            return fn(grid, node, k)
+
+        monkeypatch.setitem(symbols._EVAL, op, counted)
+    argvs = [
+        ["verify", "--suite", "all", "--nmax", "48", "--theta", "1", "--theta=-1", "--theta", "0"],
+        ["sweep", "--suite", "all", "--axis", "theta", "--values", "-1.5", "0", "0.37", "2", "--nmax", "6"],
+    ]
+    assert min(_suite_evaluations(argvs, False, counts)) > 100
+    assert below == []
 
 
 # (exit code, argv) of every kind of run: each suite in each format, the three sweep axes, the

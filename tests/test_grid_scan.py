@@ -62,7 +62,7 @@ def scalar_reference(node, n, theta):
     if op == "theta":
         return complex(theta)
     if op == "leaf":
-        raise NotImplementedError
+        return complex(*args[0](n, theta))
     if op in ("add", "mul"):
         a, b = scalar_reference(args[0], n, theta), scalar_reference(args[1], n, theta)
         return a + b if op == "add" else a * b
@@ -174,6 +174,74 @@ def test_grid_values_match_the_scalar_reference_bit_for_bit():
     assert complex_compared > 1000
 
 
+def _read_at(grid, sym, k):
+    """``sym`` read at offset ``k`` on ``grid``, broadcast to (rows, N), with numpy's warnings silenced."""
+    shape = (1 if grid.theta is None else grid.theta.shape[0], grid.n.size)
+    with np.errstate(all="ignore"):
+        values = grid.values(sym, k)
+    assert grid.values(sym, k) is values  # cached under k, like every read
+    return [None if v is None else np.broadcast_to(v, shape) for v in values]
+
+
+@pytest.mark.parametrize("lo", [0, 3])
+@pytest.mark.parametrize("thetas", [ROWS, None], ids=["theta_rows", "no_theta"])
+def test_a_read_at_any_offset_is_the_reference_on_basis_states_and_0_below_the_vacuum(lo, thetas, monkeypatch):
+    # no node is evaluated below the vacuum: a read there is the read at the vacuum's edge moved up, each
+    # part spread over the states first, so theta's column and the mask of 1 / theta at theta = 0 move too
+    for op, fn in list(symbols._EVAL.items()):
+
+        def checked(grid, node, k, fn=fn):
+            assert grid.lo + k >= 0, (node.op, k)
+            return fn(grid, node, k)
+
+        monkeypatch.setitem(symbols._EVAL, op, checked)
+    rng = np.random.default_rng(31 + lo)
+    syms = [] if thetas is None else [THETA, guarded_div(1.0, THETA, ROW_TOL), adjoint(THETA * const(0.5j), 2)]
+    while len(syms) < 300:
+        sym = random_symbol(rng, 3, leaves=True)
+        if thetas is not None or reads_no_theta(sym):
+            syms.append(sym)
+    grid = symbols.Grid(np.arange(lo, lo + 8, dtype=np.int64), thetas)
+    compared = below = singular = 0
+    for sym in syms:
+        for k in range(-3, 4):
+            re, im, mask = _read_at(grid, sym, k)
+            for r, theta in enumerate([None] if thetas is None else thetas):
+                for j, n in enumerate(grid.n.tolist()):
+                    flagged = mask is not None and mask[r, j]
+                    if n + k < 0:
+                        assert re[r, j] == 0.0 and not np.signbit(re[r, j]) and not flagged, (sym.op, k, n)
+                        assert im is None or (im[r, j] == 0.0 and not np.signbit(im[r, j])), (sym.op, k, n)
+                        below += 1
+                        continue
+                    try:
+                        expected = scalar_reference(sym, n + k, theta)
+                    except (Singular, ValueError, OverflowError, ZeroDivisionError):
+                        assert flagged, (theta, n, k, sym.op)
+                        singular += 1
+                        continue
+                    assert not flagged, (theta, n, k, sym.op)
+                    assert same(complex(re[r, j], 0.0 if im is None else im[r, j]), expected), (theta, n, k, sym.op)
+                    compared += 1
+    assert compared > 10000 and singular > 100
+    assert below == (0 if lo else 300 * 6 * len(thetas or [None]))
+
+
+def test_a_product_or_an_adjoint_that_reaches_below_the_vacuum_is_plus_0_there():
+    # the left factor is 0 there, but 0 times a non-finite right value is NaN, and the conjugate of a moved-in
+    # 0 is -0.0: composed and adjoint reset those states to +0.0, not singular
+    grid = symbols.Grid(np.arange(6, dtype=np.int64), [1.0, 0.0])
+    plus_0 = np.zeros((2, 2)).tobytes()
+    rights = [const(v) for v in (math.inf, -math.inf, math.nan, complex(math.inf, math.nan), -2.0)]
+    for right in rights + [THETA * const(-1j)]:
+        re, im, mask = _read_at(grid, composed(const(2 - 1j), -2, right), 0)
+        assert re[:, :2].tobytes() == im[:, :2].tobytes() == plus_0 and mask is None, right
+    for c in (const(2 - 1j), const(-0.5), THETA * const(3j)):
+        re, im, mask = _read_at(grid, adjoint(c, 2), 0)
+        assert re[:, :2].tobytes() == plus_0 and (im is None or im[:, :2].tobytes() == plus_0) and mask is None, c
+        assert re[:, 2:].tolist() == _read_at(grid, c, 0)[0][:, :4].tolist()
+
+
 def _bits(values):
     """The bytes of values, imaginary part and singular mask; a missing mask is all False."""
     re, im, singular = values
@@ -209,6 +277,11 @@ def test_a_symbol_is_read_only_on_the_grid():
     for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int32), np.arange(6.0), np.zeros((2, 3), np.int64)):
         with pytest.raises(TypeError, match="one-dimensional int64 index array"):
             symbols.Grid(index)
+    # ... of consecutive indices, so that its lowest index is its first
+    for index in ([0, 2, 3], [3, 2, 1, 0], [1, 1, 2], [-1, 0, 5]):
+        with pytest.raises(TypeError, match="int64 index array of consecutive indices"):
+            symbols.Grid(np.array(index, dtype=np.int64))
+    assert [symbols.Grid(np.arange(lo, lo + 3, dtype=np.int64)).lo for lo in (0, 4, -2)] == [0, 4, -2]
     # ... and a symbol is read only on a grid, never on an index array
     for index in (5, np.int64(5), [5], np.arange(6, dtype=np.int64), np.arange(6.0)):
         with pytest.raises(TypeError, match="read on a Grid"):
@@ -704,19 +777,34 @@ def test_only_the_interning_constructor_builds_nodes():
 
 
 def test_one_helper_decides_what_is_below_the_vacuum():
-    # the rule n + k >= 0 (on the index row, or on its lowest index) is written once, in the helper
-    # that composed, adjoint and pow read
-    writers = set()
+    # the rule n + k < 0 is written once, as the count of states below the vacuum that _below_vacuum
+    # returns to the grid's read and to composed and adjoint: no other function compares an index or a
+    # grid's lowest index with 0, only the read takes the vacuum's edge from it, and symbols selects
+    # with no np.where
+    compares, readers, callers, wheres = set(), set(), set(), []
     for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
+            where = f"{path.name}:{fn.name}"
             for node in ast.walk(fn):
-                if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.GtE):
-                    reads = {getattr(n, "attr", None) for n in ast.walk(node.left)}
-                    if reads & {"index", "lo"}:
-                        writers.add(f"{path.name}:{fn.name}")
-    assert writers == {"symbols.py:_inside"}
+                if isinstance(node, ast.Attribute) and node.attr == "lo" and isinstance(node.ctx, ast.Load):
+                    readers.add(where)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_below_vacuum":
+                    callers.add(where)
+                if isinstance(node, ast.Compare):
+                    sides = [n for side in (node.left, *node.comparators) for n in ast.walk(side)]
+                    names = {getattr(n, "attr", None) for n in sides} | {getattr(n, "id", None) for n in sides}
+                    zero = any(isinstance(n, ast.Constant) and n.value == 0 for n in sides)
+                    if names & {"index", "lo"} or (zero and names & {"n", "idx"}):
+                        compares.add(where)
+        if path.name == "symbols.py":
+            wheres += [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "where"]
+    assert compares == set()
+    assert readers == {"symbols.py:_below_vacuum", "symbols.py:values"}
+    assert callers == {"symbols.py:values", "symbols.py:composed_values", "symbols.py:_eval_adjoint"}
+    assert wheres == []
 
 
 # -- the two sides of a check, subtracted on the grid ---------------------------------
